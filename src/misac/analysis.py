@@ -119,7 +119,8 @@ def task_flops(cfg: RunConfig, task: str) -> dict[str, int]:
     if task in RECON_TASKS:
         rest = decoder_flops(model, Modality.CSI)
     else:
-        n_out = {"beam_selection": 16, "localization": 1, "aoa_estimation": 2}[task]
+        n_beams = cfg.data.synth_config(model).n_beams
+        n_out = {"beam_selection": n_beams, "localization": 1, "aoa_estimation": 2}[task]
         rest = _matmul(1, model.d, model.d) + _matmul(1, model.d, n_out)
     return {"encoder": enc, "task": rest, "total": enc + rest}
 

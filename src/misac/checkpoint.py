@@ -26,6 +26,7 @@ from .tensor import mstn_dumps, mstn_loads
 
 _MAGIC = b"MSCK"
 _VERSION = 1
+_HEADER_KEYS = ("fingerprint", "opt_t", "payload_sha256", "rng_state", "step", "tensors")
 
 
 class CheckpointError(ValueError):
@@ -93,6 +94,11 @@ def load_checkpoint(
         header = json.loads(blob[16 : 16 + head_len])
     except json.JSONDecodeError:
         raise CheckpointError("corrupt checkpoint header") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt checkpoint header")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
     payload = blob[16 + head_len :]
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:

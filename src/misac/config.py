@@ -22,7 +22,7 @@ from pathlib import Path
 from .downstream import TASKS, FinetuneSettings
 from .encoder import EncoderConfig
 from .pretrain import PretrainSettings
-from .synth import SynthConfig
+from .synth import RadarParams, SynthConfig
 from .tokenizer import ModalitySpec, TokenizerConfig, token_count
 
 
@@ -83,6 +83,7 @@ class DataConfig:
             SynthConfig(),
             n_t=model.csi_height,
             n_sc=model.csi_width,
+            radar=RadarParams(out_size=model.radar_size),
             availability=dict(self.availability),
             speed=tuple(self.speed),
             include_los=self.include_los,

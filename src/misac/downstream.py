@@ -14,7 +14,8 @@ Five tasks ride on the pre-trained encoder:
 
 Reconstruction tasks reuse the CSI decoder as their head; label tasks attach
 a small two-layer head on mean-pooled encoder output. With freeze=True only
-the head (or CSI decoder) trains and the encoder stays bit-identical.
+the head (or CSI decoder) trains, the encoder stays bit-identical, and
+run_finetune keeps the frozen parameters off the tape.
 """
 
 from __future__ import annotations
@@ -307,18 +308,30 @@ def run_finetune(
 ) -> list[dict]:
     if not samples:
         raise DownstreamError("run_finetune: empty dataset")
-    opt = Adam(model.trainable_params(cfg.freeze_encoder))
+    trainable = model.trainable_params(cfg.freeze_encoder)
+    opt = Adam(trainable)
     rng = np.random.default_rng(seed)
     history = []
     n = len(samples)
-    for step in range(cfg.steps):
-        batch = [samples[(step * cfg.batch_size + j) % n] for j in range(cfg.batch_size)]
-        lr = cosine_lr(step, cfg.steps, cfg.lr_min, cfg.lr_max)
-        loss = finetune_step(model, batch, opt, cfg, rng, lr)
-        record = {"step": step, "lr": lr, "loss": loss}
-        history.append(record)
-        if log is not None:
-            log(record)
+    # The tape records only ops with a grad-requiring input, so untracking the
+    # parameters the optimizer skips leaves a frozen encoder off the tape.
+    untracked = [
+        p for name, p in model.named_params().items() if name not in trainable and p.requires_grad
+    ]
+    for p in untracked:
+        p.requires_grad = False
+    try:
+        for step in range(cfg.steps):
+            batch = [samples[(step * cfg.batch_size + j) % n] for j in range(cfg.batch_size)]
+            lr = cosine_lr(step, cfg.steps, cfg.lr_min, cfg.lr_max)
+            loss = finetune_step(model, batch, opt, cfg, rng, lr)
+            record = {"step": step, "lr": lr, "loss": loss}
+            history.append(record)
+            if log is not None:
+                log(record)
+    finally:
+        for p in untracked:
+            p.requires_grad = True
     return history
 
 

@@ -178,20 +178,25 @@ def _dispatch(
     layer: int,
     frozen: np.ndarray | None,
 ) -> tuple[Tensor, PoolStats]:
-    """Route each row to its top-k experts and sum the weighted outputs."""
+    """Route each row to its top-k experts and sum the weighted outputs.
+
+    The (token, slot) pairs are stably sorted by expert, so each expert's
+    rows form one block in token order and each expert layer runs as one
+    grouped node. Every token's outputs are summed in expert order."""
     n, d = x.shape
     K = len(pool.experts)
     sel = _topk_indices(logits.data, k) if frozen is None else frozen
     w = tt.softmax(tt.take_along_last(logits, sel))  # [n, k]
     dense = tt.scatter_last(w, sel, K)  # [n, K], exact zeros elsewhere
-    y = Tensor(np.zeros((n, d)))
-    for e in range(K):
-        rows = np.nonzero((sel == e).any(axis=1))[0]
-        if rows.size == 0:
-            continue
-        xe = tt.gather_rows(x, rows)
-        we = tt.take_along_last(tt.gather_rows(dense, rows), np.full((rows.size, 1), e))
-        y = tt.index_add(y, rows, tt.mul(pool.experts[e](xe), we))
+    pairs = np.argsort(sel.reshape(-1), kind="stable")
+    tokens = pairs // sel.shape[1]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(sel.reshape(-1), minlength=K))])
+    ex = pool.experts
+    xs = tt.gather_rows(x, tokens)
+    h = tt.gelu(tt.grouped_linear(xs, [e.fc1.w for e in ex], [e.fc1.b for e in ex], offsets))
+    out = tt.grouped_linear(h, [e.fc2.w for e in ex], [e.fc2.b for e in ex], offsets)
+    pair_w = tt.gather_rows(tt.reshape(w, (-1, 1)), pairs)
+    y = tt.index_add(Tensor(np.zeros((n, d))), tokens, tt.mul(out, pair_w))
     stats = PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel, n_tokens=n)
     return y, stats
 

@@ -314,6 +314,43 @@ def scatter_last(vals: Tensor, idx, width: int) -> Tensor:
     return _emit("scatter_last", out, [(vals, lambda g: g[rows, idx])])
 
 
+def grouped_linear(x: Tensor, ws: Sequence[Tensor], bs: Sequence[Tensor], offsets) -> Tensor:
+    """Row block e of x, rows offsets[e]:offsets[e + 1], maps through
+    x @ ws[e] + bs[e]; one node covers every group. An empty group records no
+    vjp, so its weight and bias keep ``grad is None``."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if not ws or len(bs) != len(ws) or offsets.shape != (len(ws) + 1,):
+        raise ValueError("grouped_linear: need one bias per weight and len(ws) + 1 offsets")
+    if offsets[0] != 0 or offsets[-1] != x.data.shape[0] or np.any(np.diff(offsets) < 0):
+        raise ValueError("grouped_linear: offsets must rise from 0 to the row count")
+    bounds = offsets.tolist()
+    groups = [(e, lo, hi) for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+    out = np.empty((x.data.shape[0], ws[0].data.shape[1]))
+    for e, lo, hi in groups:
+        out[lo:hi] = np.matmul(x.data[lo:hi], ws[e].data) + bs[e].data
+
+    def vjp_x(g):
+        gx = np.empty_like(x.data)
+        for e, lo, hi in groups:
+            gx[lo:hi] = np.matmul(g[lo:hi], ws[e].data.T)
+        return gx
+
+    def group_vjps(lo, hi):
+        def vjp_w(g):
+            return np.matmul(x.data[lo:hi].T, g[lo:hi])
+
+        def vjp_b(g):
+            return g[lo:hi].sum(axis=0)
+
+        return vjp_w, vjp_b
+
+    vjps = [(x, vjp_x)]
+    for e, lo, hi in groups:
+        vjp_w, vjp_b = group_vjps(lo, hi)
+        vjps += [(ws[e], vjp_w), (bs[e], vjp_b)]
+    return _emit("grouped_linear", out, vjps)
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is None:

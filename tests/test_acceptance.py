@@ -180,6 +180,12 @@ def _primitive_checks(rng) -> dict[str, float]:
     check("logsumexp_rows", lambda: ([a35], lambda: scalarize(tt.logsumexp_rows(a35))))
     w, b = p((5, 4)), p((4,))
     check("linear", lambda: ([a35, w, b], lambda: scalarize(tt.linear(a35, w, b))))
+    ws, bs = [p((5, 4)) for _ in range(3)], [p((4,)) for _ in range(3)]
+    offsets = np.array([0, 2, 2, 3])  # a two-row, an empty and a single-row group
+    check(
+        "grouped_linear",
+        lambda: ([a35, *ws, *bs], lambda: scalarize(tt.grouped_linear(a35, ws, bs, offsets))),
+    )
     return errs
 
 

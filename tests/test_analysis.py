@@ -1,6 +1,8 @@
 """Analysis tests: activated-parameter arithmetic, FLOP-count structure, and
 routing-table aggregation identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from misac.analysis import (
     routing_table,
     task_flops,
 )
-from misac.config import ModelConfig, RunConfig, desk_config
+from misac.config import DataConfig, ModelConfig, RunConfig, desk_config
 from misac.encoder import EncoderConfig, MODALITY_ORDER
 from misac.pretrain import PretrainModel
 from misac.synth import SynthConfig, synth_dataset
@@ -112,6 +114,18 @@ class TestFlops:
         cfg = desk_config()
         encs = {task_flops(cfg, t)["encoder"] for t in ("beam_selection", "localization")}
         assert len(encs) == 1
+
+    def test_beam_head_width_follows_synth_beam_count(self, monkeypatch):
+        cfg = desk_config()
+        d = cfg.model.d
+        assert task_flops(cfg, "beam_selection")["task"] == 2 * d * d + 2 * d * 16
+        synth_config = DataConfig.synth_config
+        monkeypatch.setattr(
+            DataConfig,
+            "synth_config",
+            lambda self, model: dataclasses.replace(synth_config(self, model), n_beams=8),
+        )
+        assert task_flops(cfg, "beam_selection")["task"] == 2 * d * d + 2 * d * 8
 
     def test_unknown_task(self):
         with pytest.raises(AnalysisError):

@@ -2,6 +2,9 @@
 rejection of corruption, fingerprint gating, rng state restoration, and
 model snapshot/restore."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,26 @@ class TestFileFormat:
         with pytest.raises(OSError):
             save_checkpoint(path, sample_ckpt())
         assert path.read_bytes() == good
+
+    @pytest.mark.parametrize(
+        "key", ["fingerprint", "opt_t", "payload_sha256", "rng_state", "step", "tensors"]
+    )
+    def test_missing_header_key_named(self, tmp_path, key):
+        path = tmp_path / "c.msck"
+        save_checkpoint(path, sample_ckpt())
+        drop_header_key(path, key)
+        with pytest.raises(CheckpointError, match=f"header lacks {key}"):
+            load_checkpoint(path)
+
+
+def drop_header_key(path, key: str) -> None:
+    """Rewrite a checkpoint file with one key removed from its JSON header."""
+    blob = path.read_bytes()
+    (head_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + head_len])
+    del header[key]
+    head = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len :])
 
 
 class TestRngState:

@@ -3,6 +3,7 @@ contract, JSON-line output shape, resume continuation, freeze verification,
 and eval/finetune report consistency."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,19 @@ class TestFinetuneAndEval:
     def test_missing_checkpoint_rejected(self, workspace, capsys):
         root, cfg = workspace
         assert main(["finetune", "--config", str(cfg), "--data", str(root / "data")]) == 1
+
+    def test_checkpoint_header_without_checksum_exits_one(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        blob = (root / "ft.msck").read_bytes()
+        (head_len,) = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16 : 16 + head_len])
+        del header["payload_sha256"]
+        head = json.dumps(header).encode()
+        bad = tmp_path / "bad.msck"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len :])
+        args = ["eval", "--config", str(cfg), "--data", str(root / "data"), "--checkpoint", str(bad)]
+        assert main(args) == 1
+        assert "payload_sha256" in capsys.readouterr().err
 
     def test_unknown_task_lists_valid_kinds(self, workspace, capsys):
         root, cfg = workspace

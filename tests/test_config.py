@@ -4,6 +4,7 @@ sensitivity, and cross-field validation."""
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from misac.config import (
@@ -64,6 +65,21 @@ class TestPresets:
         assert synth.speed == (0.0, 0.0)
         assert synth.include_los is False
         assert synth.n_t == cfg.model.csi_height and synth.n_sc == cfg.model.csi_width
+
+    def test_radar_size_flows_into_synth(self):
+        from misac.pretrain import PretrainModel, PretrainSettings, run_pretrain
+        from misac.synth import synth_dataset
+
+        cfg = RunConfig(model=ModelConfig(radar_size=32)).validate()
+        synth = cfg.data.synth_config(cfg.model)
+        assert synth.radar.out_size == 32
+        samples, _ = synth_dataset(synth, 2, seed=0)
+        assert samples[0].radar.ra.shape == samples[0].radar.rv.shape == (32, 32)
+        m = cfg.model
+        model = PretrainModel(m.encoder_config(), m.tokenizer_config(), np.random.default_rng(0))
+        settings = PretrainSettings(steps=1, batch_size=2, modality_dropout=0.0)
+        history, _, _ = run_pretrain(model, samples, settings, seed=0)
+        assert len(history) == 1 and np.isfinite(history[0]["loss"])
 
 
 class TestSerialization:

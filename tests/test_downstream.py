@@ -25,7 +25,7 @@ from misac.downstream import (
     wrapped_abs_error,
 )
 from misac.encoder import EncoderConfig
-from misac.pretrain import PretrainModel
+from misac.pretrain import Adam, PretrainModel, cosine_lr
 from misac.synth import SynthConfig, synth_dataset
 from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig
 
@@ -236,6 +236,30 @@ class TestLossesAndTraining:
             assert same, f"{k} changed under freeze"
         moved = [k for k in before if not np.array_equal(before[k], after[k].data)]
         assert moved and all(k.startswith("decoder.csi.") for k in moved)
+
+    @pytest.mark.parametrize("task", ["beam_selection", "channel_prediction"])
+    def test_frozen_encoder_is_not_taped(self, samples, task):
+        cfg = FinetuneSettings(steps=2, batch_size=2, freeze_encoder=True)
+        model = make_model(task)
+        history = run_finetune(model, samples, cfg, seed=0)
+        trainable = model.trainable_params(True)
+        for name, p in model.named_params().items():
+            assert p.requires_grad, f"{name} left untracked"
+            if name not in trainable:
+                assert p.grad is None, f"{name} was taped"
+
+        # the same steps with every parameter tracked, as finetune_step alone runs them
+        taped = make_model(task)
+        opt = Adam(taped.trainable_params(True))
+        rng = np.random.default_rng(0)
+        losses = []
+        for step in range(cfg.steps):
+            batch = [samples[(2 * step + j) % len(samples)] for j in range(2)]
+            lr = cosine_lr(step, cfg.steps, cfg.lr_min, cfg.lr_max)
+            losses.append(finetune_step(taped, batch, opt, cfg, rng, lr))
+        assert taped.named_params()["block0.attn.q.w"].grad is not None
+        assert [r["loss"] for r in history] == losses
+        assert evaluate(model, samples, cfg) == evaluate(taped, samples, cfg)
 
     def test_unfrozen_training_moves_encoder(self, samples):
         model = make_model("localization")

@@ -117,6 +117,76 @@ class TestDispatch:
         np.testing.assert_array_equal(stats.selected, frozen)
 
 
+def _per_expert_dispatch(pool, x, logits, k, layer, frozen):
+    """Reference dispatch: one gather, expert MLP, weighting and scatter-add
+    per expert, with each weight picked out of the dense routing matrix."""
+    n, d = x.shape
+    K = len(pool.experts)
+    sel = enc._topk_indices(logits.data, k) if frozen is None else frozen
+    w = tt.softmax(tt.take_along_last(logits, sel))
+    dense = tt.scatter_last(w, sel, K)
+    y = Tensor(np.zeros((n, d)))
+    for e in range(K):
+        rows = np.nonzero((sel == e).any(axis=1))[0]
+        if rows.size == 0:
+            continue
+        xe = tt.gather_rows(x, rows)
+        we = tt.take_along_last(tt.gather_rows(dense, rows), np.full((rows.size, 1), e))
+        y = tt.index_add(y, rows, tt.mul(pool.experts[e](xe), we))
+    stats = enc.PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel, n_tokens=n)
+    return y, stats
+
+
+class TestGroupedDispatch:
+    """The grouped dispatch against the per-expert loop it replaced: outputs,
+    routing stats, and the gradients of a loss that reads both the output and
+    the dense routing weights."""
+
+    N, D, K = 9, 12, 5
+
+    def _run(self, dispatch, pool, top_k, frozen):
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.normal(size=(self.N, self.D)), requires_grad=True)
+        probe_y, probe_w = rng.normal(size=(self.N, self.D)), rng.normal(size=(self.N, self.K))
+        params = [p for _, p in pool.named("pool")]
+        for p in params:
+            p.grad = None
+        with tt.Tape() as tape:
+            y, stats = dispatch(pool, x, enc.gate_specific(x, pool), top_k, 0, frozen)
+            loss = tt.add(
+                tt.tsum(tt.mul(y, Tensor(probe_y))), tt.tsum(tt.mul(stats.weights, Tensor(probe_w)))
+            )
+        tt.backward(loss, tape)
+        return y.data, stats, [x.grad] + [p.grad for p in params]
+
+    def _assert_same(self, pool, top_k, frozen=None):
+        y_ref, st_ref, g_ref = self._run(_per_expert_dispatch, pool, top_k, frozen)
+        y, st, g = self._run(enc._dispatch, pool, top_k, frozen)
+        assert np.abs(y - y_ref).max() <= 1e-12 * np.abs(y_ref).max()
+        assert (st.layer, st.pool, st.n_tokens) == (st_ref.layer, st_ref.pool, st_ref.n_tokens)
+        np.testing.assert_array_equal(st.selected, st_ref.selected)
+        np.testing.assert_array_equal(st.weights.data, st_ref.weights.data)
+        for got, want in zip(g, g_ref):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+        return g
+
+    @pytest.mark.parametrize("top_k", [1, 3, 5])
+    def test_matches_per_expert_loop(self, top_k):
+        cfg = EncoderConfig(d=self.D, n_heads=4, n_experts=self.K, top_k=top_k)
+        self._assert_same(enc.ExpertPool(np.random.default_rng(41), cfg, "csi"), top_k)
+
+    def test_frozen_selection_with_idle_expert(self):
+        cfg = EncoderConfig(d=self.D, n_heads=4, n_experts=self.K, top_k=3)
+        pool = enc.ExpertPool(np.random.default_rng(42), cfg, "map")
+        frozen = (np.arange(self.N)[:, None] + np.arange(3)[None, :]) % (self.K - 1)
+        grads = self._assert_same(pool, 3, frozen)
+        idle = pool.experts[self.K - 1]
+        assert all(p.grad is None for p in (idle.fc1.w, idle.fc1.b, idle.fc2.w, idle.fc2.b))
+        assert all(g is not None for g in grads[: -4])
+
+
 class TestGates:
     def test_shared_gate_zero_context_uses_token_block_only(self):
         rng = np.random.default_rng(11)

@@ -107,6 +107,29 @@ class TestBackward:
         T.backward(loss, tape)
         np.testing.assert_allclose(b.grad, np.full(3, 5.0))
 
+    def test_grouped_linear_matches_per_group_linear(self):
+        r = rng()
+        x = T.Tensor(r.normal(size=(5, 3)), requires_grad=True)
+        ws = [T.Tensor(r.normal(size=(3, 2)), requires_grad=True) for _ in range(3)]
+        bs = [T.Tensor(r.normal(size=2), requires_grad=True) for _ in range(3)]
+        with T.Tape() as tape:
+            out = T.grouped_linear(x, ws, bs, [0, 4, 4, 5])  # group 1 is empty
+            loss = T.tsum(T.square(out))
+        T.backward(loss, tape)
+        assert len(tape) == 3  # one node for every group
+        want = np.concatenate([x.data[:4] @ ws[0].data + bs[0].data, x.data[4:] @ ws[2].data + bs[2].data])
+        np.testing.assert_array_equal(out.data, want)
+        assert ws[1].grad is None and bs[1].grad is None
+        np.testing.assert_allclose(ws[2].grad, 2.0 * np.outer(x.data[4], want[4]), atol=1e-12)
+        np.testing.assert_allclose(bs[0].grad, 2.0 * want[:4].sum(axis=0), atol=1e-12)
+
+    def test_grouped_linear_rejects_bad_offsets(self):
+        x = T.Tensor(np.zeros((4, 3)))
+        ws, bs = [T.Tensor(np.zeros((3, 2)))] * 2, [T.Tensor(np.zeros(2))] * 2
+        for offsets in ([0, 2], [1, 2, 4], [0, 3, 2], [0, 2, 5]):
+            with pytest.raises(ValueError):
+                T.grouped_linear(x, ws, bs, offsets)
+
 
 class TestGradCheck:
     def test_sin_sum_below_1e7(self):
