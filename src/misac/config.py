@@ -162,6 +162,11 @@ class RunConfig:
             m.tokenizer_config()
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        resolution = self.data.synth_config(m).map_resolution
+        if resolution % m.map_size:
+            raise ConfigError(
+                f"map_size={m.map_size} does not divide the synthesized map side {resolution}"
+            )
         if self.data.n_samples < 1:
             raise ConfigError("data.n_samples must be >= 1")
         for mod, frac in self.data.availability.items():
@@ -218,17 +223,23 @@ PRESETS = {"desk": desk_config, "paper": paper_config}
 # serialization
 
 
-def _tupled(cls, raw: dict):
-    """Build a dataclass from a dict, coercing list-valued fields back to
-    tuples and rejecting unknown keys."""
-    names = {f.name for f in dataclasses.fields(cls)}
+def _override(base, raw: dict):
+    """Override a config section with the fields of a dict, coercing
+    list-valued fields back to tuples and rejecting unknown keys."""
+    names = {f.name for f in dataclasses.fields(base)}
     unknown = set(raw) - names
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown {type(base).__name__} fields: {sorted(unknown)}")
     kwargs = {}
     for k, v in raw.items():
         kwargs[k] = tuple(v) if isinstance(v, list) else v
-    return cls(**kwargs)
+    return dataclasses.replace(base, **kwargs)
+
+
+def _preset(name) -> RunConfig:
+    if not isinstance(name, str) or name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; valid: {', '.join(PRESETS)}")
+    return PRESETS[name]()
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -242,12 +253,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - names
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    base = _preset(raw.get("preset", "desk"))  # the file's fields override the named preset
     cfg = RunConfig(
-        preset=raw.get("preset", "desk"),
-        model=_tupled(ModelConfig, raw.get("model", {})),
-        data=_tupled(DataConfig, raw.get("data", {})),
-        pretrain=_tupled(PretrainConfig, raw.get("pretrain", {})),
-        finetune=_tupled(FinetuneConfig, raw.get("finetune", {})),
+        preset=base.preset,
+        model=_override(base.model, raw.get("model", {})),
+        data=_override(base.data, raw.get("data", {})),
+        pretrain=_override(base.pretrain, raw.get("pretrain", {})),
+        finetune=_override(base.finetune, raw.get("finetune", {})),
     )
     return cfg.validate()
 
@@ -262,10 +274,7 @@ def load_config(path: str | Path | None, preset: str | None = None) -> RunConfig
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
         return config_from_dict(raw)
-    name = preset or "desk"
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; valid: {', '.join(PRESETS)}")
-    return PRESETS[name]()
+    return _preset(preset or "desk")
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:

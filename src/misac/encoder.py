@@ -275,16 +275,16 @@ def ss_dmoe_forward(
         block.shared, x, gate_shared(x, ctx, block.shared), cfg.top_k, layer, frozen_for("shared")
     )
     stats = [st]
-    y_spec = Tensor(np.zeros(x.shape))
+    y_parts = []  # the segments tile rows [0, n) in order, so y_spec is their concat
     for seg in segments:
         pool = block.specific[seg.modality]
-        rows = np.arange(seg.start, seg.stop)
-        xm = tt.gather_rows(x, rows)
+        xm = tt.gather_rows(x, np.arange(seg.start, seg.stop))
         ym, st = _dispatch(
             pool, xm, gate_specific(xm, pool), cfg.top_k, layer, frozen_for(pool.kind)
         )
-        y_spec = tt.index_add(y_spec, rows, ym)
+        y_parts.append(ym)
         stats.append(st)
+    y_spec = y_parts[0] if len(y_parts) == 1 else tt.concat(y_parts, axis=0)
     out = tt.add(
         tt.add(x, tt.rmsnorm(y_shared, block.g_shared, cfg.rms_eps)),
         tt.rmsnorm(y_spec, block.g_specific, cfg.rms_eps),

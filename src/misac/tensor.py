@@ -221,7 +221,8 @@ def neg(a: Tensor) -> Tensor:
     return _emit("neg", -a.data, [(a, lambda g: -g)])
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus bias (added in place) when given: one node either way."""
     out = np.matmul(a.data, b.data)
 
     def vjp_a(g):
@@ -232,7 +233,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(gb, b.data.shape)
 
-    return _emit("matmul", out, [(a, vjp_a), (b, vjp_b)])
+    vjps = [(a, vjp_a), (b, vjp_b)]
+    if bias is not None:
+        out += bias.data
+
+        def vjp_bias(g):
+            return _unbroadcast(g, bias.data.shape)
+
+        vjps.append((bias, vjp_bias))
+    return _emit("matmul", out, vjps)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -270,23 +279,50 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     )
 
 
+def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """out[idx] += vals along axis 0 for a 1-D idx, in place, with repeated
+    rows summed in the order they appear in idx: bit for bit what np.add.at
+    computes.
+
+    Strictly increasing rows take one fancy-index add. Otherwise one stable
+    sort ranks each repeat of a row, and round r adds every row's r-th
+    repeat, so no round holds a row twice."""
+    if idx.size and idx.min() < 0:
+        idx = np.arange(out.shape[0])[idx]  # wraps negatives once, raises past -len
+    if idx.size < 2 or np.all(idx[1:] > idx[:-1]):
+        out[idx] += vals
+        return out
+    order = np.argsort(idx, kind="stable")
+    run_start = np.flatnonzero(np.diff(idx[order], prepend=-1))
+    run_len = np.diff(run_start, append=idx.size)
+    rank = np.arange(idx.size) - np.repeat(run_start, run_len)
+    for r in range(int(run_len.max())):
+        pick = order[rank == r]
+        out[idx[pick]] += vals[pick]
+    return out
+
+
+def _row_index(idx) -> np.ndarray:
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ValueError(f"row index must be 1-D, got shape {idx.shape}")
+    return idx
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows along axis 0; gradient scatter-adds back (duplicates ok)."""
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = _row_index(idx)
 
     def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return out
+        return _scatter_add_rows(np.zeros_like(a.data), idx, g)
 
     return _emit("gather_rows", a.data[idx], [(a, vjp)])
 
 
 def index_add(base: Tensor, idx, vals: Tensor) -> Tensor:
     """Return base with vals scatter-added at rows idx (axis 0)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = base.data.copy()
-    np.add.at(out, idx, vals.data)
+    idx = _row_index(idx)
+    out = _scatter_add_rows(base.data.copy(), idx, vals.data)
     return _emit("index_add", out, [(base, lambda g: g), (vals, lambda g: g[idx])])
 
 
@@ -327,12 +363,13 @@ def grouped_linear(x: Tensor, ws: Sequence[Tensor], bs: Sequence[Tensor], offset
     groups = [(e, lo, hi) for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
     out = np.empty((x.data.shape[0], ws[0].data.shape[1]))
     for e, lo, hi in groups:
-        out[lo:hi] = np.matmul(x.data[lo:hi], ws[e].data) + bs[e].data
+        np.matmul(x.data[lo:hi], ws[e].data, out=out[lo:hi])
+        out[lo:hi] += bs[e].data
 
     def vjp_x(g):
         gx = np.empty_like(x.data)
         for e, lo, hi in groups:
-            gx[lo:hi] = np.matmul(g[lo:hi], ws[e].data.T)
+            np.matmul(g[lo:hi], ws[e].data.T, out=gx[lo:hi])
         return gx
 
     def group_vjps(lo, hi):
@@ -415,38 +452,74 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("gelu: non-finite values in input")
-    cdf = 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
+    # each kernel writes into its own result buffer; the operations and their
+    # order are those of 0.5 * (1 + erf(x / sqrt 2)) and g * (cdf + x * pdf)
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+    special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return g * (cdf + x * pdf)
+        gx = np.multiply(-0.5, x, out=np.empty_like(x))
+        gx *= x
+        np.exp(gx, out=gx)
+        gx *= _INV_SQRT_2PI
+        gx *= x
+        gx += cdf
+        gx *= g
+        return gx
 
     return _emit("gelu", x * cdf, [(a, vjp)])
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def vjp(g):
-        return out * (g - (g * out).sum(axis=axis, keepdims=True))
+        gx = g * out
+        np.subtract(g, gx.sum(axis=axis, keepdims=True), out=gx)
+        gx *= out
+        return gx
 
     return _emit("softmax", out, [(a, vjp)])
 
 
-# ---------------------------------------------------------------------------
-# composites (built from primitives, so gradients come for free)
-
-
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """x / sqrt(mean(x^2, last axis) + eps) * gain."""
-    ms = tmean(square(x), axis=-1, keepdims=True)
-    return mul(div(x, sqrt(add(ms, Tensor(eps)))), gain)
+    """x / sqrt(mean(x^2, last axis) + eps) * gain, as one node."""
+    xd = x.data
+    rms = np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + eps)
+    xhat = xd / rms
+
+    def vjp_x(g):
+        # the chain rule of the composite x / sqrt(mean(x * x) + eps) * gain,
+        # term by term in its order, so the gradient matches it bit for bit
+        gx = g * gain.data
+        t = gx * xd
+        t /= rms * rms
+        c = t.sum(axis=-1, keepdims=True)
+        c *= -0.5
+        c /= rms
+        c /= xd.shape[-1]
+        c *= 2.0
+        gx /= rms
+        gx += np.multiply(c, xd, out=t)
+        return gx
+
+    def vjp_gain(g):
+        return _unbroadcast(g * xhat, gain.data.shape)
+
+    return _emit("rmsnorm", xhat * gain.data, [(x, vjp_x), (gain, vjp_gain)])
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
+    """x @ w + b over the last axis of x, as one matmul node."""
+    return matmul(x, w, bias=b)
+
+
+# ---------------------------------------------------------------------------
+# composites (built from primitives, so gradients come for free)
 
 
 def logsumexp_rows(x: Tensor) -> Tensor:

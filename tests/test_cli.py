@@ -103,6 +103,11 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_map_size_not_dividing_the_map_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, model={"map_size": 48})
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        assert "map_size=48" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d1")])

@@ -139,6 +139,20 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             load_config(None, preset="pocket")
 
+    def test_preset_is_the_base_the_file_overrides(self, tmp_path):
+        assert config_from_dict({"preset": "paper"}) == paper_config()
+        cfg = config_from_dict({"preset": "paper", "model": {"d": 256}})
+        assert cfg.model.d == 256 and cfg.model.n_layers == paper_config().model.n_layers
+        assert cfg.pretrain.batch_size == 64
+        save_config(cfg, tmp_path / "paper.json")
+        assert fingerprint(load_config(tmp_path / "paper.json")) == fingerprint(cfg)
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ConfigError, match="unknown preset 'pocket'"):
+            config_from_dict({"preset": "pocket"})
+        with pytest.raises(ConfigError, match="unknown preset"):
+            config_from_dict({"preset": ["desk"]})
+
 
 class TestValidation:
     def bad(self, **model_kwargs):
@@ -155,6 +169,12 @@ class TestValidation:
     def test_patch_divisibility(self):
         self.bad(csi_patch=(3, 2))
         self.bad(map_patch=(7, 7))
+
+    def test_map_size_must_divide_synth_resolution(self):
+        assert desk_config().data.synth_config(desk_config().model).map_resolution == 256
+        with pytest.raises(ConfigError, match="map_size=48"):
+            RunConfig(model=ModelConfig(map_size=48)).validate()
+        RunConfig(model=ModelConfig(map_size=128)).validate()
 
     def test_data_bounds(self):
         with pytest.raises(ConfigError):

@@ -658,3 +658,28 @@ class TestTrainingLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(PretrainError):
             run_pretrain(small_model(), [], PretrainSettings(), seed=0)
+
+    def test_fixed_seed_desk_step_is_pinned(self):
+        # Loss and global gradient norm of one desk step on fixed inputs, as
+        # measured before rmsnorm and linear became one-node primitives and
+        # the row scatter-adds left np.add.at; the relative bound leaves room
+        # for the last digits that the BLAS thread count moves.
+        from misac.config import desk_config
+
+        desk = desk_config()
+        model = PretrainModel(
+            desk.model.encoder_config(),
+            desk.model.tokenizer_config(),
+            np.random.default_rng(0),
+            decoder_blocks=desk.model.decoder_blocks,
+        )
+        samples, _ = synth_dataset(desk.data.synth_config(desk.model), 8, seed=5)
+        cfg = desk.pretrain.settings()
+        inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
+        with tt.Tape() as tape:
+            loss, _ = step_objective(model, inputs, cfg)
+        tt.backward(loss.total, tape)
+        grads = [p.grad for p in model.named_params().values() if p.grad is not None]
+        grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+        assert loss.total.item() == pytest.approx(0.4374481507511573, rel=1e-12, abs=0)
+        assert grad_norm == pytest.approx(33.14746209136952, rel=1e-12, abs=0)

@@ -7,12 +7,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from misac import tensor as T
 
 
 def rng():
     return np.random.default_rng(1234)
+
+
+# The composites that rmsnorm and linear were before they became one-node
+# primitives: the oracles for their forward values and gradients.
+def rmsnorm_composite(x, gain, eps=1e-6):
+    ms = T.tmean(T.square(x), axis=-1, keepdims=True)
+    return T.mul(T.div(x, T.sqrt(T.add(ms, T.Tensor(eps)))), gain)
+
+
+def linear_composite(x, w, b):
+    return T.add(T.matmul(x, w), b)
+
+
+def tape_grads(f, params):
+    for p in params:
+        p.grad = None
+    with T.Tape() as tape:
+        loss = f()
+    T.backward(loss, tape)
+    return [p.grad for p in params], len(tape)
 
 
 class TestForwardValues:
@@ -64,6 +85,108 @@ class TestForwardValues:
             assert np.isinf(out.data).any()
         finally:
             T.set_finite_checks(prev)
+
+
+class TestScatterAddRows:
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            [],
+            [0, 2, 5],
+            [4, 0, 3, 1],
+            [1, 1, 4, 1, 0, 4, 1],
+            [5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 0],
+            [-1, 5, 2, -6],
+        ],
+        ids=["empty", "increasing", "unsorted_unique", "duplicates", "long_run", "negative"],
+    )
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_matches_np_add_at(self, idx, width):
+        r = rng()
+        idx = np.array(idx, dtype=np.int64)
+        tail = () if width is None else (width,)
+        vals = r.normal(size=(idx.size,) + tail) * 10.0 ** r.integers(-6, 6, size=(idx.size,) + tail)
+        for base in (np.zeros((6,) + tail), r.normal(size=(6,) + tail)):
+            want = base.copy()
+            np.add.at(want, idx, vals)
+            got = T._scatter_add_rows(base.copy(), idx, vals)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("idx", [[0, 6], [2, -7], [1, 1, 6]])
+    def test_rows_out_of_range_raise(self, idx):
+        with pytest.raises(IndexError):
+            T._scatter_add_rows(np.zeros((6, 2)), np.array(idx), np.ones((len(idx), 2)))
+
+    def test_row_index_must_be_1d(self):
+        x = T.Tensor(np.zeros((4, 2)), requires_grad=True)
+        idx = np.array([[0, 0], [1, 1]])  # repeats within a row would be dropped by a fancy add
+        with pytest.raises(ValueError, match="1-D"):
+            T.gather_rows(x, idx)
+        with pytest.raises(ValueError, match="1-D"):
+            T.index_add(x, idx, T.Tensor(np.ones((2, 2, 2))))
+        with pytest.raises(ValueError, match="1-D"):
+            T.gather_rows(x, 1)
+
+
+class TestFusedKernels:
+    def test_rmsnorm_is_one_node_equal_to_the_composite(self):
+        r = rng()
+        for shape in [(8,), (5, 8)]:
+            x = T.Tensor(r.normal(size=shape), requires_grad=True)
+            g = T.Tensor(r.normal(size=8), requires_grad=True)
+            up = T.Tensor(r.normal(size=shape))
+            np.testing.assert_array_equal(T.rmsnorm(x, g).data, rmsnorm_composite(x, g).data)
+            got, nodes = tape_grads(lambda: T.tsum(T.mul(T.rmsnorm(x, g), up)), [x, g])
+            want, _ = tape_grads(lambda: T.tsum(T.mul(rmsnorm_composite(x, g), up)), [x, g])
+            assert nodes == 3  # rmsnorm, mul, sum
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_linear_is_one_node_equal_to_the_composite(self):
+        r = rng()
+        w = T.Tensor(r.normal(size=(4, 3)), requires_grad=True)
+        b = T.Tensor(r.normal(size=3), requires_grad=True)
+        for shape in [(5, 4), (2, 5, 4)]:
+            x = T.Tensor(r.normal(size=shape), requires_grad=True)
+            np.testing.assert_array_equal(T.linear(x, w, b).data, linear_composite(x, w, b).data)
+            up = T.Tensor(r.normal(size=shape[:-1] + (3,)))
+            got, nodes = tape_grads(lambda: T.tsum(T.mul(T.linear(x, w, b), up)), [x, w, b])
+            want, _ = tape_grads(lambda: T.tsum(T.mul(linear_composite(x, w, b), up)), [x, w, b])
+            assert nodes == 3  # matmul with its bias, mul, sum
+            for a, c in zip(got, want):
+                np.testing.assert_array_equal(a, c)
+
+    def test_in_place_kernels_keep_the_out_of_place_arithmetic(self):
+        r = rng()
+        x = r.normal(size=(3, 6, 6)) * 4
+        g = r.normal(size=x.shape)
+        g_before = g.copy()
+        with T.Tape() as tape:
+            sm = T.softmax(T.Tensor(x, requires_grad=True))
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(sm.data, want)
+        np.testing.assert_array_equal(
+            tape.nodes[0].vjps[0][1](g), want * (g - (g * want).sum(axis=-1, keepdims=True))
+        )
+        with T.Tape() as tape:
+            ge = T.gelu(T.Tensor(x, requires_grad=True))
+        cdf = 0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0))))
+        np.testing.assert_array_equal(ge.data, x * cdf)
+        pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+        np.testing.assert_array_equal(tape.nodes[0].vjps[0][1](g), g * (cdf + x * pdf))
+        xs = T.Tensor(x.reshape(-1, 6), requires_grad=True)
+        ws = [T.Tensor(r.normal(size=(6, 4))) for _ in range(2)]
+        bs = [T.Tensor(r.normal(size=4)) for _ in range(2)]
+        with T.Tape() as tape:
+            out = T.grouped_linear(xs, ws, bs, [0, 7, 18])
+        want = np.concatenate([xs.data[:7] @ ws[0].data + bs[0].data, xs.data[7:] @ ws[1].data + bs[1].data])
+        np.testing.assert_array_equal(out.data, want)
+        gy = g.reshape(-1, 6)[:, :4]
+        np.testing.assert_array_equal(
+            tape.nodes[0].vjps[0][1](gy), np.concatenate([gy[:7] @ ws[0].data.T, gy[7:] @ ws[1].data.T])
+        )
+        np.testing.assert_array_equal(g, g_before)  # no vjp writes into its upstream gradient
 
 
 class TestBackward:
@@ -165,6 +288,10 @@ class TestGradCheck:
             "softmax": lambda: T.tsum(T.square(T.softmax(a))),
             "mean_axis": lambda: T.tsum(T.square(T.tmean(a, axis=0, keepdims=True))),
             "sum_axis": lambda: T.tsum(T.square(T.tsum(a, axis=1))),
+            "rmsnorm": lambda: T.tsum(T.square(T.rmsnorm(T.sub(a, b), T.mul(a, b)))),
+            "rmsnorm_1d": lambda: T.tsum(T.square(T.rmsnorm(T.reshape(a, (12,)), T.reshape(b, (12,))))),
+            "linear": lambda: T.tsum(T.square(T.linear(a, v, T.reshape(T.tsum(v, axis=0), (5,))))),
+            "linear_3d": lambda: T.tsum(T.square(T.linear(T.reshape(a, (2, 2, 3)), v, T.Tensor(np.ones(5))))),
         }
         for name, f in cases.items():
             err = T.grad_check(f, [a, b, v])
