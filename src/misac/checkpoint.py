@@ -9,6 +9,11 @@ optimizer timestep, the generator state, the byte span of every blob, and a
 sha256 of the whole payload. Loading verifies the checksum before touching
 any array, refuses a fingerprint mismatch unless forced, and save -> load ->
 save is byte-identical.
+
+Loading reads the payload into one buffer of its own, so every float64
+tensor in it is 8-byte aligned, and the returned arrays are writable views
+of that buffer. The header is not covered by the checksum, so its types and
+tensor spans are checked before any array is built.
 """
 
 from __future__ import annotations
@@ -26,7 +31,14 @@ from .tensor import mstn_dumps, mstn_loads
 
 _MAGIC = b"MSCK"
 _VERSION = 1
-_HEADER_KEYS = ("fingerprint", "opt_t", "payload_sha256", "rng_state", "step", "tensors")
+_HEADER_TYPES = {
+    "fingerprint": str,
+    "opt_t": int,
+    "payload_sha256": str,
+    "rng_state": (dict, type(None)),
+    "step": int,
+    "tensors": list,
+}
 
 
 class CheckpointError(ValueError):
@@ -80,28 +92,24 @@ def load_checkpoint(
     path: str | Path, expect_fingerprint: str | None = None, force: bool = False
 ) -> Checkpoint:
     try:
-        blob = Path(path).read_bytes()
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint not found: {path}") from None
-    if len(blob) < 16 or blob[:4] != _MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic)")
-    version, head_len = struct.unpack_from("<IQ", blob, 4)
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    if len(blob) < 16 + head_len:
-        raise CheckpointError("truncated checkpoint header")
-    try:
-        header = json.loads(blob[16 : 16 + head_len])
-    except json.JSONDecodeError:
-        raise CheckpointError("corrupt checkpoint header") from None
-    if not isinstance(header, dict):
-        raise CheckpointError("corrupt checkpoint header")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
-    payload = blob[16 + head_len :]
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header["payload_sha256"]:
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(16)
+        if len(preamble) < 16 or preamble[:4] != _MAGIC:
+            raise CheckpointError("not a checkpoint file (bad magic)")
+        version, head_len = struct.unpack_from("<IQ", preamble, 4)
+        if version != _VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        if size < 16 + head_len:
+            raise CheckpointError("truncated checkpoint header")
+        head = fh.read(head_len)
+        buf = bytearray(size - 16 - head_len)
+        payload = memoryview(buf)[: fh.readinto(buf)]
+    header = _parse_header(head)
+    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError("checkpoint payload checksum mismatch (truncated or corrupt)")
     if expect_fingerprint is not None and header["fingerprint"] != expect_fingerprint:
         if not force:
@@ -112,24 +120,74 @@ def load_checkpoint(
             )
     params: dict[str, np.ndarray] = {}
     moments: dict[str, np.ndarray] = {}
-    for span in header["tensors"]:
-        raw = payload[span["offset"] : span["offset"] + span["length"]]
-        arr = mstn_loads(raw)
-        name = span["name"]
+    for name, start, stop in _tensor_spans(header["tensors"], payload.nbytes):
         if name.startswith("p."):
-            params[name[2:]] = arr
+            dest = params
         elif name.startswith("o."):
-            moments[name[2:]] = arr
+            dest = moments
         else:
             raise CheckpointError(f"unknown tensor kind {name!r}")
+        try:
+            dest[name[2:]] = mstn_loads(payload[start:stop])
+        except ValueError as e:
+            raise CheckpointError(f"tensor {name}: {e}") from None
     return Checkpoint(
         fingerprint=header["fingerprint"],
-        step=int(header["step"]),
+        step=header["step"],
         params=params,
-        opt_t=int(header["opt_t"]),
+        opt_t=header["opt_t"],
         opt_moments=moments,
         rng_state=header["rng_state"],
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_header(head: bytes) -> dict:
+    try:
+        header = json.loads(head)
+    except ValueError:  # bad JSON or bad UTF-8
+        raise CheckpointError("corrupt checkpoint header") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt checkpoint header")
+    missing = [key for key in _HEADER_TYPES if key not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
+    for key, kind in _HEADER_TYPES.items():
+        value = header[key]
+        if not isinstance(value, kind) or (kind is int and not _is_int(value)):
+            raise CheckpointError(f"checkpoint header {key} has type {type(value).__name__}")
+    return header
+
+
+def _tensor_spans(spans: list, size: int) -> list[tuple[str, int, int]]:
+    """(name, start, stop) of each tensor blob. The spans must tile the
+    payload in order and end at its last byte, each under a new name."""
+    out: list[tuple[str, int, int]] = []
+    names: set[str] = set()
+    end = 0
+    for i, span in enumerate(spans):
+        name = span.get("name") if isinstance(span, dict) else None
+        if not isinstance(name, str):
+            raise CheckpointError(f"checkpoint tensor span {i} is not an object with a name")
+        offset, length = span.get("offset"), span.get("length")
+        if not (_is_int(offset) and _is_int(length)):
+            raise CheckpointError(f"tensor {name}: span offset and length must be integers")
+        if offset != end or length < 0:
+            raise CheckpointError(
+                f"tensor {name}: span at {offset} of length {length} does not follow "
+                f"the previous tensor, which ends at {end}"
+            )
+        if name in names:
+            raise CheckpointError(f"tensor {name}: appears twice")
+        names.add(name)
+        end = offset + length
+        out.append((name, offset, end))
+    if end != size:
+        raise CheckpointError(f"checkpoint tensor spans end at byte {end} of a {size}-byte payload")
+    return out
 
 
 # ---------------------------------------------------------------------------

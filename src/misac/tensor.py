@@ -15,6 +15,7 @@ code, which never participates in autodiff.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from typing import Callable, Sequence
 
@@ -40,8 +41,8 @@ class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Use as a context manager around the forward computation, then hand to
-    :func:`backward`. A tape is meant to live for a single step; call
-    :meth:`clear` (or drop the object) before the next forward.
+    :func:`backward`. A tape is meant to live for a single step; drop it
+    before the next forward.
     """
 
     def __init__(self) -> None:
@@ -56,9 +57,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def clear(self) -> None:
-        self.nodes.clear()
 
 
 class _Node:
@@ -645,50 +643,59 @@ _DTYPE_TAGS = {0: np.dtype("<f8"), 1: np.dtype("<f4"), 2: np.dtype("<c16")}
 _TAG_FOR_KIND = {("f", 8): 0, ("f", 4): 1, ("c", 16): 2}
 
 
-def mstn_dumps(array: np.ndarray) -> bytes:
-    """Serialize a float32/float64/complex128 array: magic, version, rank,
-    extents (u64 each), dtype tag, then the raw row-major little-endian
-    buffer."""
+def _mstn_parts(array) -> tuple[bytes, np.ndarray]:
+    """The MSTN header of a float32/float64/complex128 array (magic, version,
+    rank, extents as u64 each, dtype tag) and the array as C-ordered
+    little-endian data of the tag's dtype, which is the rest of the blob."""
     arr = np.asarray(array)
     key = (arr.dtype.kind, arr.dtype.itemsize)
     if key not in _TAG_FOR_KIND:
         raise ValueError(f"write_mstn: unsupported dtype {arr.dtype}")
     tag = _TAG_FOR_KIND[key]
-    arr = arr.astype(_DTYPE_TAGS[tag], copy=False)  # tobytes() emits C order
-    header = struct.pack("<4sII", _MAGIC, _FORMAT_VERSION, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    header += struct.pack("<I", tag)
+    arr = np.asarray(arr, dtype=_DTYPE_TAGS[tag], order="C")
+    header = struct.pack(f"<4sII{arr.ndim}QI", _MAGIC, _FORMAT_VERSION, arr.ndim, *arr.shape, tag)
+    return header, arr
+
+
+def mstn_dumps(array: np.ndarray) -> bytes:
+    header, arr = _mstn_parts(array)
     return header + arr.tobytes()
 
 
 def write_mstn(path, array: np.ndarray) -> None:
+    """Write the bytes of mstn_dumps(array) without joining them first."""
+    header, arr = _mstn_parts(array)
     with open(path, "wb") as fh:
-        fh.write(mstn_dumps(array))
+        fh.write(header)
+        fh.write(arr)
 
 
 def read_mstn(path) -> np.ndarray:
+    """Read a file into one buffer; the array is a writable view of it."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    return mstn_loads(blob)
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        got = fh.readinto(buf)
+    return mstn_loads(memoryview(buf)[:got])
 
 
-def mstn_loads(blob: bytes) -> np.ndarray:
-    if len(blob) < 12 or blob[:4] != _MAGIC:
+def mstn_loads(blob) -> np.ndarray:
+    """Parse an MSTN blob from any bytes-like object. The array is a view of
+    the blob's buffer, writable when that buffer is."""
+    view = memoryview(blob).cast("B")
+    size = view.nbytes
+    if size < 12 or view[:4] != _MAGIC:
         raise ValueError("read_mstn: bad magic")
-    version, rank = struct.unpack_from("<II", blob, 4)
+    version, rank = struct.unpack_from("<II", view, 4)
     if version != _FORMAT_VERSION:
         raise ValueError(f"read_mstn: unsupported version {version}")
-    off = 12
-    extents = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
-    off += 8 * rank
-    (tag,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    off = 16 + 8 * rank
+    if size < off:
+        raise ValueError("read_mstn: truncated header")
+    *extents, tag = struct.unpack_from(f"<{rank}QI", view, 12)
     if tag not in _DTYPE_TAGS:
         raise ValueError(f"read_mstn: unknown dtype tag {tag}")
     dtype = _DTYPE_TAGS[tag]
-    count = int(np.prod(extents, dtype=np.int64)) if rank else 1
-    expected = off + count * dtype.itemsize
-    if len(blob) != expected:
+    count = math.prod(extents)
+    if size != off + count * dtype.itemsize:
         raise ValueError("read_mstn: truncated or oversized payload")
-    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=off)
-    return arr.reshape(extents).copy()
+    return np.frombuffer(view, dtype=dtype, count=count, offset=off).reshape(extents)

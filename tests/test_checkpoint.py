@@ -2,11 +2,14 @@
 rejection of corruption, fingerprint gating, rng state restoration, and
 model snapshot/restore."""
 
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misac.checkpoint import (
     Checkpoint,
@@ -126,14 +129,148 @@ class TestFileFormat:
             load_checkpoint(path)
 
 
-def drop_header_key(path, key: str) -> None:
-    """Rewrite a checkpoint file with one key removed from its JSON header."""
+def edit_header(path, edit) -> None:
+    """Rewrite a checkpoint file with edit(header) applied to its JSON header."""
     blob = path.read_bytes()
     (head_len,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + head_len])
-    del header[key]
+    edit(header)
     head = json.dumps(header).encode()
     path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len :])
+
+
+def drop_header_key(path, key: str) -> None:
+    edit_header(path, lambda header: header.pop(key))
+
+
+def saved_sample(tmp_path):
+    path = tmp_path / "c.msck"
+    save_checkpoint(path, sample_ckpt())
+    return path
+
+
+def set_span(i: int, **fields):
+    def edit(header):
+        header["tensors"][i].update(fields)
+
+    return edit
+
+
+class TestHeaderValidation:
+    """The header is outside the payload checksum, so its fields and tensor
+    spans are checked on their own, as CheckpointError naming the tensor."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h["tensors"][1].pop("offset"), "tensor p.w: span offset and length must be integers"),
+            (lambda h: h.update(tensors=5), "header tensors has type int"),
+            (set_span(1, offset="144"), "tensor p.w: span offset and length must be integers"),
+            (set_span(0, length=True), "tensor p.b: span offset and length must be integers"),
+            (lambda h: h["tensors"][1].pop("name"), "span 1 is not an object with a name"),
+            (lambda h: h["tensors"].__setitem__(0, [0, 1]), "span 0 is not an object with a name"),
+            (set_span(1, offset=0), "tensor p.w: span at 0 of length"),
+            (set_span(0, length=-1), "tensor p.b: span at 0 of length -1"),
+            (set_span(1, name="p.b"), "tensor p.b: appears twice"),
+            (lambda h: h["tensors"].pop(), "spans end at byte"),
+            (lambda h: h["tensors"][-1].update(length=h["tensors"][-1]["length"] + 8), "spans end at byte"),
+            (lambda h: h.update(step="17"), "header step has type str"),
+            (lambda h: h.update(opt_t=17.0), "header opt_t has type float"),
+            (lambda h: h.update(fingerprint=None), "header fingerprint has type NoneType"),
+            (lambda h: h.update(rng_state=[]), "header rng_state has type list"),
+        ],
+        ids=[
+            "no_offset", "tensors_not_list", "str_offset", "bool_length", "no_name", "span_not_object",
+            "overlap", "negative_length", "duplicate_name", "short_of_payload", "past_payload",
+            "str_step", "float_opt_t", "null_fingerprint", "list_rng_state",
+        ],
+    )
+    def test_malformed_header_raises(self, tmp_path, edit, message):
+        path = saved_sample(tmp_path)
+        edit_header(path, edit)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_spans_tile_the_payload_in_order(self, tmp_path):
+        path = saved_sample(tmp_path)
+        blob = path.read_bytes()
+        (head_len,) = struct.unpack_from("<Q", blob, 8)
+        spans = json.loads(blob[16 : 16 + head_len])["tensors"]
+        assert [s["name"] for s in spans] == ["p.b", "p.w", "o.m.w", "o.v.w"]
+        assert spans[0]["offset"] == 0
+        assert all(a["offset"] + a["length"] == b["offset"] for a, b in zip(spans, spans[1:]))
+        assert spans[-1]["offset"] + spans[-1]["length"] == len(blob) - 16 - head_len
+
+    def test_bad_tensor_blob_names_the_tensor(self, tmp_path):
+        """A payload whose checksum matches but whose blob is not MSTN."""
+        path = saved_sample(tmp_path)
+        blob = bytearray(path.read_bytes())
+        (head_len,) = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16 : 16 + head_len])
+        start = 16 + head_len + header["tensors"][1]["offset"]
+        blob[start : start + 4] = b"NOPE"
+        payload = bytes(blob[16 + head_len :])
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        head = json.dumps(header).encode()
+        path.write_bytes(bytes(blob[:8]) + struct.pack("<Q", len(head)) + head + payload)
+        with pytest.raises(CheckpointError, match="tensor p.w: read_mstn: bad magic"):
+            load_checkpoint(path)
+
+    def test_header_that_is_not_utf8(self, tmp_path):
+        path = saved_sample(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[17] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+            load_checkpoint(path)
+
+
+def array_keys(arrays) -> list[tuple]:
+    return sorted((a.shape, a.dtype.str, a.tobytes()) for a in arrays)
+
+
+@pytest.fixture(scope="module")
+def saved_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "c.msck"
+    ckpt = sample_ckpt()
+    save_checkpoint(path, ckpt)
+    return path, array_keys([*ckpt.params.values(), *ckpt.opt_moments.values()])
+
+
+class TestCheckpointFuzz:
+    """The payload is checksummed and the header is validated, so a truncated
+    or byte-edited file loads the saved arrays exactly or raises
+    CheckpointError. A header edit may rename a tensor or change the step,
+    which no check can see; the arrays are compared as a multiset."""
+
+    def check(self, path, blob, original):
+        edited = path.with_name("edited.msck")
+        edited.write_bytes(blob)
+        try:
+            back = load_checkpoint(edited)
+        except CheckpointError:
+            return
+        assert array_keys([*back.params.values(), *back.opt_moments.values()]) == original
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_edit(self, saved_file, data):
+        path, original = saved_file
+        blob = bytearray(path.read_bytes())
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        blob[pos] ^= data.draw(st.integers(1, 255))
+        self.check(path, bytes(blob), original)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_truncation(self, saved_file, data):
+        path, original = saved_file
+        blob = path.read_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        edited = path.with_name("edited.msck")
+        edited.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(edited)
 
 
 class TestRngState:
@@ -187,6 +324,21 @@ class TestModelSnapshot:
         assert all(np.array_equal(opt2.m[k], opt.m[k]) for k in opt.m)
         assert all(np.array_equal(opt2.v[k], opt.v[k]) for k in opt.v)
         assert np.array_equal(rng2.normal(size=4), rng.normal(size=4))
+
+    def test_loaded_arrays_are_aligned_writable_and_restore_copies(self, tmp_path):
+        model = tiny_model(0)
+        path = tmp_path / "m.msck"
+        save_checkpoint(path, snapshot(model, "a" * 64, step=0, opt=Adam(model.named_params())))
+        back = load_checkpoint(path)
+        for arr in [*back.params.values(), *back.opt_moments.values()]:
+            assert arr.flags.aligned and arr.flags.writeable
+        target = tiny_model(1)
+        restore(back, target)
+        kept = {k: p.data.copy() for k, p in target.named_params().items()}
+        for arr in back.params.values():
+            arr += 1.0
+        for k, p in target.named_params().items():
+            assert np.array_equal(p.data, kept[k])
 
     def test_restore_rejects_shape_mismatch(self, tmp_path):
         model = tiny_model(0)

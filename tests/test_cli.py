@@ -37,6 +37,17 @@ def lines_of(out: str, kind: str | None = None) -> list[dict]:
     return rows if kind is None else [r for r in rows if r["kind"] == kind]
 
 
+def with_header_edit(src: Path, dst: Path, edit) -> Path:
+    """Copy a checkpoint file with edit(header) applied to its JSON header."""
+    blob = src.read_bytes()
+    (head_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + head_len])
+    edit(header)
+    head = json.dumps(header).encode()
+    dst.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len :])
+    return dst
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One synth + pretrain + finetune chain shared by the read-only tests."""
@@ -280,16 +291,27 @@ class TestFinetuneAndEval:
 
     def test_checkpoint_header_without_checksum_exits_one(self, workspace, tmp_path, capsys):
         root, cfg = workspace
-        blob = (root / "ft.msck").read_bytes()
-        (head_len,) = struct.unpack_from("<Q", blob, 8)
-        header = json.loads(blob[16 : 16 + head_len])
-        del header["payload_sha256"]
-        head = json.dumps(header).encode()
-        bad = tmp_path / "bad.msck"
-        bad.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len :])
+        bad = with_header_edit(root / "ft.msck", tmp_path / "bad.msck", lambda h: h.pop("payload_sha256"))
         args = ["eval", "--config", str(cfg), "--data", str(root / "data"), "--checkpoint", str(bad)]
         assert main(args) == 1
         assert "payload_sha256" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda h: h["tensors"][1].pop("offset"), "offset and length must be integers"),
+            (lambda h: h.update(tensors=5), "header tensors has type int"),
+            (lambda h: h["tensors"][1].update(offset="0"), "offset and length must be integers"),
+            (lambda h: h["tensors"][-1].update(length=h["tensors"][-1]["length"] + 8), "spans end at byte"),
+        ],
+        ids=["no_offset", "tensors_not_list", "str_offset", "past_payload"],
+    )
+    def test_malformed_tensor_spans_exit_one(self, workspace, tmp_path, capsys, edit, named):
+        root, cfg = workspace
+        bad = with_header_edit(root / "ft.msck", tmp_path / "bad.msck", edit)
+        args = ["eval", "--config", str(cfg), "--data", str(root / "data"), "--checkpoint", str(bad)]
+        assert main(args) == 1
+        assert named in capsys.readouterr().err
 
     def test_unknown_task_lists_valid_kinds(self, workspace, capsys):
         root, cfg = workspace

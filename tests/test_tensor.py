@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from misac import tensor as T
@@ -393,6 +394,90 @@ class TestSerialization:
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             T.write_mstn(tmp_path / "t.mstn", np.arange(4, dtype=np.int32))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda r: r.normal(size=(3, 4)),
+            lambda r: r.normal(size=(3, 4)).T,
+            lambda r: r.normal(size=(6, 5))[::2, 1:4],
+            lambda r: r.normal(size=(3, 2)).astype(">f8"),
+            lambda r: r.normal(size=5).astype(np.float32),
+            lambda r: r.normal(size=(2, 3)) + 1j * r.normal(size=(2, 3)),
+            lambda r: np.float64(4.25),
+        ],
+        ids=["c_order", "transposed", "sliced", "big_endian", "float32", "complex128", "rank0"],
+    )
+    def test_write_matches_dumps(self, tmp_path, make):
+        arr = make(rng())
+        p = tmp_path / "t.mstn"
+        T.write_mstn(p, arr)
+        assert p.read_bytes() == T.mstn_dumps(arr)
+        back = T.read_mstn(p)
+        assert back.shape == np.shape(arr)
+        np.testing.assert_array_equal(back, arr)
+
+    def test_read_is_writable(self, tmp_path):
+        p = tmp_path / "t.mstn"
+        T.write_mstn(p, np.arange(6, dtype=np.float64).reshape(2, 3))
+        back = T.read_mstn(p)
+        assert back.flags.writeable and back.flags.aligned
+        back[1, 2] = -1.0
+        assert back[1, 2] == -1.0
+
+    def test_loads_views_any_bytes_like(self):
+        blob = T.mstn_dumps(np.arange(4, dtype=np.float64))
+        assert not T.mstn_loads(blob).flags.writeable
+        buf = bytearray(b"pad" + blob)
+        view = T.mstn_loads(memoryview(buf)[3:])
+        assert view.flags.writeable
+        view[0] = 7.0  # a view, so the buffer sees the write
+        assert T.mstn_loads(memoryview(buf)[3:])[0] == 7.0
+
+
+def mstn_arrays():
+    """Arrays of every MSTN dtype, rank 0 to 3, any values including NaN."""
+    return st.sampled_from([np.float64, np.float32, np.complex128]).flatmap(
+        lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, max_side=4))
+    )
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestMstnFuzz:
+    """MSTN blobs carry no checksum, so an edited blob may parse to another
+    array; what holds is that a bad blob raises ValueError and nothing else."""
+
+    @given(mstn_arrays(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncation_raises(self, arr, data):
+        blob = T.mstn_dumps(arr)
+        assert same_array(T.mstn_loads(blob), arr)
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(ValueError):
+            T.mstn_loads(blob[:cut])
+
+    @given(mstn_arrays(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_edit_raises_value_error_or_parses(self, arr, data):
+        blob = bytearray(T.mstn_dumps(arr))
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        blob[pos] ^= data.draw(st.integers(1, 255))
+        try:
+            T.mstn_loads(blob)
+        except ValueError:
+            return
+        assert pos >= 8  # magic and version edits never parse
+
+    @given(st.binary(max_size=64) | st.binary(max_size=56).map(lambda b: b"MSTN\x01\0\0\0" + b))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, blob):
+        try:
+            T.mstn_loads(blob)
+        except ValueError:
+            pass
 
 
 class TestComplexTensor:
