@@ -182,21 +182,21 @@ def _dispatch(
 
     The (token, slot) pairs are stably sorted by expert, so each expert's
     rows form one block in token order and each expert layer runs as one
-    grouped node. Every token's outputs are summed in expert order."""
-    n, d = x.shape
+    grouped node. pos[t, r] is the r-th place of token t in that order, so
+    every token's outputs are summed in expert order."""
+    n = x.shape[0]
     K = len(pool.experts)
     sel = _topk_indices(logits.data, k) if frozen is None else frozen
     w = tt.softmax(tt.take_along_last(logits, sel))  # [n, k]
     dense = tt.scatter_last(w, sel, K)  # [n, K], exact zeros elsewhere
     pairs = np.argsort(sel.reshape(-1), kind="stable")
-    tokens = pairs // sel.shape[1]
+    pos = np.argsort(pairs // sel.shape[1], kind="stable").reshape(sel.shape)
     offsets = np.concatenate([[0], np.cumsum(np.bincount(sel.reshape(-1), minlength=K))])
     ex = pool.experts
-    xs = tt.gather_rows(x, tokens)
+    xs = tt.dispatch_rows(x, pos)
     h = tt.gelu(tt.grouped_linear(xs, [e.fc1.w for e in ex], [e.fc1.b for e in ex], offsets))
     out = tt.grouped_linear(h, [e.fc2.w for e in ex], [e.fc2.b for e in ex], offsets)
-    pair_w = tt.gather_rows(tt.reshape(w, (-1, 1)), pairs)
-    y = tt.index_add(Tensor(np.zeros((n, d))), tokens, tt.mul(out, pair_w))
+    y = tt.combine_rows(out, w, pos, pairs)
     stats = PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel, n_tokens=n)
     return y, stats
 

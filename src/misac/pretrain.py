@@ -257,21 +257,19 @@ def decode_masked(
     result: EncodeResult,
     masks: dict[Modality, MaskSpec],
 ) -> dict[Modality, Tensor]:
-    """Reconstruct the full grid of every masked modality: scatter visible
-    latents and mask tokens to grid positions, add decoder positions, run the
-    decoder blocks, project to pixels, fold patches."""
+    """Reconstruct the full grid of every masked modality: add visible
+    latents and mask tokens onto the decoder positions of their grid rows,
+    run the decoder blocks, project to pixels, fold patches."""
     out: dict[Modality, Tensor] = {}
     for m, spec in masks.items():
         dec = model.decoders[m]
         latents = result.rows(m)
         if latents.shape[0] != spec.visible.size:
             raise PretrainError("mask/visible row mismatch at decode")
-        n_tokens = spec.n_tokens
-        full = tt.index_add(Tensor(np.zeros((n_tokens, model.enc_cfg.d))), spec.visible, latents)
+        h = tt.index_add(dec.pos, spec.visible, latents)
         if spec.masked.size:
             fill = tt.add(Tensor(np.zeros((spec.masked.size, model.enc_cfg.d))), dec.mask_token)
-            full = tt.index_add(full, spec.masked, fill)
-        h = tt.add(full, dec.pos)
+            h = tt.index_add(h, spec.masked, fill)
         for block in dec.blocks:
             h = block(h, model.enc_cfg.rms_eps)
         pixels = dec.out(h)
@@ -358,10 +356,7 @@ def load_balance_loss(stats: list[PoolStats], n_experts: int) -> Tensor:
             else tt.concat([m.weights for m in members], axis=0)
         )
         n_tokens = sum(m.n_tokens for m in members)
-        counts = np.zeros(n_experts)
-        for m in members:
-            for e in range(n_experts):
-                counts[e] += (m.selected == e).sum()
+        counts = sum(np.bincount(m.selected.reshape(-1), minlength=n_experts) for m in members)
         load = counts / n_tokens
         imp = tt.tmean(weights, axis=0)  # [K]
         term = tt.mul(tt.tsum(tt.mul(imp, Tensor(load))), Tensor(1.0 / n_experts))
@@ -429,11 +424,24 @@ class Adam:
         for k, p in self.params.items():
             if p.grad is None:
                 continue
-            self.m[k] = b1 * self.m[k] + (1 - b1) * p.grad
-            self.v[k] = b2 * self.v[k] + (1 - b2) * p.grad * p.grad
-            m_hat = self.m[k] / (1 - b1**self.t)
-            v_hat = self.v[k] / (1 - b2**self.t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, with the operations and order of m = b1 * m + (1 - b1) * g,
+            # v = b2 * v + (1 - b2) * g * g and
+            # p - lr * (m / c1) / (sqrt(v / c2) + eps), in two scratch buffers
+            m, v, g = self.m[k], self.v[k], p.grad
+            step = np.multiply(1 - b1, g)
+            m *= b1
+            m += step
+            gg = np.multiply(1 - b2, g)
+            gg *= g
+            v *= b2
+            v += gg
+            np.divide(m, 1 - b1**self.t, out=step)
+            step *= lr
+            np.divide(v, 1 - b2**self.t, out=gg)
+            np.sqrt(gg, out=gg)
+            gg += self.eps
+            step /= gg
+            p.data = p.data - step
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}

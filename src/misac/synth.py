@@ -559,35 +559,41 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(canonical_json(manifest).encode()).hexdigest()
 
 
+def _field(record, key: str, where: str):
+    """record[key] from a parsed manifest, or a SceneError naming the key."""
+    if not isinstance(record, dict) or key not in record:
+        raise SceneError(f"dataset manifest: {where} has no {key!r}")
+    return record[key]
+
+
 def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dict]:
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
     manifest = json.loads(path.read_text())
-    if manifest.get("format") != "misac-dataset":
+    if not isinstance(manifest, dict) or manifest.get("format") != "misac-dataset":
         raise SceneError("not a dataset manifest")
     root = path.parent
-    cfg = manifest["config"]
+    cfg = _field(manifest, "config", "the manifest")
     samples = []
-    for e in manifest["samples"]:
+    for i, e in enumerate(_field(manifest, "samples", "the manifest")):
+        where = f"sample {i}"
+        files = _field(e, "files", where)
         csi = radar = smap = None
-        if "csi" in e["files"]:
-            h = read_mstn(root / e["files"]["csi"])
-            csi = ChannelSample(ComplexTensor(h), f0=cfg["f0"], bw=cfg["bw"])
-        if "radar" in e["files"]:
-            stacked = read_mstn(root / e["files"]["radar"])
+        if "csi" in files:
+            f0, bw = _field(cfg, "f0", "config"), _field(cfg, "bw", "config")
+            csi = ChannelSample(ComplexTensor(read_mstn(root / files["csi"])), f0=f0, bw=bw)
+        if "radar" in files:
+            stacked = read_mstn(root / files["radar"])
             radar = RadarMaps(ra=ComplexTensor(stacked[0]), rv=ComplexTensor(stacked[1]))
-        if "map" in e["files"]:
-            packed = read_mstn(root / e["files"]["map"])
+        if "map" in files:
+            packed = read_mstn(root / files["map"])
             smap = SceneMap(bev=packed[..., :3], height=packed[..., 3:])
-        lab = e["labels"]
+        lab = _field(e, "labels", where)
+        labels = {f.name: _field(lab, f.name, f"{where} labels") for f in dataclasses.fields(Labels)}
         samples.append(
             MultimodalSample(
-                index=e["index"],
-                csi=csi,
-                radar=radar,
-                map=smap,
-                labels=Labels(lab["beam_index"], lab["distance_m"], lab["aoa_rad"]),
+                index=_field(e, "index", where), csi=csi, radar=radar, map=smap, labels=Labels(**labels)
             )
         )
     return samples, manifest

@@ -386,6 +386,67 @@ def grouped_linear(x: Tensor, ws: Sequence[Tensor], bs: Sequence[Tensor], offset
     return _emit("grouped_linear", out, vjps)
 
 
+def _pos_table(pos, n: int) -> np.ndarray:
+    """Check that pos is an [n, k] table holding each of 0 .. n*k - 1 once."""
+    pos = np.asarray(pos, dtype=np.int64)
+    if pos.ndim != 2 or pos.shape[0] != n:
+        raise ValueError(f"position table must be [{n}, k], got shape {pos.shape}")
+    if not np.array_equal(np.sort(pos, axis=None), np.arange(pos.size)):
+        raise ValueError("position table must hold each place 0 .. n*k - 1 once")
+    return pos
+
+
+def _sum_places(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Row t of the result is a[pos[t, 0]] + a[pos[t, 1]] + ..., added in r order."""
+    out = a[pos[:, 0]]
+    for r in range(1, pos.shape[1]):
+        out += a[pos[:, r]]
+    return out
+
+
+def dispatch_rows(x: Tensor, pos) -> Tensor:
+    """Fan every row of x out to k places: row t of x becomes rows pos[t, :]
+    of the result, where the [n, k] table pos holds each place 0 .. n*k - 1
+    once. The gradient of row t sums its k places in r order, with no scatter."""
+    pos = _pos_table(pos, x.data.shape[0])
+    rows = np.empty(pos.size, dtype=np.int64)
+    rows[pos] = np.arange(pos.shape[0])[:, None]
+
+    def vjp(g):
+        return _sum_places(g, pos)
+
+    return _emit("dispatch_rows", x.data[rows], [(x, vjp)])
+
+
+def combine_rows(out: Tensor, w: Tensor, pos, pairs) -> Tensor:
+    """Weighted fan-in, the inverse of dispatch_rows:
+    y[t] = sum_r out[pos[t, r]] * w.flat[pairs[pos[t, r]]], added in r order.
+    pairs[p] is the flat index into w (token * k + slot) of place p."""
+    pos = _pos_table(pos, w.data.shape[0])
+    pairs = _row_index(pairs)
+    if w.data.shape != pos.shape or out.data.shape[0] != pos.size:
+        raise ValueError("combine_rows: w must be [n, k] like pos, with one out row per place")
+    rows = pairs // pos.shape[1]  # the token of every place
+    if not (np.array_equal(np.sort(pairs), np.arange(pos.size))
+            and np.all(rows[pos] == np.arange(pos.shape[0])[:, None])):
+        raise ValueError("combine_rows: pairs must index w once per place, in its token's row")
+    place_w = w.data.reshape(-1)[pairs][:, None]
+
+    def vjp_out(g):
+        go = g[rows]
+        go *= place_w
+        return go
+
+    def vjp_w(g):
+        go = g[rows]
+        go *= out.data
+        gw = np.empty(pairs.size)
+        gw[pairs] = go.sum(axis=1)
+        return gw.reshape(w.data.shape)
+
+    return _emit("combine_rows", _sum_places(out.data * place_w, pos), [(out, vjp_out), (w, vjp_w)])
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is None:
@@ -531,17 +592,28 @@ def logsumexp_rows(x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate d(loss)/d(input) into .grad for every tracked tensor."""
+    """Accumulate d(loss)/d(input) into .grad for every tracked tensor.
+
+    A tensor's first gradient is kept as its vjp returned it, which may be
+    another tensor's gradient buffer (add passes g through). The second
+    allocates the sum, and later ones add in place into that buffer only."""
     if loss.data.size != 1:
         raise ValueError("backward: loss must be scalar")
     loss.grad = np.ones_like(loss.data)
+    owned: set[int] = set()  # ids of tensors whose .grad this call allocated
     for node in reversed(tape.nodes):
         g = node.out.grad
         if g is None:
             continue
         for t, vjp in node.vjps:
             gi = vjp(g)
-            t.grad = gi if t.grad is None else t.grad + gi
+            if t.grad is None:
+                t.grad = gi
+            elif id(t) in owned:
+                t.grad += gi
+            else:
+                t.grad = t.grad + gi
+                owned.add(id(t))
 
 
 def grad_check(

@@ -186,6 +186,15 @@ def _primitive_checks(rng) -> dict[str, float]:
         "grouped_linear",
         lambda: ([a35, *ws, *bs], lambda: scalarize(tt.grouped_linear(a35, ws, bs, offsets))),
     )
+    # three tokens at k = 2: pos[t] holds token t's places, pairs[place] its
+    # flat (token * 2 + slot) index, as encoder._dispatch builds them
+    places, pairs = np.array([[0, 4], [1, 2], [3, 5]]), np.array([0, 2, 3, 4, 1, 5])
+    check("dispatch_rows", lambda: ([a35], lambda: scalarize(tt.dispatch_rows(a35, places))))
+    out65 = p((6, 5))
+    check(
+        "combine_rows",
+        lambda: ([out65, w32], lambda: scalarize(tt.combine_rows(out65, w32, places, pairs))),
+    )
     return errs
 
 

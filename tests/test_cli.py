@@ -3,6 +3,7 @@ contract, JSON-line output shape, resume continuation, freeze verification,
 and eval/finetune report consistency."""
 
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -451,6 +452,17 @@ class TestCliSurface:
         )
         assert code == 1
         assert "manifest" in capsys.readouterr().err
+
+    def test_manifest_missing_key_is_validation_error(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["samples"][0]["labels"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["stats", "--config", str(cfg), "--data", str(data), "--checkpoint", str(root / "pre.msck")])
+        assert code == 1
+        assert "sample 0 has no 'labels'" in capsys.readouterr().err
 
     def test_missing_subcommand_is_validation_error(self, capsys):
         assert main([]) == 1

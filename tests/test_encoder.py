@@ -137,6 +137,28 @@ def _per_expert_dispatch(pool, x, logits, k, layer, frozen):
     return y, stats
 
 
+def _index_add_dispatch(pool, x, logits, k, layer, frozen):
+    """Reference dispatch: the grouped expert layers, with rows gathered by
+    gather_rows and combined by gather_rows of the pair weights, mul and an
+    index_add onto zeros."""
+    n, d = x.shape
+    K = len(pool.experts)
+    sel = enc._topk_indices(logits.data, k) if frozen is None else frozen
+    w = tt.softmax(tt.take_along_last(logits, sel))
+    dense = tt.scatter_last(w, sel, K)
+    pairs = np.argsort(sel.reshape(-1), kind="stable")
+    tokens = pairs // sel.shape[1]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(sel.reshape(-1), minlength=K))])
+    ex = pool.experts
+    xs = tt.gather_rows(x, tokens)
+    h = tt.gelu(tt.grouped_linear(xs, [e.fc1.w for e in ex], [e.fc1.b for e in ex], offsets))
+    out = tt.grouped_linear(h, [e.fc2.w for e in ex], [e.fc2.b for e in ex], offsets)
+    pair_w = tt.gather_rows(tt.reshape(w, (-1, 1)), pairs)
+    y = tt.index_add(Tensor(np.zeros((n, d))), tokens, tt.mul(out, pair_w))
+    stats = enc.PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel, n_tokens=n)
+    return y, stats
+
+
 class TestGroupedDispatch:
     """The grouped dispatch against the per-expert loop it replaced: outputs,
     routing stats, and the gradients of a loss that reads both the output and
@@ -172,6 +194,17 @@ class TestGroupedDispatch:
                 assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
         return g
 
+    def _assert_identical(self, pool, top_k, frozen=None):
+        y_ref, st_ref, g_ref = self._run(_index_add_dispatch, pool, top_k, frozen)
+        y, st, g = self._run(enc._dispatch, pool, top_k, frozen)
+        np.testing.assert_array_equal(y, y_ref)
+        np.testing.assert_array_equal(st.weights.data, st_ref.weights.data)
+        for got, want in zip(g, g_ref):
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
+        return g
+
     @pytest.mark.parametrize("top_k", [1, 3, 5])
     def test_matches_per_expert_loop(self, top_k):
         cfg = EncoderConfig(d=self.D, n_heads=4, n_experts=self.K, top_k=top_k)
@@ -182,6 +215,20 @@ class TestGroupedDispatch:
         pool = enc.ExpertPool(np.random.default_rng(42), cfg, "map")
         frozen = (np.arange(self.N)[:, None] + np.arange(3)[None, :]) % (self.K - 1)
         grads = self._assert_same(pool, 3, frozen)
+        idle = pool.experts[self.K - 1]
+        assert all(p.grad is None for p in (idle.fc1.w, idle.fc1.b, idle.fc2.w, idle.fc2.b))
+        assert all(g is not None for g in grads[: -4])
+
+    @pytest.mark.parametrize("top_k", [1, 3, 5])
+    def test_fused_combine_matches_index_add_bit_for_bit(self, top_k):
+        cfg = EncoderConfig(d=self.D, n_heads=4, n_experts=self.K, top_k=top_k)
+        self._assert_identical(enc.ExpertPool(np.random.default_rng(43), cfg, "radar"), top_k)
+
+    def test_fused_combine_with_idle_expert_matches_index_add(self):
+        cfg = EncoderConfig(d=self.D, n_heads=4, n_experts=self.K, top_k=3)
+        pool = enc.ExpertPool(np.random.default_rng(44), cfg, "csi")
+        frozen = (np.arange(self.N)[:, None] + np.arange(3)[None, :]) % (self.K - 1)
+        grads = self._assert_identical(pool, 3, frozen)
         idle = pool.experts[self.K - 1]
         assert all(p.grad is None for p in (idle.fc1.w, idle.fc1.b, idle.fc2.w, idle.fc2.b))
         assert all(g is not None for g in grads[: -4])

@@ -401,6 +401,43 @@ class TestAdam:
             ob.step(0.01)
         assert np.array_equal(pa.data, pb.data)
 
+    def test_in_place_moments_match_the_out_of_place_formula(self):
+        from misac.checkpoint import snapshot
+
+        rng = np.random.default_rng(6)
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in
+                  (("a", (3, 4)), ("b", (5,)), ("idle", (2,)))}
+        opt = Adam(params)
+
+        class Holder:
+            def named_params(self):
+                return params
+
+        ref = {k: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for k, p in params.items()}
+        before = snapshot(Holder(), "fp", 0, opt)
+        frozen = {k: a.copy() for k, a in before.opt_moments.items()}
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t, lr in enumerate((0.1, 0.05, 0.02), start=1):
+            for k, p in params.items():
+                p.grad = None if k == "idle" else rng.normal(size=p.data.shape)
+            opt.step(lr)
+            for k, p in params.items():
+                if p.grad is None:
+                    continue
+                x, m, v = ref[k]
+                m = b1 * m + (1 - b1) * p.grad
+                v = b2 * v + (1 - b2) * p.grad * p.grad
+                x = x - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+                ref[k] = (x, m, v)
+        for k, p in params.items():
+            x, m, v = ref[k]
+            np.testing.assert_array_equal(p.data, x)
+            np.testing.assert_array_equal(opt.m[k], m)
+            np.testing.assert_array_equal(opt.v[k], v)
+        assert not np.any(opt.m["idle"]) and not np.any(opt.v["idle"])
+        for k, a in before.opt_moments.items():
+            np.testing.assert_array_equal(a, frozen[k])
+
 
 # ---------------------------------------------------------------------------
 # encode / decode on a small model

@@ -1,6 +1,7 @@
 """Signal synthesis: closed-form channel checks, radar peak-bin placement,
 an O(N^2) DFT-matrix oracle for the FFT maps, raster and dataset invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -294,6 +295,28 @@ class TestDataset:
             if a.map is not None:
                 np.testing.assert_array_equal(a.map.bev, b.map.bev)
                 np.testing.assert_array_equal(a.map.height, b.map.height)
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda m: m.pop("config"), "config"),
+            (lambda m: m["config"].pop("f0"), "f0"),
+            (lambda m: m.pop("samples"), "samples"),
+            (lambda m: m["samples"][0].pop("files"), "files"),
+            (lambda m: m["samples"][0].pop("labels"), "labels"),
+            (lambda m: m["samples"][1]["labels"].pop("beam_index"), "beam_index"),
+            (lambda m: m["samples"][1].pop("index"), "index"),
+        ],
+        ids=["config", "f0", "samples", "files", "labels", "beam_index", "index"],
+    )
+    def test_manifest_missing_key_is_named(self, tmp_path, edit, key):
+        synth.synth_dataset(SynthConfig(), 2, 11, out_dir=tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(synth.SceneError, match=repr(key)):
+            synth.load_dataset(tmp_path)
 
     def test_scene_positions_stay_in_front_halfplane(self):
         cfg = SynthConfig()

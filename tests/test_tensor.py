@@ -211,6 +211,37 @@ class TestBackward:
         T.backward(loss, tape)
         np.testing.assert_allclose(w.grad, [5.0])
 
+    def test_in_place_accumulation_matches_out_of_place(self):
+        # b's first grad is the buffer that add(y, b) passes through, shared
+        # with y and s; then b takes three more terms, two from mul(b, b)
+        data = [rng().normal(size=(2, 3)) for _ in range(3)]
+
+        def graph():
+            x, b, c = (T.Tensor(d, requires_grad=True) for d in data)
+            with T.Tape() as tape:
+                u = T.mul(b, c)
+                sq = T.mul(b, b)
+                y = T.mul(x, T.Tensor(2.0))
+                s = T.add(y, b)
+                v = T.add(s, s)
+                loss = T.tsum(T.add(T.add(T.mul(v, v), u), sq))
+            return loss, tape, [x, b, c, u, sq, y, s, v]
+
+        def backward_out_of_place(loss, tape):
+            loss.grad = np.ones_like(loss.data)
+            for node in reversed(tape.nodes):
+                if node.out.grad is not None:
+                    for t, vjp in node.vjps:
+                        gi = vjp(node.out.grad)
+                        t.grad = gi if t.grad is None else t.grad + gi
+
+        loss, tape, got = graph()
+        T.backward(loss, tape)
+        loss, tape, want = graph()
+        backward_out_of_place(loss, tape)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.grad, w.grad)
+
     def test_non_scalar_loss_rejected(self):
         w = T.Tensor([1.0, 2.0], requires_grad=True)
         with T.Tape() as tape:
@@ -254,6 +285,23 @@ class TestBackward:
             with pytest.raises(ValueError):
                 T.grouped_linear(x, ws, bs, offsets)
 
+    def test_pair_primitives_reject_bad_tables(self):
+        x, w = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2)))
+        out = T.Tensor(np.zeros((4, 3)))
+        good_pos, good_pairs = np.array([[0, 2], [1, 3]]), np.array([0, 2, 1, 3])
+        T.dispatch_rows(x, good_pos)
+        T.combine_rows(out, w, good_pos, good_pairs)
+        for pos in ([0, 1, 2, 3], [[0, 1]], [[0, 2], [2, 3]], [[0, 1], [2, 4]]):
+            with pytest.raises(ValueError, match="position table"):
+                T.dispatch_rows(x, pos)
+            with pytest.raises(ValueError, match="position table"):
+                T.combine_rows(out, w, pos, good_pairs)
+        for pairs in ([0, 2, 1], [0, 2, 2, 3], [0, 1, 2, 3]):  # short, repeated, wrong token
+            with pytest.raises(ValueError, match="pairs"):
+                T.combine_rows(out, w, good_pos, pairs)
+        with pytest.raises(ValueError, match="one out row per place"):
+            T.combine_rows(T.Tensor(np.zeros((3, 3))), w, good_pos, good_pairs)
+
 
 class TestGradCheck:
     def test_sin_sum_below_1e7(self):
@@ -268,6 +316,10 @@ class TestGradCheck:
         a = T.Tensor(r.normal(size=(4, 3)) + 3.0, requires_grad=True)  # >0 for log/sqrt
         b = T.Tensor(r.normal(size=(4, 3)) + 3.0, requires_grad=True)
         v = T.Tensor(r.normal(size=(3, 5)), requires_grad=True)
+        # a's four rows fan out to k = 3 places each; pairs[place] is the flat
+        # (row * 3 + slot) index into the [4, 3] weight b
+        pos = np.array([[0, 5, 9], [1, 2, 10], [3, 6, 7], [4, 8, 11]])
+        pairs = np.array([0, 3, 4, 6, 9, 1, 7, 8, 10, 2, 5, 11])
         cases = {
             "add": lambda: T.tsum(T.add(a, b)),
             "sub": lambda: T.tsum(T.square(T.sub(a, b))),
@@ -293,6 +345,8 @@ class TestGradCheck:
             "rmsnorm_1d": lambda: T.tsum(T.square(T.rmsnorm(T.reshape(a, (12,)), T.reshape(b, (12,))))),
             "linear": lambda: T.tsum(T.square(T.linear(a, v, T.reshape(T.tsum(v, axis=0), (5,))))),
             "linear_3d": lambda: T.tsum(T.square(T.linear(T.reshape(a, (2, 2, 3)), v, T.Tensor(np.ones(5))))),
+            "dispatch_rows": lambda: T.tsum(T.mul(T.dispatch_rows(a, pos), T.concat([b, a, b], axis=0))),
+            "combine_rows": lambda: T.tsum(T.square(T.combine_rows(T.concat([a, b, a], axis=0), b, pos, pairs))),
         }
         for name, f in cases.items():
             err = T.grad_check(f, [a, b, v])
@@ -487,3 +541,50 @@ class TestComplexTensor:
         assert real.shape == (1, 2, 2)
         np.testing.assert_array_equal(real[..., 0], [[1.0, 3.0]])
         np.testing.assert_array_equal(real[..., 1], [[2.0, -1.0]])
+
+
+class TestTapeOpNames:
+    """Every tape node's vjps are closures defined inside the public
+    misac.tensor function that recorded it, so an op histogram can name a
+    node's primitive from the closure's __qualname__."""
+
+    def test_every_vjp_names_its_primitive(self, monkeypatch):
+        import dataclasses
+
+        from misac.config import desk_config
+        from misac.downstream import FinetuneModel, FinetuneSettings, run_finetune
+        from misac.pretrain import PretrainModel, run_pretrain
+        from misac.synth import synth_dataset
+
+        tapes = []
+        real_backward = T.backward
+
+        def recording_backward(loss, tape):
+            tapes.append(tape)
+            real_backward(loss, tape)
+
+        monkeypatch.setattr(T, "backward", recording_backward)
+        desk = desk_config()
+        model = PretrainModel(
+            desk.model.encoder_config(), desk.model.tokenizer_config(), np.random.default_rng(0),
+            decoder_blocks=desk.model.decoder_blocks,
+        )
+        synth_cfg = desk.data.synth_config(desk.model)
+        samples, _ = synth_dataset(synth_cfg, 8, seed=5)
+        run_pretrain(model, samples, dataclasses.replace(desk.pretrain.settings(), steps=1), seed=0)
+        head = FinetuneModel(model, "beam_selection", np.random.default_rng(1), n_beams=synth_cfg.n_beams)
+        run_finetune(head, samples, FinetuneSettings(steps=1, batch_size=8, freeze_encoder=True), seed=0)
+        assert len(tapes) == 2
+
+        ops = []
+        for tape in tapes:
+            ops.append(set())
+            for node in tape.nodes:
+                for _, vjp in node.vjps:
+                    op, local, _ = vjp.__qualname__.partition(".<locals>.")
+                    fn = getattr(T, op, None)
+                    assert local and not op.startswith("_"), vjp.__qualname__
+                    assert getattr(fn, "__module__", None) == T.__name__, vjp.__qualname__
+                    ops[-1].add(op)
+        assert {"dispatch_rows", "combine_rows", "grouped_linear", "index_add"} <= ops[0]
+        assert not ops[1] & {"dispatch_rows", "combine_rows", "grouped_linear"}  # frozen encoder
