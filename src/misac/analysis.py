@@ -19,7 +19,7 @@ from .config import ModelConfig, RunConfig
 from .downstream import RECON_TASKS, TASKS
 from .encoder import MODALITY_ORDER
 from .pretrain import PretrainModel
-from .tokenizer import Modality, token_count
+from .tokenizer import Modality
 
 
 class AnalysisError(ValueError):
@@ -62,19 +62,13 @@ def _matmul(m: int, n: int, p: int) -> int:
 
 
 def _tokens(model: ModelConfig) -> dict[Modality, int]:
-    return {
-        Modality.CSI: token_count(model.csi_height, model.csi_width, tuple(model.csi_patch))[2],
-        Modality.MAP: token_count(model.map_size, model.map_size, tuple(model.map_patch))[2],
-        Modality.RADAR: token_count(model.radar_size, model.radar_size, tuple(model.radar_patch))[2],
-    }
+    tok = model.tokenizer_config()
+    return {m: tok.spec(m).n_tokens for m in MODALITY_ORDER}
 
 
 def _patch_dims(model: ModelConfig) -> dict[Modality, int]:
-    return {
-        Modality.CSI: model.csi_patch[0] * model.csi_patch[1] * 2,
-        Modality.MAP: model.map_patch[0] * model.map_patch[1] * 4,
-        Modality.RADAR: model.radar_patch[0] * model.radar_patch[1] * 4,
-    }
+    tok = model.tokenizer_config()
+    return {m: tok.patch_dim(m) for m in MODALITY_ORDER}
 
 
 def _block_flops(model: ModelConfig, n_total: int, pool_tokens: list[int]) -> int:

@@ -23,7 +23,7 @@ from .downstream import TASKS, FinetuneSettings
 from .encoder import EncoderConfig
 from .pretrain import PretrainSettings
 from .synth import RadarParams, SynthConfig
-from .tokenizer import ModalitySpec, TokenizerConfig, token_count
+from .tokenizer import ModalitySpec, TokenizerConfig
 
 
 class ConfigError(ValueError):
@@ -155,9 +155,6 @@ class RunConfig:
         if not 1 <= m.top_k <= m.n_experts:
             raise ConfigError(f"top_k={m.top_k} outside [1, {m.n_experts}]")
         try:
-            token_count(m.csi_height, m.csi_width, tuple(m.csi_patch))
-            token_count(m.map_size, m.map_size, tuple(m.map_patch))
-            token_count(m.radar_size, m.radar_size, tuple(m.radar_patch))
             m.encoder_config()
             m.tokenizer_config()
         except ValueError as e:

@@ -35,8 +35,9 @@ from .pretrain import (
     decode_masked,
     encode_visible,
     mask_loss,
+    pixel_mask,
 )
-from .synth import MultimodalSample, add_awgn
+from .synth import MultimodalSample, with_noisy_csi
 from .tensor import Tensor
 from .tokenizer import Modality, Prepped, preprocess
 
@@ -65,8 +66,7 @@ def prediction_mask(grid: tuple[int, int]) -> MaskSpec:
     n_hidden = max(1, round(0.25 * gc))
     omega = np.zeros(grid, dtype=bool)
     omega[:, gc - n_hidden :] = True
-    flat = omega.reshape(-1)
-    return MaskSpec(Modality.CSI, np.nonzero(~flat)[0], np.nonzero(flat)[0], omega)
+    return MaskSpec.from_omega(Modality.CSI, omega)
 
 
 def estimation_mask(grid: tuple[int, int], spacing: int = 4) -> MaskSpec:
@@ -76,8 +76,7 @@ def estimation_mask(grid: tuple[int, int], spacing: int = 4) -> MaskSpec:
         raise DownstreamError("pilot spacing must lie in [2, grid_cols)")
     omega = np.ones(grid, dtype=bool)
     omega[:, np.arange(0, gc, spacing)] = False
-    flat = omega.reshape(-1)
-    return MaskSpec(Modality.CSI, np.nonzero(~flat)[0], np.nonzero(flat)[0], omega)
+    return MaskSpec.from_omega(Modality.CSI, omega)
 
 
 def task_mask(task: str, grid: tuple[int, int]) -> MaskSpec | None:
@@ -203,14 +202,7 @@ def _prep_modalities(
     if snr_range is not None and sample.csi is not None and "csi" not in drop:
         if rng is None:
             raise DownstreamError("snr injection needs an rng")
-        snr = float(rng.uniform(*snr_range))
-        work = MultimodalSample(
-            index=sample.index,
-            csi=add_awgn(sample.csi, snr, rng),
-            radar=sample.radar,
-            map=sample.map,
-            labels=sample.labels,
-        )
+        work = with_noisy_csi(sample, snr_range, rng)
     prepped = {}
     for m in MODALITY_ORDER:
         name = m.name.lower()
@@ -250,14 +242,12 @@ def sample_loss(
         aux = {
             "recon": recon.data / scale,  # de-normalized
             "target": target / scale,
-            "mask_pixels": np.kron(spec.omega, np.ones(pre.tok_cfg.spec(Modality.CSI).patch)).astype(
-                bool
-            ),
+            "mask_pixels": pixel_mask(spec.omega, pre.tok_cfg.spec(Modality.CSI).patch),
         }
         return loss, aux
 
     res = encode_visible(pre, prepped, {}, frozen)
-    pooled = tt.reshape(tt.tmean(res.h, axis=0), (1, -1))
+    pooled = tt.tmean(res.h, axis=0, keepdims=True)
     out = model.head(pooled)
     lab = sample.labels
     if task == "beam_selection":
@@ -350,51 +340,28 @@ def evaluate(
     if not samples:
         raise DownstreamError("evaluate: empty dataset")
     rng = np.random.default_rng(seed)
-    task = model.task
-    losses = []
-    if task in RECON_TASKS:
-        nmses = []
-        for s in samples:
-            loss, aux = sample_loss(model, s, cfg, rng)
-            losses.append(loss.item())
-            if task == "channel_prediction":
-                sel = aux["mask_pixels"]
-                nmses.append(nmse_db(aux["recon"][sel], aux["target"][sel]))
-            else:
-                nmses.append(nmse_db(aux["recon"], aux["target"]))
-        return {"loss": float(np.mean(losses)), "nmse_db": float(np.mean(nmses))}
-    if task == "beam_selection":
-        logits, labels = [], []
-        for s in samples:
-            loss, aux = sample_loss(model, s, cfg, rng)
-            losses.append(loss.item())
-            logits.append(aux["logits"])
-            labels.append(aux["label"])
-        logits = np.stack(logits)
-        labels = np.asarray(labels)
-        return {
-            "loss": float(np.mean(losses)),
-            "top1": topk_accuracy(logits, labels, 1),
-            "top3": topk_accuracy(logits, labels, 3),
-        }
-    preds, labels = [], []
+    losses, auxes = [], []
     for s in samples:
         loss, aux = sample_loss(model, s, cfg, rng)
         losses.append(loss.item())
-        preds.append(aux["pred"])
-        labels.append(aux["label"])
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
+        auxes.append(aux)
+    out = {"loss": float(np.mean(losses))}
+    task = model.task
+    if task in RECON_TASKS:
+        nmses = []
+        for a in auxes:
+            recon, target = a["recon"], a["target"]
+            if task == "channel_prediction":  # scored on the hidden columns only
+                recon, target = recon[a["mask_pixels"]], target[a["mask_pixels"]]
+            nmses.append(nmse_db(recon, target))
+        return {**out, "nmse_db": float(np.mean(nmses))}
+    labels = np.asarray([a["label"] for a in auxes])
+    if task == "beam_selection":
+        logits = np.stack([a["logits"] for a in auxes])
+        return {**out, "top1": topk_accuracy(logits, labels, 1), "top3": topk_accuracy(logits, labels, 3)}
+    preds = np.asarray([a["pred"] for a in auxes])
     if task == "localization":
         err = np.abs(preds - labels)
-        return {
-            "loss": float(np.mean(losses)),
-            "mae_m": float(np.mean(err)),
-            "rmse_m": float(np.sqrt(np.mean(err**2))),
-        }
+        return {**out, "mae_m": float(np.mean(err)), "rmse_m": float(np.sqrt(np.mean(err**2)))}
     errs = np.array([wrapped_abs_error(p, t) for p, t in zip(preds, labels)])
-    return {
-        "loss": float(np.mean(losses)),
-        "mae_rad": float(np.mean(errs)),
-        "mae_deg": float(np.degrees(np.mean(errs))),
-    }
+    return {**out, "mae_rad": float(np.mean(errs)), "mae_deg": float(np.degrees(np.mean(errs)))}

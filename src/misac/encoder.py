@@ -122,13 +122,6 @@ class ContextVector:
 
 
 @dataclass
-class RouterDecision:
-    indices: np.ndarray  # [k], descending logit, ties toward lower index
-    weights: Tensor  # [k], sums to 1
-    logits: Tensor  # [n_experts] full pre-truncation gate output
-
-
-@dataclass
 class PoolStats:
     layer: int
     pool: str
@@ -142,26 +135,10 @@ def _topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-logits, axis=-1, kind="stable")[:, :k]
 
 
-def topk_softmax(logits: Tensor, k: int) -> RouterDecision:
-    """Truncated softmax over one gate row: renormalize the top k logits."""
-    if logits.ndim != 1:
-        raise EncoderError("topk_softmax: expected a single logit row")
-    K = logits.shape[0]
-    if not 1 <= k <= K:
-        raise EncoderError("topk_softmax: k outside [1, n_experts]")
-    idx = _topk_indices(logits.data[None, :], k)[0]
-    row = tt.reshape(logits, (1, K))
-    sel = tt.take_along_last(row, idx[None, :])
-    weights = tt.reshape(tt.softmax(sel), (k,))
-    return RouterDecision(indices=idx, weights=weights, logits=logits)
-
-
 def gate_shared(x: Tensor, ctx: ContextVector, pool: ExpertPool) -> Tensor:
     if pool.kind != "shared":
         raise EncoderError("gate_shared: pool is not the shared pool")
-    n = x.shape[0]
-    tiled = tt.add(Tensor(np.zeros((n, ctx.vector.shape[0]))), tt.reshape(ctx.vector, (1, -1)))
-    return pool.gate(tt.concat([x, tiled], axis=1))
+    return pool.gate(tt.concat([x, tt.tile_rows(ctx.vector, x.shape[0])], axis=1))
 
 
 def gate_specific(x: Tensor, pool: ExpertPool) -> Tensor:
@@ -201,11 +178,36 @@ def _dispatch(
     return y, stats
 
 
+class Attention:
+    """The query, key, value and output projections of one attention layer."""
+
+    def __init__(self, rng, d: int):
+        self.q, self.k = Linear(rng, d, d), Linear(rng, d, d)
+        self.v, self.o = Linear(rng, d, d), Linear(rng, d, d)
+
+    def named(self, prefix: str):
+        return [item for name in "qkvo" for item in getattr(self, name).named(f"{prefix}.{name}")]
+
+
+def attention(h: Tensor, attn: Attention, n_heads: int) -> Tensor:
+    """Scaled dot-product multi-head self-attention over all tokens."""
+    n, d = h.shape
+    dh = d // n_heads
+
+    def split(t: Tensor) -> Tensor:
+        return tt.transpose(tt.reshape(t, (n, n_heads, dh)), (1, 0, 2))
+
+    q, k, v = split(attn.q(h)), split(attn.k(h)), split(attn.v(h))
+    scores = tt.mul(tt.matmul(q, tt.transpose(k, (0, 2, 1))), Tensor(1.0 / math.sqrt(dh)))
+    mix = tt.matmul(tt.softmax(scores), v)  # [heads, n, dh]
+    merged = tt.reshape(tt.transpose(mix, (1, 0, 2)), (n, d))
+    return attn.o(merged)
+
+
 class EncoderBlock:
     def __init__(self, rng, cfg: EncoderConfig):
         d = cfg.d
-        self.wq, self.wk = Linear(rng, d, d), Linear(rng, d, d)
-        self.wv, self.wo = Linear(rng, d, d), Linear(rng, d, d)
+        self.attn = Attention(rng, d)
         self.g_attn = Tensor(np.ones(d), requires_grad=True)
         self.g_shared = Tensor(np.ones(d), requires_grad=True)
         self.g_specific = Tensor(np.ones(d), requires_grad=True)
@@ -214,10 +216,7 @@ class EncoderBlock:
 
     def named(self, prefix: str):
         out = (
-            self.wq.named(f"{prefix}.attn.q")
-            + self.wk.named(f"{prefix}.attn.k")
-            + self.wv.named(f"{prefix}.attn.v")
-            + self.wo.named(f"{prefix}.attn.o")
+            self.attn.named(f"{prefix}.attn")
             + [
                 (f"{prefix}.g_attn", self.g_attn),
                 (f"{prefix}.g_shared", self.g_shared),
@@ -228,21 +227,6 @@ class EncoderBlock:
         for m in MODALITY_ORDER:
             out += self.specific[m].named(f"{prefix}.{m.name.lower()}")
         return out
-
-
-def attention(h: Tensor, block: EncoderBlock, n_heads: int) -> Tensor:
-    """Scaled dot-product multi-head self-attention over all tokens."""
-    n, d = h.shape
-    dh = d // n_heads
-
-    def split(t: Tensor) -> Tensor:
-        return tt.transpose(tt.reshape(t, (n, n_heads, dh)), (1, 0, 2))
-
-    q, k, v = split(block.wq(h)), split(block.wk(h)), split(block.wv(h))
-    scores = tt.mul(tt.matmul(q, tt.transpose(k, (0, 2, 1))), Tensor(1.0 / math.sqrt(dh)))
-    mix = tt.matmul(tt.softmax(scores), v)  # [heads, n, dh]
-    merged = tt.reshape(tt.transpose(mix, (1, 0, 2)), (n, d))
-    return block.wo(merged)
 
 
 def pool_context(h: Tensor, segments: list[Segment]) -> ContextVector:
@@ -300,7 +284,7 @@ def encoder_block(
     layer: int,
     frozen: FrozenRouting | None = None,
 ) -> tuple[Tensor, list[PoolStats]]:
-    h1 = tt.add(h, tt.rmsnorm(attention(h, block, cfg.n_heads), block.g_attn, cfg.rms_eps))
+    h1 = tt.add(h, tt.rmsnorm(attention(h, block.attn, cfg.n_heads), block.g_attn, cfg.rms_eps))
     ctx = pool_context(h1, segments)
     return ss_dmoe_forward(h1, segments, ctx, block, cfg, layer, frozen)
 
@@ -338,10 +322,8 @@ class MultimodalEncoder:
         self.pos: dict[Modality, Tensor] = {}
         self.mod_id: dict[Modality, Tensor] = {}
         for m in MODALITY_ORDER:
-            spec = tok_cfg.spec(m)
-            n_tokens = spec.grid[0] * spec.grid[1]
             self.patch_embed[m] = Linear(rng, tok_cfg.patch_dim(m), cfg.d)
-            self.pos[m] = Tensor(trunc_normal(rng, (n_tokens, cfg.d)), requires_grad=True)
+            self.pos[m] = Tensor(trunc_normal(rng, (tok_cfg.spec(m).n_tokens, cfg.d)), requires_grad=True)
             self.mod_id[m] = Tensor(np.zeros(cfg.d), requires_grad=True)
         self.blocks = [EncoderBlock(rng, cfg) for _ in range(cfg.n_layers)]
 

@@ -19,12 +19,13 @@ the load-balance term can aggregate over (layer, pool) pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tt
 from .encoder import (
+    Attention,
     EncodeResult,
     EncoderConfig,
     FrozenRouting,
@@ -35,9 +36,9 @@ from .encoder import (
     attention,
     trunc_normal,
 )
-from .synth import MultimodalSample, add_awgn
+from .synth import MultimodalSample, with_noisy_csi
 from .tensor import Tensor
-from .tokenizer import Modality, Prepped, TokenizerConfig, preprocess, unpatchify
+from .tokenizer import CHANNELS, Modality, Prepped, TokenizerConfig, preprocess, unpatchify
 
 
 class PretrainError(ValueError):
@@ -86,9 +87,15 @@ class MaskSpec:
     masked: np.ndarray  # sorted token indices
     omega: np.ndarray  # [grid_rows, grid_cols] bool, True = masked
 
-    @property
-    def n_tokens(self) -> int:
-        return self.omega.size
+    @classmethod
+    def from_omega(cls, modality: Modality, omega: np.ndarray) -> "MaskSpec":
+        flat = omega.reshape(-1)
+        return cls(modality, np.nonzero(~flat)[0], np.nonzero(flat)[0], omega)
+
+
+def pixel_mask(omega: np.ndarray, patch: tuple[int, int]) -> np.ndarray:
+    """Spread a token-grid mask over the pixels of each token's patch."""
+    return omega.repeat(patch[0], axis=0).repeat(patch[1], axis=1)
 
 
 def _column_mask(grid: tuple[int, int], masked_cols: np.ndarray) -> np.ndarray:
@@ -102,11 +109,12 @@ def sample_mask(
     grid: tuple[int, int],
     rng: np.random.Generator,
     patch_w: int = 1,
+    modality: Modality = Modality.CSI,
 ) -> MaskSpec:
-    """Draw a mask over the token grid. Comb spacing is given in input
-    columns (subcarriers) and converts to token columns via patch_w: exact
-    when divisible, else nearest (ties to even) floored at 1. A draw that
-    leaves either side empty is retried once, then rejected."""
+    """Draw a mask over a modality's token grid. Comb spacing is given in
+    input columns (subcarriers) and converts to token columns via patch_w:
+    exact when divisible, else nearest (ties to even) floored at 1. A draw
+    that leaves either side empty is retried once, then rejected."""
     gr, gc = grid
     n = gr * gc
 
@@ -131,19 +139,7 @@ def sample_mask(
         omega = draw()
     if omega.all() or not omega.any():
         raise PretrainError(f"{scheme.kind} mask left no {'visible' if omega.all() else 'masked'} tokens")
-    flat = omega.reshape(-1)
-    return MaskSpec(
-        modality=Modality.CSI,  # caller overwrites; kept simple for direct use
-        visible=np.nonzero(~flat)[0],
-        masked=np.nonzero(flat)[0],
-        omega=omega,
-    )
-
-
-def mask_for(modality: Modality, scheme: MaskScheme, grid, rng, patch_w: int = 1) -> MaskSpec:
-    spec = sample_mask(scheme, grid, rng, patch_w)
-    spec.modality = modality
-    return spec
+    return MaskSpec.from_omega(modality, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +151,20 @@ class DecoderBlock:
 
     def __init__(self, rng, d: int, n_heads: int, hidden_mult: int):
         self.n_heads = n_heads
-        self.wq, self.wk = Linear(rng, d, d), Linear(rng, d, d)
-        self.wv, self.wo = Linear(rng, d, d), Linear(rng, d, d)
+        self.attn = Attention(rng, d)
         self.fc1 = Linear(rng, d, hidden_mult * d)
         self.fc2 = Linear(rng, hidden_mult * d, d)
         self.g_attn = Tensor(np.ones(d), requires_grad=True)
         self.g_ffn = Tensor(np.ones(d), requires_grad=True)
 
     def __call__(self, h: Tensor, eps: float) -> Tensor:
-        h = tt.add(h, tt.rmsnorm(attention(h, self, self.n_heads), self.g_attn, eps))
+        h = tt.add(h, tt.rmsnorm(attention(h, self.attn, self.n_heads), self.g_attn, eps))
         ffn = self.fc2(tt.gelu(self.fc1(h)))
         return tt.add(h, tt.rmsnorm(ffn, self.g_ffn, eps))
 
     def named(self, prefix: str):
         return (
-            self.wq.named(f"{prefix}.attn.q")
-            + self.wk.named(f"{prefix}.attn.k")
-            + self.wv.named(f"{prefix}.attn.v")
-            + self.wo.named(f"{prefix}.attn.o")
+            self.attn.named(f"{prefix}.attn")
             + self.fc1.named(f"{prefix}.ffn.fc1")
             + self.fc2.named(f"{prefix}.ffn.fc2")
             + [(f"{prefix}.g_attn", self.g_attn), (f"{prefix}.g_ffn", self.g_ffn)]
@@ -184,14 +176,13 @@ class DecoderHead:
 
     def __init__(self, rng, enc_cfg: EncoderConfig, tok_cfg: TokenizerConfig, modality: Modality, n_blocks: int):
         spec = tok_cfg.spec(modality)
-        n_tokens = spec.grid[0] * spec.grid[1]
         d = enc_cfg.d
         self.modality = modality
         self.grid = spec.grid
         self.patch = spec.patch
-        self.channels = tok_cfg.patch_dim(modality) // (spec.patch[0] * spec.patch[1])
+        self.channels = CHANNELS[modality]
         self.mask_token = Tensor(trunc_normal(rng, (d,)), requires_grad=True)
-        self.pos = Tensor(trunc_normal(rng, (n_tokens, d)), requires_grad=True)
+        self.pos = Tensor(trunc_normal(rng, (spec.n_tokens, d)), requires_grad=True)
         self.blocks = [
             DecoderBlock(rng, d, enc_cfg.n_heads, enc_cfg.hidden_mult) for _ in range(n_blocks)
         ]
@@ -230,9 +221,6 @@ class PretrainModel:
             out.update(dict(self.proj[m].named(f"proj.{name}")))
         return out
 
-    def encoder_param_names(self) -> set[str]:
-        return set(self.encoder.named_params())
-
 
 def encode_visible(
     model: PretrainModel,
@@ -268,8 +256,7 @@ def decode_masked(
             raise PretrainError("mask/visible row mismatch at decode")
         h = tt.index_add(dec.pos, spec.visible, latents)
         if spec.masked.size:
-            fill = tt.add(Tensor(np.zeros((spec.masked.size, model.enc_cfg.d))), dec.mask_token)
-            h = tt.index_add(h, spec.masked, fill)
+            h = tt.index_add(h, spec.masked, tt.tile_rows(dec.mask_token, spec.masked.size))
         for block in dec.blocks:
             h = block(h, model.enc_cfg.rms_eps)
         pixels = dec.out(h)
@@ -279,10 +266,6 @@ def decode_masked(
 
 # ---------------------------------------------------------------------------
 # losses
-
-
-def _pixel_mask(spec: MaskSpec, patch: tuple[int, int]) -> np.ndarray:
-    return np.kron(spec.omega.astype(float), np.ones(patch))[..., None]
 
 
 def mask_loss(
@@ -300,7 +283,7 @@ def mask_loss(
             raise PretrainError(f"reconstruction shape {recon.shape} != target {target.shape}")
         ph = target.shape[0] // spec.omega.shape[0]
         pw = target.shape[1] // spec.omega.shape[1]
-        pix = _pixel_mask(spec, (ph, pw))
+        pix = pixel_mask(spec.omega, (ph, pw))[..., None]
         term = tt.tsum(tt.square(tt.mul(tt.sub(recon, Tensor(target)), Tensor(pix))))
         sse = term if sse is None else tt.add(sse, term)
         count += int(spec.masked.size) * ph * pw * target.shape[2]
@@ -316,19 +299,19 @@ def contrastive_loss(
 ) -> Tensor:
     """Sum over non-CSI modalities of InfoNCE with CSI as the anchor.
 
-    anchors[i] and others[m][i] are [d] embeddings of the i-th complete
+    anchors[i] and others[m][i] are [1, d] embeddings of the i-th complete
     sample; similarity is the raw dot product over tau. Returns a constant
     zero when fewer than two complete samples exist."""
     b = len(anchors)
     if b <= 1:
         return Tensor(0.0)
-    z_csi = tt.concat([tt.reshape(z, (1, -1)) for z in anchors], axis=0)
+    z_csi = tt.concat(anchors, axis=0)
     total: Tensor | None = None
     diag = np.arange(b)[:, None]
     for m, zs in others.items():
         if len(zs) != b:
             raise PretrainError("contrastive_loss: ragged batch")
-        z_m = tt.concat([tt.reshape(z, (1, -1)) for z in zs], axis=0)
+        z_m = tt.concat(zs, axis=0)
         s = tt.mul(tt.matmul(z_csi, tt.transpose(z_m, (1, 0))), Tensor(1.0 / tau))
         log_z = tt.logsumexp_rows(s)  # [b, 1]
         pos = tt.take_along_last(s, diag)  # [b, 1]
@@ -510,22 +493,15 @@ def prepare_step_inputs(
                 present.remove(m)
         work = sample
         if Modality.CSI in present and cfg.snr_range is not None:
-            snr = float(rng.uniform(*cfg.snr_range))
-            work = MultimodalSample(
-                index=sample.index,
-                csi=add_awgn(sample.csi, snr, rng),
-                radar=sample.radar,
-                map=sample.map,
-                labels=sample.labels,
-            )
+            work = with_noisy_csi(sample, cfg.snr_range, rng)
         prepped = {m: preprocess(work, m, tok_cfg) for m in MODALITY_ORDER if m in present}
         masks = {}
         for m in (m for m in MODALITY_ORDER if m in present):
-            grid = tok_cfg.spec(m).grid
+            spec = tok_cfg.spec(m)
             if m == Modality.CSI:
-                masks[m] = mask_for(m, scheme, grid, rng, patch_w=tok_cfg.spec(m).patch[1])
+                masks[m] = sample_mask(scheme, spec.grid, rng, spec.patch[1], m)
             else:
-                masks[m] = mask_for(m, sample_scheme("random", rng), grid, rng)
+                masks[m] = sample_mask(sample_scheme("random", rng), spec.grid, rng, modality=m)
         prepped_all.append(prepped)
         masks_all.append(masks)
     return StepInputs(prepped=prepped_all, masks=masks_all, scheme=scheme)
@@ -552,14 +528,12 @@ def step_objective(
         count_total += count
         all_stats.extend(res.stats)
         if all(m in prepped for m in MODALITY_ORDER):
-            pooled = {m: tt.tmean(res.rows(m), axis=0) for m in MODALITY_ORDER}
-            anchors.append(model.proj[Modality.CSI](tt.reshape(pooled[Modality.CSI], (1, -1))))
+            pooled = {m: tt.tmean(res.rows(m), axis=0, keepdims=True) for m in MODALITY_ORDER}
+            anchors.append(model.proj[Modality.CSI](pooled[Modality.CSI]))
             for m in (Modality.RADAR, Modality.MAP):
-                others[m].append(model.proj[m](tt.reshape(pooled[m], (1, -1))))
+                others[m].append(model.proj[m](pooled[m]))
     l_mask = tt.mul(sse_total, Tensor(1.0 / count_total))
-    anchors_flat = [tt.reshape(z, (-1,)) for z in anchors]
-    others_flat = {m: [tt.reshape(z, (-1,)) for z in zs] for m, zs in others.items()}
-    l_cl = contrastive_loss(anchors_flat, others_flat, cfg.tau)
+    l_cl = contrastive_loss(anchors, others, cfg.tau)
     l_lb = load_balance_loss(all_stats, model.enc_cfg.n_experts)
     loss = PretrainLoss(
         total=total_loss(l_mask, l_cl, l_lb, cfg.lambda_cl, cfg.lambda_lb),

@@ -226,6 +226,12 @@ def add_awgn(
     return ChannelSample(ComplexTensor(h + noise), csi.f0, csi.bw, snr_db=snr_db)
 
 
+def with_noisy_csi(sample: MultimodalSample, snr_range, rng: np.random.Generator) -> MultimodalSample:
+    """A copy of sample whose CSI carries noise at an SNR drawn from U(snr_range)."""
+    snr = float(rng.uniform(*snr_range))
+    return dataclasses.replace(sample, csi=add_awgn(sample.csi, snr, rng))
+
+
 def beam_codebook(n_elements: int, n_beams: int) -> np.ndarray:
     """DFT beams w_b[n] = exp(j 2 pi n b / n_beams) / sqrt(n_elements)."""
     n = np.arange(n_elements)[None, :]
@@ -559,11 +565,20 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(canonical_json(manifest).encode()).hexdigest()
 
 
-def _field(record, key: str, where: str):
-    """record[key] from a parsed manifest, or a SceneError naming the key."""
+_NUMBER = (int, float)
+_LABEL_TYPES = {"beam_index": int, "distance_m": _NUMBER, "aoa_rad": _NUMBER}
+
+
+def _field(record, key: str, where: str, kind):
+    """record[key] from a parsed manifest if it is of type kind, or a
+    SceneError naming the key."""
     if not isinstance(record, dict) or key not in record:
         raise SceneError(f"dataset manifest: {where} has no {key!r}")
-    return record[key]
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise SceneError(f"dataset manifest: {where} {key!r} must be {names}, got {type(value).__name__}")
+    return value
 
 
 def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dict]:
@@ -574,26 +589,27 @@ def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dic
     if not isinstance(manifest, dict) or manifest.get("format") != "misac-dataset":
         raise SceneError("not a dataset manifest")
     root = path.parent
-    cfg = _field(manifest, "config", "the manifest")
+    cfg = _field(manifest, "config", "the manifest", dict)
     samples = []
-    for i, e in enumerate(_field(manifest, "samples", "the manifest")):
+    for i, e in enumerate(_field(manifest, "samples", "the manifest", list)):
         where = f"sample {i}"
-        files = _field(e, "files", where)
+        files = _field(e, "files", where, dict)
+        paths = {m: root / _field(files, m, f"{where} files", str) for m in ("csi", "radar", "map") if m in files}
         csi = radar = smap = None
-        if "csi" in files:
-            f0, bw = _field(cfg, "f0", "config"), _field(cfg, "bw", "config")
-            csi = ChannelSample(ComplexTensor(read_mstn(root / files["csi"])), f0=f0, bw=bw)
-        if "radar" in files:
-            stacked = read_mstn(root / files["radar"])
+        if "csi" in paths:
+            f0, bw = _field(cfg, "f0", "config", _NUMBER), _field(cfg, "bw", "config", _NUMBER)
+            csi = ChannelSample(ComplexTensor(read_mstn(paths["csi"])), f0=f0, bw=bw)
+        if "radar" in paths:
+            stacked = read_mstn(paths["radar"])
             radar = RadarMaps(ra=ComplexTensor(stacked[0]), rv=ComplexTensor(stacked[1]))
-        if "map" in files:
-            packed = read_mstn(root / files["map"])
+        if "map" in paths:
+            packed = read_mstn(paths["map"])
             smap = SceneMap(bev=packed[..., :3], height=packed[..., 3:])
-        lab = _field(e, "labels", where)
-        labels = {f.name: _field(lab, f.name, f"{where} labels") for f in dataclasses.fields(Labels)}
+        lab = _field(e, "labels", where, dict)
+        labels = {k: _field(lab, k, f"{where} labels", kind) for k, kind in _LABEL_TYPES.items()}
         samples.append(
             MultimodalSample(
-                index=_field(e, "index", where), csi=csi, radar=radar, map=smap, labels=Labels(**labels)
+                index=_field(e, "index", where, int), csi=csi, radar=radar, map=smap, labels=Labels(**labels)
             )
         )
     return samples, manifest

@@ -85,70 +85,14 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError("item: tensor is not scalar")
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # operator sugar; floats/arrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, astensor(other))
-
-    def __radd__(self, other):
-        return add(astensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, astensor(other))
-
-    def __rsub__(self, other):
-        return sub(astensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, astensor(other))
-
-    def __rmul__(self, other):
-        return mul(astensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, astensor(other))
-
-    def __rtruediv__(self, other):
-        return div(astensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, astensor(other))
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-
-def astensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _emit(op: str, out_data: np.ndarray, vjps) -> Tensor:
@@ -213,10 +157,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         [(a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
          (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))],
     )
-
-
-def neg(a: Tensor) -> Tensor:
-    return _emit("neg", -a.data, [(a, lambda g: -g)])
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -324,16 +264,27 @@ def index_add(base: Tensor, idx, vals: Tensor) -> Tensor:
     return _emit("index_add", out, [(base, lambda g: g), (vals, lambda g: g[idx])])
 
 
+def _last_index(idx, n_rows: int, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """The [N, k] index and its row numbers; every row must name distinct
+    columns, so a fancy assignment places each value exactly once."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 2 or idx.shape[0] != n_rows:
+        raise ValueError(f"{op}: index must be [{n_rows}, k], got shape {idx.shape}")
+    ordered = np.sort(idx, axis=1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
+        raise ValueError(f"{op}: repeated index within a row")
+    return idx, np.arange(n_rows)[:, None]
+
+
 def take_along_last(a: Tensor, idx) -> Tensor:
     """Gather along the last axis of a 2D tensor; idx is [N, k] ints."""
     if a.data.ndim != 2:
         raise ValueError("take_along_last: expected a 2D tensor")
-    idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(a.data.shape[0])[:, None]
+    idx, rows = _last_index(idx, a.data.shape[0], "take_along_last")
 
     def vjp(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, (rows, idx), g)
+        out[rows, idx] = g
         return out
 
     return _emit("take_along_last", a.data[rows, idx], [(a, vjp)])
@@ -341,11 +292,21 @@ def take_along_last(a: Tensor, idx) -> Tensor:
 
 def scatter_last(vals: Tensor, idx, width: int) -> Tensor:
     """Inverse of take_along_last: place [N, k] vals into a dense [N, width]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(vals.data.shape[0])[:, None]
+    idx, rows = _last_index(idx, vals.data.shape[0], "scatter_last")
     out = np.zeros((vals.data.shape[0], width))
-    np.add.at(out, (rows, idx), vals.data)
+    out[rows, idx] = vals.data
     return _emit("scatter_last", out, [(vals, lambda g: g[rows, idx])])
+
+
+def tile_rows(v: Tensor, n: int) -> Tensor:
+    """Stack n copies of the vector v as the rows of an [n, d] tensor."""
+    if v.data.ndim != 1:
+        raise ValueError("tile_rows: expected a 1-D tensor")
+
+    def vjp(g):
+        return g.sum(axis=0)
+
+    return _emit("tile_rows", np.tile(v.data, (n, 1)), [(v, vjp)])
 
 
 def grouped_linear(x: Tensor, ws: Sequence[Tensor], bs: Sequence[Tensor], offsets) -> Tensor:
@@ -487,23 +448,6 @@ def sqrt(a: Tensor) -> Tensor:
 
 def square(a: Tensor) -> Tensor:
     return _emit("square", a.data * a.data, [(a, lambda g: g * 2.0 * a.data)])
-
-
-def sin(a: Tensor) -> Tensor:
-    return _emit("sin", np.sin(a.data), [(a, lambda g: g * np.cos(a.data))])
-
-
-def cos(a: Tensor) -> Tensor:
-    return _emit("cos", np.cos(a.data), [(a, lambda g: -g * np.sin(a.data))])
-
-
-def erf(a: Tensor) -> Tensor:
-    out = special.erf(a.data)
-
-    def vjp(g):
-        return g * (2.0 / math.sqrt(math.pi)) * np.exp(-a.data * a.data)
-
-    return _emit("erf", out, [(a, vjp)])
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -674,36 +618,13 @@ def grad_check(
 
 
 class ComplexTensor:
-    """Thin wrapper over a complex128 numpy array.
-
-    Exists so synthesis code has a single currency for complex data and a
-    direct bridge into the real-valued model domain (re/im stacked on a
-    trailing axis).
-    """
+    """Thin wrapper over a complex128 numpy array, the currency of the
+    synthesis code for complex data."""
 
     __slots__ = ("data",)
 
     def __init__(self, data) -> None:
         self.data = np.asarray(data, dtype=np.complex128)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def re(self) -> np.ndarray:
-        return self.data.real
-
-    @property
-    def im(self) -> np.ndarray:
-        return self.data.imag
-
-    def to_real(self) -> np.ndarray:
-        """Stack (re, im) on a new trailing axis: [...,] -> [..., 2]."""
-        return np.stack([self.data.real, self.data.imag], axis=-1)
-
-    def __repr__(self) -> str:
-        return f"ComplexTensor(shape={self.data.shape})"
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,10 @@ class ModalitySpec:
     def grid(self) -> tuple[int, int]:
         return self.height // self.patch[0], self.width // self.patch[1]
 
+    @property
+    def n_tokens(self) -> int:
+        return self.grid[0] * self.grid[1]
+
 
 @dataclass(frozen=True)
 class TokenizerConfig:
@@ -153,16 +157,6 @@ def patchify(x: np.ndarray, patch: tuple[int, int]) -> np.ndarray:
     )
 
 
-def unpatchify_np(tokens: np.ndarray, grid: tuple[int, int], patch: tuple[int, int], channels: int) -> np.ndarray:
-    gr, gc = grid
-    ph, pw = patch
-    return (
-        tokens.reshape(gr, gc, ph, pw, channels)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(gr * ph, gc * pw, channels)
-    )
-
-
 def unpatchify(tokens: Tensor, grid: tuple[int, int], patch: tuple[int, int], channels: int) -> Tensor:
     """Differentiable inverse of patchify for [n_tokens, ph*pw*C] tensors."""
     gr, gc = grid
@@ -188,12 +182,3 @@ def patchify_embed(prepped: Prepped, w: Tensor, b: Tensor, cfg: TokenizerConfig)
     tokens = tt.linear(Tensor(patches), w, b)
     return TokenSequence(tokens=tokens, modality=prepped.modality, grid=spec.grid)
 
-
-def desk_tokenizer() -> TokenizerConfig:
-    """Small footprint used across the test suite: 128 + 64 + 64 tokens."""
-    return TokenizerConfig(
-        d=64,
-        csi=ModalitySpec(16, 32, (2, 2)),
-        map=ModalitySpec(64, 64, (8, 8)),
-        radar=ModalitySpec(64, 64, (8, 8)),
-    )

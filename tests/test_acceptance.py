@@ -145,7 +145,6 @@ def _primitive_checks(rng) -> dict[str, float]:
     check("mul", lambda: ([a35, b35], lambda: scalarize(tt.mul(a35, b35))))
     den = p((3, 5), positive=True)
     check("div", lambda: ([a35, den], lambda: scalarize(tt.div(a35, den))))
-    check("neg", lambda: ([a35], lambda: scalarize(tt.neg(a35))))
     check("matmul", lambda: ([a35, b53], lambda: scalarize(tt.matmul(a35, b53))))
     check("transpose", lambda: ([a35], lambda: scalarize(tt.transpose(a35, (1, 0)))))
     check("reshape", lambda: ([a35], lambda: scalarize(tt.reshape(a35, (5, 3)))))
@@ -170,9 +169,6 @@ def _primitive_checks(rng) -> dict[str, float]:
     check("log", lambda: ([pos], lambda: scalarize(tt.log(pos))))
     check("sqrt", lambda: ([pos], lambda: scalarize(tt.sqrt(pos))))
     check("square", lambda: ([a35], lambda: scalarize(tt.square(a35))))
-    check("sin", lambda: ([a35], lambda: scalarize(tt.sin(a35))))
-    check("cos", lambda: ([a35], lambda: scalarize(tt.cos(a35))))
-    check("erf", lambda: ([a35], lambda: scalarize(tt.erf(a35))))
     check("gelu", lambda: ([a35], lambda: scalarize(tt.gelu(a35))))
     check("softmax", lambda: ([a35], lambda: scalarize(tt.mul(tt.softmax(a35), b35))))
     gain = p((5,))
@@ -195,6 +191,8 @@ def _primitive_checks(rng) -> dict[str, float]:
         "combine_rows",
         lambda: ([out65, w32], lambda: scalarize(tt.combine_rows(out65, w32, places, pairs))),
     )
+    row5 = p((5,))
+    check("tile_rows", lambda: ([row5], lambda: scalarize(tt.mul(tt.tile_rows(row5, 3), a35))))
     return errs
 
 
@@ -419,8 +417,8 @@ def test_criterion_5_loss_identities():
     t0 = time.perf_counter()
     b = 8
     z = np.random.default_rng(0).standard_normal(16)
-    anchors = [Tensor(z.copy()) for _ in range(b)]
-    others = {Modality.RADAR: [Tensor(z.copy()) for _ in range(b)]}
+    anchors = [Tensor(z[None].copy()) for _ in range(b)]
+    others = {Modality.RADAR: [Tensor(z[None].copy()) for _ in range(b)]}
     info = contrastive_loss(anchors, others, tau=0.07).item()
     assert abs(info - math.log(b)) < 1e-9
 

@@ -464,6 +464,17 @@ class TestCliSurface:
         assert code == 1
         assert "sample 0 has no 'labels'" in capsys.readouterr().err
 
+    def test_manifest_wrong_type_is_validation_error(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["samples"][0]["files"] = list(manifest["samples"][0]["files"])
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["stats", "--config", str(cfg), "--data", str(data), "--checkpoint", str(root / "pre.msck")])
+        assert code == 1
+        assert "sample 0 'files' must be dict, got list" in capsys.readouterr().err
+
     def test_missing_subcommand_is_validation_error(self, capsys):
         assert main([]) == 1
 

@@ -74,7 +74,7 @@ class TestPresets:
         synth = cfg.data.synth_config(cfg.model)
         assert synth.radar.out_size == 32
         samples, _ = synth_dataset(synth, 2, seed=0)
-        assert samples[0].radar.ra.shape == samples[0].radar.rv.shape == (32, 32)
+        assert samples[0].radar.ra.data.shape == samples[0].radar.rv.data.shape == (32, 32)
         m = cfg.model
         model = PretrainModel(m.encoder_config(), m.tokenizer_config(), np.random.default_rng(0))
         settings = PretrainSettings(steps=1, batch_size=2, modality_dropout=0.0)

@@ -34,47 +34,67 @@ def embed_all(model, prepped):
     return [(m, model.embed_tokens(model.tokenize(prepped[m]))) for m in Modality]
 
 
+def topk_oracle(row: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
+    """One logit row routed by hand: the k largest logits, ties to the lower
+    expert index, renormalized by a softmax over those k."""
+    idx = sorted(range(row.size), key=lambda e: (-row[e], e))[:k]
+    e = np.exp(row[idx] - row[idx].max())
+    return idx, e / e.sum()
+
+
+def route(logits: Tensor, k: int) -> enc.PoolStats:
+    """The routing that _dispatch applies to the rows of logits."""
+    n, K = logits.shape
+    pool = enc.ExpertPool(np.random.default_rng(0), EncoderConfig(d=4, n_heads=1, n_experts=K, top_k=k), "csi")
+    return enc._dispatch(pool, Tensor(np.zeros((n, 4))), logits, k, 0, None)[1]
+
+
 class TestTopkSoftmax:
     def test_frozen_example(self):
-        dec = enc.topk_softmax(Tensor([2.0, 1.0, 0.0, -1.0]), k=2)
-        np.testing.assert_array_equal(dec.indices, [0, 1])
-        np.testing.assert_allclose(dec.weights.data, [0.7311, 0.2689], atol=1e-4)
-        assert dec.weights.data.sum() == pytest.approx(1.0)
+        stats = route(Tensor([[2.0, 1.0, 0.0, -1.0]]), k=2)
+        np.testing.assert_array_equal(stats.selected, [[0, 1]])
+        np.testing.assert_allclose(stats.weights.data, [[0.7311, 0.2689, 0.0, 0.0]], atol=1e-4)
+        assert stats.weights.data.sum() == pytest.approx(1.0)
 
     def test_uniform_logits_tie_to_lowest_indices(self):
-        dec = enc.topk_softmax(Tensor([1.0, 1.0, 1.0, 1.0]), k=2)
-        np.testing.assert_array_equal(dec.indices, [0, 1])
-        np.testing.assert_allclose(dec.weights.data, [0.5, 0.5])
+        stats = route(Tensor([[1.0, 1.0, 1.0, 1.0]]), k=2)
+        np.testing.assert_array_equal(stats.selected, [[0, 1]])
+        np.testing.assert_allclose(stats.weights.data, [[0.5, 0.5, 0.0, 0.0]])
 
     def test_k_equals_K_is_plain_softmax(self):
-        logits = Tensor(np.array([0.3, -1.2, 2.0, 0.0]))
-        dec = enc.topk_softmax(logits, k=4)
-        full = tt.softmax(tt.reshape(logits, (1, 4))).data[0]
-        np.testing.assert_allclose(dec.weights.data, full[dec.indices], atol=1e-12)
+        logits = Tensor(np.array([[0.3, -1.2, 2.0, 0.0]]))
+        stats = route(logits, k=4)
+        full = tt.softmax(logits).data
+        np.testing.assert_allclose(stats.weights.data, full, atol=1e-12)
 
     def test_k_out_of_range_rejected(self):
         with pytest.raises(enc.EncoderError):
-            enc.topk_softmax(Tensor([1.0, 2.0]), k=3)
+            EncoderConfig(n_experts=2, top_k=3)
         with pytest.raises(enc.EncoderError):
-            enc.topk_softmax(Tensor([1.0, 2.0]), k=0)
+            EncoderConfig(n_experts=2, top_k=0)
 
     def test_gradient_only_through_selected(self):
-        logits = Tensor([2.0, 1.0, 0.0, -1.0], requires_grad=True)
+        logits = Tensor([[2.0, 1.0, 0.0, -1.0]], requires_grad=True)
         with tt.Tape() as tape:
-            dec = enc.topk_softmax(logits, k=2)
-            loss = tt.tsum(tt.square(dec.weights))
+            stats = route(logits, k=2)
+            loss = tt.tsum(tt.square(stats.weights))
         tt.backward(loss, tape)
         assert logits.grad is not None
-        np.testing.assert_array_equal(logits.grad[2:], [0.0, 0.0])
-        assert np.any(logits.grad[:2] != 0)
+        np.testing.assert_array_equal(logits.grad[0, 2:], [0.0, 0.0])
+        assert np.any(logits.grad[0, :2] != 0)
 
     def test_batched_routing_matches_per_row(self):
         rng = np.random.default_rng(3)
-        logits = Tensor(rng.normal(size=(10, 8)))
-        sel = enc._topk_indices(logits.data, 4)
+        logits = rng.normal(size=(10, 8))
+        logits[4, [1, 6]] = logits[4].max()  # a tie for the top slot
+        batched = route(Tensor(logits), 4)
         for i in range(10):
-            dec = enc.topk_softmax(Tensor(logits.data[i]), 4)
-            np.testing.assert_array_equal(sel[i], dec.indices)
+            single = route(Tensor(logits[i : i + 1]), 4)
+            np.testing.assert_array_equal(batched.selected[i], single.selected[0])
+            np.testing.assert_array_equal(batched.weights.data[i], single.weights.data[0])
+            idx, w = topk_oracle(logits[i], 4)
+            np.testing.assert_array_equal(batched.selected[i], idx)
+            np.testing.assert_allclose(batched.weights.data[i, idx], w, atol=1e-15)
 
 
 class TestDispatch:
@@ -87,10 +107,11 @@ class TestDispatch:
         y, stats = enc._dispatch(pool, x, logits, 3, layer=0, frozen=None)
         want = np.zeros((9, 12))
         for i in range(9):
-            dec = enc.topk_softmax(Tensor(logits.data[i]), 3)
-            for slot, e in enumerate(dec.indices):
+            idx, w = topk_oracle(logits.data[i], 3)
+            np.testing.assert_array_equal(stats.selected[i], idx)
+            for slot, e in enumerate(idx):
                 row = Tensor(x.data[i : i + 1])
-                want[i] += dec.weights.data[slot] * pool.experts[e](row).data[0]
+                want[i] += w[slot] * pool.experts[e](row).data[0]
         np.testing.assert_allclose(y.data, want, atol=1e-10)
 
     def test_dense_weights_rows_sum_to_one_and_load(self):
@@ -281,11 +302,12 @@ class TestAttention:
         cfg = EncoderConfig(d=12, n_heads=3)
         block = enc.EncoderBlock(rng, cfg)
         h = rng.normal(size=(7, 12))
-        got = enc.attention(Tensor(h), block, 3).data
+        attn = block.attn
+        got = enc.attention(Tensor(h), attn, 3).data
 
-        q = h @ block.wq.w.data + block.wq.b.data
-        k = h @ block.wk.w.data + block.wk.b.data
-        v = h @ block.wv.w.data + block.wv.b.data
+        q = h @ attn.q.w.data + attn.q.b.data
+        k = h @ attn.k.w.data + attn.k.b.data
+        v = h @ attn.v.w.data + attn.v.b.data
         outs = []
         for hd in range(3):
             sl = slice(hd * 4, (hd + 1) * 4)
@@ -293,7 +315,7 @@ class TestAttention:
             e = np.exp(s - s.max(axis=1, keepdims=True))
             a = e / e.sum(axis=1, keepdims=True)
             outs.append(a @ v[:, sl])
-        want = np.concatenate(outs, axis=1) @ block.wo.w.data + block.wo.b.data
+        want = np.concatenate(outs, axis=1) @ attn.o.w.data + attn.o.b.data
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 

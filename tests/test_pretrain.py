@@ -24,7 +24,6 @@ from misac.pretrain import (
     decode_masked,
     encode_visible,
     load_balance_loss,
-    mask_for,
     mask_loss,
     prepare_step_inputs,
     pretrain_step,
@@ -37,11 +36,6 @@ from misac.pretrain import (
 from misac.synth import SynthConfig, synth_dataset
 from misac.tensor import Tensor
 from misac.tokenizer import Modality, ModalitySpec, Prepped, TokenizerConfig, preprocess
-
-
-def spec_from_omega(modality: Modality, omega: np.ndarray) -> MaskSpec:
-    flat = omega.reshape(-1)
-    return MaskSpec(modality, np.nonzero(~flat)[0], np.nonzero(flat)[0], omega)
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +111,11 @@ class TestMaskSchemes:
         with pytest.raises(PretrainError):
             sample_mask(MaskScheme("random", ratio=0.9), (1, 2), np.random.default_rng(0))
 
-    def test_mask_for_sets_modality(self):
-        spec = mask_for(
-            Modality.RADAR, MaskScheme("random", ratio=0.5), (2, 2), np.random.default_rng(0)
-        )
+    def test_sample_mask_sets_modality(self):
+        scheme = MaskScheme("random", ratio=0.5)
+        spec = sample_mask(scheme, (2, 2), np.random.default_rng(0), modality=Modality.RADAR)
         assert spec.modality == Modality.RADAR
+        assert sample_mask(scheme, (2, 2), np.random.default_rng(0)).modality == Modality.CSI
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +128,7 @@ class TestMaskLoss:
         self.target = rng.normal(size=(4, 8, 2))
         omega = np.zeros((2, 4), dtype=bool)
         omega[0, 1] = omega[1, 3] = omega[1, 0] = True  # 3 masked tokens of 8
-        self.spec = spec_from_omega(Modality.CSI, omega)
+        self.spec = MaskSpec.from_omega(Modality.CSI, omega)
 
     def test_zero_when_reconstruction_matches(self):
         norm, unnorm, count = mask_loss(
@@ -167,7 +161,7 @@ class TestMaskLoss:
         t2 = np.zeros((8, 8, 4))
         omega2 = np.zeros((2, 2), dtype=bool)
         omega2[0, 0] = True
-        spec2 = spec_from_omega(Modality.MAP, omega2)
+        spec2 = MaskSpec.from_omega(Modality.MAP, omega2)
         r2 = t2.copy()
         r2[0, 0, 0] = 1.0  # masked map pixel, squared error 1
         recon1 = self.target.copy()
@@ -203,12 +197,12 @@ def infonce_oracle(zc: np.ndarray, zm: np.ndarray, tau: float) -> float:
 
 class TestContrastiveLoss:
     def test_identical_embeddings_give_log_batch(self):
-        z = [Tensor(np.full(6, 0.3)) for _ in range(4)]
+        z = [Tensor(np.full((1, 6), 0.3)) for _ in range(4)]
         loss = contrastive_loss(z, {Modality.RADAR: list(z), Modality.MAP: list(z)})
         assert abs(loss.item() - 2.0 * math.log(4)) < 1e-9
 
     def test_orthogonal_pairs_drive_loss_to_zero(self):
-        zs = [Tensor(20.0 * np.eye(8)[i]) for i in range(4)]
+        zs = [Tensor(20.0 * np.eye(8)[i : i + 1]) for i in range(4)]
         loss = contrastive_loss(zs, {Modality.RADAR: list(zs)})
         assert loss.item() < 1e-6
 
@@ -218,10 +212,10 @@ class TestContrastiveLoss:
         zr = rng.normal(size=(5, 7))
         zm = rng.normal(size=(5, 7))
         loss = contrastive_loss(
-            [Tensor(z) for z in zc],
+            [Tensor(z[None]) for z in zc],
             {
-                Modality.RADAR: [Tensor(z) for z in zr],
-                Modality.MAP: [Tensor(z) for z in zm],
+                Modality.RADAR: [Tensor(z[None]) for z in zr],
+                Modality.MAP: [Tensor(z[None]) for z in zm],
             },
             tau=0.07,
         )
@@ -230,18 +224,18 @@ class TestContrastiveLoss:
 
     def test_small_batches_contribute_nothing(self):
         assert contrastive_loss([], {}).item() == 0.0
-        one = [Tensor(np.ones(4))]
+        one = [Tensor(np.ones((1, 4)))]
         assert contrastive_loss(one, {Modality.RADAR: list(one)}).item() == 0.0
 
     def test_ragged_batch_rejected(self):
-        zs = [Tensor(np.ones(4)) for _ in range(3)]
+        zs = [Tensor(np.ones((1, 4))) for _ in range(3)]
         with pytest.raises(PretrainError):
             contrastive_loss(zs, {Modality.RADAR: zs[:2]})
 
     def test_gradient_reaches_anchors(self):
         rng = np.random.default_rng(1)
-        zs = [Tensor(rng.normal(size=4), requires_grad=True) for _ in range(3)]
-        ys = [Tensor(rng.normal(size=4), requires_grad=True) for _ in range(3)]
+        zs = [Tensor(rng.normal(size=(1, 4)), requires_grad=True) for _ in range(3)]
+        ys = [Tensor(rng.normal(size=(1, 4)), requires_grad=True) for _ in range(3)]
         with tt.Tape() as tape:
             loss = contrastive_loss(zs, {Modality.MAP: ys})
         tt.backward(loss, tape)
@@ -471,7 +465,7 @@ def tiny_prepped(seed: int = 1) -> dict[Modality, Prepped]:
 def tiny_masks(seed: int = 2) -> dict[Modality, MaskSpec]:
     rng = np.random.default_rng(seed)
     return {
-        m: mask_for(m, MaskScheme("random", ratio=0.5), tiny_tok().spec(m).grid, rng)
+        m: sample_mask(MaskScheme("random", ratio=0.5), tiny_tok().spec(m).grid, rng, modality=m)
         for m in (Modality.CSI, Modality.MAP, Modality.RADAR)
     }
 
@@ -529,7 +523,7 @@ class TestEncodeDecode:
     def test_empty_mask_reconstructs_from_all_tokens(self):
         model, prepped = tiny_model(), tiny_prepped()
         omega = np.zeros((2, 4), dtype=bool)
-        spec = spec_from_omega(Modality.CSI, omega)
+        spec = MaskSpec.from_omega(Modality.CSI, omega)
         res = encode_visible(model, prepped, {Modality.CSI: spec})
         recons = decode_masked(model, res, {Modality.CSI: spec})
         assert recons[Modality.CSI].shape == (4, 8, 2)
@@ -540,7 +534,7 @@ class TestEncodeDecode:
         omega = np.ones((2, 4), dtype=bool)
         omega[0, 0] = False  # one visible token; encoder saw more
         other = dict(masks)
-        other[Modality.CSI] = spec_from_omega(Modality.CSI, omega)
+        other[Modality.CSI] = MaskSpec.from_omega(Modality.CSI, omega)
         with pytest.raises(PretrainError):
             decode_masked(model, res, other)
 

@@ -318,6 +318,31 @@ class TestDataset:
         with pytest.raises(synth.SceneError, match=repr(key)):
             synth.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "edit, where, key",
+        [
+            (lambda m: m.update(config=[]), "the manifest", "config"),
+            (lambda m: m["config"].update(bw="20e6"), "config", "bw"),
+            (lambda m: m.update(samples={}), "the manifest", "samples"),
+            (lambda m: m["samples"][0].update(files=list(m["samples"][0]["files"])), "sample 0", "files"),
+            (lambda m: m["samples"][1]["files"].update(csi=7), "sample 1 files", "csi"),
+            (lambda m: m["samples"][0].update(labels=[1, 2, 3]), "sample 0", "labels"),
+            (lambda m: m["samples"][1]["labels"].update(beam_index=2.0), "sample 1 labels", "beam_index"),
+            (lambda m: m["samples"][0]["labels"].update(distance_m="far"), "sample 0 labels", "distance_m"),
+            (lambda m: m["samples"][1]["labels"].update(aoa_rad=True), "sample 1 labels", "aoa_rad"),
+            (lambda m: m["samples"][1].update(index="1"), "sample 1", "index"),
+        ],
+        ids=["config", "bw", "samples", "files", "file_name", "labels", "beam_index", "distance_m", "aoa_rad", "index"],
+    )
+    def test_manifest_wrong_type_is_named(self, tmp_path, edit, where, key):
+        synth.synth_dataset(SynthConfig(), 2, 11, out_dir=tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(synth.SceneError, match=f"{where} {key!r} must be"):
+            synth.load_dataset(tmp_path)
+
     def test_scene_positions_stay_in_front_halfplane(self):
         cfg = SynthConfig()
         for seed in range(8):

@@ -1,7 +1,9 @@
 """Autodiff core: primitive gradients against central differences and
 hand-derived oracles, frozen activation values, serialization roundtrips."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,53 @@ def rmsnorm_composite(x, gain, eps=1e-6):
 
 def linear_composite(x, w, b):
     return T.add(T.matmul(x, w), b)
+
+
+def primitive_cases():
+    """The parameters and the scalar losses that test_each_primitive checks
+    by central differences: every differentiable primitive appears."""
+    r = rng()
+    a = T.Tensor(r.normal(size=(4, 3)) + 3.0, requires_grad=True)  # >0 for log/sqrt
+    b = T.Tensor(r.normal(size=(4, 3)) + 3.0, requires_grad=True)
+    v = T.Tensor(r.normal(size=(3, 5)), requires_grad=True)
+    # a's four rows fan out to k = 3 places each; pairs[place] is the flat
+    # (row * 3 + slot) index into the [4, 3] weight b
+    pos = np.array([[0, 5, 9], [1, 2, 10], [3, 6, 7], [4, 8, 11]])
+    pairs = np.array([0, 3, 4, 6, 9, 1, 7, 8, 10, 2, 5, 11])
+    last = np.array([[0, 2], [1, 0], [2, 1], [0, 1]])  # distinct columns within each row
+    cases = {
+        "add": lambda: T.tsum(T.add(a, b)),
+        "sub": lambda: T.tsum(T.square(T.sub(a, b))),
+        "mul": lambda: T.tsum(T.mul(a, b)),
+        "div": lambda: T.tsum(T.div(a, b)),
+        "matmul": lambda: T.tsum(T.square(T.matmul(a, v))),
+        "transpose": lambda: T.tsum(T.mul(T.transpose(a, (1, 0)), T.transpose(b, (1, 0)))),
+        "reshape": lambda: T.tsum(T.square(T.reshape(a, (2, 6)))),
+        "concat": lambda: T.tsum(T.square(T.concat([a, b], axis=1))),
+        "gather_rows": lambda: T.tsum(T.square(T.gather_rows(a, np.array([1, 3, 1])))),
+        "index_add": lambda: T.tsum(T.square(T.index_add(a, np.array([3, 0, 3, 1]), b))),
+        "take_along_last": lambda: T.tsum(T.square(T.take_along_last(a, last))),
+        "scatter_last": lambda: T.tsum(T.mul(T.scatter_last(T.take_along_last(a, last), last, 3), b)),
+        "tile_rows": lambda: T.tsum(T.mul(T.tile_rows(T.tsum(a, axis=0), 4), b)),
+        "exp": lambda: T.tsum(T.exp(T.mul(a, T.Tensor(0.3)))),
+        "log": lambda: T.tsum(T.log(a)),
+        "sqrt": lambda: T.tsum(T.sqrt(a)),
+        "square": lambda: T.tsum(T.square(a)),
+        "gelu": lambda: T.tsum(T.gelu(T.sub(a, b))),
+        "softmax": lambda: T.tsum(T.square(T.softmax(a))),
+        "mean_axis": lambda: T.tsum(T.square(T.tmean(a, axis=0, keepdims=True))),
+        "sum_axis": lambda: T.tsum(T.square(T.tsum(a, axis=1))),
+        "rmsnorm": lambda: T.tsum(T.square(T.rmsnorm(T.sub(a, b), T.mul(a, b)))),
+        "rmsnorm_1d": lambda: T.tsum(T.square(T.rmsnorm(T.reshape(a, (12,)), T.reshape(b, (12,))))),
+        "linear": lambda: T.tsum(T.square(T.linear(a, v, T.reshape(T.tsum(v, axis=0), (5,))))),
+        "linear_3d": lambda: T.tsum(T.square(T.linear(T.reshape(a, (2, 2, 3)), v, T.Tensor(np.ones(5))))),
+        "grouped_linear": lambda: T.tsum(T.square(T.grouped_linear(  # group 1 is empty
+            a, [v, v, v], [T.tsum(v, axis=0), T.tmean(v, axis=0), T.tsum(T.square(v), axis=0)], [0, 1, 1, 4]
+        ))),
+        "dispatch_rows": lambda: T.tsum(T.mul(T.dispatch_rows(a, pos), T.concat([b, a, b], axis=0))),
+        "combine_rows": lambda: T.tsum(T.square(T.combine_rows(T.concat([a, b, a], axis=0), b, pos, pairs))),
+    }
+    return [a, b, v], cases
 
 
 def tape_grads(f, params):
@@ -302,54 +351,47 @@ class TestBackward:
         with pytest.raises(ValueError, match="one out row per place"):
             T.combine_rows(T.Tensor(np.zeros((3, 3))), w, good_pos, good_pairs)
 
+    def test_last_axis_ops_assign_like_add_at_and_reject_repeats(self):
+        r = rng()
+        x = T.Tensor(r.normal(size=(3, 5)), requires_grad=True)
+        sel = np.array([[4, 0], [1, 3], [2, 1]])
+        g = r.normal(size=(3, 2))
+        want = np.zeros((3, 5))
+        np.add.at(want, (np.arange(3)[:, None], sel), g)
+        np.testing.assert_array_equal(T.scatter_last(T.Tensor(g), sel, 5).data, want)
+        with T.Tape() as tape:
+            T.take_along_last(x, sel)
+        np.testing.assert_array_equal(tape.nodes[0].vjps[0][1](g), want)
+        for bad in ([[4, 4], [1, 3], [2, 1]], [[0, 1]], [0, 1, 2]):  # a repeat, too few rows, 1-D
+            with pytest.raises(ValueError):
+                T.take_along_last(x, bad)
+            with pytest.raises(ValueError):
+                T.scatter_last(T.Tensor(g), bad, 5)
+
+    @pytest.mark.parametrize("n", [1, 3, 37, 130, 257])
+    def test_tile_rows_matches_add_onto_zeros(self, n):
+        r = rng()
+        v = T.Tensor(r.normal(size=8) * 10.0 ** r.integers(-6, 6, size=8), requires_grad=True)
+        up = T.Tensor(r.normal(size=(n, 8)))
+        got, nodes = tape_grads(lambda: T.tsum(T.mul(T.tile_rows(v, n), up)), [v])
+        want, _ = tape_grads(lambda: T.tsum(T.mul(T.add(T.Tensor(np.zeros((n, 8))), v), up)), [v])
+        assert nodes == 3  # tile_rows, mul, sum
+        np.testing.assert_array_equal(T.tile_rows(v, n).data, np.zeros((n, 8)) + v.data)
+        np.testing.assert_array_equal(got[0], want[0])
+
 
 class TestGradCheck:
-    def test_sin_sum_below_1e7(self):
+    def test_exp_sum_below_1e7(self):
         w = T.Tensor(rng().normal(size=7), requires_grad=True)
-        err = T.grad_check(lambda: T.tsum(T.sin(w)), [w])
+        err = T.grad_check(lambda: T.tsum(T.exp(w)), [w])
         assert err < 1e-7
-        # the analytic path itself must be cos(w)
-        np.testing.assert_allclose(w.grad, np.cos(w.data), atol=1e-12)
+        # the analytic path itself must be exp(w)
+        np.testing.assert_allclose(w.grad, np.exp(w.data), atol=1e-12)
 
     def test_each_primitive(self):
-        r = rng()
-        a = T.Tensor(r.normal(size=(4, 3)) + 3.0, requires_grad=True)  # >0 for log/sqrt
-        b = T.Tensor(r.normal(size=(4, 3)) + 3.0, requires_grad=True)
-        v = T.Tensor(r.normal(size=(3, 5)), requires_grad=True)
-        # a's four rows fan out to k = 3 places each; pairs[place] is the flat
-        # (row * 3 + slot) index into the [4, 3] weight b
-        pos = np.array([[0, 5, 9], [1, 2, 10], [3, 6, 7], [4, 8, 11]])
-        pairs = np.array([0, 3, 4, 6, 9, 1, 7, 8, 10, 2, 5, 11])
-        cases = {
-            "add": lambda: T.tsum(T.add(a, b)),
-            "sub": lambda: T.tsum(T.square(T.sub(a, b))),
-            "mul": lambda: T.tsum(T.mul(a, b)),
-            "div": lambda: T.tsum(T.div(a, b)),
-            "neg": lambda: T.tsum(T.neg(T.mul(a, a))),
-            "matmul": lambda: T.tsum(T.square(T.matmul(a, v))),
-            "transpose": lambda: T.tsum(T.mul(T.transpose(a, (1, 0)), T.transpose(b, (1, 0)))),
-            "reshape": lambda: T.tsum(T.square(T.reshape(a, (2, 6)))),
-            "concat": lambda: T.tsum(T.square(T.concat([a, b], axis=1))),
-            "exp": lambda: T.tsum(T.exp(T.mul(a, T.Tensor(0.3)))),
-            "log": lambda: T.tsum(T.log(a)),
-            "sqrt": lambda: T.tsum(T.sqrt(a)),
-            "square": lambda: T.tsum(T.square(a)),
-            "sin": lambda: T.tsum(T.sin(a)),
-            "cos": lambda: T.tsum(T.cos(a)),
-            "erf": lambda: T.tsum(T.erf(a)),
-            "gelu": lambda: T.tsum(T.gelu(T.sub(a, b))),
-            "softmax": lambda: T.tsum(T.square(T.softmax(a))),
-            "mean_axis": lambda: T.tsum(T.square(T.tmean(a, axis=0, keepdims=True))),
-            "sum_axis": lambda: T.tsum(T.square(T.tsum(a, axis=1))),
-            "rmsnorm": lambda: T.tsum(T.square(T.rmsnorm(T.sub(a, b), T.mul(a, b)))),
-            "rmsnorm_1d": lambda: T.tsum(T.square(T.rmsnorm(T.reshape(a, (12,)), T.reshape(b, (12,))))),
-            "linear": lambda: T.tsum(T.square(T.linear(a, v, T.reshape(T.tsum(v, axis=0), (5,))))),
-            "linear_3d": lambda: T.tsum(T.square(T.linear(T.reshape(a, (2, 2, 3)), v, T.Tensor(np.ones(5))))),
-            "dispatch_rows": lambda: T.tsum(T.mul(T.dispatch_rows(a, pos), T.concat([b, a, b], axis=0))),
-            "combine_rows": lambda: T.tsum(T.square(T.combine_rows(T.concat([a, b, a], axis=0), b, pos, pairs))),
-        }
+        params, cases = primitive_cases()
         for name, f in cases.items():
-            err = T.grad_check(f, [a, b, v])
+            err = T.grad_check(f, params)
             assert err < 1e-7, f"{name}: {err}"
 
     def test_batched_matmul(self):
@@ -364,7 +406,7 @@ class TestGradCheck:
         x = T.Tensor(r.normal(size=(6, 4)), requires_grad=True)
         vals = T.Tensor(r.normal(size=(3, 4)), requires_grad=True)
         idx = np.array([1, 1, 4])  # duplicates on purpose
-        sel = np.array([[0, 2], [3, 1], [2, 2], [1, 0], [0, 3], [2, 1]])
+        sel = np.array([[0, 2], [3, 1], [2, 0], [1, 0], [0, 3], [2, 1]])
 
         def f_gather():
             return T.tsum(T.square(T.gather_rows(x, idx)))
@@ -534,13 +576,67 @@ class TestMstnFuzz:
             pass
 
 
-class TestComplexTensor:
-    def test_to_real_stacks_trailing(self):
-        z = T.ComplexTensor(np.array([[1 + 2j, 3 - 1j]]))
-        real = z.to_real()
-        assert real.shape == (1, 2, 2)
-        np.testing.assert_array_equal(real[..., 0], [[1.0, 3.0]])
-        np.testing.assert_array_equal(real[..., 1], [[2.0, -1.0]])
+# primitives that only the test oracles call: rmsnorm_composite is built from them
+ORACLE_ONLY = {"div", "sqrt"}
+
+
+def emitting_primitives() -> set[str]:
+    """The public misac.tensor functions that record tape nodes."""
+    return {
+        name for name, fn in vars(T).items()
+        if callable(fn) and not name.startswith("_") and getattr(fn, "__module__", None) == T.__name__
+        and "_emit" in getattr(getattr(fn, "__code__", None), "co_names", ())
+    }
+
+
+def tensor_calls_in_src() -> set[str]:
+    """Names of misac.tensor functions that src/misac calls, not counting a
+    call from inside the function's own definition."""
+    called = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        aliases, direct = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name == "tensor":
+                        aliases.add(alias.asname or alias.name)
+                    elif node.module == "tensor":
+                        direct[alias.asname or alias.name] = alias.name
+        if path.name == "tensor.py":
+            direct = {name: name for name in vars(T)}
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in aliases:
+                    name = f.attr
+                elif isinstance(f, ast.Name) and f.id in direct:
+                    name = direct[f.id]
+                else:
+                    continue
+                if not (path.name == "tensor.py" and name == owner):
+                    called.add(name)
+    return called
+
+
+class TestPrimitiveCoverage:
+    def test_every_primitive_is_used_and_grad_checked(self):
+        prims = emitting_primitives()
+        assert {"add", "matmul", "tile_rows", "combine_rows"} <= prims
+        assert ORACLE_ONLY <= prims
+        unused = prims - tensor_calls_in_src() - ORACLE_ONLY
+        assert not unused, f"primitives that src/misac never calls: {sorted(unused)}"
+        _, cases = primitive_cases()
+        checked = set()
+        for f in cases.values():
+            with T.Tape() as tape:
+                f()
+            checked |= {vjp.__qualname__.split(".<locals>.")[0] for node in tape.nodes for _, vjp in node.vjps}
+        unchecked = prims - checked
+        assert not unchecked, f"primitives missing from test_each_primitive: {sorted(unchecked)}"
 
 
 class TestTapeOpNames:

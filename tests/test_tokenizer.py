@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from misac import synth, tensor as tt, tokenizer as tok
+from misac.config import desk_config
 from misac.tensor import Tensor
 from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig
 
@@ -18,7 +19,13 @@ def sample():
 
 @pytest.fixture()
 def cfg():
-    return tok.desk_tokenizer()
+    return desk_config().model.tokenizer_config()
+
+
+def unpatchify_np(tokens, grid, patch, channels):
+    """Numpy inverse of patchify, the oracle for tokenizer.unpatchify."""
+    (gr, gc), (ph, pw) = grid, patch
+    return tokens.reshape(gr, gc, ph, pw, channels).transpose(0, 2, 1, 3, 4).reshape(gr * ph, gc * pw, channels)
 
 
 class TestCounts:
@@ -32,6 +39,7 @@ class TestCounts:
             for m in Modality
         )
         assert n == 256
+        assert [cfg.spec(m).n_tokens for m in Modality] == [128, 64, 64]
 
     def test_indivisible_patch_rejected(self):
         with pytest.raises(tok.TokenError):
@@ -67,14 +75,14 @@ class TestPatchify:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(12, 20, 3))
         patches = tok.patchify(x, (3, 4))
-        back = tok.unpatchify_np(patches, (4, 5), (3, 4), 3)
+        back = unpatchify_np(patches, (4, 5), (3, 4), 3)
         np.testing.assert_array_equal(back, x)
 
     def test_unpatchify_tensor_matches_numpy_and_grads_flow(self):
         rng = np.random.default_rng(6)
         t = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
         out = tok.unpatchify(t, (2, 3), (2, 2), 2)
-        np.testing.assert_array_equal(out.data, tok.unpatchify_np(t.data, (2, 3), (2, 2), 2))
+        np.testing.assert_array_equal(out.data, unpatchify_np(t.data, (2, 3), (2, 2), 2))
         err = tt.grad_check(lambda: tt.tsum(tt.square(tok.unpatchify(t, (2, 3), (2, 2), 2))), [t])
         assert err < 1e-7
 
@@ -110,6 +118,9 @@ class TestPreprocess:
         assert power == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
             prepped.array[..., 0] / prepped.scale, sample.csi.h.data.real, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            prepped.array[..., 1] / prepped.scale, sample.csi.h.data.imag, atol=1e-12
         )
 
     def test_zero_csi_guard(self, cfg):
