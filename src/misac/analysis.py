@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig, RunConfig
-from .downstream import RECON_TASKS, TASKS
-from .encoder import MODALITY_ORDER
+from .downstream import CHANNEL, HEAD_OUTPUTS, RECON_TASKS, TASKS
 from .pretrain import PretrainModel
 from .tokenizer import Modality
 
@@ -61,16 +60,6 @@ def _matmul(m: int, n: int, p: int) -> int:
     return 2 * m * n * p
 
 
-def _tokens(model: ModelConfig) -> dict[Modality, int]:
-    tok = model.tokenizer_config()
-    return {m: tok.spec(m).n_tokens for m in MODALITY_ORDER}
-
-
-def _patch_dims(model: ModelConfig) -> dict[Modality, int]:
-    tok = model.tokenizer_config()
-    return {m: tok.patch_dim(m) for m in MODALITY_ORDER}
-
-
 def _block_flops(model: ModelConfig, n_total: int, pool_tokens: list[int]) -> int:
     """One encoder block: attention over n_total tokens plus the shared pool
     (over all tokens) and one specific pool per modality segment."""
@@ -86,18 +75,17 @@ def _block_flops(model: ModelConfig, n_total: int, pool_tokens: list[int]) -> in
 
 
 def encoder_flops(model: ModelConfig, present: list[Modality]) -> int:
-    tokens = _tokens(model)
-    dims = _patch_dims(model)
-    n_by_mod = [tokens[m] for m in present]
+    tok = model.tokenizer_config()
+    n_by_mod = [tok.spec(m).n_tokens for m in present]
     n_total = sum(n_by_mod)
-    total = sum(_matmul(tokens[m], dims[m], model.d) for m in present)  # patch embed
+    total = sum(_matmul(tok.spec(m).n_tokens, tok.patch_dim(m), model.d) for m in present)  # patch embed
     total += model.n_layers * _block_flops(model, n_total, n_by_mod)
     return total
 
 
 def decoder_flops(model: ModelConfig, modality: Modality) -> int:
-    tokens = _tokens(model)[modality]
-    dims = _patch_dims(model)[modality]
+    tok = model.tokenizer_config()
+    tokens, dims = tok.spec(modality).n_tokens, tok.patch_dim(modality)
     d, h = model.d, model.hidden_mult
     per_block = 4 * _matmul(tokens, d, d) + 2 * _matmul(tokens, tokens, d)
     per_block += _matmul(tokens, d, h * d) + _matmul(tokens, h * d, d)
@@ -109,12 +97,11 @@ def task_flops(cfg: RunConfig, task: str) -> dict[str, int]:
     if task not in TASKS:
         raise AnalysisError(f"unknown task {task!r}")
     model = cfg.model
-    enc = encoder_flops(model, list(MODALITY_ORDER))
+    enc = encoder_flops(model, list(model.tokenizer_config().modalities))
     if task in RECON_TASKS:
-        rest = decoder_flops(model, Modality.CSI)
+        rest = decoder_flops(model, CHANNEL)
     else:
-        n_beams = cfg.data.synth_config(model).n_beams
-        n_out = {"beam_selection": n_beams, "localization": 1, "aoa_estimation": 2}[task]
+        n_out = HEAD_OUTPUTS[task] or cfg.data.synth_config(model).n_beams
         rest = _matmul(1, model.d, model.d) + _matmul(1, model.d, n_out)
     return {"encoder": enc, "task": rest, "total": enc + rest}
 

@@ -34,7 +34,7 @@ from .downstream import (
 )
 from .encoder import EncoderError
 from .pretrain import Adam, PretrainError, PretrainModel, run_pretrain
-from .synth import SceneError, load_dataset, manifest_hash, synth_dataset
+from .synth import MODALITY_NAMES, SceneError, load_dataset, manifest_hash, synth_dataset
 from .tensor import set_finite_checks
 from .tokenizer import TokenError
 
@@ -152,7 +152,7 @@ def _report(
     seed: int,
     **extra,
 ) -> dict:
-    modalities = [m for m in ("csi", "radar", "map") if m not in drop]
+    modalities = [m for m in MODALITY_NAMES if m not in drop]
     for name, value in sorted(metrics.items()):
         emit(
             {
@@ -189,7 +189,7 @@ def cmd_synth(args) -> int:
     synth_cfg = cfg.data.synth_config(cfg.model)
     samples, manifest = synth_dataset(synth_cfg, cfg.data.n_samples, seed, args.out)
     digest = manifest_hash(manifest)
-    counts = {m: sum(1 for s in samples if s.available[m]) for m in ("csi", "radar", "map")}
+    counts = {m: sum(1 for s in samples if s.available[m]) for m in MODALITY_NAMES}
     emit(
         {
             "kind": "dataset",
@@ -290,30 +290,20 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def _parse_drop(raw: str) -> tuple[str, ...]:
-    if not raw:
-        return ()
-    drop = tuple(part.strip() for part in raw.split(",") if part.strip())
-    for m in drop:
-        if m not in ("csi", "radar", "map"):
-            raise ConfigError(f"unknown modality {m!r} in --drop-modality")
-    if set(drop) == {"csi", "radar", "map"}:
-        raise ConfigError("cannot drop every modality")
-    return drop
-
-
 def cmd_eval(args) -> int:
     cfg, seed = _load(args)
     task = _task_of(cfg, args)
     fp = fingerprint(cfg)
-    drop = _parse_drop(args.drop_modality)
+    # --drop-modality replaces finetune.drop, validated the same way
+    drop = tuple(part.strip() for part in args.drop_modality.split(",") if part.strip())
+    run_cfg = dataclasses.replace(cfg, finetune=dataclasses.replace(cfg.finetune, drop=drop))
+    settings = run_cfg.validate().finetune.settings()
     samples, data_hash = _load_data(args.data)
     pre = _build_model(cfg, seed)
     n_beams = cfg.data.synth_config(cfg.model).n_beams
     model = FinetuneModel(pre, task, np.random.default_rng(seed + 1), n_beams=n_beams)
     ckpt = load_checkpoint(args.checkpoint, fp, force=args.force)
     restore(ckpt, model)
-    settings = dataclasses.replace(cfg.finetune.settings(), drop=drop)
     metrics = evaluate(model, samples, settings, seed=seed)
     _report(task, data_hash, drop, metrics, len(samples), seed)
     if drop:
@@ -350,16 +340,7 @@ def cmd_stats(args) -> int:
     emit({"kind": "flops", "per_task": flops})
     rows = routing_table(model, samples)
     for r in rows:
-        emit(
-            {
-                "kind": "routing",
-                "layer": r.layer,
-                "pool": r.pool,
-                "expert": r.expert,
-                "importance": r.importance,
-                "load": r.load,
-            }
-        )
+        emit({"kind": "routing", **dataclasses.asdict(r)})
     csv = routing_csv(rows)
     if args.out:
         Path(args.out).write_text(csv)

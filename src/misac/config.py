@@ -1,7 +1,8 @@
 """Single-file run configuration: model, data, pre-training, fine-tuning.
 
-A config is plain JSON on disk. Loading validates cross-field consistency
-(head divisibility, top_k <= n_experts, patches tiling the grids) and the
+A config is plain JSON on disk. Loading validates field types and ranges and
+cross-field consistency (head divisibility, top_k <= n_experts, patches
+tiling the grids) and the
 canonical serialization (sorted keys, no whitespace) is hashed to a
 fingerprint that checkpoints carry, so a checkpoint can refuse to load under
 a different configuration.
@@ -22,8 +23,8 @@ from pathlib import Path
 from .downstream import TASKS, FinetuneSettings
 from .encoder import EncoderConfig
 from .pretrain import PretrainSettings
-from .synth import RadarParams, SynthConfig
-from .tokenizer import ModalitySpec, TokenizerConfig
+from .synth import MODALITY_NAMES, RadarParams, SynthConfig
+from .tokenizer import MODALITY_ORDER, ModalitySpec, TokenizerConfig
 
 
 class ConfigError(ValueError):
@@ -50,31 +51,44 @@ class ModelConfig:
     height_scale: float = 30.0
 
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            d=self.d,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            n_experts=self.n_experts,
-            top_k=self.top_k,
-            hidden_mult=self.hidden_mult,
-            rms_eps=self.rms_eps,
-        )
+        return EncoderConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(EncoderConfig)})
 
     def tokenizer_config(self) -> TokenizerConfig:
-        return TokenizerConfig(
-            d=self.d,
-            csi=ModalitySpec(self.csi_height, self.csi_width, tuple(self.csi_patch)),
-            map=ModalitySpec(self.map_size, self.map_size, tuple(self.map_patch)),
-            radar=ModalitySpec(self.radar_size, self.radar_size, tuple(self.radar_patch)),
-            height_scale=self.height_scale,
-        )
+        grids = {
+            "csi": (self.csi_height, self.csi_width),
+            "map": (self.map_size, self.map_size),
+            "radar": (self.radar_size, self.radar_size),
+        }
+        specs = {
+            m: ModalitySpec(*grids[m.name], tuple(getattr(self, f"{m.name}_patch")))
+            for m in MODALITY_ORDER
+        }
+        return TokenizerConfig(d=self.d, specs=specs, height_scale=self.height_scale)
+
+
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _check_model_fields(m: ModelConfig) -> None:
+    """Every int field and patch pair is checked before any arithmetic uses
+    it; EncoderConfig then checks head divisibility and top_k <= n_experts."""
+    for f in dataclasses.fields(m):
+        value = getattr(m, f.name)
+        if f.name.endswith("_patch"):
+            if not (isinstance(value, (tuple, list)) and len(value) == 2 and all(_is_int(v, 1) for v in value)):
+                raise ConfigError(f"model.{f.name}={value!r} must be a pair of ints >= 1")
+        elif f.type == "int":
+            low = 0 if f.name == "decoder_blocks" else 1
+            if not _is_int(value, low):
+                raise ConfigError(f"model.{f.name}={value!r} must be an int >= {low}")
 
 
 @dataclass(frozen=True)
 class DataConfig:
     n_samples: int = 32
     seed: int = 0
-    availability: dict = field(default_factory=lambda: {"csi": 1.0, "radar": 1.0, "map": 1.0})
+    availability: dict = field(default_factory=lambda: dict.fromkeys(MODALITY_NAMES, 1.0))
     speed: tuple[float, float] = (-15.0, 15.0)
     include_los: bool = True
 
@@ -150,13 +164,10 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         m = self.model
-        if m.d % m.n_heads != 0:
-            raise ConfigError(f"d={m.d} not divisible by n_heads={m.n_heads}")
-        if not 1 <= m.top_k <= m.n_experts:
-            raise ConfigError(f"top_k={m.top_k} outside [1, {m.n_experts}]")
+        _check_model_fields(m)
         try:
             m.encoder_config()
-            m.tokenizer_config()
+            tok = m.tokenizer_config()
         except ValueError as e:
             raise ConfigError(str(e)) from e
         resolution = self.data.synth_config(m).map_resolution
@@ -167,7 +178,7 @@ class RunConfig:
         if self.data.n_samples < 1:
             raise ConfigError("data.n_samples must be >= 1")
         for mod, frac in self.data.availability.items():
-            if mod not in ("csi", "radar", "map"):
+            if mod not in MODALITY_NAMES:
                 raise ConfigError(f"unknown modality {mod!r} in availability")
             if not 0.0 <= float(frac) <= 1.0:
                 raise ConfigError(f"availability[{mod}]={frac} outside [0, 1]")
@@ -178,13 +189,20 @@ class RunConfig:
                 raise ConfigError(f"{name}: need 0 < lr_min <= lr_max")
         if not 0.0 <= self.pretrain.modality_dropout <= 1.0:
             raise ConfigError("pretrain.modality_dropout outside [0, 1]")
+        if not self.pretrain.tau > 0:
+            raise ConfigError(f"pretrain.tau={self.pretrain.tau!r} must be > 0")
+        if self.finetune.freeze not in ("full", "head"):
+            raise ConfigError(f"finetune.freeze={self.finetune.freeze!r} must be 'full' or 'head'")
         if self.finetune.task not in TASKS:
             raise ConfigError(
                 f"unknown task {self.finetune.task!r}; valid: {', '.join(TASKS)}"
             )
+        names = [t.name for t in tok.modalities]
         for mod in self.finetune.drop:
-            if mod not in ("csi", "radar", "map"):
-                raise ConfigError(f"unknown modality {mod!r} in finetune.drop")
+            if mod not in names:
+                raise ConfigError(f"unknown modality {mod!r} to drop; valid: {', '.join(names)}")
+        if set(names) <= set(self.finetune.drop):
+            raise ConfigError("cannot drop every modality")
         return self
 
 

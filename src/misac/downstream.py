@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .encoder import FrozenRouting, Linear, MODALITY_ORDER
+from .encoder import FrozenRouting, Linear
 from .pretrain import (
     Adam,
     MaskSpec,
@@ -54,6 +54,7 @@ TASKS = (
     "aoa_estimation",
 )
 RECON_TASKS = ("channel_prediction", "channel_estimation")
+CHANNEL = Modality.CSI  # the modality the reconstruction tasks hide and rebuild
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +67,7 @@ def prediction_mask(grid: tuple[int, int]) -> MaskSpec:
     n_hidden = max(1, round(0.25 * gc))
     omega = np.zeros(grid, dtype=bool)
     omega[:, gc - n_hidden :] = True
-    return MaskSpec.from_omega(Modality.CSI, omega)
+    return MaskSpec.from_omega(CHANNEL, omega)
 
 
 def estimation_mask(grid: tuple[int, int], spacing: int = 4) -> MaskSpec:
@@ -76,7 +77,7 @@ def estimation_mask(grid: tuple[int, int], spacing: int = 4) -> MaskSpec:
         raise DownstreamError("pilot spacing must lie in [2, grid_cols)")
     omega = np.ones(grid, dtype=bool)
     omega[:, np.arange(0, gc, spacing)] = False
-    return MaskSpec.from_omega(Modality.CSI, omega)
+    return MaskSpec.from_omega(CHANNEL, omega)
 
 
 def task_mask(task: str, grid: tuple[int, int]) -> MaskSpec | None:
@@ -170,7 +171,7 @@ class FinetuneModel:
         if not freeze_encoder:
             return params
         if self.task in RECON_TASKS:
-            keep = "decoder.csi."
+            keep = f"decoder.{CHANNEL.name}."
         else:
             keep = "head."
         return {k: p for k, p in params.items() if k.startswith(keep)}
@@ -198,17 +199,13 @@ def _prep_modalities(
     snr_range,
     rng: np.random.Generator | None,
 ) -> dict[Modality, Prepped]:
+    use = [m for m in model.tok_cfg.modalities if m.name not in drop and sample.available[m.source]]
     work = sample
-    if snr_range is not None and sample.csi is not None and "csi" not in drop:
+    if snr_range is not None and any(m.source == "csi" for m in use):
         if rng is None:
             raise DownstreamError("snr injection needs an rng")
         work = with_noisy_csi(sample, snr_range, rng)
-    prepped = {}
-    for m in MODALITY_ORDER:
-        name = m.name.lower()
-        if name in drop or not work.available[name]:
-            continue
-        prepped[m] = preprocess(work, m, model.tok_cfg)
+    prepped = {m: preprocess(work, m, model.tok_cfg) for m in use}
     if not prepped:
         raise DownstreamError("sample has no usable modality after drops")
     return prepped
@@ -226,23 +223,23 @@ def sample_loss(
     prepped = _prep_modalities(pre, sample, cfg.drop, cfg.snr_range, rng)
     task = model.task
     if task in RECON_TASKS:
-        if Modality.CSI not in prepped:
-            raise DownstreamError(f"{task} needs csi")
-        spec = task_mask(task, pre.tok_cfg.spec(Modality.CSI).grid)
-        masks = {Modality.CSI: spec}
+        if CHANNEL not in prepped:
+            raise DownstreamError(f"{task} needs {CHANNEL.name}")
+        spec = task_mask(task, pre.tok_cfg.spec(CHANNEL).grid)
+        masks = {CHANNEL: spec}
         res = encode_visible(pre, prepped, masks, frozen)
-        recon = decode_masked(pre, res, masks)[Modality.CSI]
-        target = prepped[Modality.CSI].array
+        recon = decode_masked(pre, res, masks)[CHANNEL]
+        target = prepped[CHANNEL].array
         if task == "channel_prediction":
-            loss, _, _ = mask_loss({Modality.CSI: recon}, {Modality.CSI: target}, masks)
+            loss, _, _ = mask_loss({CHANNEL: recon}, {CHANNEL: target}, masks)
         else:
             diff = tt.sub(recon, Tensor(target))
             loss = tt.tmean(tt.square(diff))
-        scale = prepped[Modality.CSI].scale
+        scale = prepped[CHANNEL].scale
         aux = {
             "recon": recon.data / scale,  # de-normalized
             "target": target / scale,
-            "mask_pixels": pixel_mask(spec.omega, pre.tok_cfg.spec(Modality.CSI).patch),
+            "mask_pixels": pixel_mask(spec.omega, pre.tok_cfg.spec(CHANNEL).patch),
         }
         return loss, aux
 

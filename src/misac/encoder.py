@@ -1,12 +1,12 @@
 """Unified multimodal encoder: shared attention over the concatenated token
 sequence, then a per-block mixture-of-experts FFN split into one shared pool
-(routed with a map-derived context vector) and one specific pool per
-modality (routed from the token alone).
+(routed with a context vector, the mean of the context modality's rows)
+and one specific pool per modality (routed from the token alone).
 
 Layout invariants:
 
-* Tokens concatenate in the fixed order [csi, map, radar], restricted to the
-  modalities present; segment bounds travel with the sequence.
+* Tokens concatenate in modality id order, restricted to the modalities
+  present; segment bounds travel with the sequence.
 * Routing is top-k over a truncated softmax: the k highest gate logits are
   renormalized, every other expert weight is exactly zero, and ties break
   toward the lower expert index. Gradients flow through the selected weights
@@ -25,9 +25,8 @@ import numpy as np
 
 from . import tensor as tt
 from .tensor import Tensor
+from .tokenizer import MODALITY_ORDER  # noqa: F401 - the benchmark reads the built-in modalities here
 from .tokenizer import Modality, Prepped, TokenizerConfig, TokenSequence, patchify_embed
-
-MODALITY_ORDER = (Modality.CSI, Modality.MAP, Modality.RADAR)
 
 
 class EncoderError(ValueError):
@@ -45,8 +44,8 @@ class EncoderConfig:
     rms_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.d < 1 or self.n_layers < 1:
-            raise EncoderError("width and depth must be >= 1")
+        if self.d < 1 or self.n_layers < 1 or self.n_heads < 1:
+            raise EncoderError("width, depth and heads must be >= 1")
         if self.d % self.n_heads:
             raise EncoderError("d must divide evenly into heads")
         if not 1 <= self.top_k <= self.n_experts:
@@ -116,12 +115,6 @@ class Segment:
 
 
 @dataclass
-class ContextVector:
-    vector: Tensor  # [d]
-    from_map: bool
-
-
-@dataclass
 class PoolStats:
     layer: int
     pool: str
@@ -135,10 +128,11 @@ def _topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-logits, axis=-1, kind="stable")[:, :k]
 
 
-def gate_shared(x: Tensor, ctx: ContextVector, pool: ExpertPool) -> Tensor:
+def gate_shared(x: Tensor, ctx: Tensor, pool: ExpertPool) -> Tensor:
+    """Gate logits of [token; context], with the [d] context on every row."""
     if pool.kind != "shared":
         raise EncoderError("gate_shared: pool is not the shared pool")
-    return pool.gate(tt.concat([x, tt.tile_rows(ctx.vector, x.shape[0])], axis=1))
+    return pool.gate(tt.concat([x, tt.tile_rows(ctx, x.shape[0])], axis=1))
 
 
 def gate_specific(x: Tensor, pool: ExpertPool) -> Tensor:
@@ -205,14 +199,14 @@ def attention(h: Tensor, attn: Attention, n_heads: int) -> Tensor:
 
 
 class EncoderBlock:
-    def __init__(self, rng, cfg: EncoderConfig):
+    def __init__(self, rng, cfg: EncoderConfig, modalities: tuple[Modality, ...]):
         d = cfg.d
         self.attn = Attention(rng, d)
         self.g_attn = Tensor(np.ones(d), requires_grad=True)
         self.g_shared = Tensor(np.ones(d), requires_grad=True)
         self.g_specific = Tensor(np.ones(d), requires_grad=True)
         self.shared = ExpertPool(rng, cfg, "shared")
-        self.specific = {m: ExpertPool(rng, cfg, m.name.lower()) for m in MODALITY_ORDER}
+        self.specific = {m: ExpertPool(rng, cfg, m.name) for m in modalities}
 
     def named(self, prefix: str):
         out = (
@@ -224,18 +218,17 @@ class EncoderBlock:
             ]
             + self.shared.named(f"{prefix}.shared")
         )
-        for m in MODALITY_ORDER:
-            out += self.specific[m].named(f"{prefix}.{m.name.lower()}")
+        for m, pool in self.specific.items():
+            out += pool.named(f"{prefix}.{m.name}")
         return out
 
 
-def pool_context(h: Tensor, segments: list[Segment]) -> ContextVector:
-    """Mean of the map segment rows; zeros (flagged) when no map is present."""
+def pool_context(h: Tensor, segments: list[Segment]) -> Tensor:
+    """Mean of the context modality's rows; zeros when it is absent."""
     for seg in segments:
-        if seg.modality == Modality.MAP:
-            rows = tt.gather_rows(h, np.arange(seg.start, seg.stop))
-            return ContextVector(vector=tt.tmean(rows, axis=0), from_map=True)
-    return ContextVector(vector=Tensor(np.zeros(h.shape[1])), from_map=False)
+        if seg.modality.context:
+            return tt.tmean(tt.gather_rows(h, np.arange(seg.start, seg.stop)), axis=0)
+    return Tensor(np.zeros(h.shape[1]))
 
 
 FrozenRouting = dict[tuple[int, str], np.ndarray]
@@ -244,7 +237,7 @@ FrozenRouting = dict[tuple[int, str], np.ndarray]
 def ss_dmoe_forward(
     x: Tensor,
     segments: list[Segment],
-    ctx: ContextVector,
+    ctx: Tensor,
     block: EncoderBlock,
     cfg: EncoderConfig,
     layer: int,
@@ -299,7 +292,7 @@ class EncodeResult:
         for seg in self.segments:
             if seg.modality == modality:
                 return seg
-        raise EncoderError(f"no {modality.name.lower()} segment")
+        raise EncoderError(f"no {modality.name} segment")
 
     def rows(self, modality: Modality) -> Tensor:
         seg = self.segment(modality)
@@ -321,11 +314,11 @@ class MultimodalEncoder:
         self.patch_embed: dict[Modality, Linear] = {}
         self.pos: dict[Modality, Tensor] = {}
         self.mod_id: dict[Modality, Tensor] = {}
-        for m in MODALITY_ORDER:
+        for m in tok_cfg.modalities:
             self.patch_embed[m] = Linear(rng, tok_cfg.patch_dim(m), cfg.d)
             self.pos[m] = Tensor(trunc_normal(rng, (tok_cfg.spec(m).n_tokens, cfg.d)), requires_grad=True)
             self.mod_id[m] = Tensor(np.zeros(cfg.d), requires_grad=True)
-        self.blocks = [EncoderBlock(rng, cfg) for _ in range(cfg.n_layers)]
+        self.blocks = [EncoderBlock(rng, cfg, tok_cfg.modalities) for _ in range(cfg.n_layers)]
 
     def tokenize(self, prepped: Prepped) -> TokenSequence:
         lin = self.patch_embed[prepped.modality]
@@ -348,11 +341,10 @@ class MultimodalEncoder:
     ) -> EncodeResult:
         if not parts:
             raise EncoderError("encode: no modalities")
-        order = {m: i for i, m in enumerate(MODALITY_ORDER)}
         seen = [m for m, _ in parts]
         if len(set(seen)) != len(seen):
             raise EncoderError("encode: duplicate modality")
-        parts = sorted(parts, key=lambda p: order[p[0]])
+        parts = sorted(parts, key=lambda p: p[0])
         segments, offset = [], 0
         for m, t in parts:
             segments.append(Segment(m, offset, offset + t.shape[0]))
@@ -366,10 +358,9 @@ class MultimodalEncoder:
 
     def named_params(self) -> dict[str, Tensor]:
         out: list[tuple[str, Tensor]] = []
-        for m in MODALITY_ORDER:
-            name = m.name.lower()
-            out += self.patch_embed[m].named(f"embed.{name}")
-            out += [(f"pos.{name}", self.pos[m]), (f"id.{name}", self.mod_id[m])]
+        for m, embed in self.patch_embed.items():
+            out += embed.named(f"embed.{m.name}")
+            out += [(f"pos.{m.name}", self.pos[m]), (f"id.{m.name}", self.mod_id[m])]
         for i, b in enumerate(self.blocks):
             out += b.named(f"block{i}")
         return dict(out)

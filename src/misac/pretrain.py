@@ -1,5 +1,6 @@
 """Self-supervised pre-training: masked multimodal reconstruction anchored
-by a CSI-centric contrastive term and an expert load-balancing penalty.
+by a contrastive term that binds every modality to the anchor modality (CSI)
+and an expert load-balancing penalty.
 
 The encoder only ever sees visible tokens. Reconstruction happens in a
 lightweight per-modality decoder: visible latents and a learnable mask token
@@ -9,11 +10,12 @@ maps back to patch pixels. The masked loss is charged on the masked support
 only, normalized by the number of masked scalar elements (the unnormalized
 sum is also reported).
 
-CSI masking draws one of three schemes per step: uniform random tokens,
-contiguous frequency stripes (whole token-columns), or a comb of visible
-token-columns derived from a subcarrier spacing. Radar and map grids reuse
-the random scheme. All per-sample routing decisions are exposed as stats so
-the load-balance term can aggregate over (layer, pool) pairs.
+The anchor's (CSI's) masking draws one of three schemes per step: uniform
+random tokens, contiguous frequency stripes (whole token-columns), or a comb
+of visible token-columns derived from a subcarrier spacing. Every other
+modality reuses the random scheme. All per-sample routing decisions are
+exposed as stats so the load-balance term can aggregate over (layer, pool)
+pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .encoder import (
     EncoderConfig,
     FrozenRouting,
     Linear,
-    MODALITY_ORDER,
     MultimodalEncoder,
     PoolStats,
     attention,
@@ -38,7 +39,7 @@ from .encoder import (
 )
 from .synth import MultimodalSample, with_noisy_csi
 from .tensor import Tensor
-from .tokenizer import CHANNELS, Modality, Prepped, TokenizerConfig, preprocess, unpatchify
+from .tokenizer import Modality, Prepped, TokenizerConfig, preprocess, unpatchify
 
 
 class PretrainError(ValueError):
@@ -82,13 +83,13 @@ def choose_csi_scheme(rng: np.random.Generator) -> MaskScheme:
 
 @dataclass
 class MaskSpec:
-    modality: Modality
+    modality: Modality | None
     visible: np.ndarray  # sorted token indices
     masked: np.ndarray  # sorted token indices
     omega: np.ndarray  # [grid_rows, grid_cols] bool, True = masked
 
     @classmethod
-    def from_omega(cls, modality: Modality, omega: np.ndarray) -> "MaskSpec":
+    def from_omega(cls, modality: Modality | None, omega: np.ndarray) -> "MaskSpec":
         flat = omega.reshape(-1)
         return cls(modality, np.nonzero(~flat)[0], np.nonzero(flat)[0], omega)
 
@@ -109,7 +110,7 @@ def sample_mask(
     grid: tuple[int, int],
     rng: np.random.Generator,
     patch_w: int = 1,
-    modality: Modality = Modality.CSI,
+    modality: Modality | None = None,
 ) -> MaskSpec:
     """Draw a mask over a modality's token grid. Comb spacing is given in
     input columns (subcarriers) and converts to token columns via patch_w:
@@ -177,10 +178,6 @@ class DecoderHead:
     def __init__(self, rng, enc_cfg: EncoderConfig, tok_cfg: TokenizerConfig, modality: Modality, n_blocks: int):
         spec = tok_cfg.spec(modality)
         d = enc_cfg.d
-        self.modality = modality
-        self.grid = spec.grid
-        self.patch = spec.patch
-        self.channels = CHANNELS[modality]
         self.mask_token = Tensor(trunc_normal(rng, (d,)), requires_grad=True)
         self.pos = Tensor(trunc_normal(rng, (spec.n_tokens, d)), requires_grad=True)
         self.blocks = [
@@ -209,16 +206,15 @@ class PretrainModel:
         self.tok_cfg = tok_cfg
         self.encoder = MultimodalEncoder(enc_cfg, tok_cfg, rng)
         self.decoders = {
-            m: DecoderHead(rng, enc_cfg, tok_cfg, m, decoder_blocks) for m in MODALITY_ORDER
+            m: DecoderHead(rng, enc_cfg, tok_cfg, m, decoder_blocks) for m in tok_cfg.modalities
         }
-        self.proj = {m: Linear(rng, enc_cfg.d, enc_cfg.d) for m in MODALITY_ORDER}
+        self.proj = {m: Linear(rng, enc_cfg.d, enc_cfg.d) for m in tok_cfg.modalities}
 
     def named_params(self) -> dict[str, Tensor]:
         out = dict(self.encoder.named_params())
-        for m in MODALITY_ORDER:
-            name = m.name.lower()
-            out.update(dict(self.decoders[m].named(f"decoder.{name}")))
-            out.update(dict(self.proj[m].named(f"proj.{name}")))
+        for m, dec in self.decoders.items():
+            out.update(dict(dec.named(f"decoder.{m.name}")))
+            out.update(dict(self.proj[m].named(f"proj.{m.name}")))
         return out
 
 
@@ -231,9 +227,7 @@ def encode_visible(
     """Tokenize each present modality, keep visible rows, encode jointly.
     Modalities without a mask entry are fully visible."""
     parts = []
-    for m in MODALITY_ORDER:
-        if m not in prepped:
-            continue
+    for m in sorted(prepped):
         seq = model.encoder.tokenize(prepped[m])
         visible = masks[m].visible if m in masks else None
         parts.append((m, model.encoder.embed_tokens(seq, visible)))
@@ -259,8 +253,8 @@ def decode_masked(
             h = tt.index_add(h, spec.masked, tt.tile_rows(dec.mask_token, spec.masked.size))
         for block in dec.blocks:
             h = block(h, model.enc_cfg.rms_eps)
-        pixels = dec.out(h)
-        out[m] = unpatchify(pixels, dec.grid, dec.patch, dec.channels)
+        layout = model.tok_cfg.spec(m)
+        out[m] = unpatchify(dec.out(h), layout.grid, layout.patch, m.channels)
     return out
 
 
@@ -297,7 +291,7 @@ def contrastive_loss(
     others: dict[Modality, list[Tensor]],
     tau: float = 0.07,
 ) -> Tensor:
-    """Sum over non-CSI modalities of InfoNCE with CSI as the anchor.
+    """Sum over the other modalities of InfoNCE against the anchor.
 
     anchors[i] and others[m][i] are [1, d] embeddings of the i-th complete
     sample; similarity is the raw dot product over tau. Returns a constant
@@ -305,14 +299,14 @@ def contrastive_loss(
     b = len(anchors)
     if b <= 1:
         return Tensor(0.0)
-    z_csi = tt.concat(anchors, axis=0)
+    z_anchor = tt.concat(anchors, axis=0)
     total: Tensor | None = None
     diag = np.arange(b)[:, None]
     for m, zs in others.items():
         if len(zs) != b:
             raise PretrainError("contrastive_loss: ragged batch")
         z_m = tt.concat(zs, axis=0)
-        s = tt.mul(tt.matmul(z_csi, tt.transpose(z_m, (1, 0))), Tensor(1.0 / tau))
+        s = tt.mul(tt.matmul(z_anchor, tt.transpose(z_m, (1, 0))), Tensor(1.0 / tau))
         log_z = tt.logsumexp_rows(s)  # [b, 1]
         pos = tt.take_along_last(s, diag)  # [b, 1]
         term = tt.tmean(tt.sub(log_z, pos))
@@ -481,24 +475,25 @@ def prepare_step_inputs(
     rng: np.random.Generator,
 ) -> StepInputs:
     """Apply modality dropout, CSI noise injection, preprocessing, and mask
-    sampling for one batch. One CSI scheme per step; fresh ratio draws per
-    sample for the non-CSI random masks."""
+    sampling for one batch, modality by modality in id order. One anchor
+    (CSI) scheme per step; fresh ratio draws per sample for the other
+    modalities' random masks."""
     scheme = choose_csi_scheme(rng)
     tok_cfg = model.tok_cfg
     prepped_all, masks_all = [], []
     for sample in batch:
-        present = {m for m in MODALITY_ORDER if sample.available[m.name.lower()]}
-        for m in (Modality.MAP, Modality.RADAR):
-            if m in present and len(present) > 1 and rng.random() < cfg.modality_dropout:
+        present = [m for m in tok_cfg.modalities if sample.available[m.source]]
+        for m in [m for m in present if m.droppable]:
+            if len(present) > 1 and rng.random() < cfg.modality_dropout:
                 present.remove(m)
         work = sample
-        if Modality.CSI in present and cfg.snr_range is not None:
+        if cfg.snr_range is not None and any(m.source == "csi" for m in present):
             work = with_noisy_csi(sample, cfg.snr_range, rng)
-        prepped = {m: preprocess(work, m, tok_cfg) for m in MODALITY_ORDER if m in present}
+        prepped = {m: preprocess(work, m, tok_cfg) for m in present}
         masks = {}
-        for m in (m for m in MODALITY_ORDER if m in present):
+        for m in present:
             spec = tok_cfg.spec(m)
-            if m == Modality.CSI:
+            if m.anchor:
                 masks[m] = sample_mask(scheme, spec.grid, rng, spec.patch[1], m)
             else:
                 masks[m] = sample_mask(sample_scheme("random", rng), spec.grid, rng, modality=m)
@@ -515,8 +510,10 @@ def step_objective(
     all_stats: list[PoolStats] = []
     sse_total: Tensor | None = None
     count_total = 0
+    modalities = model.tok_cfg.modalities
+    anchor = next((m for m in modalities if m.anchor), None)
     anchors: list[Tensor] = []
-    others: dict[Modality, list[Tensor]] = {Modality.RADAR: [], Modality.MAP: []}
+    others: dict[Modality, list[Tensor]] = {m: [] for m in modalities if m != anchor}
     results = []
     for i, (prepped, masks) in enumerate(zip(inputs.prepped, inputs.masks)):
         res = encode_visible(model, prepped, masks, None if frozen is None else frozen[i])
@@ -527,11 +524,11 @@ def step_objective(
         sse_total = sse if sse_total is None else tt.add(sse_total, sse)
         count_total += count
         all_stats.extend(res.stats)
-        if all(m in prepped for m in MODALITY_ORDER):
-            pooled = {m: tt.tmean(res.rows(m), axis=0, keepdims=True) for m in MODALITY_ORDER}
-            anchors.append(model.proj[Modality.CSI](pooled[Modality.CSI]))
-            for m in (Modality.RADAR, Modality.MAP):
-                others[m].append(model.proj[m](pooled[m]))
+        if anchor is not None and all(m in prepped for m in modalities):
+            pooled = {m: tt.tmean(res.rows(m), axis=0, keepdims=True) for m in modalities}
+            anchors.append(model.proj[anchor](pooled[anchor]))
+            for m, zs in others.items():
+                zs.append(model.proj[m](pooled[m]))
     l_mask = tt.mul(sse_total, Tensor(1.0 / count_total))
     l_cl = contrastive_loss(anchors, others, cfg.tau)
     l_lb = load_balance_loss(all_stats, model.enc_cfg.n_experts)

@@ -147,6 +147,10 @@ class Labels:
     aoa_rad: float
 
 
+# the sample's modality fields, in the order the availability plan draws them
+MODALITY_NAMES = ("csi", "radar", "map")
+
+
 @dataclass
 class MultimodalSample:
     index: int
@@ -156,16 +160,12 @@ class MultimodalSample:
     labels: Labels
 
     def __post_init__(self):
-        if self.csi is None and self.radar is None and self.map is None:
+        if not any(self.available.values()):
             raise SceneError("sample has no modality")
 
     @property
     def available(self) -> dict[str, bool]:
-        return {
-            "csi": self.csi is not None,
-            "radar": self.radar is not None,
-            "map": self.map is not None,
-        }
+        return {m: getattr(self, m) is not None for m in MODALITY_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +379,7 @@ class SynthConfig:
     # labels
     n_beams: int = 16
     # availability fractions per modality
-    availability: dict = field(
-        default_factory=lambda: {"csi": 1.0, "radar": 1.0, "map": 1.0}
-    )
+    availability: dict = field(default_factory=lambda: dict.fromkeys(MODALITY_NAMES, 1.0))
 
     @property
     def n_antennas(self) -> int:
@@ -480,14 +478,14 @@ def _availability_plan(cfg: SynthConfig, n: int, base_seed: int) -> dict[str, np
     modality, chosen by a seeded permutation per modality."""
     rng = np.random.default_rng((base_seed, 0x41564C))
     plan = {}
-    for mod in ("csi", "radar", "map"):
+    for mod in MODALITY_NAMES:
         frac = float(cfg.availability.get(mod, 1.0))
         if not 0.0 <= frac <= 1.0:
             raise SceneError(f"availability fraction for {mod} outside [0, 1]")
         keep = np.zeros(n, dtype=bool)
         keep[rng.permutation(n)[: round(frac * n)]] = True
         plan[mod] = keep
-    if not np.all(plan["csi"] | plan["radar"] | plan["map"]):
+    if not np.logical_or.reduce(list(plan.values())).all():
         raise SceneError("availability schedule leaves a sample with no modality")
     return plan
 
@@ -544,17 +542,12 @@ def synth_dataset(
         "version": 1,
         "seed": seed,
         "n": n,
-        "config": _config_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "samples": entries,
     }
     if out_dir is not None:
         (Path(out_dir) / "manifest.json").write_text(canonical_json(manifest))
     return samples, manifest
-
-
-def _config_dict(cfg: SynthConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    return d
 
 
 def canonical_json(obj) -> str:
@@ -594,7 +587,7 @@ def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dic
     for i, e in enumerate(_field(manifest, "samples", "the manifest", list)):
         where = f"sample {i}"
         files = _field(e, "files", where, dict)
-        paths = {m: root / _field(files, m, f"{where} files", str) for m in ("csi", "radar", "map") if m in files}
+        paths = {m: root / _field(files, m, f"{where} files", str) for m in MODALITY_NAMES if m in files}
         csi = radar = smap = None
         if "csi" in paths:
             f0, bw = _field(cfg, "f0", "config", _NUMBER), _field(cfg, "bw", "config", _NUMBER)

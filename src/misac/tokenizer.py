@@ -10,12 +10,16 @@ Per-sample normalization: CSI and radar grids are scaled to unit mean power
 (the scale is returned so metrics can be computed in the raw domain); map
 occupancy channels are already in [0, 1] and the height channel is divided
 by a fixed scale.
+
+To add a modality, build a ``Modality`` record with a new id and put it, with
+its ``ModalitySpec``, in the ``TokenizerConfig`` a model is built from; every
+other module iterates that config's modalities and never names one.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -26,18 +30,6 @@ from .tensor import Tensor
 
 class TokenError(ValueError):
     pass
-
-
-class Modality(enum.IntEnum):
-    """Stable integer ids; new modalities append, existing values never move."""
-
-    CSI = 0
-    MAP = 1
-    RADAR = 2
-
-
-# channel counts are structural: csi re/im, map bev+height, radar ra/rv re/im
-CHANNELS = {Modality.CSI: 2, Modality.MAP: 4, Modality.RADAR: 4}
 
 
 @dataclass(frozen=True)
@@ -55,29 +47,60 @@ class ModalitySpec:
         return self.grid[0] * self.grid[1]
 
 
+@dataclass(frozen=True, order=True)
+class Modality:
+    """The one place that knows a modality. Ids are stable (new modalities
+    take a new id) and records compare, hash and sort by id alone.
+
+    ``prepare(value, spec, cfg) -> (grid, scale)`` turns the sample's
+    ``source`` field into the [H, W, channels] grid, with model = raw * scale.
+    Roles: every other modality is contrasted with the ``anchor``, the
+    ``context`` modality's mean conditions the shared-pool router, and
+    modality dropout removes only ``droppable`` ones. A model has at most one
+    anchor and one context.
+    """
+
+    id: int
+    name: str = field(compare=False)
+    channels: int = field(compare=False)
+    source: str = field(compare=False)
+    prepare: Callable = field(compare=False, repr=False)
+    anchor: bool = field(default=False, compare=False)
+    context: bool = field(default=False, compare=False)
+    droppable: bool = field(default=False, compare=False)
+
+    CSI: ClassVar[Modality]
+    MAP: ClassVar[Modality]
+    RADAR: ClassVar[Modality]
+
+
 @dataclass(frozen=True)
 class TokenizerConfig:
+    """A model's modalities are the keys of ``specs``, in id order."""
+
     d: int
-    csi: ModalitySpec
-    map: ModalitySpec
-    radar: ModalitySpec
+    specs: dict[Modality, ModalitySpec]
     height_scale: float = 30.0
 
     def __post_init__(self):
         if self.d < 1:
             raise TokenError("embedding width must be >= 1")
-        for mod in Modality:
-            spec = self.spec(mod)
+        for role in ("anchor", "context"):
+            if sum(getattr(m, role) for m in self.specs) > 1:
+                raise TokenError(f"more than one {role} modality")
+        for spec in self.specs.values():
             token_count(spec.height, spec.width, spec.patch)
 
+    @property
+    def modalities(self) -> tuple[Modality, ...]:
+        return tuple(sorted(self.specs))
+
     def spec(self, modality: Modality) -> ModalitySpec:
-        return {Modality.CSI: self.csi, Modality.MAP: self.map, Modality.RADAR: self.radar}[
-            modality
-        ]
+        return self.specs[modality]
 
     def patch_dim(self, modality: Modality) -> int:
         ph, pw = self.spec(modality).patch
-        return ph * pw * CHANNELS[modality]
+        return ph * pw * modality.channels
 
 
 def token_count(height: int, width: int, patch: tuple[int, int]) -> tuple[int, int, int]:
@@ -111,39 +134,48 @@ def _block_mean(x: np.ndarray, factor: int) -> np.ndarray:
     return x.reshape(h // factor, factor, w // factor, factor, c).mean(axis=(1, 3))
 
 
+def _prepare_csi(csi, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
+    h = csi.h.data
+    scale = _unit_power_scale(h)
+    return np.stack([h.real, h.imag], axis=-1) * scale, scale
+
+
+def _prepare_map(smap, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
+    """Block-averaged from the native side down to the configured one."""
+    arr = np.concatenate([smap.bev, smap.height / cfg.height_scale], axis=-1)
+    native = arr.shape[0]
+    if native != spec.height:
+        if native % spec.height:
+            raise TokenError(
+                f"map side {native} not an integer multiple of configured {spec.height}"
+            )
+        arr = _block_mean(arr, native // spec.height)
+    return arr, 1.0
+
+
+def _prepare_radar(radar, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
+    ra, rv = radar.ra.data, radar.rv.data
+    scale = _unit_power_scale(np.stack([ra, rv]))
+    return np.stack([ra.real, ra.imag, rv.real, rv.imag], axis=-1) * scale, scale
+
+
+# channels: csi re/im, map bev + height / height_scale, radar ra re/im then rv re/im
+Modality.CSI = Modality(0, "csi", 2, "csi", _prepare_csi, anchor=True)
+Modality.MAP = Modality(1, "map", 4, "map", _prepare_map, context=True, droppable=True)
+Modality.RADAR = Modality(2, "radar", 4, "radar", _prepare_radar, droppable=True)
+MODALITY_ORDER = (Modality.CSI, Modality.MAP, Modality.RADAR)
+
+
 def preprocess(sample: MultimodalSample, modality: Modality, cfg: TokenizerConfig) -> Prepped:
+    """The modality's configured [H, W, C] grid, prepared from its sample field."""
     spec = cfg.spec(modality)
-    if modality == Modality.CSI:
-        if sample.csi is None:
-            raise TokenError("sample has no csi")
-        h = sample.csi.h.data
-        scale = _unit_power_scale(h)
-        arr = np.stack([h.real, h.imag], axis=-1) * scale
-    elif modality == Modality.RADAR:
-        if sample.radar is None:
-            raise TokenError("sample has no radar")
-        ra, rv = sample.radar.ra.data, sample.radar.rv.data
-        scale = _unit_power_scale(np.stack([ra, rv]))
-        arr = np.stack([ra.real, ra.imag, rv.real, rv.imag], axis=-1) * scale
-    else:
-        if sample.map is None:
-            raise TokenError("sample has no map")
-        arr = np.concatenate(
-            [sample.map.bev, sample.map.height / cfg.height_scale], axis=-1
-        )
-        native = arr.shape[0]
-        if native != spec.height:
-            if native % spec.height:
-                raise TokenError(
-                    f"map side {native} not an integer multiple of configured {spec.height}"
-                )
-            arr = _block_mean(arr, native // spec.height)
-        scale = 1.0
-    if arr.shape != (spec.height, spec.width, CHANNELS[modality]):
-        raise TokenError(
-            f"{modality.name.lower()} grid {arr.shape} != configured "
-            f"{(spec.height, spec.width, CHANNELS[modality])}"
-        )
+    value = getattr(sample, modality.source)
+    if value is None:
+        raise TokenError(f"sample has no {modality.source}")
+    arr, scale = modality.prepare(value, spec, cfg)
+    want = (spec.height, spec.width, modality.channels)
+    if arr.shape != want:
+        raise TokenError(f"{modality.name} grid {arr.shape} != configured {want}")
     return Prepped(modality=modality, array=arr, scale=scale)
 
 

@@ -19,7 +19,7 @@ from misac.config import DataConfig, ModelConfig, RunConfig, desk_config
 from misac.encoder import EncoderConfig, MODALITY_ORDER
 from misac.pretrain import PretrainModel
 from misac.synth import SynthConfig, synth_dataset
-from misac.tokenizer import ModalitySpec, TokenizerConfig
+from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig
 
 
 class TestParamCounts:
@@ -67,9 +67,11 @@ class TestParamCounts:
             EncoderConfig(d=16, n_layers=1, n_heads=2, n_experts=4, top_k=2),
             TokenizerConfig(
                 d=16,
-                csi=ModalitySpec(4, 8, (2, 2)),
-                map=ModalitySpec(8, 8, (4, 4)),
-                radar=ModalitySpec(8, 8, (4, 4)),
+                specs={
+                    Modality.CSI: ModalitySpec(4, 8, (2, 2)),
+                    Modality.MAP: ModalitySpec(8, 8, (4, 4)),
+                    Modality.RADAR: ModalitySpec(8, 8, (4, 4)),
+                },
             ),
             np.random.default_rng(0),
         )
@@ -139,9 +141,11 @@ def routed():
         EncoderConfig(d=16, n_layers=2, n_heads=2, n_experts=4, top_k=2),
         TokenizerConfig(
             d=16,
-            csi=ModalitySpec(16, 32, (2, 2)),
-            map=ModalitySpec(64, 64, (8, 8)),
-            radar=ModalitySpec(64, 64, (8, 8)),
+            specs={
+                Modality.CSI: ModalitySpec(16, 32, (2, 2)),
+                Modality.MAP: ModalitySpec(64, 64, (8, 8)),
+                Modality.RADAR: ModalitySpec(64, 64, (8, 8)),
+            },
         ),
         np.random.default_rng(1),
     )

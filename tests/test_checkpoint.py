@@ -29,9 +29,11 @@ from misac.tokenizer import Modality, ModalitySpec, Prepped, TokenizerConfig
 def tiny_model(seed: int = 0) -> PretrainModel:
     tok = TokenizerConfig(
         d=16,
-        csi=ModalitySpec(4, 8, (2, 2)),
-        map=ModalitySpec(8, 8, (4, 4)),
-        radar=ModalitySpec(8, 8, (4, 4)),
+        specs={
+            Modality.CSI: ModalitySpec(4, 8, (2, 2)),
+            Modality.MAP: ModalitySpec(8, 8, (4, 4)),
+            Modality.RADAR: ModalitySpec(8, 8, (4, 4)),
+        },
     )
     enc = EncoderConfig(d=16, n_layers=1, n_heads=2, n_experts=4, top_k=2)
     return PretrainModel(enc, tok, np.random.default_rng(seed))

@@ -120,6 +120,20 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
         assert "map_size=48" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, fields, named",
+        [
+            ("finetune", {"freeze": "none"}, "finetune.freeze"),
+            ("pretrain", {"tau": 0}, "pretrain.tau"),
+            ("model", {"n_heads": 0}, "model.n_heads"),
+            ("model", {"csi_patch": [2]}, "model.csi_patch"),
+        ],
+    )
+    def test_bad_field_is_validation_error(self, tmp_path, capsys, section, fields, named):
+        cfg = write_cfg(tmp_path, **{section: fields})
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        assert named in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d1")])

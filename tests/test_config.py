@@ -1,12 +1,15 @@
 """Config tests: preset validity, JSON roundtrips, fingerprint stability and
-sensitivity, and cross-field validation."""
+sensitivity, field and cross-field validation, and a property test that a
+config either fails validation or runs synth -> tokenizer -> encode."""
 
 import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from misac import tensor as tt
 from misac.config import (
     ConfigError,
     DataConfig,
@@ -23,6 +26,9 @@ from misac.config import (
     paper_config,
     save_config,
 )
+from misac.encoder import MultimodalEncoder
+from misac.synth import synth_sample
+from misac.tokenizer import Modality, preprocess
 
 
 class TestPresets:
@@ -47,7 +53,7 @@ class TestPresets:
         tok = cfg.model.tokenizer_config()
         assert enc.d == tok.d == 64
         assert enc.top_k == 4
-        assert tok.csi.grid == (8, 16)
+        assert tok.spec(Modality.CSI).grid == (8, 16)
 
     def test_settings_mapping(self):
         pre = PretrainConfig(snr_range=(5.0, 9.0)).settings()
@@ -199,3 +205,87 @@ class TestValidation:
     def test_bad_drop_modality(self):
         with pytest.raises(ConfigError):
             RunConfig(finetune=FinetuneConfig(drop=("lidar",))).validate()
+
+    def test_dropping_every_modality_rejected(self):
+        with pytest.raises(ConfigError, match="every modality"):
+            RunConfig(finetune=FinetuneConfig(drop=("csi", "map", "radar"))).validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_heads", 0),
+            ("n_heads", -4),
+            ("map_size", 0),
+            ("radar_size", 0),
+            ("d", "64"),
+            ("d", True),
+            ("n_layers", 0),
+            ("n_experts", 0),
+            ("hidden_mult", 0),
+            ("csi_height", 0),
+            ("csi_width", 2.0),
+            ("decoder_blocks", -1),
+            ("top_k", 0),
+            ("top_k", 9),
+            ("csi_patch", [2]),
+            ("csi_patch", [2, 2, 2]),
+            ("csi_patch", 2),
+            ("map_patch", [0, 8]),
+            ("radar_patch", [8.0, 8]),
+        ],
+    )
+    def test_bad_model_field_is_named(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            config_from_dict({"model": {name: value}})
+
+    def test_zero_decoder_blocks_is_valid(self):
+        assert config_from_dict({"model": {"decoder_blocks": 0}}).model.decoder_blocks == 0
+
+    @pytest.mark.parametrize(
+        "section, raw",
+        [("finetune", {"freeze": "none"}), ("pretrain", {"tau": 0}), ("pretrain", {"tau": -0.07})],
+    )
+    def test_bad_training_setting_is_named(self, section, raw):
+        with pytest.raises(ConfigError, match=f"{section}.{next(iter(raw))}"):
+            config_from_dict({section: raw})
+
+
+# A tiny grid of model fields, valid and invalid; every draw either fails
+# validation with ConfigError or runs synth -> preprocess -> encode cleanly.
+_FIELDS = {
+    "d": st.sampled_from([0, 4, 6, 8, "8", True]),
+    "n_layers": st.sampled_from([0, 1, 2]),
+    "n_heads": st.sampled_from([-2, 0, 1, 2, 3]),
+    "n_experts": st.sampled_from([0, 1, 2, 4]),
+    "top_k": st.sampled_from([0, 1, 2, 5]),
+    "hidden_mult": st.sampled_from([0, 1, 2]),
+    "decoder_blocks": st.sampled_from([-1, 0, 1]),
+    "csi_height": st.sampled_from([0, 2, 4, 6]),
+    "csi_width": st.sampled_from([4, 8, 8.0]),
+    "csi_patch": st.sampled_from([[1, 1], [2, 2], [2, 4], [2], [0, 2], 2]),
+    "map_size": st.sampled_from([0, 8, 16, 48]),
+    "map_patch": st.sampled_from([[4, 4], [8, 8], [3, 3]]),
+    "radar_size": st.sampled_from([0, 4, 8, 16]),
+    "radar_patch": st.sampled_from([[2, 2], [4, 4], [4, 8]]),
+}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({}, optional=_FIELDS), st.integers(0, 2**16))
+def test_config_either_fails_validation_or_encodes(fields, seed):
+    try:
+        cfg = config_from_dict({"model": fields})
+    except ConfigError:
+        return
+    tok = cfg.model.tokenizer_config()
+    sample, _ = synth_sample(cfg.data.synth_config(cfg.model), 0, seed)
+    model = MultimodalEncoder(cfg.model.encoder_config(), tok, np.random.default_rng(seed))
+    parts = []
+    for m in tok.modalities:
+        seq = model.tokenize(preprocess(sample, m, tok))
+        assert seq.tokens.shape == (tok.spec(m).n_tokens, cfg.model.d)
+        parts.append((m, model.embed_tokens(seq)))
+    with tt.Tape():
+        res = model.encode(parts)
+    assert [s.stop - s.start for s in res.segments] == [tok.spec(m).n_tokens for m in tok.modalities]
+    assert np.isfinite(res.h.data).all()

@@ -124,9 +124,11 @@ def samples():
 def small_pretrained(seed: int = 0) -> PretrainModel:
     tok = TokenizerConfig(
         d=16,
-        csi=ModalitySpec(16, 32, (2, 2)),
-        map=ModalitySpec(64, 64, (8, 8)),
-        radar=ModalitySpec(64, 64, (8, 8)),
+        specs={
+            Modality.CSI: ModalitySpec(16, 32, (2, 2)),
+            Modality.MAP: ModalitySpec(64, 64, (8, 8)),
+            Modality.RADAR: ModalitySpec(64, 64, (8, 8)),
+        },
     )
     enc = EncoderConfig(d=16, n_layers=1, n_heads=2, n_experts=4, top_k=2)
     return PretrainModel(enc, tok, np.random.default_rng(seed), decoder_blocks=1)

@@ -18,20 +18,22 @@ def small():
     """Tiny encoder plus one fully-populated prepped sample."""
     tok_cfg = tok.TokenizerConfig(
         d=16,
-        csi=tok.ModalitySpec(8, 8, (2, 2)),  # 16 tokens
-        map=tok.ModalitySpec(64, 64, (16, 16)),  # 16 tokens
-        radar=tok.ModalitySpec(64, 64, (16, 16)),  # 16 tokens
+        specs={
+            Modality.CSI: tok.ModalitySpec(8, 8, (2, 2)),  # 16 tokens
+            Modality.MAP: tok.ModalitySpec(64, 64, (16, 16)),  # 16 tokens
+            Modality.RADAR: tok.ModalitySpec(64, 64, (16, 16)),  # 16 tokens
+        },
     )
     cfg = EncoderConfig(d=16, n_layers=2, n_heads=4, n_experts=8, top_k=4)
     model = MultimodalEncoder(cfg, tok_cfg, np.random.default_rng(0))
     scfg = synth.SynthConfig(n_t=8, n_sc=8)
     sample, _ = synth.synth_sample(scfg, 0, 13)
-    prepped = {m: tok.preprocess(sample, m, tok_cfg) for m in Modality}
+    prepped = {m: tok.preprocess(sample, m, tok_cfg) for m in tok_cfg.modalities}
     return model, prepped
 
 
 def embed_all(model, prepped):
-    return [(m, model.embed_tokens(model.tokenize(prepped[m]))) for m in Modality]
+    return [(m, model.embed_tokens(model.tokenize(prepped[m]))) for m in model.tok_cfg.modalities]
 
 
 def topk_oracle(row: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
@@ -261,8 +263,7 @@ class TestGates:
         cfg = EncoderConfig(d=8, n_heads=2, n_experts=4, top_k=2)
         pool = enc.ExpertPool(rng, cfg, "shared")
         x = Tensor(rng.normal(size=(6, 8)))
-        zero_ctx = enc.ContextVector(Tensor(np.zeros(8)), from_map=False)
-        got = enc.gate_shared(x, zero_ctx, pool).data
+        got = enc.gate_shared(x, Tensor(np.zeros(8)), pool).data
         want = x.data @ pool.gate.w.data[:8] + pool.gate.b.data
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -271,8 +272,8 @@ class TestGates:
         cfg = EncoderConfig(d=8, n_heads=2, n_experts=4, top_k=2)
         pool = enc.ExpertPool(rng, cfg, "shared")
         x = Tensor(rng.normal(size=(6, 8)))
-        a = enc.gate_shared(x, enc.ContextVector(Tensor(np.zeros(8)), False), pool).data
-        b = enc.gate_shared(x, enc.ContextVector(Tensor(np.ones(8)), True), pool).data
+        a = enc.gate_shared(x, Tensor(np.zeros(8)), pool).data
+        b = enc.gate_shared(x, Tensor(np.ones(8)), pool).data
         assert np.abs(a - b).max() > 0
 
     def test_gate_input_widths_are_asymmetric(self):
@@ -289,7 +290,7 @@ class TestGates:
         shared = enc.ExpertPool(rng, cfg, "shared")
         spec = enc.ExpertPool(rng, cfg, "csi")
         x = Tensor(np.zeros((2, 8)))
-        ctx = enc.ContextVector(Tensor(np.zeros(8)), False)
+        ctx = Tensor(np.zeros(8))
         with pytest.raises(enc.EncoderError):
             enc.gate_shared(x, ctx, spec)
         with pytest.raises(enc.EncoderError):
@@ -300,7 +301,7 @@ class TestAttention:
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(15)
         cfg = EncoderConfig(d=12, n_heads=3)
-        block = enc.EncoderBlock(rng, cfg)
+        block = enc.EncoderBlock(rng, cfg, tok.MODALITY_ORDER)
         h = rng.normal(size=(7, 12))
         attn = block.attn
         got = enc.attention(Tensor(h), attn, 3).data
@@ -376,7 +377,7 @@ class TestEncode:
             enc.Segment(Modality.MAP, 16, 32),
             enc.Segment(Modality.RADAR, 32, 48),
         ]
-        ctx = enc.ContextVector(Tensor(np.zeros(16)), False)
+        ctx = Tensor(np.zeros(16))
         base, _ = enc.ss_dmoe_forward(Tensor(x), segments, ctx, block, cfg, 0)
         x2 = x.copy()
         x2[40] += 1.0
@@ -408,11 +409,9 @@ class TestEncode:
             enc.Segment(Modality.RADAR, 32, 48),
         ]
         ctx = enc.pool_context(h, segments)
-        assert ctx.from_map
-        np.testing.assert_allclose(ctx.vector.data, h.data[16:32].mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(ctx.data, h.data[16:32].mean(axis=0), atol=1e-12)
         ctx2 = enc.pool_context(h, [segments[0]])
-        assert not ctx2.from_map
-        np.testing.assert_array_equal(ctx2.vector.data, np.zeros(16))
+        np.testing.assert_array_equal(ctx2.data, np.zeros(16))
 
     def test_deterministic_init(self, small):
         model, _ = small

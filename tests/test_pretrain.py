@@ -115,7 +115,7 @@ class TestMaskSchemes:
         scheme = MaskScheme("random", ratio=0.5)
         spec = sample_mask(scheme, (2, 2), np.random.default_rng(0), modality=Modality.RADAR)
         assert spec.modality == Modality.RADAR
-        assert sample_mask(scheme, (2, 2), np.random.default_rng(0)).modality == Modality.CSI
+        assert sample_mask(scheme, (2, 2), np.random.default_rng(0)).modality is None
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +443,11 @@ TINY_ENC = EncoderConfig(d=16, n_layers=1, n_heads=2, n_experts=4, top_k=2)
 def tiny_tok() -> TokenizerConfig:
     return TokenizerConfig(
         d=16,
-        csi=ModalitySpec(4, 8, (2, 2)),
-        map=ModalitySpec(8, 8, (4, 4)),
-        radar=ModalitySpec(8, 8, (4, 4)),
+        specs={
+            Modality.CSI: ModalitySpec(4, 8, (2, 2)),
+            Modality.MAP: ModalitySpec(8, 8, (4, 4)),
+            Modality.RADAR: ModalitySpec(8, 8, (4, 4)),
+        },
     )
 
 
@@ -594,9 +596,11 @@ def small_samples():
 def small_model(seed: int = 0) -> PretrainModel:
     tok = TokenizerConfig(
         d=16,
-        csi=ModalitySpec(16, 32, (2, 2)),
-        map=ModalitySpec(64, 64, (8, 8)),
-        radar=ModalitySpec(64, 64, (8, 8)),
+        specs={
+            Modality.CSI: ModalitySpec(16, 32, (2, 2)),
+            Modality.MAP: ModalitySpec(64, 64, (8, 8)),
+            Modality.RADAR: ModalitySpec(64, 64, (8, 8)),
+        },
     )
     enc = EncoderConfig(d=16, n_layers=1, n_heads=2, n_experts=4, top_k=2)
     return PretrainModel(enc, tok, np.random.default_rng(seed), decoder_blocks=1)

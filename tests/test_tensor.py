@@ -639,6 +639,56 @@ class TestPrimitiveCoverage:
         assert not unchecked, f"primitives missing from test_each_primitive: {sorted(unchecked)}"
 
 
+# The one place each built-in modality may be named outside misac.tokenizer:
+# (module, the top-level constant that may name it).
+MODALITY_NAMING = {("downstream.py", "CHANNEL"), ("synth.py", "MODALITY_NAMES")}
+
+
+def modality_literals(src: Path) -> list[str]:
+    """Where src names a built-in modality outside its records: a
+    Modality.CSI/MAP/RADAR attribute anywhere but tokenizer.py, or a tuple,
+    list or set of two or more of the names "csi", "radar" and "map". The
+    constants in MODALITY_NAMING are exempt."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {
+            id(node)
+            for top in tree.body
+            if isinstance(top, ast.Assign)
+            and any((path.name, getattr(t, "id", None)) in MODALITY_NAMING for t in top.targets)
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if (
+                isinstance(node, ast.Attribute) and node.attr in ("CSI", "MAP", "RADAR")
+                and isinstance(node.value, ast.Name) and node.value.id == "Modality"
+                and path.name != "tokenizer.py"
+            ):
+                found.append(f"{path.name}:{node.lineno}: Modality.{node.attr}")
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                names = {e.value for e in node.elts if isinstance(e, ast.Constant)} & {"csi", "radar", "map"}
+                if len(names) >= 2:
+                    found.append(f"{path.name}:{node.lineno}: modality names {sorted(names)}")
+    return found
+
+
+class TestModalityLiterals:
+    def test_only_the_records_name_a_modality(self):
+        src = Path(T.__file__).parent
+        found = modality_literals(src)
+        assert not found, f"modalities named outside their records: {found}"
+        constants = {
+            (path.name, t.id)
+            for path in src.glob("*.py")
+            for top in ast.parse(path.read_text()).body if isinstance(top, ast.Assign)
+            for t in top.targets if isinstance(t, ast.Name)
+        }
+        assert MODALITY_NAMING <= constants
+
+
 class TestTapeOpNames:
     """Every tape node's vjps are closures defined inside the public
     misac.tensor function that recorded it, so an op histogram can name a

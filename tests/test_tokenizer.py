@@ -36,10 +36,10 @@ class TestCounts:
     def test_desk_concat_is_256(self, cfg):
         n = sum(
             tok.token_count(cfg.spec(m).height, cfg.spec(m).width, cfg.spec(m).patch)[2]
-            for m in Modality
+            for m in cfg.modalities
         )
         assert n == 256
-        assert [cfg.spec(m).n_tokens for m in Modality] == [128, 64, 64]
+        assert [cfg.spec(m).n_tokens for m in cfg.modalities] == [128, 64, 64]
 
     def test_indivisible_patch_rejected(self):
         with pytest.raises(tok.TokenError):
@@ -49,9 +49,11 @@ class TestCounts:
         with pytest.raises(tok.TokenError):
             TokenizerConfig(
                 d=8,
-                csi=ModalitySpec(16, 30, (2, 4)),
-                map=ModalitySpec(64, 64, (8, 8)),
-                radar=ModalitySpec(64, 64, (8, 8)),
+                specs={
+                    Modality.CSI: ModalitySpec(16, 30, (2, 4)),
+                    Modality.MAP: ModalitySpec(64, 64, (8, 8)),
+                    Modality.RADAR: ModalitySpec(64, 64, (8, 8)),
+                },
             )
 
 
@@ -157,9 +159,11 @@ class TestPreprocess:
     def test_map_native_passthrough(self, sample):
         cfg = TokenizerConfig(
             d=32,
-            csi=ModalitySpec(16, 32, (2, 2)),
-            map=ModalitySpec(256, 256, (8, 8)),
-            radar=ModalitySpec(64, 64, (8, 8)),
+            specs={
+                Modality.CSI: ModalitySpec(16, 32, (2, 2)),
+                Modality.MAP: ModalitySpec(256, 256, (8, 8)),
+                Modality.RADAR: ModalitySpec(64, 64, (8, 8)),
+            },
         )
         prepped = tok.preprocess(sample, Modality.MAP, cfg)
         np.testing.assert_array_equal(prepped.array[..., :3], sample.map.bev)
@@ -172,4 +176,4 @@ class TestPreprocess:
             tok.preprocess(s, Modality.RADAR, cfg)
 
     def test_modality_ids_are_stable(self):
-        assert (Modality.CSI, Modality.MAP, Modality.RADAR) == (0, 1, 2)
+        assert [m.id for m in (Modality.CSI, Modality.MAP, Modality.RADAR)] == [0, 1, 2]
