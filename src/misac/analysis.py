@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ModelConfig, RunConfig
 from .downstream import CHANNEL, HEAD_OUTPUTS, RECON_TASKS, TASKS
-from .pretrain import PretrainModel
+from .pretrain import PretrainModel, encode_visible, pool_usage, prepare_sample
 from .tokenizer import Modality
 
 
@@ -121,31 +121,16 @@ class RoutingRow:
 
 def routing_table(model: PretrainModel, samples, drop: tuple[str, ...] = ()) -> list[RoutingRow]:
     """Aggregate routing statistics over full (unmasked) forward passes."""
-    from .downstream import _prep_modalities
-    from .pretrain import encode_visible
-
     if not samples:
         raise AnalysisError("routing_table: no samples")
-    weights: dict[tuple[int, str], list[np.ndarray]] = {}
-    selections: dict[tuple[int, str], list[np.ndarray]] = {}
+    stats = []
     for sample in samples:
-        prepped = _prep_modalities(model, sample, drop, None, None)
-        res = encode_visible(model, prepped, {})
-        for s in res.stats:
-            key = (s.layer, s.pool)
-            weights.setdefault(key, []).append(s.weights.data)
-            selections.setdefault(key, []).append(s.selected)
-    rows = []
-    k_sel = model.enc_cfg.n_experts
-    for (layer, pool) in sorted(weights):
-        w = np.concatenate(weights[(layer, pool)], axis=0)
-        sel = np.concatenate(selections[(layer, pool)], axis=0)
-        imp = w.mean(axis=0)
-        counts = np.bincount(sel.reshape(-1), minlength=k_sel)
-        load = counts / w.shape[0]
-        for e in range(k_sel):
-            rows.append(RoutingRow(layer, pool, e, float(imp[e]), float(load[e])))
-    return rows
+        stats += encode_visible(model, prepare_sample(sample, model.tok_cfg, drop=drop), {}).stats
+    return [
+        RoutingRow(u.layer, u.pool, e, float(u.importance.data[e]), float(u.load[e]))
+        for u in pool_usage(stats, model.enc_cfg.n_experts)
+        for e in range(model.enc_cfg.n_experts)
+    ]
 
 
 def routing_csv(rows: list[RoutingRow]) -> str:

@@ -235,10 +235,9 @@ def cmd_pretrain(args) -> int:
                 f"non-finite loss at step {record['step']}; last-good checkpoint retained"
             )
 
-    save_every = max(1, cfg.pretrain.save_every)
     step = start
     while step < settings.steps:
-        upto = min(step + save_every, settings.steps)
+        upto = min(step + cfg.pretrain.save_every, settings.steps)
         run_pretrain(
             model, samples, settings, seed, log=log, start_step=step, until=upto, opt=opt, rng=rng
         )

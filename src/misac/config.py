@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +52,7 @@ class ModelConfig:
     height_scale: float = 30.0
 
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(EncoderConfig)})
+        return _copy_fields(self, EncoderConfig)
 
     def tokenizer_config(self) -> TokenizerConfig:
         grids = {
@@ -66,29 +67,71 @@ class ModelConfig:
         return TokenizerConfig(d=self.d, specs=specs, height_scale=self.height_scale)
 
 
-def _is_int(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+def _copy_fields(source, cls, **mapped):
+    """Build cls from the same-named fields of source, list values as tuples;
+    mapped gives the fields whose value comes from elsewhere."""
+    values = {f.name: getattr(source, f.name) for f in dataclasses.fields(cls) if f.name not in mapped}
+    return cls(**{n: tuple(v) if isinstance(v, list) else v for n, v in values.items()}, **mapped)
 
 
-def _check_model_fields(m: ModelConfig) -> None:
-    """Every int field and patch pair is checked before any arithmetic uses
-    it; EncoderConfig then checks head divisibility and top_k <= n_experts."""
-    for f in dataclasses.fields(m):
-        value = getattr(m, f.name)
-        if f.name.endswith("_patch"):
-            if not (isinstance(value, (tuple, list)) and len(value) == 2 and all(_is_int(v, 1) for v in value)):
-                raise ConfigError(f"model.{f.name}={value!r} must be a pair of ints >= 1")
-        elif f.type == "int":
-            low = 0 if f.name == "decoder_blocks" else 1
-            if not _is_int(value, low):
-                raise ConfigError(f"model.{f.name}={value!r} must be an int >= {low}")
+# The range of a number field (or of the numbers in it) where it is not the
+# default, ints >= 1 and any finite float: (lowest, highest, lowest excluded)
+_RANGES = {
+    **dict.fromkeys(("decoder_blocks", "seed", "lambda_cl", "lambda_lb"), (0, math.inf, False)),
+    **dict.fromkeys(("rms_eps", "height_scale", "lr_min", "lr_max", "tau"), (0, math.inf, True)),
+    **dict.fromkeys(("modality_dropout", "availability"), (0, 1, False)),
+}
+
+
+def _field_error(name: str, value, kind: str) -> str | None:
+    """Why value does not fit the field name, annotated kind; None if it does."""
+    if kind in ("int", "float"):
+        if isinstance(value, bool) or not isinstance(value, int if kind == "int" else (int, float)):
+            return f"must be {'an int' if kind == 'int' else 'a number'}"
+        low, high, open_low = _RANGES.get(name, (1 if kind == "int" else -math.inf, math.inf, False))
+        if isinstance(value, float) and not math.isfinite(value):
+            return "must be finite"
+        if value < low or value > high or (open_low and value == low):
+            return f"must be {'>' if open_low else '>='} {low}" + (f" and <= {high}" if high < math.inf else "")
+        return None
+    if kind in ("bool", "str"):
+        return None if isinstance(value, bool if kind == "bool" else str) else f"must be a {kind}"
+    if kind == "tuple[str, ...]":
+        strings = isinstance(value, (tuple, list)) and all(isinstance(v, str) for v in value)
+        return None if strings else "must be a list of strings"
+    if kind == "dict[str, float]":
+        if not isinstance(value, dict):
+            return "must be an object"
+        return next(filter(None, (_field_error(name, v, "float") for v in value.values())), None)
+    if kind in ("tuple[int, int]", "tuple[float, float]"):
+        if not (isinstance(value, (tuple, list)) and len(value) == 2):
+            return "must be a pair"
+        error = next(filter(None, (_field_error(name, v, kind[6 : kind.index(",")]) for v in value)), None)
+        if error is None and kind == "tuple[float, float]" and value[0] > value[1]:
+            return "must be a (low, high) pair"
+        return error
+    raise TypeError(f"config field {name} has no check for type {kind}")
+
+
+def _check_fields(section: str, values) -> None:
+    """Check every field of a config section against its annotation and
+    range, before any arithmetic uses it; a None is valid where the
+    annotation allows it."""
+    for f in dataclasses.fields(values):
+        value = getattr(values, f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        error = _field_error(f.name, value, kind)
+        if error is not None:
+            raise ConfigError(f"{section}.{f.name}={value!r} {error}")
 
 
 @dataclass(frozen=True)
 class DataConfig:
     n_samples: int = 32
     seed: int = 0
-    availability: dict = field(default_factory=lambda: dict.fromkeys(MODALITY_NAMES, 1.0))
+    availability: dict[str, float] = field(default_factory=lambda: dict.fromkeys(MODALITY_NAMES, 1.0))
     speed: tuple[float, float] = (-15.0, 15.0)
     include_los: bool = True
 
@@ -105,30 +148,11 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
-class PretrainConfig:
-    steps: int = 200
-    batch_size: int = 8
-    lr_min: float = 1e-5
-    lr_max: float = 3e-3
-    lambda_cl: float = 5e-4
-    lambda_lb: float = 0.05
-    tau: float = 0.07
-    modality_dropout: float = 0.2
-    snr_range: tuple[float, float] | None = (10.0, 25.0)
+class PretrainConfig(PretrainSettings):
     save_every: int = 50
 
     def settings(self) -> PretrainSettings:
-        return PretrainSettings(
-            steps=self.steps,
-            batch_size=self.batch_size,
-            lr_min=self.lr_min,
-            lr_max=self.lr_max,
-            lambda_cl=self.lambda_cl,
-            lambda_lb=self.lambda_lb,
-            tau=self.tau,
-            modality_dropout=self.modality_dropout,
-            snr_range=None if self.snr_range is None else tuple(self.snr_range),
-        )
+        return _copy_fields(self, PretrainSettings)
 
 
 @dataclass(frozen=True)
@@ -143,15 +167,7 @@ class FinetuneConfig:
     drop: tuple[str, ...] = ()
 
     def settings(self) -> FinetuneSettings:
-        return FinetuneSettings(
-            steps=self.steps,
-            batch_size=self.batch_size,
-            lr_min=self.lr_min,
-            lr_max=self.lr_max,
-            freeze_encoder=self.freeze == "head",
-            snr_range=None if self.snr_range is None else tuple(self.snr_range),
-            drop=tuple(self.drop),
-        )
+        return _copy_fields(self, FinetuneSettings, freeze_encoder=self.freeze == "head")
 
 
 @dataclass(frozen=True)
@@ -163,34 +179,30 @@ class RunConfig:
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
 
     def validate(self) -> "RunConfig":
+        for name in ("model", "data", "pretrain", "finetune"):
+            _check_fields(name, getattr(self, name))
         m = self.model
-        _check_model_fields(m)
         try:
             m.encoder_config()
             tok = m.tokenizer_config()
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        for mod in tok.modalities:
+            # every grid is masked at random, the anchor's also by whole columns
+            rows, cols = tok.spec(mod).grid
+            if rows * cols < 2 or (mod.anchor and cols < 2):
+                raise ConfigError(f"model: the {rows}x{cols} {mod.name} token grid cannot hold a mask")
         resolution = self.data.synth_config(m).map_resolution
         if resolution % m.map_size:
             raise ConfigError(
                 f"map_size={m.map_size} does not divide the synthesized map side {resolution}"
             )
-        if self.data.n_samples < 1:
-            raise ConfigError("data.n_samples must be >= 1")
-        for mod, frac in self.data.availability.items():
+        for mod in self.data.availability:
             if mod not in MODALITY_NAMES:
                 raise ConfigError(f"unknown modality {mod!r} in availability")
-            if not 0.0 <= float(frac) <= 1.0:
-                raise ConfigError(f"availability[{mod}]={frac} outside [0, 1]")
         for name, section in (("pretrain", self.pretrain), ("finetune", self.finetune)):
-            if section.steps < 1 or section.batch_size < 1:
-                raise ConfigError(f"{name}: steps and batch_size must be >= 1")
-            if not 0 < section.lr_min <= section.lr_max:
-                raise ConfigError(f"{name}: need 0 < lr_min <= lr_max")
-        if not 0.0 <= self.pretrain.modality_dropout <= 1.0:
-            raise ConfigError("pretrain.modality_dropout outside [0, 1]")
-        if not self.pretrain.tau > 0:
-            raise ConfigError(f"pretrain.tau={self.pretrain.tau!r} must be > 0")
+            if section.lr_min > section.lr_max:
+                raise ConfigError(f"{name}: need lr_min <= lr_max")
         if self.finetune.freeze not in ("full", "head"):
             raise ConfigError(f"finetune.freeze={self.finetune.freeze!r} must be 'full' or 'head'")
         if self.finetune.task not in TASKS:

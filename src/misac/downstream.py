@@ -26,20 +26,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .encoder import FrozenRouting, Linear
+from .encoder import MLP, FrozenRouting
 from .pretrain import (
     Adam,
     MaskSpec,
     PretrainModel,
+    column_mask,
     cosine_lr,
     decode_masked,
     encode_visible,
     mask_loss,
     pixel_mask,
+    prepare_sample,
 )
-from .synth import MultimodalSample, with_noisy_csi
+from .synth import MultimodalSample
 from .tensor import Tensor
-from .tokenizer import Modality, Prepped, preprocess
+from .tokenizer import Modality
 
 
 class DownstreamError(ValueError):
@@ -63,21 +65,16 @@ CHANNEL = Modality.CSI  # the modality the reconstruction tasks hide and rebuild
 
 def prediction_mask(grid: tuple[int, int]) -> MaskSpec:
     """Hide the last quarter of token columns (at least one)."""
-    gr, gc = grid
-    n_hidden = max(1, round(0.25 * gc))
-    omega = np.zeros(grid, dtype=bool)
-    omega[:, gc - n_hidden :] = True
-    return MaskSpec.from_omega(CHANNEL, omega)
+    gc = grid[1]
+    return MaskSpec.from_omega(CHANNEL, column_mask(grid, np.arange(gc - max(1, round(0.25 * gc)), gc)))
 
 
 def estimation_mask(grid: tuple[int, int], spacing: int = 4) -> MaskSpec:
     """Keep every `spacing`-th token column visible (pilot comb)."""
-    gr, gc = grid
+    gc = grid[1]
     if spacing < 2 or spacing >= gc:
         raise DownstreamError("pilot spacing must lie in [2, grid_cols)")
-    omega = np.ones(grid, dtype=bool)
-    omega[:, np.arange(0, gc, spacing)] = False
-    return MaskSpec.from_omega(CHANNEL, omega)
+    return MaskSpec.from_omega(CHANNEL, column_mask(grid, np.arange(gc) % spacing > 0))
 
 
 def task_mask(task: str, grid: tuple[int, int]) -> MaskSpec | None:
@@ -120,20 +117,6 @@ def wrapped_abs_error(pred: float, target: float) -> float:
 # model
 
 
-class TaskHead:
-    """Two-layer GELU MLP on pooled features."""
-
-    def __init__(self, rng: np.random.Generator, d: int, n_out: int):
-        self.fc1 = Linear(rng, d, d)
-        self.fc2 = Linear(rng, d, n_out)
-
-    def __call__(self, pooled: Tensor) -> Tensor:
-        return self.fc2(tt.gelu(self.fc1(pooled)))
-
-    def named(self, prefix: str):
-        return self.fc1.named(f"{prefix}.fc1") + self.fc2.named(f"{prefix}.fc2")
-
-
 HEAD_OUTPUTS = {"beam_selection": None, "localization": 1, "aoa_estimation": 2}
 
 
@@ -156,7 +139,8 @@ class FinetuneModel:
             self.head = None
         else:
             n_out = HEAD_OUTPUTS[task] or n_beams
-            self.head = TaskHead(rng, pretrained.enc_cfg.d, n_out)
+            d = pretrained.enc_cfg.d
+            self.head = MLP(rng, d, d, n_out)  # on the mean-pooled encoder output
 
     def named_params(self) -> dict[str, Tensor]:
         out = dict(self.pretrained.named_params())
@@ -192,25 +176,6 @@ class FinetuneSettings:
     drop: tuple[str, ...] = ()  # modality names excluded at train and eval
 
 
-def _prep_modalities(
-    model: PretrainModel,
-    sample: MultimodalSample,
-    drop: tuple[str, ...],
-    snr_range,
-    rng: np.random.Generator | None,
-) -> dict[Modality, Prepped]:
-    use = [m for m in model.tok_cfg.modalities if m.name not in drop and sample.available[m.source]]
-    work = sample
-    if snr_range is not None and any(m.source == "csi" for m in use):
-        if rng is None:
-            raise DownstreamError("snr injection needs an rng")
-        work = with_noisy_csi(sample, snr_range, rng)
-    prepped = {m: preprocess(work, m, model.tok_cfg) for m in use}
-    if not prepped:
-        raise DownstreamError("sample has no usable modality after drops")
-    return prepped
-
-
 def sample_loss(
     model: FinetuneModel,
     sample: MultimodalSample,
@@ -220,7 +185,11 @@ def sample_loss(
 ) -> tuple[Tensor, dict]:
     """Loss for one sample plus everything needed to score it."""
     pre = model.pretrained
-    prepped = _prep_modalities(pre, sample, cfg.drop, cfg.snr_range, rng)
+    if cfg.snr_range is not None and rng is None:
+        raise DownstreamError("snr injection needs an rng")
+    prepped = prepare_sample(sample, pre.tok_cfg, rng, drop=cfg.drop, snr_range=cfg.snr_range)
+    if not prepped:
+        raise DownstreamError("sample has no usable modality after drops")
     task = model.task
     if task in RECON_TASKS:
         if CHANNEL not in prepped:
@@ -233,8 +202,7 @@ def sample_loss(
         if task == "channel_prediction":
             loss, _, _ = mask_loss({CHANNEL: recon}, {CHANNEL: target}, masks)
         else:
-            diff = tt.sub(recon, Tensor(target))
-            loss = tt.tmean(tt.square(diff))
+            loss = tt.mse(recon, target)
         scale = prepped[CHANNEL].scale
         aux = {
             "recon": recon.data / scale,  # de-normalized
@@ -249,19 +217,15 @@ def sample_loss(
     lab = sample.labels
     if task == "beam_selection":
         target = int(lab.beam_index)
-        log_z = tt.logsumexp_rows(out)
-        picked = tt.take_along_last(out, np.array([[target]]))
-        loss = tt.tmean(tt.sub(log_z, picked))
+        loss = tt.cross_entropy(out, np.array([[target]]))
         return loss, {"logits": out.data[0].copy(), "label": target}
     if task == "localization":
         target = float(lab.distance_m)
-        diff = tt.sub(out, Tensor(np.array([[target]])))
-        loss = tt.tmean(tt.square(diff))
+        loss = tt.mse(out, np.array([[target]]))
         return loss, {"pred": float(out.data[0, 0]), "label": target}
     # aoa_estimation
     theta = float(lab.aoa_rad)
-    want = np.array([[math.sin(theta), math.cos(theta)]])
-    loss = tt.tmean(tt.square(tt.sub(out, Tensor(want))))
+    loss = tt.mse(out, np.array([[math.sin(theta), math.cos(theta)]]))
     pred = math.atan2(float(out.data[0, 0]), float(out.data[0, 1]))
     return loss, {"pred": pred, "label": theta}
 

@@ -63,23 +63,26 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
 
 
 class Linear:
-    def __init__(self, rng, n_in: int, n_out: int):
+    """x @ w + b; with bias=False, x @ w."""
+
+    def __init__(self, rng, n_in: int, n_out: int, bias: bool = True):
         self.w = Tensor(trunc_normal(rng, (n_in, n_out)), requires_grad=True)
-        self.b = Tensor(np.zeros(n_out), requires_grad=True)
+        self.b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return tt.linear(x, self.w, self.b)
 
     def named(self, prefix: str):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
+        return [(f"{prefix}.w", self.w)] + ([] if self.b is None else [(f"{prefix}.b", self.b)])
 
 
-class Expert:
-    """Two-layer GELU MLP at hidden width hidden_mult * d."""
+class MLP:
+    """Two-layer GELU MLP: fc2(gelu(fc1(x))). Experts, decoder FFNs and task
+    heads are all this module."""
 
-    def __init__(self, rng, d: int, hidden: int):
-        self.fc1 = Linear(rng, d, hidden)
-        self.fc2 = Linear(rng, hidden, d)
+    def __init__(self, rng, n_in: int, hidden: int, n_out: int):
+        self.fc1 = Linear(rng, n_in, hidden)
+        self.fc2 = Linear(rng, hidden, n_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(tt.gelu(self.fc1(x)))
@@ -96,9 +99,7 @@ class ExpertPool:
         self.kind = kind
         gate_in = 2 * cfg.d if kind == "shared" else cfg.d
         self.gate = Linear(rng, gate_in, cfg.n_experts)
-        self.experts = [
-            Expert(rng, cfg.d, cfg.hidden_mult * cfg.d) for _ in range(cfg.n_experts)
-        ]
+        self.experts = [MLP(rng, cfg.d, cfg.hidden_mult * cfg.d, cfg.d) for _ in range(cfg.n_experts)]
 
     def named(self, prefix: str):
         out = self.gate.named(f"{prefix}.gate")
@@ -173,10 +174,12 @@ def _dispatch(
 
 
 class Attention:
-    """The query, key, value and output projections of one attention layer."""
+    """The query, key, value and output projections of one attention layer.
+    The key has no bias: it would add q . b to every score of a query row,
+    which the softmax cancels, so its gradient is exactly zero."""
 
     def __init__(self, rng, d: int):
-        self.q, self.k = Linear(rng, d, d), Linear(rng, d, d)
+        self.q, self.k = Linear(rng, d, d), Linear(rng, d, d, bias=False)
         self.v, self.o = Linear(rng, d, d), Linear(rng, d, d)
 
     def named(self, prefix: str):

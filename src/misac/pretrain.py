@@ -21,12 +21,14 @@ pairs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tt
 from .encoder import (
+    MLP,
     Attention,
     EncodeResult,
     EncoderConfig,
@@ -99,7 +101,8 @@ def pixel_mask(omega: np.ndarray, patch: tuple[int, int]) -> np.ndarray:
     return omega.repeat(patch[0], axis=0).repeat(patch[1], axis=1)
 
 
-def _column_mask(grid: tuple[int, int], masked_cols: np.ndarray) -> np.ndarray:
+def column_mask(grid: tuple[int, int], masked_cols: np.ndarray) -> np.ndarray:
+    """A token-grid mask that hides whole columns (indices or a bool row)."""
     omega = np.zeros(grid, dtype=bool)
     omega[:, masked_cols] = True
     return omega
@@ -112,35 +115,26 @@ def sample_mask(
     patch_w: int = 1,
     modality: Modality | None = None,
 ) -> MaskSpec:
-    """Draw a mask over a modality's token grid. Comb spacing is given in
-    input columns (subcarriers) and converts to token columns via patch_w:
-    exact when divisible, else nearest (ties to even) floored at 1. A draw
-    that leaves either side empty is retried once, then rejected."""
+    """Draw a mask over a modality's token grid that leaves both sides
+    non-empty: the random count is clamped to [1, n - 1], the stripe width to
+    [1, cols - 1], and the comb step is at least 2 token columns. Comb spacing
+    is given in input columns (subcarriers) and converts to token columns via
+    patch_w: exact when divisible, else nearest (ties to even)."""
     gr, gc = grid
     n = gr * gc
-
-    def draw() -> np.ndarray:
-        if scheme.kind == "random":
-            n_masked = int(round(scheme.ratio * n))
-            omega = np.zeros(n, dtype=bool)
-            omega[rng.permutation(n)[:n_masked]] = True
-            return omega.reshape(grid)
-        if scheme.kind == "frequency":
-            width = int(round(scheme.ratio * gc))
-            start = int(rng.integers(0, gc - width + 1)) if width < gc else 0
-            return _column_mask(grid, np.arange(start, min(start + width, gc)))
-        step = scheme.spacing // patch_w if scheme.spacing % patch_w == 0 else max(
-            1, round(scheme.spacing / patch_w)
-        )
-        visible_cols = np.arange(0, gc, step)
-        return _column_mask(grid, np.setdiff1d(np.arange(gc), visible_cols))
-
-    omega = draw()
-    if omega.all() or not omega.any():
-        omega = draw()
-    if omega.all() or not omega.any():
-        raise PretrainError(f"{scheme.kind} mask left no {'visible' if omega.all() else 'masked'} tokens")
-    return MaskSpec.from_omega(modality, omega)
+    if n < 2 or (scheme.kind != "random" and gc < 2):
+        raise PretrainError(f"a {gr}x{gc} token grid cannot hold a {scheme.kind} mask")
+    if scheme.kind == "random":
+        n_masked = min(max(int(round(scheme.ratio * n)), 1), n - 1)
+        omega = np.zeros(n, dtype=bool)
+        omega[rng.permutation(n)[:n_masked]] = True
+        return MaskSpec.from_omega(modality, omega.reshape(grid))
+    if scheme.kind == "frequency":
+        width = min(max(int(round(scheme.ratio * gc)), 1), gc - 1)
+        start = int(rng.integers(0, gc - width + 1))
+        return MaskSpec.from_omega(modality, column_mask(grid, np.arange(start, start + width)))
+    step = scheme.spacing // patch_w if scheme.spacing % patch_w == 0 else round(scheme.spacing / patch_w)
+    return MaskSpec.from_omega(modality, column_mask(grid, np.arange(gc) % max(step, 2) > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +147,18 @@ class DecoderBlock:
     def __init__(self, rng, d: int, n_heads: int, hidden_mult: int):
         self.n_heads = n_heads
         self.attn = Attention(rng, d)
-        self.fc1 = Linear(rng, d, hidden_mult * d)
-        self.fc2 = Linear(rng, hidden_mult * d, d)
+        self.ffn = MLP(rng, d, hidden_mult * d, d)
         self.g_attn = Tensor(np.ones(d), requires_grad=True)
         self.g_ffn = Tensor(np.ones(d), requires_grad=True)
 
     def __call__(self, h: Tensor, eps: float) -> Tensor:
         h = tt.add(h, tt.rmsnorm(attention(h, self.attn, self.n_heads), self.g_attn, eps))
-        ffn = self.fc2(tt.gelu(self.fc1(h)))
-        return tt.add(h, tt.rmsnorm(ffn, self.g_ffn, eps))
+        return tt.add(h, tt.rmsnorm(self.ffn(h), self.g_ffn, eps))
 
     def named(self, prefix: str):
         return (
             self.attn.named(f"{prefix}.attn")
-            + self.fc1.named(f"{prefix}.ffn.fc1")
-            + self.fc2.named(f"{prefix}.ffn.fc2")
+            + self.ffn.named(f"{prefix}.ffn")
             + [(f"{prefix}.g_attn", self.g_attn), (f"{prefix}.g_ffn", self.g_ffn)]
         )
 
@@ -208,7 +199,9 @@ class PretrainModel:
         self.decoders = {
             m: DecoderHead(rng, enc_cfg, tok_cfg, m, decoder_blocks) for m in tok_cfg.modalities
         }
-        self.proj = {m: Linear(rng, enc_cfg.d, enc_cfg.d) for m in tok_cfg.modalities}
+        # InfoNCE ignores a shift of every logit in a row, so only the anchor's
+        # projection gets a bias: another modality's would shift the rows alike
+        self.proj = {m: Linear(rng, enc_cfg.d, enc_cfg.d, bias=m.anchor) for m in tok_cfg.modalities}
 
     def named_params(self) -> dict[str, Tensor]:
         out = dict(self.encoder.named_params())
@@ -307,38 +300,50 @@ def contrastive_loss(
             raise PretrainError("contrastive_loss: ragged batch")
         z_m = tt.concat(zs, axis=0)
         s = tt.mul(tt.matmul(z_anchor, tt.transpose(z_m, (1, 0))), Tensor(1.0 / tau))
-        log_z = tt.logsumexp_rows(s)  # [b, 1]
-        pos = tt.take_along_last(s, diag)  # [b, 1]
-        term = tt.tmean(tt.sub(log_z, pos))
+        term = tt.cross_entropy(s, diag)
         total = term if total is None else tt.add(total, term)
     return total if total is not None else Tensor(0.0)
 
 
-def load_balance_loss(stats: list[PoolStats], n_experts: int) -> Tensor:
-    """Mean over (layer, pool) groups of (1/K) sum_e Imp(e) * Load(e).
+@dataclass
+class PoolUsage:
+    layer: int
+    pool: str
+    importance: Tensor  # [K] token-mean of the dense routing weights, carries gradient
+    load: np.ndarray  # [K] share of the tokens that selected each expert
 
-    Importance is the token-mean of the dense routing weights and carries
-    gradient; load is the hard selection frequency, treated as constant.
-    Uniform routing gives top_k / K^2."""
+
+def pool_usage(stats: list[PoolStats], n_experts: int) -> Iterator[PoolUsage]:
+    """Yield the usage of each (layer, pool) group of stats, in key order,
+    pooled over every sample's tokens in that group."""
     groups: dict[tuple[int, str], list[PoolStats]] = {}
     for s in stats:
         groups.setdefault((s.layer, s.pool), []).append(s)
-    if not groups:
-        raise PretrainError("load_balance_loss: no routing stats")
-    total: Tensor | None = None
-    for _, members in sorted(groups.items()):
+    for (layer, pool), members in sorted(groups.items()):
         weights = (
             members[0].weights
             if len(members) == 1
             else tt.concat([m.weights for m in members], axis=0)
         )
-        n_tokens = sum(m.n_tokens for m in members)
         counts = sum(np.bincount(m.selected.reshape(-1), minlength=n_experts) for m in members)
-        load = counts / n_tokens
-        imp = tt.tmean(weights, axis=0)  # [K]
-        term = tt.mul(tt.tsum(tt.mul(imp, Tensor(load))), Tensor(1.0 / n_experts))
+        load = counts / sum(m.n_tokens for m in members)
+        yield PoolUsage(layer, pool, tt.tmean(weights, axis=0), load)
+
+
+def load_balance_loss(stats: list[PoolStats], n_experts: int) -> Tensor:
+    """Mean over (layer, pool) groups of (1/K) sum_e Imp(e) * Load(e).
+
+    Importance carries gradient; load, the hard selection frequency, is
+    treated as constant. Uniform routing gives top_k / K^2."""
+    if not stats:
+        raise PretrainError("load_balance_loss: no routing stats")
+    total: Tensor | None = None
+    n_groups = 0
+    for usage in pool_usage(stats, n_experts):
+        term = tt.mul(tt.tsum(tt.mul(usage.importance, Tensor(usage.load))), Tensor(1.0 / n_experts))
         total = term if total is None else tt.add(total, term)
-    return tt.mul(total, Tensor(1.0 / len(groups)))
+        n_groups += 1
+    return tt.mul(total, Tensor(1.0 / n_groups))
 
 
 def total_loss(
@@ -468,6 +473,30 @@ class StepInputs:
     scheme: MaskScheme
 
 
+def prepare_sample(
+    sample: MultimodalSample,
+    tok_cfg: TokenizerConfig,
+    rng: np.random.Generator | None = None,
+    drop: tuple[str, ...] = (),
+    dropout: float | None = None,
+    snr_range: tuple[float, float] | None = None,
+) -> dict[Modality, Prepped]:
+    """Preprocess the sample's present modalities, in id order: those it has
+    and drop does not name, less the droppable ones that modality dropout
+    removes (one rng draw each while more than one is left; no draws when
+    dropout is None), after adding CSI noise when snr_range is set and the
+    CSI is present."""
+    present = [m for m in tok_cfg.modalities if m.name not in drop and sample.available[m.source]]
+    if dropout is not None:
+        for m in [m for m in present if m.droppable]:
+            if len(present) > 1 and rng.random() < dropout:
+                present.remove(m)
+    work = sample
+    if snr_range is not None and any(m.source == "csi" for m in present):
+        work = with_noisy_csi(sample, snr_range, rng)
+    return {m: preprocess(work, m, tok_cfg) for m in present}
+
+
 def prepare_step_inputs(
     batch: list[MultimodalSample],
     model: PretrainModel,
@@ -482,16 +511,9 @@ def prepare_step_inputs(
     tok_cfg = model.tok_cfg
     prepped_all, masks_all = [], []
     for sample in batch:
-        present = [m for m in tok_cfg.modalities if sample.available[m.source]]
-        for m in [m for m in present if m.droppable]:
-            if len(present) > 1 and rng.random() < cfg.modality_dropout:
-                present.remove(m)
-        work = sample
-        if cfg.snr_range is not None and any(m.source == "csi" for m in present):
-            work = with_noisy_csi(sample, cfg.snr_range, rng)
-        prepped = {m: preprocess(work, m, tok_cfg) for m in present}
+        prepped = prepare_sample(sample, tok_cfg, rng, dropout=cfg.modality_dropout, snr_range=cfg.snr_range)
         masks = {}
-        for m in present:
+        for m in prepped:
             spec = tok_cfg.spec(m)
             if m.anchor:
                 masks[m] = sample_mask(scheme, spec.grid, rng, spec.patch[1], m)

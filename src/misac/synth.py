@@ -282,31 +282,29 @@ def radar_cube(scene: SceneSpec, params: RadarParams) -> RadarCube:
     return RadarCube(ComplexTensor(cube), params)
 
 
-def range_angle_map(cube: RadarCube, out_size: int | None = None) -> ComplexTensor:
-    """2D FFT over (rx, fast-time) per chirp, averaged across chirps.
-
-    Output rows are angle bins, columns range bins; axes are zero-padded (or
-    truncated) to out_size. Averaging is coherent unless the cube's params
-    request magnitude averaging.
-    """
+def _averaged_fft2(cube: RadarCube, axis: int, out_size: int | None) -> ComplexTensor:
+    """2D FFT over the two other axes of each slice of the cube along axis,
+    averaged across the slices. Both FFT axes are zero-padded (or truncated)
+    to out_size. Averaging is coherent unless the cube's params request
+    magnitude averaging."""
     size = out_size or cube.params.out_size
-    data = cube.data.data
+    slices = np.moveaxis(cube.data.data, axis, 0)
     acc = np.zeros((size, size), dtype=np.complex128)
-    for ci in range(data.shape[1]):
-        s = np.fft.fft2(data[:, ci, :], s=(size, size))
+    for piece in slices:
+        s = np.fft.fft2(piece, s=(size, size))
         acc += np.abs(s) if cube.params.magnitude_average else s
-    return ComplexTensor(acc / data.shape[1])
+    return ComplexTensor(acc / len(slices))
+
+
+def range_angle_map(cube: RadarCube, out_size: int | None = None) -> ComplexTensor:
+    """2D FFT over (rx, fast-time) per chirp, averaged across chirps. Output
+    rows are angle bins, columns range bins."""
+    return _averaged_fft2(cube, 1, out_size)
 
 
 def range_velocity_map(cube: RadarCube, out_size: int | None = None) -> ComplexTensor:
     """2D FFT over (slow-time, fast-time) per rx element, averaged across rx."""
-    size = out_size or cube.params.out_size
-    data = cube.data.data
-    acc = np.zeros((size, size), dtype=np.complex128)
-    for mi in range(data.shape[0]):
-        s = np.fft.fft2(data[mi, :, :], s=(size, size))
-        acc += np.abs(s) if cube.params.magnitude_average else s
-    return ComplexTensor(acc / data.shape[0])
+    return _averaged_fft2(cube, 0, out_size)
 
 
 # ---------------------------------------------------------------------------

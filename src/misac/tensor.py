@@ -408,13 +408,16 @@ def combine_rows(out: Tensor, w: Tensor, pos, pairs) -> Tensor:
     return _emit("combine_rows", _sum_places(out.data * place_w, pos), [(out, vjp_out), (w, vjp_w)])
 
 
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
+    """The gradient of a sum over axis: g copied back over the reduced axis."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape).copy()
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.data.shape).copy()
+        return _spread(g, a.data.shape, axis, keepdims)
 
     return _emit("sum", a.data.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
@@ -423,11 +426,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else a.data.shape[axis]
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g / n, a.data.shape).copy()
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g / n, a.data.shape).copy()
+        return _spread(g / n, a.data.shape, axis, keepdims)
 
     return _emit("mean", a.data.mean(axis=axis, keepdims=keepdims), [(a, vjp)])
 
@@ -516,8 +515,8 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     return _emit("rmsnorm", xhat * gain.data, [(x, vjp_x), (gain, vjp_gain)])
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b over the last axis of x, as one matmul node."""
+def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    """x @ w (+ b) over the last axis of x, as one matmul node."""
     return matmul(x, w, bias=b)
 
 
@@ -529,6 +528,17 @@ def logsumexp_rows(x: Tensor) -> Tensor:
     """Row-wise log(sum(exp(x))) for a 2D tensor; max-shifted for stability."""
     m = Tensor(x.data.max(axis=-1, keepdims=True))  # constant shift
     return add(log(tsum(exp(sub(x, m)), axis=-1, keepdims=True)), m)
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over the rows of [N, C] logits of the softmax cross-entropy
+    against labels, an [N, 1] int array of class indices."""
+    return tmean(sub(logsumexp_rows(logits), take_along_last(logits, labels)))
+
+
+def mse(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error against a constant target of pred's shape."""
+    return tmean(square(sub(pred, Tensor(target))))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from misac.config import (
     save_config,
 )
 from misac.encoder import MultimodalEncoder
+from misac.pretrain import PretrainModel, cosine_lr, prepare_step_inputs, step_objective
 from misac.synth import synth_sample
 from misac.tokenizer import Modality, preprocess
 
@@ -232,6 +233,9 @@ class TestValidation:
             ("csi_patch", 2),
             ("map_patch", [0, 8]),
             ("radar_patch", [8.0, 8]),
+            ("rms_eps", "x"),
+            ("rms_eps", -1.0),
+            ("height_scale", "x"),
         ],
     )
     def test_bad_model_field_is_named(self, name, value):
@@ -243,15 +247,44 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "section, raw",
-        [("finetune", {"freeze": "none"}), ("pretrain", {"tau": 0}), ("pretrain", {"tau": -0.07})],
+        [
+            ("finetune", {"freeze": "none"}),
+            ("pretrain", {"tau": 0}),
+            ("pretrain", {"tau": -0.07}),
+            ("pretrain", {"tau": "x"}),
+            ("pretrain", {"tau": float("nan")}),
+            ("pretrain", {"lr_max": "1e-3"}),
+            ("pretrain", {"modality_dropout": "x"}),
+            ("pretrain", {"steps": "5"}),
+            ("pretrain", {"lambda_cl": "x"}),
+            ("pretrain", {"lambda_lb": -1}),
+            ("pretrain", {"save_every": "x"}),
+            ("pretrain", {"save_every": 0}),
+            ("data", {"n_samples": 2.5}),
+            ("data", {"seed": "x"}),
+            ("data", {"availability": {"csi": "x"}}),
+            ("data", {"speed": ["a", 3]}),
+            ("data", {"include_los": 1}),
+            ("finetune", {"batch_size": True}),
+            ("finetune", {"snr_range": [30, 10]}),
+            ("finetune", {"snr_range": [5]}),
+            ("finetune", {"drop": "map"}),
+        ],
     )
     def test_bad_training_setting_is_named(self, section, raw):
         with pytest.raises(ConfigError, match=f"{section}.{next(iter(raw))}"):
             config_from_dict({section: raw})
 
+    @pytest.mark.parametrize("raw", [{"csi_width": 4, "csi_patch": [2, 4]}, {"map_size": 8, "map_patch": [8, 8]}])
+    def test_grid_that_cannot_hold_a_mask_rejected(self, raw):
+        # the anchor (CSI) needs two token columns, every grid two tokens
+        with pytest.raises(ConfigError, match="cannot hold a mask"):
+            config_from_dict({"model": raw})
 
-# A tiny grid of model fields, valid and invalid; every draw either fails
-# validation with ConfigError or runs synth -> preprocess -> encode cleanly.
+
+# A tiny grid of model fields and of the other sections' fields, valid and
+# invalid; every draw either fails validation with ConfigError or runs
+# synth -> preprocess -> encode and a pre-training objective cleanly.
 _FIELDS = {
     "d": st.sampled_from([0, 4, 6, 8, "8", True]),
     "n_layers": st.sampled_from([0, 1, 2]),
@@ -270,11 +303,43 @@ _FIELDS = {
 }
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.fixed_dictionaries({}, optional=_FIELDS), st.integers(0, 2**16))
-def test_config_either_fails_validation_or_encodes(fields, seed):
+# (section, field, value) draws for the other sections, valid and invalid
+_SETTINGS = [
+    ("data", "n_samples", 1), ("data", "n_samples", 2.5),
+    ("data", "seed", 3), ("data", "seed", -1), ("data", "seed", "x"),
+    ("data", "availability", {"radar": 0.5}), ("data", "availability", {"map": "x"}),
+    ("data", "availability", {"csi": 1.5}),
+    ("data", "speed", [-3, 3]), ("data", "speed", [3, -3]), ("data", "speed", ["a", 3]),
+    ("data", "include_los", False), ("data", "include_los", 1),
+    ("pretrain", "steps", 1), ("pretrain", "steps", "5"),
+    ("pretrain", "lr_max", 1e-3), ("pretrain", "lr_max", "1e-3"), ("pretrain", "lr_max", 1e-6),
+    ("pretrain", "lambda_cl", 0), ("pretrain", "lambda_cl", 1.0), ("pretrain", "lambda_cl", -1),
+    ("pretrain", "lambda_lb", 0.5), ("pretrain", "lambda_lb", "x"),
+    ("pretrain", "tau", 0.5), ("pretrain", "tau", 0), ("pretrain", "tau", float("inf")),
+    ("pretrain", "modality_dropout", 0), ("pretrain", "modality_dropout", 1),
+    ("pretrain", "modality_dropout", 1.5),
+    ("pretrain", "snr_range", None), ("pretrain", "snr_range", [5, 9]),
+    ("pretrain", "snr_range", [30, 10]), ("pretrain", "snr_range", [5]),
+    ("pretrain", "save_every", 1), ("pretrain", "save_every", 0),
+    ("finetune", "batch_size", 1), ("finetune", "batch_size", True),
+    ("finetune", "lr_min", 1e-6), ("finetune", "lr_min", 0.0),
+    ("finetune", "snr_range", [0, 0]), ("finetune", "snr_range", ["x", 1]),
+    ("finetune", "drop", ["map"]), ("finetune", "drop", "map"),
+]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.fixed_dictionaries({}, optional=_FIELDS),
+    st.lists(st.sampled_from(_SETTINGS), max_size=2),
+    st.integers(0, 2**16),
+)
+def test_config_either_fails_validation_or_encodes(fields, settings_draw, seed):
+    sections = {}
+    for section, name, value in settings_draw:
+        sections.setdefault(section, {})[name] = value
     try:
-        cfg = config_from_dict({"model": fields})
+        cfg = config_from_dict({"model": fields, **sections})
     except ConfigError:
         return
     tok = cfg.model.tokenizer_config()
@@ -289,3 +354,12 @@ def test_config_either_fails_validation_or_encodes(fields, seed):
         res = model.encode(parts)
     assert [s.stop - s.start for s in res.segments] == [tok.spec(m).n_tokens for m in tok.modalities]
     assert np.isfinite(res.h.data).all()
+    pre = PretrainModel(
+        cfg.model.encoder_config(), tok, np.random.default_rng(seed), decoder_blocks=cfg.model.decoder_blocks
+    )
+    train = cfg.pretrain.settings()
+    inputs = prepare_step_inputs([sample, sample], pre, train, np.random.default_rng(seed))
+    loss, _ = step_objective(pre, inputs, train)
+    assert np.isfinite(loss.total.item())
+    for s in (train, cfg.finetune.settings()):
+        assert s.lr_min <= cosine_lr(1, s.steps, s.lr_min, s.lr_max) <= s.lr_max

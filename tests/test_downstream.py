@@ -12,7 +12,6 @@ from misac.downstream import (
     DownstreamError,
     FinetuneModel,
     FinetuneSettings,
-    _prep_modalities,
     estimation_mask,
     evaluate,
     finetune_step,
@@ -25,7 +24,7 @@ from misac.downstream import (
     wrapped_abs_error,
 )
 from misac.encoder import EncoderConfig
-from misac.pretrain import Adam, PretrainModel, cosine_lr
+from misac.pretrain import Adam, PretrainModel, cosine_lr, prepare_sample
 from misac.synth import SynthConfig, synth_dataset
 from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig
 
@@ -166,12 +165,13 @@ class TestModelWiring:
 
     def test_prep_respects_drops(self, samples):
         pre = small_pretrained()
-        full = _prep_modalities(pre, samples[0], (), None, None)
+        full = prepare_sample(samples[0], pre.tok_cfg)
         assert set(full) == {Modality.CSI, Modality.MAP, Modality.RADAR}
-        csi_only = _prep_modalities(pre, samples[0], ("map", "radar"), None, None)
+        csi_only = prepare_sample(samples[0], pre.tok_cfg, drop=("map", "radar"))
         assert set(csi_only) == {Modality.CSI}
+        model = FinetuneModel(pre, "beam_selection", np.random.default_rng(1))
         with pytest.raises(DownstreamError):
-            _prep_modalities(pre, samples[0], ("csi", "map", "radar"), None, None)
+            sample_loss(model, samples[0], FinetuneSettings(drop=("csi", "map", "radar")))
 
     def test_snr_injection_requires_rng(self, samples):
         model = make_model("beam_selection")

@@ -307,7 +307,8 @@ class TestAttention:
         got = enc.attention(Tensor(h), attn, 3).data
 
         q = h @ attn.q.w.data + attn.q.b.data
-        k = h @ attn.k.w.data + attn.k.b.data
+        assert attn.k.b is None  # a key bias would only shift each query's scores
+        k = h @ attn.k.w.data
         v = h @ attn.v.w.data + attn.v.b.data
         outs = []
         for hd in range(3):

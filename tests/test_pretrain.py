@@ -100,16 +100,38 @@ class TestMaskSchemes:
         s7 = sample_mask(MaskScheme("comb", spacing=7), (2, 8), np.random.default_rng(0), patch_w=2)
         assert np.array_equal(np.nonzero(~s7.omega.any(axis=0))[0], [0, 4])
 
-    def test_comb_no_masked_tokens_rejected(self):
-        # spacing 4 with patch width 8 collapses to step 1: everything visible
-        with pytest.raises(PretrainError):
-            sample_mask(MaskScheme("comb", spacing=4), (2, 8), np.random.default_rng(0), patch_w=8)
+    def test_comb_step_floors_at_two(self):
+        # spacing 4 with patch width 8 would be a step of 1: everything visible
+        spec = sample_mask(MaskScheme("comb", spacing=4), (2, 8), np.random.default_rng(0), patch_w=8)
+        assert np.array_equal(np.nonzero(~spec.omega.any(axis=0))[0], [0, 2, 4, 6])
 
-    def test_degenerate_random_masks_rejected(self):
+    def test_degenerate_counts_are_clamped(self):
+        # round(ratio * n) of 0 or n would leave one side empty
+        for ratio, grid, n_masked in [(0.1, (1, 4), 1), (0.9, (1, 2), 1), (0.11, (2, 2), 1), (0.9, (2, 2), 3)]:
+            spec = sample_mask(MaskScheme("random", ratio=ratio), grid, np.random.default_rng(0))
+            assert spec.masked.size == n_masked and spec.visible.size == grid[0] * grid[1] - n_masked
+        for ratio, width in [(0.11, 1), (0.9, 3)]:
+            spec = sample_mask(MaskScheme("frequency", ratio=ratio), (2, 4), np.random.default_rng(0))
+            assert spec.omega.all(axis=0).sum() == width and spec.omega.any(axis=0).sum() == width
+
+    def test_grid_too_small_for_a_mask_rejected(self):
         with pytest.raises(PretrainError):
-            sample_mask(MaskScheme("random", ratio=0.1), (1, 4), np.random.default_rng(0))
+            sample_mask(MaskScheme("random", ratio=0.5), (1, 1), np.random.default_rng(0))
         with pytest.raises(PretrainError):
-            sample_mask(MaskScheme("random", ratio=0.9), (1, 2), np.random.default_rng(0))
+            sample_mask(MaskScheme("frequency", ratio=0.5), (4, 1), np.random.default_rng(0))
+        with pytest.raises(PretrainError):
+            sample_mask(MaskScheme("comb", spacing=4), (4, 1), np.random.default_rng(0))
+
+    def test_paper_csi_grid_takes_every_scheme(self):
+        # the paper preset's 4x8 CSI token grid with patch width 4 turns comb
+        # spacings 4 and 5 into one token column; each draw must still mask
+        from misac.config import paper_config
+
+        spec = paper_config().model.tokenizer_config().spec(Modality.CSI)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            mask = sample_mask(choose_csi_scheme(rng), spec.grid, rng, spec.patch[1], Modality.CSI)
+            assert mask.masked.size and mask.visible.size
 
     def test_sample_mask_sets_modality(self):
         scheme = MaskScheme("random", ratio=0.5)
@@ -578,7 +600,8 @@ class TestEncodeDecode:
         assert "decoder.csi.mask_token" in names
         assert "decoder.radar.block0.ffn.fc1.w" in names
         assert "decoder.map.out.w" in names
-        assert "proj.csi.w" in names and "proj.map.b" in names
+        assert "proj.csi.w" in names and "proj.csi.b" in names
+        assert "proj.map.w" in names and "proj.map.b" not in names  # only the anchor's has a bias
         assert "block0.shared.gate.w" in names  # encoder params included
 
 
@@ -718,3 +741,28 @@ class TestTrainingLoop:
         grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
         assert loss.total.item() == pytest.approx(0.4374481507511573, rel=1e-12, abs=0)
         assert grad_norm == pytest.approx(33.14746209136952, rel=1e-12, abs=0)
+
+    def test_every_desk_parameter_gets_a_live_gradient(self):
+        # A parameter the loss cannot see (a softmax-cancelled key bias, a
+        # bias that shifts every InfoNCE logit of a row alike) gets only
+        # roundoff, ~1e-20 of the largest gradient, which Adam then scales
+        # up to full steps. The smallest real one is ~6e-8 of the largest.
+        from misac.config import desk_config
+
+        desk = desk_config()
+        model = PretrainModel(
+            desk.model.encoder_config(),
+            desk.model.tokenizer_config(),
+            np.random.default_rng(0),
+            decoder_blocks=desk.model.decoder_blocks,
+        )
+        samples, _ = synth_dataset(desk.data.synth_config(desk.model), 8, seed=5)
+        cfg = desk.pretrain.settings()
+        inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
+        with tt.Tape() as tape:
+            loss, _ = step_objective(model, inputs, cfg)
+        tt.backward(loss.total, tape)
+        peaks = {k: float(np.abs(p.grad).max()) for k, p in model.named_params().items() if p.grad is not None}
+        top = max(peaks.values())
+        dead = sorted(k for k, g in peaks.items() if g < 1e-10 * top)
+        assert not dead, f"parameters with only roundoff gradients: {dead}"

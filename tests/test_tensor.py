@@ -689,6 +689,30 @@ class TestModalityLiterals:
         assert MODALITY_NAMING <= constants
 
 
+def import_faults(src: Path) -> list[str]:
+    """Imports in src that run inside a function, and imports of an
+    _-prefixed name from a misac module."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    f"{path.name}:{node.lineno}: import inside {fn.name}"
+                    for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+                }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("misac")):
+                found |= {f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")}
+    return sorted(found)
+
+
+class TestImports:
+    def test_no_local_or_private_imports(self):
+        found = import_faults(Path(T.__file__).parent)
+        assert not found, f"function-local or private imports in src/misac: {found}"
+
+
 class TestTapeOpNames:
     """Every tape node's vjps are closures defined inside the public
     misac.tensor function that recorded it, so an op histogram can name a
