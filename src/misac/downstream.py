@@ -135,7 +135,11 @@ class FinetuneModel:
         self.pretrained = pretrained
         self.task = task
         self.n_beams = n_beams
+        self.mask: MaskSpec | None = None  # the fixed CSI mask of a reconstruction task
         if task in RECON_TASKS:
+            if CHANNEL not in pretrained.tok_cfg.specs:
+                raise DownstreamError(f"{task} needs {CHANNEL.name}")
+            self.mask = task_mask(task, pretrained.tok_cfg.spec(CHANNEL).grid)
             self.head = None
         else:
             n_out = HEAD_OUTPUTS[task] or n_beams
@@ -194,7 +198,7 @@ def sample_loss(
     if task in RECON_TASKS:
         if CHANNEL not in prepped:
             raise DownstreamError(f"{task} needs {CHANNEL.name}")
-        spec = task_mask(task, pre.tok_cfg.spec(CHANNEL).grid)
+        spec = model.mask
         masks = {CHANNEL: spec}
         res = encode_visible(pre, prepped, masks, frozen)
         recon = decode_masked(pre, res, masks)[CHANNEL]

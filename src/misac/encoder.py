@@ -18,7 +18,6 @@ Layout invariants:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,18 +186,9 @@ class Attention:
 
 
 def attention(h: Tensor, attn: Attention, n_heads: int) -> Tensor:
-    """Scaled dot-product multi-head self-attention over all tokens."""
-    n, d = h.shape
-    dh = d // n_heads
-
-    def split(t: Tensor) -> Tensor:
-        return tt.transpose(tt.reshape(t, (n, n_heads, dh)), (1, 0, 2))
-
-    q, k, v = split(attn.q(h)), split(attn.k(h)), split(attn.v(h))
-    scores = tt.mul(tt.matmul(q, tt.transpose(k, (0, 2, 1))), Tensor(1.0 / math.sqrt(dh)))
-    mix = tt.matmul(tt.softmax(scores), v)  # [heads, n, dh]
-    merged = tt.reshape(tt.transpose(mix, (1, 0, 2)), (n, d))
-    return attn.o(merged)
+    """Scaled dot-product multi-head self-attention over all tokens: five
+    tape nodes, the four projections and one attention core."""
+    return attn.o(tt.scaled_dot_product_attention(attn.q(h), attn.k(h), attn.v(h), n_heads))
 
 
 class EncoderBlock:

@@ -488,6 +488,58 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _emit("softmax", out, [(a, vjp)])
 
 
+def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(dh)) v_h for each of n_heads column blocks
+    of the [n, d] projections, merged back to [n, d], as one node. One
+    [heads, n, n] buffer holds the scores, then the weights. The arithmetic
+    and its order are those of the reshape/transpose, matmul, scale, softmax,
+    matmul chain on the same head views, forward and backward."""
+    n, d = q.data.shape
+    if k.data.shape != (n, d) or v.data.shape != (n, d) or n_heads < 1 or d % n_heads:
+        raise ValueError("scaled_dot_product_attention: need one [n, d] shape for q, k, v and n_heads dividing d")
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(x):  # [n, d] -> a [heads, n, dh] view
+        return x.reshape(n, n_heads, dh).transpose(1, 0, 2)
+
+    def merge(x):  # [heads, n, dh] -> [n, d]
+        return x.transpose(1, 0, 2).reshape(n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = np.matmul(qh, kh.transpose(0, 2, 1))
+    p *= scale
+    if _CHECK_FINITE and not np.all(np.isfinite(p)):
+        raise FloatingPointError("scaled_dot_product_attention: non-finite values in scores")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def score_grad(g):
+        gs = np.matmul(split(g), vh.transpose(0, 2, 1))
+        np.subtract(gs, (gs * p).sum(axis=-1, keepdims=True), out=gs)
+        gs *= p
+        gs *= scale
+        return gs
+
+    held = []  # (g, its score gradient), from q's vjp until k's takes it
+
+    def vjp_q(g):
+        held[:] = [g, score_grad(g)]
+        return merge(np.matmul(held[1], kh))
+
+    def vjp_k(g):
+        gs = held[1] if held and held[0] is g else score_grad(g)
+        held.clear()
+        return merge(np.matmul(qh.transpose(0, 2, 1), gs).transpose(0, 2, 1))
+
+    def vjp_v(g):
+        return merge(np.matmul(p.transpose(0, 2, 1), split(g)))
+
+    return _emit("scaled_dot_product_attention", merge(np.matmul(p, vh)),
+                 [(q, vjp_q), (k, vjp_k), (v, vjp_v)])
+
+
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """x / sqrt(mean(x^2, last axis) + eps) * gain, as one node."""
     xd = x.data

@@ -130,8 +130,16 @@ def _unit_power_scale(x: np.ndarray) -> float:
 
 
 def _block_mean(x: np.ndarray, factor: int) -> np.ndarray:
-    h, w, c = x.shape
-    return x.reshape(h // factor, factor, w // factor, factor, c).mean(axis=(1, 3))
+    """Mean over factor x factor blocks of [H, W, C]: the factor² strided
+    slices summed in place, block row outer, then divided by factor²; bit for
+    bit x.reshape(H / f, f, W / f, f, C).mean(axis=(1, 3))."""
+    out = x[::factor, ::factor].copy()
+    for i in range(factor):
+        for j in range(factor):
+            if i or j:
+                out += x[i::factor, j::factor]
+    out /= factor * factor
+    return out
 
 
 def _prepare_csi(csi, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
@@ -141,16 +149,17 @@ def _prepare_csi(csi, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndar
 
 
 def _prepare_map(smap, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
-    """Block-averaged from the native side down to the configured one."""
-    arr = np.concatenate([smap.bev, smap.height / cfg.height_scale], axis=-1)
-    native = arr.shape[0]
+    """Bev and height / height_scale, each block-averaged from the native side
+    down to the configured one, then joined."""
+    parts = [smap.bev, smap.height / cfg.height_scale]
+    native = smap.bev.shape[0]
     if native != spec.height:
         if native % spec.height:
             raise TokenError(
                 f"map side {native} not an integer multiple of configured {spec.height}"
             )
-        arr = _block_mean(arr, native // spec.height)
-    return arr, 1.0
+        parts = [_block_mean(p, native // spec.height) for p in parts]
+    return np.concatenate(parts, axis=-1), 1.0
 
 
 def _prepare_radar(radar, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:

@@ -171,6 +171,11 @@ def _primitive_checks(rng) -> dict[str, float]:
     check("square", lambda: ([a35], lambda: scalarize(tt.square(a35))))
     check("gelu", lambda: ([a35], lambda: scalarize(tt.gelu(a35))))
     check("softmax", lambda: ([a35], lambda: scalarize(tt.mul(tt.softmax(a35), b35))))
+    q54, k54, v54 = p((5, 4)), p((5, 4)), p((5, 4))
+    check(
+        "scaled_dot_product_attention",
+        lambda: ([q54, k54, v54], lambda: scalarize(tt.scaled_dot_product_attention(q54, k54, v54, 2))),
+    )
     gain = p((5,))
     check("rmsnorm", lambda: ([a35, gain], lambda: scalarize(tt.rmsnorm(a35, gain))))
     check("logsumexp_rows", lambda: ([a35], lambda: scalarize(tt.logsumexp_rows(a35))))

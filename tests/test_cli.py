@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from misac import cli
 from misac.checkpoint import load_checkpoint, save_checkpoint, snapshot
 from misac.cli import main
 from misac.config import fingerprint, load_config
@@ -327,6 +328,27 @@ class TestFinetuneAndEval:
         args = ["eval", "--config", str(cfg), "--data", str(root / "data"), "--checkpoint", str(bad)]
         assert main(args) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_estimation_on_a_narrow_csi_grid_exits_one_before_any_step(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        root, _ = workspace
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(cli, "run_finetune", no_step)
+        monkeypatch.setattr(cli, "evaluate", no_step)
+        cfg = write_cfg(tmp_path, model={"csi_width": 8})  # an 8 x 4 CSI token grid
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        args = [command, "--config", str(cfg), "--data", str(tmp_path / "data"), "--task", "channel_estimation"]
+        args += ["--scratch"] if command == "finetune" else ["--checkpoint", str(root / "ft.msck")]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert not lines_of(out, "finetune_step")
+        assert "pilot spacing" in err
 
     def test_unknown_task_lists_valid_kinds(self, workspace, capsys):
         root, cfg = workspace

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from misac import tensor as tt
+from misac.config import config_from_dict
 from misac.downstream import (
     DownstreamError,
     FinetuneModel,
@@ -172,6 +173,15 @@ class TestModelWiring:
         model = FinetuneModel(pre, "beam_selection", np.random.default_rng(1))
         with pytest.raises(DownstreamError):
             sample_loss(model, samples[0], FinetuneSettings(drop=("csi", "map", "radar")))
+
+    def test_estimation_on_a_narrow_csi_grid_fails_at_construction(self):
+        # an 8 x 4 CSI token grid validates, but leaves no room for the
+        # pilot comb of spacing 4; the model refuses it before any step
+        cfg = config_from_dict({"model": {"csi_width": 8}})
+        pre = PretrainModel(cfg.model.encoder_config(), cfg.model.tokenizer_config(), np.random.default_rng(0))
+        with pytest.raises(DownstreamError, match="pilot spacing"):
+            FinetuneModel(pre, "channel_estimation", np.random.default_rng(1))
+        assert FinetuneModel(pre, "channel_prediction", np.random.default_rng(1)).mask.masked.size
 
     def test_snr_injection_requires_rng(self, samples):
         model = make_model("beam_selection")

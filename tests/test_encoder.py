@@ -320,6 +320,14 @@ class TestAttention:
         want = np.concatenate(outs, axis=1) @ attn.o.w.data + attn.o.b.data
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    def test_one_call_tapes_five_nodes(self):
+        rng = np.random.default_rng(15)
+        block = enc.EncoderBlock(rng, EncoderConfig(d=12, n_heads=3), tok.MODALITY_ORDER)
+        with tt.Tape() as tape:
+            enc.attention(Tensor(rng.normal(size=(7, 12)), requires_grad=True), block.attn, 3)
+        ops = [node.vjps[0][1].__qualname__.split(".<locals>.")[0] for node in tape.nodes]
+        assert ops == ["matmul", "matmul", "matmul", "scaled_dot_product_attention", "matmul"]
+
 
 class TestEncode:
     def test_segment_order_and_bounds(self, small):

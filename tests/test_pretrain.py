@@ -742,6 +742,26 @@ class TestTrainingLoop:
         assert loss.total.item() == pytest.approx(0.4374481507511573, rel=1e-12, abs=0)
         assert grad_norm == pytest.approx(33.14746209136952, rel=1e-12, abs=0)
 
+    def test_fixed_seed_desk_step_tape_is_pinned(self):
+        # The node count of the same desk step: five per attention call (the
+        # q, k, v and o projections and one attention core), down from 17
+        # when the core was a reshape/transpose/matmul/scale/softmax chain.
+        from misac.config import desk_config
+
+        desk = desk_config()
+        model = PretrainModel(
+            desk.model.encoder_config(),
+            desk.model.tokenizer_config(),
+            np.random.default_rng(0),
+            decoder_blocks=desk.model.decoder_blocks,
+        )
+        samples, _ = synth_dataset(desk.data.synth_config(desk.model), 8, seed=5)
+        cfg = desk.pretrain.settings()
+        inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
+        with tt.Tape() as tape:
+            step_objective(model, inputs, cfg)
+        assert len(tape) == 1440
+
     def test_every_desk_parameter_gets_a_live_gradient(self):
         # A parameter the loss cannot see (a softmax-cancelled key bias, a
         # bias that shifts every InfoNCE logit of a row alike) gets only

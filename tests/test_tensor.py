@@ -30,6 +30,22 @@ def linear_composite(x, w, b):
     return T.add(T.matmul(x, w), b)
 
 
+def attention_chain(q, k, v, n_heads):
+    """The reshape/transpose, matmul, scale, softmax, matmul chain that
+    scaled_dot_product_attention replaced: the oracle for its values and
+    gradients."""
+    n, d = q.shape
+    dh = d // n_heads
+
+    def split(t):
+        return T.transpose(T.reshape(t, (n, n_heads, dh)), (1, 0, 2))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), T.Tensor(1.0 / math.sqrt(dh)))
+    mix = T.matmul(T.softmax(scores), vh)
+    return T.reshape(T.transpose(mix, (1, 0, 2)), (n, d))
+
+
 def primitive_cases():
     """The parameters and the scalar losses that test_each_primitive checks
     by central differences: every differentiable primitive appears."""
@@ -62,6 +78,9 @@ def primitive_cases():
         "square": lambda: T.tsum(T.square(a)),
         "gelu": lambda: T.tsum(T.gelu(T.sub(a, b))),
         "softmax": lambda: T.tsum(T.square(T.softmax(a))),
+        "scaled_dot_product_attention": lambda: T.tsum(T.square(
+            T.scaled_dot_product_attention(a, b, T.sub(a, b), 3)
+        )),
         "mean_axis": lambda: T.tsum(T.square(T.tmean(a, axis=0, keepdims=True))),
         "sum_axis": lambda: T.tsum(T.square(T.tsum(a, axis=1))),
         "rmsnorm": lambda: T.tsum(T.square(T.rmsnorm(T.sub(a, b), T.mul(a, b)))),
@@ -237,6 +256,39 @@ class TestFusedKernels:
             tape.nodes[0].vjps[0][1](gy), np.concatenate([gy[:7] @ ws[0].data.T, gy[7:] @ ws[1].data.T])
         )
         np.testing.assert_array_equal(g, g_before)  # no vjp writes into its upstream gradient
+
+
+class TestAttention:
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    def test_one_node_equal_to_the_chain(self, n, n_heads):
+        r = rng()
+        q, k, v = (T.Tensor(r.normal(size=(n, 16)) * 2, requires_grad=True) for _ in range(3))
+        up = T.Tensor(r.normal(size=(n, 16)))
+        np.testing.assert_array_equal(
+            T.scaled_dot_product_attention(q, k, v, n_heads).data, attention_chain(q, k, v, n_heads).data
+        )
+        got, nodes = tape_grads(lambda: T.tsum(T.mul(T.scaled_dot_product_attention(q, k, v, n_heads), up)), [q, k, v])
+        want, _ = tape_grads(lambda: T.tsum(T.mul(attention_chain(q, k, v, n_heads), up)), [q, k, v])
+        assert nodes == 3  # attention, mul, sum
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_overflowing_scores_raise_instead_of_zero_weights(self):
+        # q . k overflows to -inf for key 0 and stays finite for key 1, so an
+        # unchecked softmax would give key 0 an exact zero weight
+        q = T.Tensor(np.array([[1e200, 1e200], [1.0, 1.0]]))
+        k = T.Tensor(np.array([[-1e200, -1e200], [1.0, 1.0]]))
+        v = T.Tensor(np.ones((2, 2)))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="scaled_dot_product_attention"):
+            T.scaled_dot_product_attention(q, k, v, 1)
+
+    def test_rejects_mismatched_shapes_and_heads(self):
+        x = T.Tensor(np.ones((3, 4)))
+        with pytest.raises(ValueError):
+            T.scaled_dot_product_attention(x, T.Tensor(np.ones((2, 4))), x, 2)
+        with pytest.raises(ValueError):
+            T.scaled_dot_product_attention(x, x, x, 3)
 
 
 class TestBackward:

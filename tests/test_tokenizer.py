@@ -22,6 +22,18 @@ def cfg():
     return desk_config().model.tokenizer_config()
 
 
+def prepare_map_oracle(bev, height, side, height_scale=30.0):
+    """The map preparation from before each part was averaged on its own:
+    join bev and scaled height at native size, then mean over blocks."""
+    native = np.concatenate([bev, height / height_scale], axis=-1)
+    f = native.shape[0] // side
+    return native.reshape(side, f, side, f, 4).mean(axis=(1, 3))
+
+
+def map_cfg(side):
+    return TokenizerConfig(d=8, specs={Modality.MAP: ModalitySpec(side, side, (8, 8))})
+
+
 def unpatchify_np(tokens, grid, patch, channels):
     """Numpy inverse of patchify, the oracle for tokenizer.unpatchify."""
     (gr, gc), (ph, pw) = grid, patch
@@ -155,6 +167,27 @@ class TestPreprocess:
         native = np.concatenate([sample.map.bev, sample.map.height / 30.0], axis=-1)
         want = native.reshape(64, 4, 64, 4, 4).mean(axis=(1, 3))
         np.testing.assert_allclose(prepped.array, want, atol=1e-12)
+
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    def test_map_matches_the_joined_grid_oracle_on_dense_data(self, factor):
+        r = np.random.default_rng(factor)
+        smap = synth.SceneMap(bev=r.random((256, 256, 3)), height=r.normal(size=(256, 256, 1)) * 20.0)
+        side = 256 // factor
+        got = tok.preprocess(synth.MultimodalSample(
+            index=0, csi=None, radar=None, map=smap, labels=None
+        ), Modality.MAP, map_cfg(side)).array
+        np.testing.assert_array_equal(got, prepare_map_oracle(smap.bev, smap.height, side))
+
+    def test_map_matches_the_joined_grid_oracle_on_a_desk_dataset(self, tmp_path):
+        desk = desk_config()
+        synth.synth_dataset(desk.data.synth_config(desk.model), 8, seed=5, out_dir=tmp_path)
+        loaded, _ = synth.load_dataset(tmp_path)  # bev and height are views of one packed file
+        cfg = desk.model.tokenizer_config()
+        side = cfg.spec(Modality.MAP).height
+        for s in loaded:
+            assert s.map.bev.shape[0] > side
+            got = tok.preprocess(s, Modality.MAP, cfg).array
+            np.testing.assert_array_equal(got, prepare_map_oracle(s.map.bev, s.map.height, side))
 
     def test_map_native_passthrough(self, sample):
         cfg = TokenizerConfig(
