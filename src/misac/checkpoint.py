@@ -10,7 +10,9 @@ sha256 of the whole payload. Loading verifies the checksum before touching
 any array, refuses a fingerprint mismatch unless forced, and save -> load ->
 save is byte-identical.
 
-Loading reads the payload into one buffer of its own, so every float64
+Saving feeds the serialized blobs to one incremental sha256 and writes them
+one by one, never joining the payload. Loading reads the payload into one
+uninitialized numpy buffer of its own (no zero fill), so every float64
 tensor in it is 8-byte aligned, and the returned arrays are writable views
 of that buffer. The header is not covered by the checksum, so its types and
 tensor spans are checked before any array is built.
@@ -63,10 +65,11 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         blobs.append((f"p.{name}", mstn_dumps(ckpt.params[name])))
     for name in sorted(ckpt.opt_moments):
         blobs.append((f"o.{name}", mstn_dumps(ckpt.opt_moments[name])))
-    payload = b"".join(b for _, b in blobs)
+    digest = hashlib.sha256()
     spans, offset = [], 0
     for name, blob in blobs:
         spans.append({"name": name, "offset": offset, "length": len(blob)})
+        digest.update(blob)
         offset += len(blob)
     header = {
         "format": "misac-checkpoint",
@@ -76,7 +79,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "opt_t": ckpt.opt_t,
         "rng_state": ckpt.rng_state,
         "tensors": spans,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path = Path(path)
@@ -84,7 +87,8 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     with open(tmp, "wb") as fh:
         fh.write(struct.pack("<4sIQ", _MAGIC, _VERSION, len(head)))
         fh.write(head)
-        fh.write(payload)
+        for _, blob in blobs:
+            fh.write(blob)
     os.replace(tmp, path)
 
 
@@ -106,7 +110,7 @@ def load_checkpoint(
         if size < 16 + head_len:
             raise CheckpointError("truncated checkpoint header")
         head = fh.read(head_len)
-        buf = bytearray(size - 16 - head_len)
+        buf = np.empty(size - 16 - head_len, np.uint8)  # readinto fills it; no zeroing first
         payload = memoryview(buf)[: fh.readinto(buf)]
     header = _parse_header(head)
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:

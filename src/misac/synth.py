@@ -17,6 +17,11 @@ Geometry conventions, fixed across the package:
   are unnormalized 2D FFTs (numpy convention, no fftshift) averaged
   coherently over the remaining axis; a config switch averages magnitudes
   instead.
+* A map is one [res, res, 4] grid (three bev occupancy channels, then
+  height): rasterization draws into it, the map file holds it as is, and
+  loading returns the file's array, so synthesized and loaded maps share one
+  layout. Nothing is concatenated on the way to disk, and reads go into an
+  uninitialized buffer, not a zero-filled one.
 
 All randomness flows through explicitly passed numpy Generators; dataset
 generation derives per-sample substreams as seed ^ index.
@@ -132,12 +137,19 @@ class RadarMaps:
 
 @dataclass
 class SceneMap:
-    """Rasterized bird's-eye view: bev channels are scatterer / tx / rx
-    occupancy in {0,1}; height holds the per-cell max scatterer z in
-    meters."""
+    """Rasterized bird's-eye view in one [res, res, 4] grid, the layout of
+    the map file: channels 0-2 (bev) are scatterer / tx / rx occupancy in
+    {0,1}; channel 3 (height) holds the per-cell max scatterer z in meters."""
 
-    bev: np.ndarray  # [res, res, 3]
-    height: np.ndarray  # [res, res, 1]
+    grid: np.ndarray  # [res, res, 4]
+
+    @property
+    def bev(self) -> np.ndarray:  # [res, res, 3] view
+        return self.grid[..., :3]
+
+    @property
+    def height(self) -> np.ndarray:  # [res, res, 1] view
+        return self.grid[..., 3:]
 
 
 @dataclass
@@ -289,10 +301,12 @@ def _averaged_fft2(cube: RadarCube, axis: int, out_size: int | None) -> ComplexT
     magnitude averaging."""
     size = out_size or cube.params.out_size
     slices = np.moveaxis(cube.data.data, axis, 0)
+    spectra = np.fft.fft2(slices, s=(size, size), axes=(1, 2))
+    if cube.params.magnitude_average:
+        spectra = np.abs(spectra)
     acc = np.zeros((size, size), dtype=np.complex128)
-    for piece in slices:
-        s = np.fft.fft2(piece, s=(size, size))
-        acc += np.abs(s) if cube.params.magnitude_average else s
+    for s in spectra:  # in slice order: tests/test_golden_bytes.py pins the bytes
+        acc += s
     return ComplexTensor(acc / len(slices))
 
 
@@ -317,8 +331,8 @@ def rasterize_scene(
     """Occupancy raster over the footprint; rows follow y, columns follow x,
     so a scatterer at (0, 0) lands in the center cell."""
     F = scene.footprint
-    bev = np.zeros((resolution, resolution, 3))
-    height = np.zeros((resolution, resolution, 1))
+    smap = SceneMap(np.zeros((resolution, resolution, 4)))
+    bev, height = smap.bev, smap.height
 
     def cell(x: float, y: float) -> tuple[int, int]:
         col = min(int((x + F) / (2 * F) * resolution), resolution - 1)
@@ -338,7 +352,7 @@ def rasterize_scene(
         rr, cc = np.mgrid[lo_r:hi_r, lo_c:hi_c]
         disc = (rr - row) ** 2 + (cc - col) ** 2 <= rad * rad
         bev[lo_r:hi_r, lo_c:hi_c, ch][disc] = 1.0
-    return SceneMap(bev=bev, height=height)
+    return smap
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +510,9 @@ def synth_dataset(
     if n < 1:
         raise SceneError("dataset size must be >= 1")
     plan = _availability_plan(cfg, n, seed)
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     samples = []
     entries = []
     for i in range(n):
@@ -510,8 +527,6 @@ def synth_dataset(
         samples.append(sample)
         files = {}
         if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
             if sample.csi is not None:
                 files["csi"] = f"sample_{i:05d}_csi.mstn"
                 write_mstn(out / files["csi"], sample.csi.h.data)
@@ -521,8 +536,7 @@ def synth_dataset(
                 write_mstn(out / files["radar"], stacked)
             if sample.map is not None:
                 files["map"] = f"sample_{i:05d}_map.mstn"
-                packed = np.concatenate([sample.map.bev, sample.map.height], axis=-1)
-                write_mstn(out / files["map"], packed)
+                write_mstn(out / files["map"], sample.map.grid)
         entries.append(
             {
                 "index": i,
@@ -544,7 +558,7 @@ def synth_dataset(
         "samples": entries,
     }
     if out_dir is not None:
-        (Path(out_dir) / "manifest.json").write_text(canonical_json(manifest))
+        (out / "manifest.json").write_text(canonical_json(manifest))
     return samples, manifest
 
 
@@ -594,8 +608,7 @@ def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dic
             stacked = read_mstn(paths["radar"])
             radar = RadarMaps(ra=ComplexTensor(stacked[0]), rv=ComplexTensor(stacked[1]))
         if "map" in paths:
-            packed = read_mstn(paths["map"])
-            smap = SceneMap(bev=packed[..., :3], height=packed[..., 3:])
+            smap = SceneMap(read_mstn(paths["map"]))
         lab = _field(e, "labels", where, dict)
         labels = {k: _field(lab, k, f"{where} labels", kind) for k, kind in _LABEL_TYPES.items()}
         samples.append(

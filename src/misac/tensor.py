@@ -452,8 +452,8 @@ def square(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU x * Phi(x) with the Gaussian CDF, not the tanh fit."""
     x = a.data
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError("gelu: non-finite values in input")
+    # no input scan: a non-finite input gives a non-finite output (inf -> inf,
+    # -inf and nan -> nan), which _emit catches while finite checks are on.
     # each kernel writes into its own result buffer; the operations and their
     # order are those of 0.5 * (1 + erf(x / sqrt 2)) and g * (cdf + x * pdf)
     cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
@@ -714,7 +714,7 @@ def _mstn_parts(array) -> tuple[bytes, np.ndarray]:
 
 def mstn_dumps(array: np.ndarray) -> bytes:
     header, arr = _mstn_parts(array)
-    return header + arr.tobytes()
+    return b"".join((header, arr.data))  # header + arr.tobytes() would copy the data twice
 
 
 def write_mstn(path, array: np.ndarray) -> None:
@@ -726,11 +726,12 @@ def write_mstn(path, array: np.ndarray) -> None:
 
 
 def read_mstn(path) -> np.ndarray:
-    """Read a file into one buffer; the array is a writable view of it."""
+    """Read a file into one uninitialized buffer; the array is a writable
+    view of it."""
     with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
         got = fh.readinto(buf)
-    return mstn_loads(memoryview(buf)[:got])
+    return mstn_loads(buf[:got])
 
 
 def mstn_loads(blob) -> np.ndarray:

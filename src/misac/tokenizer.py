@@ -149,17 +149,21 @@ def _prepare_csi(csi, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndar
 
 
 def _prepare_map(smap, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
-    """Bev and height / height_scale, each block-averaged from the native side
-    down to the configured one, then joined."""
-    parts = [smap.bev, smap.height / cfg.height_scale]
-    native = smap.bev.shape[0]
+    """A copy of the [res, res, 4] grid with height divided by height_scale,
+    block-averaged from the native side down to the configured one. The
+    strided block sums read this warm contiguous copy, not the sample's cold
+    grid; channels never mix, so the result is bit for bit the average of bev
+    and of the scaled height taken apart."""
+    x = smap.grid.copy()
+    x[..., 3:] /= cfg.height_scale
+    native = x.shape[0]
     if native != spec.height:
         if native % spec.height:
             raise TokenError(
                 f"map side {native} not an integer multiple of configured {spec.height}"
             )
-        parts = [_block_mean(p, native // spec.height) for p in parts]
-    return np.concatenate(parts, axis=-1), 1.0
+        x = _block_mean(x, native // spec.height)
+    return x, 1.0
 
 
 def _prepare_radar(radar, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:

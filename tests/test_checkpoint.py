@@ -112,7 +112,7 @@ class TestFileFormat:
         good = path.read_bytes()
         import misac.checkpoint as cp
 
-        def boom(payload_bytes):
+        def boom(*_data):
             raise OSError("disk full")
 
         monkeypatch.setattr(cp.hashlib, "sha256", boom)
@@ -333,7 +333,7 @@ class TestModelSnapshot:
         save_checkpoint(path, snapshot(model, "a" * 64, step=0, opt=Adam(model.named_params())))
         back = load_checkpoint(path)
         for arr in [*back.params.values(), *back.opt_moments.values()]:
-            assert arr.flags.aligned and arr.flags.writeable
+            assert arr.flags.aligned and arr.flags.writeable and arr.ctypes.data % 8 == 0
         target = tiny_model(1)
         restore(back, target)
         kept = {k: p.data.copy() for k, p in target.named_params().items()}

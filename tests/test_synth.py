@@ -279,6 +279,16 @@ class TestDataset:
         assert sum(s.radar is not None for s in samples) == 14
         assert sum(s.map is not None for s in samples) == 10
 
+    def test_synthesized_and_loaded_maps_share_one_layout(self, tmp_path):
+        # the map file is the grid itself; bev and height are views of it
+        generated, _ = synth.synth_dataset(SynthConfig(map_resolution=64), 2, 4, out_dir=tmp_path)
+        loaded, _ = synth.load_dataset(tmp_path)
+        for smap in (generated[0].map, loaded[0].map):
+            assert smap.grid.shape == (64, 64, 4) and smap.grid.flags.c_contiguous
+            assert np.shares_memory(smap.bev, smap.grid) and np.shares_memory(smap.height, smap.grid)
+            assert smap.grid.flags.writeable and smap.grid.ctypes.data % 8 == 0
+        np.testing.assert_array_equal(generated[0].map.grid, loaded[0].map.grid)
+
     def test_roundtrip_through_disk(self, tmp_path):
         cfg = SynthConfig(availability={"csi": 1.0, "radar": 0.5, "map": 1.0})
         generated, _ = synth.synth_dataset(cfg, 6, 11, out_dir=tmp_path)

@@ -119,6 +119,19 @@ class TestForwardValues:
         with pytest.raises(FloatingPointError):
             T.gelu(T.Tensor(np.array([0.0, np.nan])))
 
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+    def test_gelu_non_finite_input_follows_the_finite_check_switch(self, x):
+        # gelu scans only its output: inf -> inf, -inf -> nan, nan -> nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="gelu"):
+                T.gelu(T.Tensor(np.array([x])))
+            prev = T.set_finite_checks(False)
+            try:
+                out = T.gelu(T.Tensor(np.array([x])))
+            finally:
+                T.set_finite_checks(prev)
+        assert not np.isfinite(out.data).any()
+
     def test_rmsnorm_frozen_pair(self):
         out = T.rmsnorm(T.Tensor([3.0, 4.0]), T.Tensor(np.ones(2)), eps=0.0).data
         np.testing.assert_allclose(out, [0.8485, 1.1314], atol=1e-4)
@@ -569,7 +582,7 @@ class TestSerialization:
         p = tmp_path / "t.mstn"
         T.write_mstn(p, np.arange(6, dtype=np.float64).reshape(2, 3))
         back = T.read_mstn(p)
-        assert back.flags.writeable and back.flags.aligned
+        assert back.flags.writeable and back.flags.aligned and back.ctypes.data % 8 == 0
         back[1, 2] = -1.0
         assert back[1, 2] == -1.0
 

@@ -171,7 +171,7 @@ class TestPreprocess:
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     def test_map_matches_the_joined_grid_oracle_on_dense_data(self, factor):
         r = np.random.default_rng(factor)
-        smap = synth.SceneMap(bev=r.random((256, 256, 3)), height=r.normal(size=(256, 256, 1)) * 20.0)
+        smap = synth.SceneMap(np.concatenate([r.random((256, 256, 3)), r.normal(size=(256, 256, 1)) * 20.0], axis=-1))
         side = 256 // factor
         got = tok.preprocess(synth.MultimodalSample(
             index=0, csi=None, radar=None, map=smap, labels=None
