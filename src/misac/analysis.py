@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig, RunConfig
-from .downstream import CHANNEL, HEAD_OUTPUTS, RECON_TASKS, TASKS
+from .downstream import CHANNEL, RECON_TASKS, TASKS, head_outputs
 from .pretrain import PretrainModel, encode_visible, pool_usage, prepare_sample
 from .tokenizer import Modality
 
@@ -101,7 +101,7 @@ def task_flops(cfg: RunConfig, task: str) -> dict[str, int]:
     if task in RECON_TASKS:
         rest = decoder_flops(model, CHANNEL)
     else:
-        n_out = HEAD_OUTPUTS[task] or cfg.data.synth_config(model).n_beams
+        n_out = head_outputs(task, cfg.data.synth_config(model).n_beams)
         rest = _matmul(1, model.d, model.d) + _matmul(1, model.d, n_out)
     return {"encoder": enc, "task": rest, "total": enc + rest}
 

@@ -222,18 +222,15 @@ def snapshot(model, fingerprint: str, step: int, opt=None, rng=None) -> Checkpoi
     )
 
 
-def restore(ckpt: Checkpoint, model, opt=None, strict: bool = True):
+def restore(ckpt: Checkpoint, model, opt=None):
     """Copy checkpoint arrays into the model (and optimizer); returns the
-    restored rng (or None). With strict=False, parameters missing from the
-    checkpoint are left at their current values (used to warm-start a
-    fine-tune model whose head is new)."""
+    restored rng (or None). Every model parameter must be in the checkpoint;
+    checkpoint tensors the model lacks (a fine-tune head) are ignored."""
     params = model.named_params()
     missing = set(params) - set(ckpt.params)
-    if strict and missing:
+    if missing:
         raise CheckpointError(f"checkpoint lacks parameters: {sorted(missing)[:4]}...")
     for k, p in params.items():
-        if k not in ckpt.params:
-            continue
         arr = ckpt.params[k]
         if arr.shape != p.data.shape:
             raise CheckpointError(

@@ -131,6 +131,11 @@ def _build_model(cfg: RunConfig, seed: int) -> PretrainModel:
     )
 
 
+def _finetune_model(cfg: RunConfig, pre: PretrainModel, task: str, seed: int) -> FinetuneModel:
+    n_beams = cfg.data.synth_config(cfg.model).n_beams
+    return FinetuneModel(pre, task, np.random.default_rng(seed + 1), n_beams=n_beams)
+
+
 def _load_data(path: str):
     samples, manifest = load_dataset(path)
     return samples, manifest_hash(manifest)
@@ -218,9 +223,13 @@ def cmd_pretrain(args) -> int:
     out = Path(args.out)
     if out.exists():
         ckpt = load_checkpoint(out, fp, force=args.force)
-        restored_rng = restore(ckpt, model, opt)
-        if restored_rng is not None:
-            rng = restored_rng
+        held = {"Adam moments": ckpt.opt_moments, "rng state": ckpt.rng_state}
+        lacking = " and no ".join(name for name, value in held.items() if not value)
+        if lacking:  # a fine-tune checkpoint: resuming would restart both silently
+            raise CheckpointError(
+                f"cannot resume from {out}: it holds no {lacking}, so it is not a pre-training checkpoint"
+            )
+        rng = restore(ckpt, model, opt)
         start = ckpt.step
         note(f"resuming from {out} at step {start}")
         if start >= settings.steps:
@@ -269,8 +278,7 @@ def cmd_finetune(args) -> int:
         ckpt = load_checkpoint(args.checkpoint, fp, force=args.force)
         restore(ckpt, pre)
         init = "pretrained"
-    n_beams = cfg.data.synth_config(cfg.model).n_beams
-    model = FinetuneModel(pre, task, np.random.default_rng(seed + 1), n_beams=n_beams)
+    model = _finetune_model(cfg, pre, task, seed)
 
     def log(record):
         emit({"kind": "finetune_step", "task": task, "init": init, **record})
@@ -299,8 +307,7 @@ def cmd_eval(args) -> int:
     settings = run_cfg.validate().finetune.settings()
     samples, data_hash = _load_data(args.data)
     pre = _build_model(cfg, seed)
-    n_beams = cfg.data.synth_config(cfg.model).n_beams
-    model = FinetuneModel(pre, task, np.random.default_rng(seed + 1), n_beams=n_beams)
+    model = _finetune_model(cfg, pre, task, seed)
     ckpt = load_checkpoint(args.checkpoint, fp, force=args.force)
     restore(ckpt, model)
     metrics = evaluate(model, samples, settings, seed=seed)
@@ -332,7 +339,7 @@ def cmd_stats(args) -> int:
     samples, data_hash = _load_data(args.data)
     model = _build_model(cfg, seed)
     ckpt = load_checkpoint(args.checkpoint, fp, force=args.force)
-    restore(ckpt, model, strict=False)  # finetune checkpoints carry an extra head
+    restore(ckpt, model)  # a fine-tune checkpoint's head tensors are ignored
     counts = param_counts(model.named_params(), cfg.model.top_k, cfg.model.n_experts)
     emit({"kind": "params", **counts})
     flops = {task: task_flops(cfg, task) for task in TASKS}

@@ -5,8 +5,8 @@ Five tasks ride on the pre-trained encoder:
 - channel_prediction: the last quarter of CSI token columns is hidden and
   reconstructed (extrapolation along frequency); loss and NMSE live on the
   hidden columns.
-- channel_estimation: only every 4th CSI token column is visible (a pilot
-  comb); the full grid is reconstructed and scored.
+- channel_estimation: only every PILOT_SPACING-th (4th) CSI token column is
+  visible (a pilot comb); the full grid is reconstructed and scored.
 - beam_selection: classify the best codebook beam from pooled features.
 - localization: regress the tx-rx distance in meters.
 - aoa_estimation: regress (sin, cos) of the dominant-path azimuth; decoded
@@ -39,7 +39,7 @@ from .pretrain import (
     pixel_mask,
     prepare_sample,
 )
-from .synth import MultimodalSample
+from .synth import MultimodalSample, SynthConfig
 from .tensor import Tensor
 from .tokenizer import Modality
 
@@ -57,6 +57,7 @@ TASKS = (
 )
 RECON_TASKS = ("channel_prediction", "channel_estimation")
 CHANNEL = Modality.CSI  # the modality the reconstruction tasks hide and rebuild
+PILOT_SPACING = 4  # token columns from one channel_estimation pilot to the next
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +67,15 @@ CHANNEL = Modality.CSI  # the modality the reconstruction tasks hide and rebuild
 def prediction_mask(grid: tuple[int, int]) -> MaskSpec:
     """Hide the last quarter of token columns (at least one)."""
     gc = grid[1]
-    return MaskSpec.from_omega(CHANNEL, column_mask(grid, np.arange(gc - max(1, round(0.25 * gc)), gc)))
+    return MaskSpec.from_omega(column_mask(grid, np.arange(gc - max(1, round(0.25 * gc)), gc)))
 
 
-def estimation_mask(grid: tuple[int, int], spacing: int = 4) -> MaskSpec:
-    """Keep every `spacing`-th token column visible (pilot comb)."""
+def estimation_mask(grid: tuple[int, int]) -> MaskSpec:
+    """Keep every PILOT_SPACING-th token column visible (pilot comb)."""
     gc = grid[1]
-    if spacing < 2 or spacing >= gc:
-        raise DownstreamError("pilot spacing must lie in [2, grid_cols)")
-    return MaskSpec.from_omega(CHANNEL, column_mask(grid, np.arange(gc) % spacing > 0))
+    if PILOT_SPACING >= gc:
+        raise DownstreamError(f"pilot spacing {PILOT_SPACING} needs more than {gc} token columns")
+    return MaskSpec.from_omega(column_mask(grid, np.arange(gc) % PILOT_SPACING > 0))
 
 
 def task_mask(task: str, grid: tuple[int, int]) -> MaskSpec | None:
@@ -89,8 +90,10 @@ def task_mask(task: str, grid: tuple[int, int]) -> MaskSpec | None:
 # metrics
 
 
-def nmse_db(pred: np.ndarray, target: np.ndarray, floor_db: float = -120.0) -> float:
-    """10 log10(|pred - target|^2 / |target|^2), floored for exact matches."""
+def nmse_db(pred: np.ndarray, target: np.ndarray) -> float:
+    """10 log10(|pred - target|^2 / |target|^2), floored at -120 dB for exact
+    matches."""
+    floor_db = -120.0
     den = float(np.sum(np.abs(target) ** 2))
     if den == 0.0:
         raise DownstreamError("nmse_db: zero-power target")
@@ -117,7 +120,10 @@ def wrapped_abs_error(pred: float, target: float) -> float:
 # model
 
 
-HEAD_OUTPUTS = {"beam_selection": None, "localization": 1, "aoa_estimation": 2}
+def head_outputs(task: str, n_beams: int) -> int:
+    """Output width of a label task's head: one logit per beam, the distance,
+    or (sin, cos) of the angle."""
+    return {"beam_selection": n_beams, "localization": 1, "aoa_estimation": 2}[task]
 
 
 class FinetuneModel:
@@ -128,13 +134,12 @@ class FinetuneModel:
         pretrained: PretrainModel,
         task: str,
         rng: np.random.Generator,
-        n_beams: int = 16,
+        n_beams: int = SynthConfig.n_beams,
     ):
         if task not in TASKS:
             raise DownstreamError(f"unknown task {task!r}")
         self.pretrained = pretrained
         self.task = task
-        self.n_beams = n_beams
         self.mask: MaskSpec | None = None  # the fixed CSI mask of a reconstruction task
         if task in RECON_TASKS:
             if CHANNEL not in pretrained.tok_cfg.specs:
@@ -142,9 +147,8 @@ class FinetuneModel:
             self.mask = task_mask(task, pretrained.tok_cfg.spec(CHANNEL).grid)
             self.head = None
         else:
-            n_out = HEAD_OUTPUTS[task] or n_beams
             d = pretrained.enc_cfg.d
-            self.head = MLP(rng, d, d, n_out)  # on the mean-pooled encoder output
+            self.head = MLP(rng, d, d, head_outputs(task, n_beams))  # on the mean-pooled encoder output
 
     def named_params(self) -> dict[str, Tensor]:
         out = dict(self.pretrained.named_params())
@@ -204,7 +208,8 @@ def sample_loss(
         recon = decode_masked(pre, res, masks)[CHANNEL]
         target = prepped[CHANNEL].array
         if task == "channel_prediction":
-            loss, _, _ = mask_loss({CHANNEL: recon}, {CHANNEL: target}, masks)
+            sse, count = mask_loss({CHANNEL: recon}, {CHANNEL: target}, masks)
+            loss = tt.mul(sse, Tensor(1.0 / count))
         else:
             loss = tt.mse(recon, target)
         scale = prepped[CHANNEL].scale

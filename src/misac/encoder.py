@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as tt
 from .tensor import Tensor
 from .tokenizer import MODALITY_ORDER  # noqa: F401 - the benchmark reads the built-in modalities here
-from .tokenizer import Modality, Prepped, TokenizerConfig, TokenSequence, patchify_embed
+from .tokenizer import Modality, Prepped, TokenizerConfig, patchify_embed
 
 
 class EncoderError(ValueError):
@@ -51,8 +51,9 @@ class EncoderConfig:
             raise EncoderError("top_k must lie in [1, n_experts]")
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with values beyond 2 std redrawn."""
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, 0.02) with values beyond 2 std redrawn."""
+    std = 0.02
     x = rng.normal(0.0, std, size=shape)
     bad = np.abs(x) > 2 * std
     while bad.any():
@@ -69,7 +70,7 @@ class Linear:
         self.b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return tt.linear(x, self.w, self.b)
+        return tt.matmul(x, self.w, bias=self.b)
 
     def named(self, prefix: str):
         return [(f"{prefix}.w", self.w)] + ([] if self.b is None else [(f"{prefix}.b", self.b)])
@@ -254,7 +255,7 @@ def ss_dmoe_forward(
         )
         y_parts.append(ym)
         stats.append(st)
-    y_spec = y_parts[0] if len(y_parts) == 1 else tt.concat(y_parts, axis=0)
+    y_spec = tt.concat(y_parts, axis=0)
     out = tt.add(
         tt.add(x, tt.rmsnorm(y_shared, block.g_shared, cfg.rms_eps)),
         tt.rmsnorm(y_spec, block.g_specific, cfg.rms_eps),
@@ -313,17 +314,16 @@ class MultimodalEncoder:
             self.mod_id[m] = Tensor(np.zeros(cfg.d), requires_grad=True)
         self.blocks = [EncoderBlock(rng, cfg, tok_cfg.modalities) for _ in range(cfg.n_layers)]
 
-    def tokenize(self, prepped: Prepped) -> TokenSequence:
-        lin = self.patch_embed[prepped.modality]
-        return patchify_embed(prepped, lin.w, lin.b, self.tok_cfg)
-
-    def embed_tokens(self, seq: TokenSequence, visible: np.ndarray | None = None) -> Tensor:
-        """token + positional row + modality id; optionally keep a subset of
-        rows (positions follow the original grid coordinates)."""
-        h = tt.add(tt.add(seq.tokens, self.pos[seq.modality]), self.mod_id[seq.modality])
+    def embed(self, prepped: Prepped, visible: np.ndarray | None = None) -> Tensor:
+        """Patch tokens + positional row + modality id; optionally keep a
+        subset of rows (positions follow the original grid coordinates)."""
+        m = prepped.modality
+        lin = self.patch_embed[m]
+        tokens = patchify_embed(prepped, lin.w, lin.b, self.tok_cfg)
+        h = tt.add(tt.add(tokens, self.pos[m]), self.mod_id[m])
         if visible is not None:
             if visible.size == 0:
-                raise EncoderError("embed_tokens: empty visible set")
+                raise EncoderError("embed: empty visible set")
             h = tt.gather_rows(h, visible)
         return h
 
@@ -342,7 +342,7 @@ class MultimodalEncoder:
         for m, t in parts:
             segments.append(Segment(m, offset, offset + t.shape[0]))
             offset += t.shape[0]
-        h = parts[0][1] if len(parts) == 1 else tt.concat([t for _, t in parts], axis=0)
+        h = tt.concat([t for _, t in parts], axis=0)
         stats: list[PoolStats] = []
         for li, block in enumerate(self.blocks):
             h, st = encoder_block(h, segments, block, self.cfg, li, frozen)

@@ -85,15 +85,14 @@ def choose_csi_scheme(rng: np.random.Generator) -> MaskScheme:
 
 @dataclass
 class MaskSpec:
-    modality: Modality | None
     visible: np.ndarray  # sorted token indices
     masked: np.ndarray  # sorted token indices
     omega: np.ndarray  # [grid_rows, grid_cols] bool, True = masked
 
     @classmethod
-    def from_omega(cls, modality: Modality | None, omega: np.ndarray) -> "MaskSpec":
+    def from_omega(cls, omega: np.ndarray) -> "MaskSpec":
         flat = omega.reshape(-1)
-        return cls(modality, np.nonzero(~flat)[0], np.nonzero(flat)[0], omega)
+        return cls(np.nonzero(~flat)[0], np.nonzero(flat)[0], omega)
 
 
 def pixel_mask(omega: np.ndarray, patch: tuple[int, int]) -> np.ndarray:
@@ -113,7 +112,6 @@ def sample_mask(
     grid: tuple[int, int],
     rng: np.random.Generator,
     patch_w: int = 1,
-    modality: Modality | None = None,
 ) -> MaskSpec:
     """Draw a mask over a modality's token grid that leaves both sides
     non-empty: the random count is clamped to [1, n - 1], the stripe width to
@@ -128,13 +126,13 @@ def sample_mask(
         n_masked = min(max(int(round(scheme.ratio * n)), 1), n - 1)
         omega = np.zeros(n, dtype=bool)
         omega[rng.permutation(n)[:n_masked]] = True
-        return MaskSpec.from_omega(modality, omega.reshape(grid))
+        return MaskSpec.from_omega(omega.reshape(grid))
     if scheme.kind == "frequency":
         width = min(max(int(round(scheme.ratio * gc)), 1), gc - 1)
         start = int(rng.integers(0, gc - width + 1))
-        return MaskSpec.from_omega(modality, column_mask(grid, np.arange(start, start + width)))
+        return MaskSpec.from_omega(column_mask(grid, np.arange(start, start + width)))
     step = scheme.spacing // patch_w if scheme.spacing % patch_w == 0 else round(scheme.spacing / patch_w)
-    return MaskSpec.from_omega(modality, column_mask(grid, np.arange(gc) % max(step, 2) > 0))
+    return MaskSpec.from_omega(column_mask(grid, np.arange(gc) % max(step, 2) > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +219,8 @@ def encode_visible(
     Modalities without a mask entry are fully visible."""
     parts = []
     for m in sorted(prepped):
-        seq = model.encoder.tokenize(prepped[m])
         visible = masks[m].visible if m in masks else None
-        parts.append((m, model.encoder.embed_tokens(seq, visible)))
+        parts.append((m, model.encoder.embed(prepped[m], visible)))
     return model.encoder.encode(parts, frozen)
 
 
@@ -259,8 +256,9 @@ def mask_loss(
     recons: dict[Modality, Tensor],
     targets: dict[Modality, np.ndarray],
     masks: dict[Modality, MaskSpec],
-) -> tuple[Tensor, Tensor, int]:
-    """(mean over masked scalar elements, unnormalized sum, element count)."""
+) -> tuple[Tensor, int]:
+    """(sum of squared errors over the masked scalar elements, their count);
+    the masked mean is sse / count."""
     sse: Tensor | None = None
     count = 0
     for m, recon in recons.items():
@@ -276,7 +274,7 @@ def mask_loss(
         count += int(spec.masked.size) * ph * pw * target.shape[2]
     if sse is None or count == 0:
         raise PretrainError("mask_loss: nothing masked")
-    return tt.mul(sse, Tensor(1.0 / count)), sse, count
+    return sse, count
 
 
 def contrastive_loss(
@@ -320,11 +318,7 @@ def pool_usage(stats: list[PoolStats], n_experts: int) -> Iterator[PoolUsage]:
     for s in stats:
         groups.setdefault((s.layer, s.pool), []).append(s)
     for (layer, pool), members in sorted(groups.items()):
-        weights = (
-            members[0].weights
-            if len(members) == 1
-            else tt.concat([m.weights for m in members], axis=0)
-        )
+        weights = tt.concat([m.weights for m in members], axis=0)
         counts = sum(np.bincount(m.selected.reshape(-1), minlength=n_experts) for m in members)
         load = counts / sum(m.n_tokens for m in members)
         yield PoolUsage(layer, pool, tt.tmean(weights, axis=0), load)
@@ -383,15 +377,10 @@ class PretrainLoss:
 
 
 class Adam:
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    """Adam with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
+
+    def __init__(self, params: dict[str, Tensor]):
         self.params = dict(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -402,7 +391,7 @@ class Adam:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -421,7 +410,7 @@ class Adam:
             step *= lr
             np.divide(v, 1 - b2**self.t, out=gg)
             np.sqrt(gg, out=gg)
-            gg += self.eps
+            gg += eps
             step /= gg
             p.data = p.data - step
 
@@ -516,9 +505,9 @@ def prepare_step_inputs(
         for m in prepped:
             spec = tok_cfg.spec(m)
             if m.anchor:
-                masks[m] = sample_mask(scheme, spec.grid, rng, spec.patch[1], m)
+                masks[m] = sample_mask(scheme, spec.grid, rng, spec.patch[1])
             else:
-                masks[m] = sample_mask(sample_scheme("random", rng), spec.grid, rng, modality=m)
+                masks[m] = sample_mask(sample_scheme("random", rng), spec.grid, rng)
         prepped_all.append(prepped)
         masks_all.append(masks)
     return StepInputs(prepped=prepped_all, masks=masks_all, scheme=scheme)
@@ -542,7 +531,7 @@ def step_objective(
         results.append(res)
         recons = decode_masked(model, res, masks)
         targets = {m: prepped[m].array for m in recons}
-        _, sse, count = mask_loss(recons, targets, masks)
+        sse, count = mask_loss(recons, targets, masks)
         sse_total = sse if sse_total is None else tt.add(sse_total, sse)
         count_total += count
         all_stats.extend(res.stats)

@@ -102,7 +102,6 @@ class ChannelSample:
     h: ComplexTensor  # [n_antennas, n_subcarriers]
     f0: float
     bw: float
-    snr_db: float | None = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ class RadarParams:
 
 @dataclass
 class RadarCube:
-    data: ComplexTensor  # [n_rx, n_chirp, n_samp]
+    data: np.ndarray  # complex [n_rx, n_chirp, n_samp]
     params: RadarParams
 
 
@@ -184,14 +183,14 @@ class MultimodalSample:
 # channel
 
 
-def steering_vector(theta: float, n_elements: int, spacing: float = 0.5) -> ComplexTensor:
+def steering_vector(theta: float, n_elements: int, spacing: float = 0.5) -> np.ndarray:
     """ULA response exp(j 2 pi spacing n sin(theta)), n = 0..N-1."""
     if n_elements < 1:
         raise SceneError("steering_vector: need at least one element")
     if not (-math.pi / 2 < theta <= math.pi / 2):
         raise SceneError("steering_vector: azimuth outside (-pi/2, pi/2]")
     n = np.arange(n_elements)
-    return ComplexTensor(np.exp(2j * math.pi * spacing * n * math.sin(theta)))
+    return np.exp(2j * math.pi * spacing * n * math.sin(theta))
 
 
 def subcarrier_frequencies(f0: float, bw: float, n_sc: int) -> np.ndarray:
@@ -219,23 +218,19 @@ def channel_response(
     for p in paths:
         gain = p.beta * np.exp(1j * p.phi)
         sweep = np.exp(-2j * math.pi * freqs * p.tau)
-        steer = steering_vector(p.theta, n_antennas, spacing).data
+        steer = steering_vector(p.theta, n_antennas, spacing)
         h += gain * np.outer(steer, sweep)
     return ChannelSample(h=ComplexTensor(h), f0=f0, bw=bw)
 
 
-def add_awgn(
-    csi: ChannelSample, snr_db: float | None, rng: np.random.Generator
-) -> ChannelSample:
-    """Return a copy with complex white noise at the given SNR (None: clean)."""
-    if snr_db is None:
-        return ChannelSample(ComplexTensor(csi.h.data.copy()), csi.f0, csi.bw, csi.snr_db)
+def add_awgn(csi: ChannelSample, snr_db: float, rng: np.random.Generator) -> ChannelSample:
+    """Return a copy with complex white noise at the given SNR."""
     h = csi.h.data
     p_sig = float(np.mean(np.abs(h) ** 2))
     p_noise = p_sig / (10.0 ** (snr_db / 10.0))
     scale = math.sqrt(p_noise / 2.0)
     noise = scale * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
-    return ChannelSample(ComplexTensor(h + noise), csi.f0, csi.bw, snr_db=snr_db)
+    return ChannelSample(ComplexTensor(h + noise), csi.f0, csi.bw)
 
 
 def with_noisy_csi(sample: MultimodalSample, snr_range, rng: np.random.Generator) -> MultimodalSample:
@@ -291,34 +286,34 @@ def radar_cube(scene: SceneSpec, params: RadarParams) -> RadarCube:
             + 2.0 * math.pi * params.spacing * math.sin(theta) * m
         )
         cube = cube + amp * np.exp(1j * phase)
-    return RadarCube(ComplexTensor(cube), params)
+    return RadarCube(cube, params)
 
 
-def _averaged_fft2(cube: RadarCube, axis: int, out_size: int | None) -> ComplexTensor:
+def _averaged_fft2(cube: RadarCube, axis: int) -> np.ndarray:
     """2D FFT over the two other axes of each slice of the cube along axis,
     averaged across the slices. Both FFT axes are zero-padded (or truncated)
-    to out_size. Averaging is coherent unless the cube's params request
-    magnitude averaging."""
-    size = out_size or cube.params.out_size
-    slices = np.moveaxis(cube.data.data, axis, 0)
+    to the params' out_size. Averaging is coherent unless the cube's params
+    request magnitude averaging."""
+    size = cube.params.out_size
+    slices = np.moveaxis(cube.data, axis, 0)
     spectra = np.fft.fft2(slices, s=(size, size), axes=(1, 2))
     if cube.params.magnitude_average:
         spectra = np.abs(spectra)
     acc = np.zeros((size, size), dtype=np.complex128)
     for s in spectra:  # in slice order: tests/test_golden_bytes.py pins the bytes
         acc += s
-    return ComplexTensor(acc / len(slices))
+    return acc / len(slices)
 
 
-def range_angle_map(cube: RadarCube, out_size: int | None = None) -> ComplexTensor:
+def range_angle_map(cube: RadarCube) -> np.ndarray:
     """2D FFT over (rx, fast-time) per chirp, averaged across chirps. Output
     rows are angle bins, columns range bins."""
-    return _averaged_fft2(cube, 1, out_size)
+    return _averaged_fft2(cube, 1)
 
 
-def range_velocity_map(cube: RadarCube, out_size: int | None = None) -> ComplexTensor:
+def range_velocity_map(cube: RadarCube) -> np.ndarray:
     """2D FFT over (slow-time, fast-time) per rx element, averaged across rx."""
-    return _averaged_fft2(cube, 0, out_size)
+    return _averaged_fft2(cube, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +474,7 @@ def synth_sample(cfg: SynthConfig, index: int, base_seed: int) -> tuple[Multimod
     paths = scene_to_paths(scene, cfg, rng)
     csi = channel_response(paths, cfg.f0, cfg.bw, cfg.n_sc, cfg.n_antennas, cfg.spacing)
     cube = radar_cube(scene, cfg.radar)
-    maps = RadarMaps(ra=range_angle_map(cube), rv=range_velocity_map(cube))
+    maps = RadarMaps(ra=ComplexTensor(range_angle_map(cube)), rv=ComplexTensor(range_velocity_map(cube)))
     smap = rasterize_scene(scene, cfg.map_resolution, cfg.marker_radius)
     labels = derive_labels(scene, paths, csi, cfg)
     return MultimodalSample(index=index, csi=csi, radar=maps, map=smap, labels=labels), scene
@@ -586,11 +581,22 @@ def _field(record, key: str, where: str, kind):
     return value
 
 
+def _read_sample_file(path: Path) -> np.ndarray:
+    """read_mstn(path); a file that does not parse is a SceneError naming it."""
+    try:
+        return read_mstn(path)
+    except ValueError as e:
+        raise SceneError(f"dataset file {path}: {e}") from None
+
+
 def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dict]:
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as e:  # bad JSON or bad UTF-8; a missing file stays an OSError
+        raise SceneError(f"dataset manifest {path} is not valid JSON: {e}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "misac-dataset":
         raise SceneError("not a dataset manifest")
     root = path.parent
@@ -603,12 +609,12 @@ def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dic
         csi = radar = smap = None
         if "csi" in paths:
             f0, bw = _field(cfg, "f0", "config", _NUMBER), _field(cfg, "bw", "config", _NUMBER)
-            csi = ChannelSample(ComplexTensor(read_mstn(paths["csi"])), f0=f0, bw=bw)
+            csi = ChannelSample(ComplexTensor(_read_sample_file(paths["csi"])), f0=f0, bw=bw)
         if "radar" in paths:
-            stacked = read_mstn(paths["radar"])
+            stacked = _read_sample_file(paths["radar"])
             radar = RadarMaps(ra=ComplexTensor(stacked[0]), rv=ComplexTensor(stacked[1]))
         if "map" in paths:
-            smap = SceneMap(read_mstn(paths["map"]))
+            smap = SceneMap(_read_sample_file(paths["map"]))
         lab = _field(e, "labels", where, dict)
         labels = {k: _field(lab, k, f"{where} labels", kind) for k, kind in _LABEL_TYPES.items()}
         samples.append(

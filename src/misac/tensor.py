@@ -150,15 +150,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _emit(
-        "div",
-        a.data / b.data,
-        [(a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
-         (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))],
-    )
-
-
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b, plus bias (added in place) when given: one node either way."""
     out = np.matmul(a.data, b.data)
@@ -194,8 +185,11 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join parts along axis; a lone part is returned as is, with no node."""
     if len(parts) == 0:
         raise ValueError("concat: empty input")
+    if len(parts) == 1:
+        return parts[0]
     datas = [p.data for p in parts]
     sizes = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + sizes)
@@ -440,11 +434,6 @@ def log(a: Tensor) -> Tensor:
     return _emit("log", np.log(a.data), [(a, lambda g: g / a.data)])
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _emit("sqrt", out, [(a, lambda g: g * 0.5 / out)])
-
-
 def square(a: Tensor) -> Tensor:
     return _emit("square", a.data * a.data, [(a, lambda g: g * 2.0 * a.data)])
 
@@ -474,14 +463,15 @@ def gelu(a: Tensor) -> Tensor:
     return _emit("gelu", x * cdf, [(a, vjp)])
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    out = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    out = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         gx = g * out
-        np.subtract(g, gx.sum(axis=axis, keepdims=True), out=gx)
+        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
         gx *= out
         return gx
 
@@ -565,11 +555,6 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         return _unbroadcast(g * xhat, gain.data.shape)
 
     return _emit("rmsnorm", xhat * gain.data, [(x, vjp_x), (gain, vjp_gain)])
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """x @ w (+ b) over the last axis of x, as one matmul node."""
-    return matmul(x, w, bias=b)
 
 
 # ---------------------------------------------------------------------------

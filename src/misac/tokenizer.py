@@ -211,19 +211,11 @@ def unpatchify(tokens: Tensor, grid: tuple[int, int], patch: tuple[int, int], ch
     return tt.reshape(x, (gr * ph, gc * pw, channels))
 
 
-@dataclass
-class TokenSequence:
-    tokens: Tensor  # [n_tokens, d]
-    modality: Modality
-    grid: tuple[int, int]
-
-
-def patchify_embed(prepped: Prepped, w: Tensor, b: Tensor, cfg: TokenizerConfig) -> TokenSequence:
-    """Patch + affine embed: token_i = vec(patch_i) @ w + b."""
+def patchify_embed(prepped: Prepped, w: Tensor, b: Tensor, cfg: TokenizerConfig) -> Tensor:
+    """Patch + affine embed to [n_tokens, d]: token_i = vec(patch_i) @ w + b."""
     spec = cfg.spec(prepped.modality)
     patches = patchify(prepped.array, spec.patch)
     if w.shape != (patches.shape[1], cfg.d):
         raise TokenError(f"embedding matrix {w.shape} != {(patches.shape[1], cfg.d)}")
-    tokens = tt.linear(Tensor(patches), w, b)
-    return TokenSequence(tokens=tokens, modality=prepped.modality, grid=spec.grid)
+    return tt.matmul(Tensor(patches), w, bias=b)
 

@@ -217,6 +217,19 @@ class TestPretrain:
         )
         assert code == 0
 
+    def test_finetune_checkpoint_does_not_resume(self, workspace, tmp_path, capsys):
+        # a fine-tune checkpoint holds neither Adam moments nor an rng state,
+        # so pre-training from it would restart both silently and overwrite it
+        root, cfg = workspace
+        target = tmp_path / "ft.msck"
+        shutil.copy(root / "ft.msck", target)
+        capsys.readouterr()
+        code = main(["pretrain", "--config", str(cfg), "--data", str(root / "data"), "--out", str(target)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "no Adam moments and no rng state" in err and "not a pre-training checkpoint" in err
+        assert target.read_bytes() == (root / "ft.msck").read_bytes()
+
     def test_missing_dataset_is_runtime_error(self, workspace, capsys):
         root, cfg = workspace
         code = main(
@@ -475,6 +488,16 @@ class TestStats:
             assert imp == pytest.approx(1.0, abs=1e-9)
         assert csv_path.read_text().startswith("layer,pool,expert,importance,load\n")
 
+    def test_stats_reads_a_finetune_checkpoint(self, workspace, capsys):
+        # the encoder and decoders restore in full; the task head is not read
+        root, cfg = workspace
+        capsys.readouterr()
+        args = ["stats", "--config", str(cfg), "--data", str(root / "data"), "--checkpoint"]
+        assert main(args + [str(root / "ft.msck")]) == 0
+        from_ft = lines_of(capsys.readouterr().out, "params")
+        assert main(args + [str(root / "pre.msck")]) == 0
+        assert from_ft == lines_of(capsys.readouterr().out, "params")
+
 
 class TestCliSurface:
     def test_bad_flag_is_validation_error(self, capsys):
@@ -510,6 +533,27 @@ class TestCliSurface:
         code = main(["stats", "--config", str(cfg), "--data", str(data), "--checkpoint", str(root / "pre.msck")])
         assert code == 1
         assert "sample 0 'files' must be dict, got list" in capsys.readouterr().err
+
+    def test_corrupt_sample_file_is_validation_error(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        bad = data / "sample_00001_radar.mstn"
+        bad.write_bytes(b"NOPE" + bad.read_bytes()[4:])
+        code = main(["stats", "--config", str(cfg), "--data", str(data), "--checkpoint", str(root / "pre.msck")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sample_00001_radar.mstn" in err and "bad magic" in err
+
+    def test_manifest_that_is_not_json_is_validation_error(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        (data / "manifest.json").write_text('{"format": "misac-dataset", "samples": [')
+        code = main(["stats", "--config", str(cfg), "--data", str(data), "--checkpoint", str(root / "pre.msck")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "not valid JSON" in err
 
     def test_missing_subcommand_is_validation_error(self, capsys):
         assert main([]) == 1

@@ -347,9 +347,9 @@ def test_config_either_fails_validation_or_encodes(fields, settings_draw, seed):
     model = MultimodalEncoder(cfg.model.encoder_config(), tok, np.random.default_rng(seed))
     parts = []
     for m in tok.modalities:
-        seq = model.tokenize(preprocess(sample, m, tok))
-        assert seq.tokens.shape == (tok.spec(m).n_tokens, cfg.model.d)
-        parts.append((m, model.embed_tokens(seq)))
+        h = model.embed(preprocess(sample, m, tok))
+        assert h.shape == (tok.spec(m).n_tokens, cfg.model.d)
+        parts.append((m, h))
     with tt.Tape():
         res = model.encode(parts)
     assert [s.stop - s.start for s in res.segments] == [tok.spec(m).n_tokens for m in tok.modalities]

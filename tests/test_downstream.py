@@ -93,17 +93,19 @@ class TestTaskMasks:
         assert np.array_equal(np.nonzero(spec.omega.all(axis=0))[0], [1])
 
     def test_estimation_keeps_pilot_comb(self):
-        spec = estimation_mask((8, 16), spacing=4)
+        spec = estimation_mask((8, 16))  # PILOT_SPACING is 4
         visible_cols = np.nonzero(~spec.omega.any(axis=0))[0]
         assert np.array_equal(visible_cols, [0, 4, 8, 12])
         assert spec.visible.size == 8 * 4
         assert spec.masked.size == 8 * 12
 
     def test_estimation_spacing_bounds(self):
-        with pytest.raises(DownstreamError):
-            estimation_mask((8, 16), spacing=1)
-        with pytest.raises(DownstreamError):
-            estimation_mask((8, 16), spacing=16)
+        # the comb needs more token columns than its spacing of 4
+        for cols in (1, 3, 4):
+            with pytest.raises(DownstreamError, match="pilot spacing"):
+                estimation_mask((8, cols))
+        visible_cols = np.nonzero(~estimation_mask((8, 5)).omega.any(axis=0))[0]
+        assert np.array_equal(visible_cols, [0, 4])
 
     def test_task_mask_dispatch(self):
         assert task_mask("channel_prediction", (8, 16)) is not None

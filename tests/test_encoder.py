@@ -33,7 +33,7 @@ def small():
 
 
 def embed_all(model, prepped):
-    return [(m, model.embed_tokens(model.tokenize(prepped[m]))) for m in model.tok_cfg.modalities]
+    return [(m, model.embed(prepped[m])) for m in model.tok_cfg.modalities]
 
 
 def topk_oracle(row: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:

@@ -152,8 +152,8 @@ def power_mask_loss(model, inputs) -> float:
     for prepped, masks in zip(inputs.prepped, inputs.masks):
         res = encode_visible(model, prepped, masks)
         recon = decode_masked(model, res, {POWER: masks[POWER]})
-        loss, _, _ = mask_loss(recon, {POWER: prepped[POWER].array}, masks)
-        total += loss.item()
+        sse, count = mask_loss(recon, {POWER: prepped[POWER].array}, masks)
+        total += sse.item() / count
     return total / len(inputs.prepped)
 
 

@@ -130,14 +130,8 @@ class TestMaskSchemes:
         spec = paper_config().model.tokenizer_config().spec(Modality.CSI)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            mask = sample_mask(choose_csi_scheme(rng), spec.grid, rng, spec.patch[1], Modality.CSI)
+            mask = sample_mask(choose_csi_scheme(rng), spec.grid, rng, spec.patch[1])
             assert mask.masked.size and mask.visible.size
-
-    def test_sample_mask_sets_modality(self):
-        scheme = MaskScheme("random", ratio=0.5)
-        spec = sample_mask(scheme, (2, 2), np.random.default_rng(0), modality=Modality.RADAR)
-        assert spec.modality == Modality.RADAR
-        assert sample_mask(scheme, (2, 2), np.random.default_rng(0)).modality is None
 
 
 # ---------------------------------------------------------------------------
@@ -150,52 +144,50 @@ class TestMaskLoss:
         self.target = rng.normal(size=(4, 8, 2))
         omega = np.zeros((2, 4), dtype=bool)
         omega[0, 1] = omega[1, 3] = omega[1, 0] = True  # 3 masked tokens of 8
-        self.spec = MaskSpec.from_omega(Modality.CSI, omega)
+        self.spec = MaskSpec.from_omega(omega)
 
     def test_zero_when_reconstruction_matches(self):
-        norm, unnorm, count = mask_loss(
+        sse, count = mask_loss(
             {Modality.CSI: Tensor(self.target.copy())},
             {Modality.CSI: self.target},
             {Modality.CSI: self.spec},
         )
-        assert norm.item() == 0.0 and unnorm.item() == 0.0
+        assert sse.item() == 0.0
         assert count == 3 * 2 * 2 * 2
 
     def test_visible_errors_do_not_count(self):
         recon = self.target.copy()
         recon[0:2, 0:2, :] += 9.0  # token (0, 0) is visible
-        norm, _, _ = mask_loss(
+        sse, _ = mask_loss(
             {Modality.CSI: Tensor(recon)}, {Modality.CSI: self.target}, {Modality.CSI: self.spec}
         )
-        assert norm.item() == 0.0
+        assert sse.item() == 0.0
 
     def test_single_masked_pixel_delta(self):
         recon = self.target.copy()
         recon[0, 2, 0] += 0.5  # inside masked token (0, 1)
-        norm, unnorm, count = mask_loss(
+        sse, count = mask_loss(
             {Modality.CSI: Tensor(recon)}, {Modality.CSI: self.target}, {Modality.CSI: self.spec}
         )
         assert count == 24
-        assert abs(unnorm.item() - 0.25) < 1e-12
-        assert abs(norm.item() - 0.25 / 24) < 1e-12
+        assert abs(sse.item() - 0.25) < 1e-12
 
     def test_two_modalities_pool_counts(self):
         t2 = np.zeros((8, 8, 4))
         omega2 = np.zeros((2, 2), dtype=bool)
         omega2[0, 0] = True
-        spec2 = MaskSpec.from_omega(Modality.MAP, omega2)
+        spec2 = MaskSpec.from_omega(omega2)
         r2 = t2.copy()
         r2[0, 0, 0] = 1.0  # masked map pixel, squared error 1
         recon1 = self.target.copy()
         recon1[0, 2, 0] += 1.0  # masked csi pixel, squared error 1
-        norm, unnorm, count = mask_loss(
+        sse, count = mask_loss(
             {Modality.CSI: Tensor(recon1), Modality.MAP: Tensor(r2)},
             {Modality.CSI: self.target, Modality.MAP: t2},
             {Modality.CSI: self.spec, Modality.MAP: spec2},
         )
         assert count == 24 + 1 * 4 * 4 * 4
-        assert abs(unnorm.item() - 2.0) < 1e-12
-        assert abs(norm.item() - 2.0 / count) < 1e-12
+        assert abs(sse.item() - 2.0) < 1e-12
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(PretrainError):
@@ -489,7 +481,7 @@ def tiny_prepped(seed: int = 1) -> dict[Modality, Prepped]:
 def tiny_masks(seed: int = 2) -> dict[Modality, MaskSpec]:
     rng = np.random.default_rng(seed)
     return {
-        m: sample_mask(MaskScheme("random", ratio=0.5), tiny_tok().spec(m).grid, rng, modality=m)
+        m: sample_mask(MaskScheme("random", ratio=0.5), tiny_tok().spec(m).grid, rng)
         for m in (Modality.CSI, Modality.MAP, Modality.RADAR)
     }
 
@@ -547,7 +539,7 @@ class TestEncodeDecode:
     def test_empty_mask_reconstructs_from_all_tokens(self):
         model, prepped = tiny_model(), tiny_prepped()
         omega = np.zeros((2, 4), dtype=bool)
-        spec = MaskSpec.from_omega(Modality.CSI, omega)
+        spec = MaskSpec.from_omega(omega)
         res = encode_visible(model, prepped, {Modality.CSI: spec})
         recons = decode_masked(model, res, {Modality.CSI: spec})
         assert recons[Modality.CSI].shape == (4, 8, 2)
@@ -558,7 +550,7 @@ class TestEncodeDecode:
         omega = np.ones((2, 4), dtype=bool)
         omega[0, 0] = False  # one visible token; encoder saw more
         other = dict(masks)
-        other[Modality.CSI] = MaskSpec.from_omega(Modality.CSI, omega)
+        other[Modality.CSI] = MaskSpec.from_omega(omega)
         with pytest.raises(PretrainError):
             decode_masked(model, res, other)
 
@@ -760,7 +752,7 @@ class TestTrainingLoop:
         inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
         with tt.Tape() as tape:
             step_objective(model, inputs, cfg)
-        assert len(tape) == 1440
+        assert len(tape) == 1432
 
     def test_every_desk_parameter_gets_a_live_gradient(self):
         # A parameter the loss cannot see (a softmax-cancelled key bias, a

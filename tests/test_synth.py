@@ -30,12 +30,12 @@ def one_scatterer_scene(position, reflectivity=1.0, velocity=(0.0, 0.0), rx=(-80
 
 class TestSteeringAndChannel:
     def test_steering_boresight_is_ones(self):
-        v = synth.steering_vector(0.0, 8).data
+        v = synth.steering_vector(0.0, 8)
         np.testing.assert_allclose(v, np.ones(8), atol=1e-15)
 
     def test_steering_frozen_quarter_turns(self):
         # spacing 0.5, sin(pi/6) = 0.5 -> phase step pi/2 per element
-        v = synth.steering_vector(math.pi / 6, 4).data
+        v = synth.steering_vector(math.pi / 6, 4)
         np.testing.assert_allclose(v, [1, 1j, -1, -1j], atol=1e-12)
 
     def test_steering_rejects_back_halfplane(self):
@@ -77,7 +77,6 @@ class TestAwgn:
         p_sig = np.mean(np.abs(h) ** 2)
         p_noise = np.mean(np.abs(noisy.h.data - h) ** 2)
         assert abs(10 * math.log10(p_sig / p_noise) - 15.0) < 0.5
-        assert noisy.snr_db == 15.0
 
     def test_deterministic_under_seed(self):
         h = np.ones((4, 8), dtype=np.complex128)
@@ -85,13 +84,6 @@ class TestAwgn:
         a = synth.add_awgn(clean, 10.0, np.random.default_rng(5))
         b = synth.add_awgn(clean, 10.0, np.random.default_rng(5))
         np.testing.assert_array_equal(a.h.data, b.h.data)
-
-    def test_none_is_identity(self):
-        h = np.ones((2, 4), dtype=np.complex128)
-        clean = ChannelSample(synth.ComplexTensor(h), 3.5e9, 20e6)
-        out = synth.add_awgn(clean, None, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.h.data, h)
-        assert out.h.data is not h  # copy, not alias
 
 
 def dft2_oracle(x: np.ndarray, size: int) -> np.ndarray:
@@ -115,7 +107,7 @@ class TestRadar:
         pos = (rx[0] + r * math.cos(theta), rx[1] + r * math.sin(theta), rx[2])
         scene = one_scatterer_scene(pos, rx=rx)
         ra = synth.range_angle_map(synth.radar_cube(scene, params))
-        peak = np.unravel_index(np.argmax(np.abs(ra.data)), ra.data.shape)
+        peak = np.unravel_index(np.argmax(np.abs(ra)), ra.shape)
         assert peak == (k_a, k_r)
 
     def test_velocity_peak_bin(self):
@@ -128,7 +120,7 @@ class TestRadar:
         pos = (rx[0] + r, rx[1], rx[2])  # boresight so rx averaging is coherent
         scene = one_scatterer_scene(pos, velocity=(v, 0.0), rx=rx)
         rv = synth.range_velocity_map(synth.radar_cube(scene, params))
-        peak = np.unravel_index(np.argmax(np.abs(rv.data)), rv.data.shape)
+        peak = np.unravel_index(np.argmax(np.abs(rv)), rv.shape)
         assert peak == (k_v, k_r)
 
     def test_maps_match_dft_oracle(self):
@@ -136,16 +128,16 @@ class TestRadar:
         rng = np.random.default_rng(9)
         scene = synth.sample_scene(cfg, rng)
         cube = synth.radar_cube(scene, cfg.radar)
-        data = cube.data.data
+        data = cube.data
         size = cfg.radar.out_size
 
-        ra = synth.range_angle_map(cube).data
+        ra = synth.range_angle_map(cube)
         want_ra = np.mean(
             [dft2_oracle(data[:, c, :], size) for c in range(data.shape[1])], axis=0
         )
         np.testing.assert_allclose(ra, want_ra, atol=1e-9 * np.abs(want_ra).max())
 
-        rv = synth.range_velocity_map(cube).data
+        rv = synth.range_velocity_map(cube)
         want_rv = np.mean(
             [dft2_oracle(data[m, :, :], size) for m in range(data.shape[0])], axis=0
         )
@@ -155,9 +147,9 @@ class TestRadar:
         params = RadarParams(magnitude_average=True)
         scene = one_scatterer_scene((-30.0, 20.0, 10.0), velocity=(8.0, -3.0))
         cube = synth.radar_cube(scene, params)
-        ra = synth.range_angle_map(cube).data
+        ra = synth.range_angle_map(cube)
         want = np.mean(
-            [np.abs(dft2_oracle(cube.data.data[:, c, :], 64)) for c in range(16)], axis=0
+            [np.abs(dft2_oracle(cube.data[:, c, :], 64)) for c in range(16)], axis=0
         )
         np.testing.assert_allclose(ra, want, atol=1e-9 * want.max())
         assert np.all(ra.imag == 0)
@@ -167,9 +159,9 @@ class TestRadar:
         params = RadarParams(n_chirp=1)
         scene = one_scatterer_scene((-20.0, -15.0, 5.0))
         cube = synth.radar_cube(scene, params)
-        ra = synth.range_angle_map(cube).data
+        ra = synth.range_angle_map(cube)
         lhs = np.sum(np.abs(ra) ** 2)
-        rhs = 64 * 64 * np.sum(np.abs(cube.data.data[:, 0, :]) ** 2)
+        rhs = 64 * 64 * np.sum(np.abs(cube.data[:, 0, :]) ** 2)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_target_beyond_unambiguous_range_rejected(self):

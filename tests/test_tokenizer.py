@@ -105,10 +105,10 @@ class TestPatchify:
         rng = np.random.default_rng(0)
         w = Tensor(rng.normal(size=(cfg.patch_dim(Modality.CSI), cfg.d)))
         b = Tensor(np.zeros(cfg.d))
-        base = tok.patchify_embed(prepped, w, b, cfg).tokens.data
+        base = tok.patchify_embed(prepped, w, b, cfg).data
         bumped = tok.Prepped(Modality.CSI, prepped.array.copy(), prepped.scale)
         bumped.array[0, 0, 0] += 1.0  # inside patch 0 only
-        after = tok.patchify_embed(bumped, w, b, cfg).tokens.data
+        after = tok.patchify_embed(bumped, w, b, cfg).data
         changed = np.where(np.any(base != after, axis=1))[0]
         np.testing.assert_array_equal(changed, [0])
 
@@ -117,11 +117,11 @@ class TestPatchify:
         rng = np.random.default_rng(1)
         w = Tensor(rng.normal(size=(cfg.patch_dim(Modality.RADAR), cfg.d)))
         b = Tensor(rng.normal(size=cfg.d))
-        seq = tok.patchify_embed(prepped, w, b, cfg)
+        tokens = tok.patchify_embed(prepped, w, b, cfg)
         patches = tok.patchify(prepped.array, cfg.spec(Modality.RADAR).patch)
         k = 17
-        np.testing.assert_allclose(seq.tokens.data[k], patches[k] @ w.data + b.data, atol=1e-12)
-        assert seq.grid == (8, 8)
+        np.testing.assert_allclose(tokens.data[k], patches[k] @ w.data + b.data, atol=1e-12)
+        assert tokens.shape == (8 * 8, cfg.d)
 
 
 class TestPreprocess:
