@@ -225,7 +225,15 @@ def snapshot(model, fingerprint: str, step: int, opt=None, rng=None) -> Checkpoi
 def restore(ckpt: Checkpoint, model, opt=None):
     """Copy checkpoint arrays into the model (and optimizer); returns the
     restored rng (or None). Every model parameter must be in the checkpoint;
-    checkpoint tensors the model lacks (a fine-tune head) are ignored."""
+    checkpoint tensors the model lacks (a fine-tune head) are ignored. To
+    resume (opt given) it must also hold Adam moments and an rng state."""
+    if opt is not None:
+        held = {"Adam moments": ckpt.opt_moments, "rng state": ckpt.rng_state}
+        lacking = " and no ".join(name for name, value in held.items() if not value)
+        if lacking:
+            raise CheckpointError(
+                f"cannot resume: the checkpoint holds no {lacking}, so it is not a pre-training checkpoint"
+            )
     params = model.named_params()
     missing = set(params) - set(ckpt.params)
     if missing:
@@ -237,6 +245,6 @@ def restore(ckpt: Checkpoint, model, opt=None):
                 f"shape mismatch for {k}: checkpoint {arr.shape} vs model {p.data.shape}"
             )
         p.data = arr.copy()
-    if opt is not None and ckpt.opt_moments:
+    if opt is not None:
         opt.load_state_arrays(ckpt.opt_moments, ckpt.opt_t)
     return None if ckpt.rng_state is None else rng_from_json(ckpt.rng_state)

@@ -141,11 +141,11 @@ def _load_data(path: str):
     return samples, manifest_hash(manifest)
 
 
-def _task_of(cfg: RunConfig, args) -> str:
-    task = args.task or cfg.finetune.task
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}; valid: {', '.join(TASKS)}")
-    return task
+def _override(cfg: RunConfig, **finetune) -> RunConfig:
+    """cfg with the finetune fields given on the command line (None keeps the
+    config's), validated as a config file is. The fingerprint stays cfg's."""
+    given = {k: v for k, v in finetune.items() if v is not None}
+    return dataclasses.replace(cfg, finetune=dataclasses.replace(cfg.finetune, **given)).validate()
 
 
 def _report(
@@ -156,33 +156,14 @@ def _report(
     n: int,
     seed: int,
     **extra,
-) -> dict:
+) -> None:
+    """One metric line per metric, then the report line; all share the run's
+    task, dataset, modalities, sample count and seed."""
     modalities = [m for m in MODALITY_NAMES if m not in drop]
+    run = {"task": task, "dataset": data_hash, "modalities": modalities, "n_samples": n, "seed": seed}
     for name, value in sorted(metrics.items()):
-        emit(
-            {
-                "kind": "metric",
-                "task": task,
-                "dataset": data_hash,
-                "modalities": modalities,
-                "metric": name,
-                "value": value,
-                "n_samples": n,
-                "seed": seed,
-            }
-        )
-    report = {
-        "kind": "report",
-        "task": task,
-        "dataset": data_hash,
-        "modalities": modalities,
-        "metrics": metrics,
-        "n_samples": n,
-        "seed": seed,
-        **extra,
-    }
-    emit(report)
-    return report
+        emit({"kind": "metric", **run, "metric": name, "value": value})
+    emit({"kind": "report", **run, "metrics": metrics, **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +204,6 @@ def cmd_pretrain(args) -> int:
     out = Path(args.out)
     if out.exists():
         ckpt = load_checkpoint(out, fp, force=args.force)
-        held = {"Adam moments": ckpt.opt_moments, "rng state": ckpt.rng_state}
-        lacking = " and no ".join(name for name, value in held.items() if not value)
-        if lacking:  # a fine-tune checkpoint: resuming would restart both silently
-            raise CheckpointError(
-                f"cannot resume from {out}: it holds no {lacking}, so it is not a pre-training checkpoint"
-            )
         rng = restore(ckpt, model, opt)
         start = ckpt.step
         note(f"resuming from {out} at step {start}")
@@ -259,14 +234,10 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg, seed = _load(args)
-    task = _task_of(cfg, args)
+    run = _override(cfg, task=args.task, freeze=args.freeze).finetune
+    task, settings = run.task, run.settings()
     fp = fingerprint(cfg)
     samples, data_hash = _load_data(args.data)
-    settings = cfg.finetune.settings()
-    # like --seed and --task, --freeze overrides the run without changing the
-    # config fingerprint used to gate checkpoint loads
-    if args.freeze is not None:
-        settings = dataclasses.replace(settings, freeze_encoder=args.freeze == "head")
     pre = _build_model(cfg, seed)
     init = "scratch"
     if args.scratch:
@@ -299,12 +270,11 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, seed = _load(args)
-    task = _task_of(cfg, args)
-    fp = fingerprint(cfg)
-    # --drop-modality replaces finetune.drop, validated the same way
+    # --drop-modality always replaces finetune.drop, with () when it is not given
     drop = tuple(part.strip() for part in args.drop_modality.split(",") if part.strip())
-    run_cfg = dataclasses.replace(cfg, finetune=dataclasses.replace(cfg.finetune, drop=drop))
-    settings = run_cfg.validate().finetune.settings()
+    run = _override(cfg, task=args.task, drop=drop).finetune
+    task, settings = run.task, run.settings()
+    fp = fingerprint(cfg)
     samples, data_hash = _load_data(args.data)
     pre = _build_model(cfg, seed)
     model = _finetune_model(cfg, pre, task, seed)

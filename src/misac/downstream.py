@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .encoder import MLP, FrozenRouting
+from .encoder import MLP
 from .pretrain import (
     Adam,
     MaskSpec,
@@ -189,7 +189,6 @@ def sample_loss(
     sample: MultimodalSample,
     cfg: FinetuneSettings,
     rng: np.random.Generator | None = None,
-    frozen: FrozenRouting | None = None,
 ) -> tuple[Tensor, dict]:
     """Loss for one sample plus everything needed to score it."""
     pre = model.pretrained
@@ -204,7 +203,7 @@ def sample_loss(
             raise DownstreamError(f"{task} needs {CHANNEL.name}")
         spec = model.mask
         masks = {CHANNEL: spec}
-        res = encode_visible(pre, prepped, masks, frozen)
+        res = encode_visible(pre, prepped, masks)
         recon = decode_masked(pre, res, masks)[CHANNEL]
         target = prepped[CHANNEL].array
         if task == "channel_prediction":
@@ -220,7 +219,7 @@ def sample_loss(
         }
         return loss, aux
 
-    res = encode_visible(pre, prepped, {}, frozen)
+    res = encode_visible(pre, prepped, {})
     pooled = tt.tmean(res.h, axis=0, keepdims=True)
     out = model.head(pooled)
     lab = sample.labels

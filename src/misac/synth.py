@@ -17,11 +17,15 @@ Geometry conventions, fixed across the package:
   are unnormalized 2D FFTs (numpy convention, no fftshift) averaged
   coherently over the remaining axis; a config switch averages magnitudes
   instead.
+* The radar maps are one [2, n, n] complex array (range-angle, then
+  range-velocity), the layout of the radar file; ``ra`` and ``rv`` are views
+  of it.
 * A map is one [res, res, 4] grid (three bev occupancy channels, then
   height): rasterization draws into it, the map file holds it as is, and
   loading returns the file's array, so synthesized and loaded maps share one
   layout. Nothing is concatenated on the way to disk, and reads go into an
-  uninitialized buffer, not a zero-filled one.
+  uninitialized buffer, not a zero-filled one. Loading checks each sample
+  file's dtype and shape against the manifest's config.
 
 All randomness flows through explicitly passed numpy Generators; dataset
 generation derives per-sample substreams as seed ^ index.
@@ -100,8 +104,6 @@ class PathParams:
 @dataclass
 class ChannelSample:
     h: ComplexTensor  # [n_antennas, n_subcarriers]
-    f0: float
-    bw: float
 
 
 @dataclass(frozen=True)
@@ -130,8 +132,15 @@ class RadarCube:
 
 @dataclass
 class RadarMaps:
-    ra: ComplexTensor  # [angle, range]
-    rv: ComplexTensor  # [velocity, range]
+    data: np.ndarray  # [2, n, n] complex, the radar file's layout
+
+    @property
+    def ra(self) -> ComplexTensor:  # [angle, range] view
+        return ComplexTensor(self.data[0])
+
+    @property
+    def rv(self) -> ComplexTensor:  # [velocity, range] view
+        return ComplexTensor(self.data[1])
 
 
 @dataclass
@@ -220,7 +229,7 @@ def channel_response(
         sweep = np.exp(-2j * math.pi * freqs * p.tau)
         steer = steering_vector(p.theta, n_antennas, spacing)
         h += gain * np.outer(steer, sweep)
-    return ChannelSample(h=ComplexTensor(h), f0=f0, bw=bw)
+    return ChannelSample(ComplexTensor(h))
 
 
 def add_awgn(csi: ChannelSample, snr_db: float, rng: np.random.Generator) -> ChannelSample:
@@ -230,7 +239,7 @@ def add_awgn(csi: ChannelSample, snr_db: float, rng: np.random.Generator) -> Cha
     p_noise = p_sig / (10.0 ** (snr_db / 10.0))
     scale = math.sqrt(p_noise / 2.0)
     noise = scale * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
-    return ChannelSample(ComplexTensor(h + noise), csi.f0, csi.bw)
+    return ChannelSample(ComplexTensor(h + noise))
 
 
 def with_noisy_csi(sample: MultimodalSample, snr_range, rng: np.random.Generator) -> MultimodalSample:
@@ -474,7 +483,7 @@ def synth_sample(cfg: SynthConfig, index: int, base_seed: int) -> tuple[Multimod
     paths = scene_to_paths(scene, cfg, rng)
     csi = channel_response(paths, cfg.f0, cfg.bw, cfg.n_sc, cfg.n_antennas, cfg.spacing)
     cube = radar_cube(scene, cfg.radar)
-    maps = RadarMaps(ra=ComplexTensor(range_angle_map(cube)), rv=ComplexTensor(range_velocity_map(cube)))
+    maps = RadarMaps(np.stack([range_angle_map(cube), range_velocity_map(cube)]))
     smap = rasterize_scene(scene, cfg.map_resolution, cfg.marker_radius)
     labels = derive_labels(scene, paths, csi, cfg)
     return MultimodalSample(index=index, csi=csi, radar=maps, map=smap, labels=labels), scene
@@ -527,8 +536,7 @@ def synth_dataset(
                 write_mstn(out / files["csi"], sample.csi.h.data)
             if sample.radar is not None:
                 files["radar"] = f"sample_{i:05d}_radar.mstn"
-                stacked = np.stack([sample.radar.ra.data, sample.radar.rv.data])
-                write_mstn(out / files["radar"], stacked)
+                write_mstn(out / files["radar"], sample.radar.data)
             if sample.map is not None:
                 files["map"] = f"sample_{i:05d}_map.mstn"
                 write_mstn(out / files["map"], sample.map.grid)
@@ -565,8 +573,7 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(canonical_json(manifest).encode()).hexdigest()
 
 
-_NUMBER = (int, float)
-_LABEL_TYPES = {"beam_index": int, "distance_m": _NUMBER, "aoa_rad": _NUMBER}
+_LABEL_TYPES = {"beam_index": int, "distance_m": (int, float), "aoa_rad": (int, float)}
 
 
 def _field(record, key: str, where: str, kind):
@@ -581,12 +588,30 @@ def _field(record, key: str, where: str, kind):
     return value
 
 
-def _read_sample_file(path: Path) -> np.ndarray:
-    """read_mstn(path); a file that does not parse is a SceneError naming it."""
+def _file_layouts(cfg: dict) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
+    """The dtype and shape of each modality's sample file under the
+    manifest's synthesis config."""
+    n_antennas = _field(cfg, "n_t", "config", int) * _field(cfg, "n_r", "config", int)
+    side = _field(_field(cfg, "radar", "config", dict), "out_size", "config radar", int)
+    res = _field(cfg, "map_resolution", "config", int)
+    return {
+        "csi": (np.dtype(np.complex128), (n_antennas, _field(cfg, "n_sc", "config", int))),
+        "radar": (np.dtype(np.complex128), (2, side, side)),
+        "map": (np.dtype(np.float64), (res, res, 4)),
+    }
+
+
+def _read_sample_file(path: Path, layout: tuple[np.dtype, tuple[int, ...]]) -> np.ndarray:
+    """read_mstn(path); a file that does not parse, or holds another dtype or
+    shape than layout, is a SceneError naming it."""
     try:
-        return read_mstn(path)
+        arr = read_mstn(path)
     except ValueError as e:
         raise SceneError(f"dataset file {path}: {e}") from None
+    dtype, shape = layout
+    if arr.dtype != dtype or arr.shape != shape:
+        raise SceneError(f"dataset file {path} holds {arr.dtype} {arr.shape}; the manifest's config gives {dtype} {shape}")
+    return arr
 
 
 def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dict]:
@@ -600,21 +625,19 @@ def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dic
     if not isinstance(manifest, dict) or manifest.get("format") != "misac-dataset":
         raise SceneError("not a dataset manifest")
     root = path.parent
-    cfg = _field(manifest, "config", "the manifest", dict)
+    layouts = _file_layouts(_field(manifest, "config", "the manifest", dict))
     samples = []
     for i, e in enumerate(_field(manifest, "samples", "the manifest", list)):
         where = f"sample {i}"
         files = _field(e, "files", where, dict)
-        paths = {m: root / _field(files, m, f"{where} files", str) for m in MODALITY_NAMES if m in files}
-        csi = radar = smap = None
-        if "csi" in paths:
-            f0, bw = _field(cfg, "f0", "config", _NUMBER), _field(cfg, "bw", "config", _NUMBER)
-            csi = ChannelSample(ComplexTensor(_read_sample_file(paths["csi"])), f0=f0, bw=bw)
-        if "radar" in paths:
-            stacked = _read_sample_file(paths["radar"])
-            radar = RadarMaps(ra=ComplexTensor(stacked[0]), rv=ComplexTensor(stacked[1]))
-        if "map" in paths:
-            smap = SceneMap(_read_sample_file(paths["map"]))
+        arrays = {
+            m: _read_sample_file(root / _field(files, m, f"{where} files", str), layouts[m])
+            for m in MODALITY_NAMES
+            if m in files
+        }
+        csi = ChannelSample(ComplexTensor(arrays["csi"])) if "csi" in arrays else None
+        radar = RadarMaps(arrays["radar"]) if "radar" in arrays else None
+        smap = SceneMap(arrays["map"]) if "map" in arrays else None
         lab = _field(e, "labels", where, dict)
         labels = {k: _field(lab, k, f"{where} labels", kind) for k, kind in _LABEL_TYPES.items()}
         samples.append(

@@ -34,9 +34,19 @@ class TokenError(ValueError):
 
 @dataclass(frozen=True)
 class ModalitySpec:
+    """A [height, width] grid cut into patch-sized tokens; the patch must
+    tile the grid exactly."""
+
     height: int
     width: int
     patch: tuple[int, int]
+
+    def __post_init__(self):
+        ph, pw = self.patch
+        if ph < 1 or pw < 1:
+            raise TokenError("patch sides must be >= 1")
+        if self.height % ph or self.width % pw:
+            raise TokenError(f"patch {self.patch} does not tile {self.height}x{self.width}")
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -88,8 +98,6 @@ class TokenizerConfig:
         for role in ("anchor", "context"):
             if sum(getattr(m, role) for m in self.specs) > 1:
                 raise TokenError(f"more than one {role} modality")
-        for spec in self.specs.values():
-            token_count(spec.height, spec.width, spec.patch)
 
     @property
     def modalities(self) -> tuple[Modality, ...]:
@@ -101,17 +109,6 @@ class TokenizerConfig:
     def patch_dim(self, modality: Modality) -> int:
         ph, pw = self.spec(modality).patch
         return ph * pw * modality.channels
-
-
-def token_count(height: int, width: int, patch: tuple[int, int]) -> tuple[int, int, int]:
-    """(grid_rows, grid_cols, n_tokens); patch must tile the grid exactly."""
-    ph, pw = patch
-    if ph < 1 or pw < 1:
-        raise TokenError("patch sides must be >= 1")
-    if height % ph or width % pw:
-        raise TokenError(f"patch {patch} does not tile {height}x{width}")
-    gr, gc = height // ph, width // pw
-    return gr, gc, gr * gc
 
 
 @dataclass
@@ -167,8 +164,8 @@ def _prepare_map(smap, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.nda
 
 
 def _prepare_radar(radar, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
-    ra, rv = radar.ra.data, radar.rv.data
-    scale = _unit_power_scale(np.stack([ra, rv]))
+    ra, rv = radar.data
+    scale = _unit_power_scale(radar.data)  # both maps together
     return np.stack([ra.real, ra.imag, rv.real, rv.imag], axis=-1) * scale, scale
 
 
@@ -194,12 +191,9 @@ def preprocess(sample: MultimodalSample, modality: Modality, cfg: TokenizerConfi
 
 def patchify(x: np.ndarray, patch: tuple[int, int]) -> np.ndarray:
     """[H, W, C] -> [n_tokens, ph*pw*C], row-major in both orderings."""
-    ph, pw = patch
-    gr, gc, n = token_count(x.shape[0], x.shape[1], patch)
-    c = x.shape[2]
-    return (
-        x.reshape(gr, ph, gc, pw, c).transpose(0, 2, 1, 3, 4).reshape(n, ph * pw * c)
-    )
+    spec = ModalitySpec(x.shape[0], x.shape[1], patch)
+    (gr, gc), (ph, pw), c = spec.grid, patch, x.shape[2]
+    return x.reshape(gr, ph, gc, pw, c).transpose(0, 2, 1, 3, 4).reshape(spec.n_tokens, ph * pw * c)
 
 
 def unpatchify(tokens: Tensor, grid: tuple[int, int], patch: tuple[int, int], channels: int) -> Tensor:

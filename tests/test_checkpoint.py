@@ -327,6 +327,28 @@ class TestModelSnapshot:
         assert all(np.array_equal(opt2.v[k], opt.v[k]) for k in opt.v)
         assert np.array_equal(rng2.normal(size=4), rng.normal(size=4))
 
+    @pytest.mark.parametrize(
+        "held, lacking",
+        [((), "no Adam moments and no rng state"), (("opt",), "no rng state"), (("rng",), "no Adam moments")],
+        ids=["neither", "moments_only", "rng_only"],
+    )
+    def test_restore_with_an_optimizer_refuses_a_checkpoint_that_cannot_resume(self, held, lacking):
+        model = tiny_model(0)
+        opt = Adam(model.named_params())
+        for p in opt.params.values():
+            p.grad = np.ones_like(p.data)
+        opt.step(1e-3)
+        opt.step(1e-3)
+        state = {k: v.copy() for k, v in opt.state_arrays().items()}
+        extra = {"opt": Adam(model.named_params()), "rng": np.random.default_rng(5)}
+        ckpt = snapshot(tiny_model(1), "a" * 64, step=5, **{k: extra[k] for k in held})
+        before = {k: p.data.copy() for k, p in model.named_params().items()}
+        with pytest.raises(CheckpointError, match=f"{lacking}, so it is not a pre-training checkpoint"):
+            restore(ckpt, model, opt)
+        assert opt.t == 2
+        assert all(np.array_equal(v, state[k]) for k, v in opt.state_arrays().items())
+        assert all(np.array_equal(p.data, before[k]) for k, p in model.named_params().items())
+
     def test_loaded_arrays_are_aligned_writable_and_restore_copies(self, tmp_path):
         model = tiny_model(0)
         path = tmp_path / "m.msck"

@@ -16,6 +16,7 @@ from misac.cli import main
 from misac.config import fingerprint, load_config
 from misac.pretrain import Adam, PretrainSettings, PretrainModel, run_pretrain
 from misac.synth import load_dataset
+from misac.tensor import read_mstn, write_mstn
 
 MINI = {
     "model": {"d": 16, "n_heads": 2, "n_layers": 1, "n_experts": 4, "top_k": 2},
@@ -23,6 +24,16 @@ MINI = {
     "pretrain": {"steps": 4, "batch_size": 2, "save_every": 2},
     "finetune": {"task": "beam_selection", "steps": 3, "batch_size": 2},
 }
+
+# as in test_synth: a sample file's modality and a rewrite of it whose dtype
+# or shape contradicts the manifest's config
+FILE_FAULTS = {
+    "map_complex": ("map", lambda a: a.astype(np.complex128)),
+    "radar_three_maps": ("radar", lambda a: np.concatenate([a, a[:1]])),
+    "csi_float": ("csi", lambda a: a.real),
+    "map_half_resolution": ("map", lambda a: a[::2, ::2]),
+}
+
 
 
 def write_cfg(path: Path, **overrides) -> Path:
@@ -382,6 +393,12 @@ class TestFinetuneAndEval:
         err = capsys.readouterr().err
         assert "beam_selection" in err and "aoa_estimation" in err
 
+    def test_unknown_task_override_is_the_config_error(self, workspace, capsys):
+        root, cfg = workspace
+        code = main(["finetune", "--config", str(cfg), "--data", str(root / "data"), "--scratch", "--task", "nope"])
+        assert code == 1
+        assert "unknown task 'nope'; valid: channel_prediction," in capsys.readouterr().err
+
     def test_drop_modality_reports_delta(self, workspace, capsys):
         root, cfg = workspace
         capsys.readouterr()
@@ -544,6 +561,20 @@ class TestCliSurface:
         assert code == 1
         err = capsys.readouterr().err
         assert "sample_00001_radar.mstn" in err and "bad magic" in err
+
+    @pytest.mark.parametrize("kind, edit", FILE_FAULTS.values(), ids=FILE_FAULTS.keys())
+    def test_sample_file_contradicting_the_manifest_is_validation_error(self, workspace, tmp_path, capsys, kind, edit):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        bad = data / f"sample_00001_{kind}.mstn"
+        write_mstn(bad, np.ascontiguousarray(edit(read_mstn(bad))))
+        out = tmp_path / "x.msck"
+        code = main(["pretrain", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad.name} holds" in err and "the manifest's config gives" in err
+        assert not out.exists()
 
     def test_manifest_that_is_not_json_is_validation_error(self, workspace, tmp_path, capsys):
         root, cfg = workspace

@@ -19,6 +19,15 @@ from misac.synth import (
 
 C = synth.C_LIGHT
 
+# a sample file whose dtype or shape contradicts the manifest's config:
+# the modality of the file and how it is rewritten
+FILE_FAULTS = {
+    "map_complex": ("map", lambda a: a.astype(np.complex128)),
+    "radar_three_maps": ("radar", lambda a: np.concatenate([a, a[:1]])),
+    "csi_float": ("csi", lambda a: a.real),
+    "map_half_resolution": ("map", lambda a: a[::2, ::2]),
+}
+
 
 def one_scatterer_scene(position, reflectivity=1.0, velocity=(0.0, 0.0), rx=(-80.0, 0.0, 10.0)):
     return SceneSpec(
@@ -72,7 +81,7 @@ class TestAwgn:
     def test_empirical_snr_within_half_db(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal((16, 64)) + 1j * rng.standard_normal((16, 64))
-        clean = ChannelSample(synth.ComplexTensor(h), 3.5e9, 20e6)
+        clean = ChannelSample(synth.ComplexTensor(h))
         noisy = synth.add_awgn(clean, 15.0, np.random.default_rng(11))
         p_sig = np.mean(np.abs(h) ** 2)
         p_noise = np.mean(np.abs(noisy.h.data - h) ** 2)
@@ -80,7 +89,7 @@ class TestAwgn:
 
     def test_deterministic_under_seed(self):
         h = np.ones((4, 8), dtype=np.complex128)
-        clean = ChannelSample(synth.ComplexTensor(h), 3.5e9, 20e6)
+        clean = ChannelSample(synth.ComplexTensor(h))
         a = synth.add_awgn(clean, 10.0, np.random.default_rng(5))
         b = synth.add_awgn(clean, 10.0, np.random.default_rng(5))
         np.testing.assert_array_equal(a.h.data, b.h.data)
@@ -302,14 +311,14 @@ class TestDataset:
         "edit, key",
         [
             (lambda m: m.pop("config"), "config"),
-            (lambda m: m["config"].pop("f0"), "f0"),
+            (lambda m: m["config"].pop("n_sc"), "n_sc"),
             (lambda m: m.pop("samples"), "samples"),
             (lambda m: m["samples"][0].pop("files"), "files"),
             (lambda m: m["samples"][0].pop("labels"), "labels"),
             (lambda m: m["samples"][1]["labels"].pop("beam_index"), "beam_index"),
             (lambda m: m["samples"][1].pop("index"), "index"),
         ],
-        ids=["config", "f0", "samples", "files", "labels", "beam_index", "index"],
+        ids=["config", "n_sc", "samples", "files", "labels", "beam_index", "index"],
     )
     def test_manifest_missing_key_is_named(self, tmp_path, edit, key):
         synth.synth_dataset(SynthConfig(), 2, 11, out_dir=tmp_path)
@@ -324,7 +333,7 @@ class TestDataset:
         "edit, where, key",
         [
             (lambda m: m.update(config=[]), "the manifest", "config"),
-            (lambda m: m["config"].update(bw="20e6"), "config", "bw"),
+            (lambda m: m["config"].update(map_resolution=256.0), "config", "map_resolution"),
             (lambda m: m.update(samples={}), "the manifest", "samples"),
             (lambda m: m["samples"][0].update(files=list(m["samples"][0]["files"])), "sample 0", "files"),
             (lambda m: m["samples"][1]["files"].update(csi=7), "sample 1 files", "csi"),
@@ -334,7 +343,7 @@ class TestDataset:
             (lambda m: m["samples"][1]["labels"].update(aoa_rad=True), "sample 1 labels", "aoa_rad"),
             (lambda m: m["samples"][1].update(index="1"), "sample 1", "index"),
         ],
-        ids=["config", "bw", "samples", "files", "file_name", "labels", "beam_index", "distance_m", "aoa_rad", "index"],
+        ids=["config", "map_resolution", "samples", "files", "file_name", "labels", "beam_index", "distance_m", "aoa_rad", "index"],
     )
     def test_manifest_wrong_type_is_named(self, tmp_path, edit, where, key):
         synth.synth_dataset(SynthConfig(), 2, 11, out_dir=tmp_path)
@@ -344,6 +353,33 @@ class TestDataset:
         path.write_text(json.dumps(manifest))
         with pytest.raises(synth.SceneError, match=f"{where} {key!r} must be"):
             synth.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("kind, edit", FILE_FAULTS.values(), ids=FILE_FAULTS.keys())
+    def test_sample_file_contradicting_the_manifest_is_named(self, tmp_path, kind, edit):
+        synth.synth_dataset(SynthConfig(), 2, 11, out_dir=tmp_path)
+        bad = tmp_path / f"sample_00001_{kind}.mstn"
+        synth.write_mstn(bad, np.ascontiguousarray(edit(synth.read_mstn(bad))))
+        with pytest.raises(synth.SceneError, match=f"{bad.name} holds .*the manifest's config gives"):
+            synth.load_dataset(tmp_path)
+
+    def test_loaded_radar_maps_are_views_of_the_file_array(self, tmp_path, monkeypatch):
+        generated, _ = synth.synth_dataset(SynthConfig(), 2, 4, out_dir=tmp_path)
+        read, read_mstn = {}, synth.read_mstn
+
+        def recording_read(path):
+            read[path.name] = read_mstn(path)
+            return read[path.name]
+
+        monkeypatch.setattr(synth, "read_mstn", recording_read)
+        loaded, _ = synth.load_dataset(tmp_path)
+        for a, b in zip(generated, loaded):
+            file_array = read[f"sample_{b.index:05d}_radar.mstn"]
+            assert b.radar.data is file_array
+            for radar in (a.radar, b.radar):
+                assert np.shares_memory(radar.ra.data, radar.data) and np.shares_memory(radar.rv.data, radar.data)
+            np.testing.assert_array_equal(b.radar.ra.data, file_array[0])
+            np.testing.assert_array_equal(b.radar.rv.data, file_array[1])
+            np.testing.assert_array_equal(a.radar.data, b.radar.data)
 
     def test_scene_positions_stay_in_front_halfplane(self):
         cfg = SynthConfig()

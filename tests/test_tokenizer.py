@@ -42,20 +42,19 @@ def unpatchify_np(tokens, grid, patch, channels):
 
 class TestCounts:
     def test_token_count_arithmetic(self):
-        assert tok.token_count(16, 32, (2, 2)) == (8, 16, 128)
-        assert tok.token_count(64, 64, (8, 8)) == (8, 8, 64)
+        for spec, grid, n in ((ModalitySpec(16, 32, (2, 2)), (8, 16), 128), (ModalitySpec(64, 64, (8, 8)), (8, 8), 64)):
+            assert (spec.grid, spec.n_tokens) == (grid, n)
 
     def test_desk_concat_is_256(self, cfg):
-        n = sum(
-            tok.token_count(cfg.spec(m).height, cfg.spec(m).width, cfg.spec(m).patch)[2]
-            for m in cfg.modalities
-        )
-        assert n == 256
         assert [cfg.spec(m).n_tokens for m in cfg.modalities] == [128, 64, 64]
 
     def test_indivisible_patch_rejected(self):
-        with pytest.raises(tok.TokenError):
-            tok.token_count(16, 30, (2, 4))
+        with pytest.raises(tok.TokenError, match=r"patch \(2, 4\) does not tile 16x30"):
+            ModalitySpec(16, 30, (2, 4))
+        with pytest.raises(tok.TokenError, match="patch sides must be >= 1"):
+            ModalitySpec(16, 30, (0, 3))
+        with pytest.raises(tok.TokenError, match="does not tile"):
+            tok.patchify(np.zeros((16, 30, 1)), (2, 4))
 
     def test_config_validates_patches(self):
         with pytest.raises(tok.TokenError):
@@ -140,7 +139,7 @@ class TestPreprocess:
     def test_zero_csi_guard(self, cfg):
         s = synth.MultimodalSample(
             index=0,
-            csi=synth.ChannelSample(tt.ComplexTensor(np.zeros((16, 32))), 3.5e9, 20e6),
+            csi=synth.ChannelSample(tt.ComplexTensor(np.zeros((16, 32)))),
             radar=None,
             map=None,
             labels=synth.Labels(0, 0.0, 0.0),
