@@ -21,11 +21,11 @@ Geometry conventions, fixed across the package:
   range-velocity), the layout of the radar file; ``ra`` and ``rv`` are views
   of it.
 * A map is one [res, res, 4] grid (three bev occupancy channels, then
-  height): rasterization draws into it, the map file holds it as is, and
-  loading returns the file's array, so synthesized and loaded maps share one
-  layout. Nothing is concatenated on the way to disk, and reads go into an
-  uninitialized buffer, not a zero-filled one. Loading checks each sample
-  file's dtype and shape against the manifest's config.
+  height) that rasterization draws into. Its file holds only the cells whose
+  channels are not all +0.0, as float64 [k, 5] rows (``map_cells``), and
+  loading rebuilds the grid from them (``map_grid``), so synthesized and
+  loaded maps share one layout. Loading checks each sample file's dtype and
+  shape against the manifest's config, and each map file's cell rows.
 
 All randomness flows through explicitly passed numpy Generators; dataset
 generation derives per-sample substreams as seed ^ index.
@@ -145,9 +145,9 @@ class RadarMaps:
 
 @dataclass
 class SceneMap:
-    """Rasterized bird's-eye view in one [res, res, 4] grid, the layout of
-    the map file: channels 0-2 (bev) are scatterer / tx / rx occupancy in
-    {0,1}; channel 3 (height) holds the per-cell max scatterer z in meters."""
+    """Rasterized bird's-eye view in one [res, res, 4] grid: channels 0-2
+    (bev) are scatterer / tx / rx occupancy in {0,1}; channel 3 (height)
+    holds the per-cell max scatterer z in meters."""
 
     grid: np.ndarray  # [res, res, 4]
 
@@ -169,6 +169,10 @@ class Labels:
 
 # the sample's modality fields, in the order the availability plan draws them
 MODALITY_NAMES = ("csi", "radar", "map")
+
+# the manifest version synth_dataset writes and load_dataset reads; version 2
+# stores each map file as its nonzero cells (map_cells)
+DATASET_VERSION = 2
 
 
 @dataclass
@@ -539,7 +543,7 @@ def synth_dataset(
                 write_mstn(out / files["radar"], sample.radar.data)
             if sample.map is not None:
                 files["map"] = f"sample_{i:05d}_map.mstn"
-                write_mstn(out / files["map"], sample.map.grid)
+                write_mstn(out / files["map"], map_cells(sample.map.grid))
         entries.append(
             {
                 "index": i,
@@ -554,7 +558,7 @@ def synth_dataset(
         )
     manifest = {
         "format": "misac-dataset",
-        "version": 1,
+        "version": DATASET_VERSION,
         "seed": seed,
         "n": n,
         "config": dataclasses.asdict(cfg),
@@ -563,6 +567,47 @@ def synth_dataset(
     if out_dir is not None:
         (out / "manifest.json").write_text(canonical_json(manifest))
     return samples, manifest
+
+
+def _channel_bits(channels: np.ndarray) -> np.ndarray:
+    """The OR of the bit patterns of each row's four float64 channels: 0
+    exactly where all four are +0.0."""
+    bits = channels.view(np.uint64)
+    return bits[:, 0] | bits[:, 1] | bits[:, 2] | bits[:, 3]
+
+
+def map_cells(grid: np.ndarray) -> np.ndarray:
+    """The map file's float64 [k, 5] rows for a [res, res, 4] grid: one row
+    per cell whose four channels are not all +0.0 bit patterns, in increasing
+    row-major cell index. Column 0 is the index (row * res + col), columns
+    1-4 the cell's channels."""
+    flat = grid.reshape(-1, 4)
+    index = np.flatnonzero(_channel_bits(flat))
+    cells = np.empty((index.size, 5))
+    cells[:, 0] = index
+    cells[:, 1:] = flat[index]
+    return cells
+
+
+def map_grid(cells: np.ndarray, resolution: int, path: Path) -> np.ndarray:
+    """The [resolution, resolution, 4] grid whose map_cells are cells (float64
+    [k, 5]); rows that map_cells could not have written are a SceneError
+    naming path."""
+    index, n_cells = cells[:, 0], resolution * resolution
+    with np.errstate(invalid="ignore"):  # a non-finite index fails the first check
+        problems = (
+            (index != np.trunc(index), "is not an integer"),
+            ((index < 0) | (index >= n_cells), f"is outside [0, {n_cells})"),
+            (np.diff(index, prepend=-1.0) <= 0, "is not above the previous row's index"),
+            (_channel_bits(cells[:, 1:]) == 0, "lists a cell whose four channels are all +0.0"),
+        )
+    for bad, what in problems:
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise SceneError(f"dataset file {path}: map cell row {row} (index {index[row]}) {what}")
+    grid = np.zeros((resolution, resolution, 4))
+    grid.reshape(-1, 4)[index.astype(np.intp)] = cells[:, 1:]
+    return grid
 
 
 def canonical_json(obj) -> str:
@@ -588,20 +633,20 @@ def _field(record, key: str, where: str, kind):
     return value
 
 
-def _file_layouts(cfg: dict) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
+def _file_layouts(cfg: dict) -> dict[str, tuple[np.dtype, tuple[int | None, ...]]]:
     """The dtype and shape of each modality's sample file under the
-    manifest's synthesis config."""
+    manifest's synthesis config; None is an extent the config leaves free
+    (a map file's cell count)."""
     n_antennas = _field(cfg, "n_t", "config", int) * _field(cfg, "n_r", "config", int)
     side = _field(_field(cfg, "radar", "config", dict), "out_size", "config radar", int)
-    res = _field(cfg, "map_resolution", "config", int)
     return {
         "csi": (np.dtype(np.complex128), (n_antennas, _field(cfg, "n_sc", "config", int))),
         "radar": (np.dtype(np.complex128), (2, side, side)),
-        "map": (np.dtype(np.float64), (res, res, 4)),
+        "map": (np.dtype(np.float64), (None, 5)),
     }
 
 
-def _read_sample_file(path: Path, layout: tuple[np.dtype, tuple[int, ...]]) -> np.ndarray:
+def _read_sample_file(path: Path, layout: tuple[np.dtype, tuple[int | None, ...]]) -> np.ndarray:
     """read_mstn(path); a file that does not parse, or holds another dtype or
     shape than layout, is a SceneError naming it."""
     try:
@@ -609,8 +654,9 @@ def _read_sample_file(path: Path, layout: tuple[np.dtype, tuple[int, ...]]) -> n
     except ValueError as e:
         raise SceneError(f"dataset file {path}: {e}") from None
     dtype, shape = layout
-    if arr.dtype != dtype or arr.shape != shape:
-        raise SceneError(f"dataset file {path} holds {arr.dtype} {arr.shape}; the manifest's config gives {dtype} {shape}")
+    if arr.dtype != dtype or len(arr.shape) != len(shape) or any(w not in (None, g) for w, g in zip(shape, arr.shape)):
+        want = "(" + ", ".join("k" if w is None else str(w) for w in shape) + ")"
+        raise SceneError(f"dataset file {path} holds {arr.dtype} {arr.shape}; the manifest's config gives {dtype} {want}")
     return arr
 
 
@@ -624,20 +670,36 @@ def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dic
         raise SceneError(f"dataset manifest {path} is not valid JSON: {e}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "misac-dataset":
         raise SceneError("not a dataset manifest")
+    version = manifest.get("version")
+    if type(version) is not int or version != DATASET_VERSION:
+        raise SceneError(
+            f"dataset manifest {path} is version {json.dumps(version)}, but this misac reads version "
+            f"{DATASET_VERSION}: re-run `misac synth` with the manifest's seed ({json.dumps(manifest.get('seed'))}) "
+            f"and n ({json.dumps(manifest.get('n'))}) to rebuild the dataset"
+        )
     root = path.parent
-    layouts = _file_layouts(_field(manifest, "config", "the manifest", dict))
+    cfg = _field(manifest, "config", "the manifest", dict)
+    layouts, res = _file_layouts(cfg), _field(cfg, "map_resolution", "config", int)
     samples = []
     for i, e in enumerate(_field(manifest, "samples", "the manifest", list)):
         where = f"sample {i}"
         files = _field(e, "files", where, dict)
-        arrays = {
-            m: _read_sample_file(root / _field(files, m, f"{where} files", str), layouts[m])
-            for m in MODALITY_NAMES
-            if m in files
-        }
+        available = _field(e, "available", where, dict)
+        for m in files:
+            if m not in MODALITY_NAMES:
+                raise SceneError(f"dataset manifest: {where} files name {m!r}, which is not one of {MODALITY_NAMES}")
+        for m in MODALITY_NAMES:
+            if available.get(m) is not (m in files):
+                listed = "list" if m in files else "do not list"
+                raise SceneError(
+                    f"dataset manifest: {where} available {m!r} is {json.dumps(available.get(m))}, "
+                    f"but its files {listed} {m!r}"
+                )
+        paths = {m: root / _field(files, m, f"{where} files", str) for m in MODALITY_NAMES if m in files}
+        arrays = {m: _read_sample_file(p, layouts[m]) for m, p in paths.items()}
         csi = ChannelSample(ComplexTensor(arrays["csi"])) if "csi" in arrays else None
         radar = RadarMaps(arrays["radar"]) if "radar" in arrays else None
-        smap = SceneMap(arrays["map"]) if "map" in arrays else None
+        smap = SceneMap(map_grid(arrays["map"], res, paths["map"])) if "map" in arrays else None
         lab = _field(e, "labels", where, dict)
         labels = {k: _field(lab, k, f"{where} labels", kind) for k, kind in _LABEL_TYPES.items()}
         samples.append(

@@ -3,6 +3,7 @@ contract, JSON-line output shape, resume continuation, freeze verification,
 and eval/finetune report consistency."""
 
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -25,15 +26,33 @@ MINI = {
     "finetune": {"task": "beam_selection", "steps": 3, "batch_size": 2},
 }
 
-# as in test_synth: a sample file's modality and a rewrite of it whose dtype
-# or shape contradicts the manifest's config
-FILE_FAULTS = {
-    "map_complex": ("map", lambda a: a.astype(np.complex128)),
-    "radar_three_maps": ("radar", lambda a: np.concatenate([a, a[:1]])),
-    "csi_float": ("csi", lambda a: a.real),
-    "map_half_resolution": ("map", lambda a: a[::2, ::2]),
-}
 
+def replaced(a, where, value):
+    a = a.copy()
+    a[where] = value
+    return a
+
+
+# as in test_synth: a sample file's modality, a rewrite of it (given the map
+# resolution) that contradicts the manifest's config or the map file's cell
+# layout, and what the error says after the file's name
+FILE_FAULTS = {
+    "map_complex": ("map", lambda a, res: a.astype(np.complex128), " holds .*the manifest's config gives"),
+    "radar_three_maps": ("radar", lambda a, res: np.concatenate([a, a[:1]]), " holds .*the manifest's config gives"),
+    "csi_float": ("csi", lambda a, res: a.real, " holds .*the manifest's config gives"),
+    "map_four_columns": ("map", lambda a, res: a[:, :4], r" holds float64 \(\d+, 4\); .* gives float64 \(k, 5\)"),
+    "map_index_past_the_grid": (
+        "map", lambda a, res: replaced(a, (-1, 0), res * res), r": map cell row \d+ .* is outside"
+    ),
+    "map_index_repeated": ("map", lambda a, res: replaced(a, (1, 0), a[0, 0]), ": map cell row 1 .* is not above"),
+    "map_index_decreasing": ("map", lambda a, res: a[[1, 0, *range(2, len(a))]], ": map cell row 1 .* is not above"),
+    "map_index_not_integral": (
+        "map", lambda a, res: replaced(a, (0, 0), a[0, 0] + 0.5), ": map cell row 0 .* is not an integer"
+    ),
+    "map_all_zero_cell": (
+        "map", lambda a, res: replaced(a, (2, slice(1, None)), 0.0), r": map cell row 2 .* all \+0\.0"
+    ),
+}
 
 
 def write_cfg(path: Path, **overrides) -> Path:
@@ -562,19 +581,55 @@ class TestCliSurface:
         err = capsys.readouterr().err
         assert "sample_00001_radar.mstn" in err and "bad magic" in err
 
-    @pytest.mark.parametrize("kind, edit", FILE_FAULTS.values(), ids=FILE_FAULTS.keys())
-    def test_sample_file_contradicting_the_manifest_is_validation_error(self, workspace, tmp_path, capsys, kind, edit):
+    @pytest.mark.parametrize("kind, edit, says", FILE_FAULTS.values(), ids=FILE_FAULTS.keys())
+    def test_sample_file_contradicting_the_manifest_is_validation_error(
+        self, workspace, tmp_path, capsys, kind, edit, says
+    ):
         root, cfg = workspace
         data = tmp_path / "data"
         shutil.copytree(root / "data", data)
         bad = data / f"sample_00001_{kind}.mstn"
-        write_mstn(bad, np.ascontiguousarray(edit(read_mstn(bad))))
+        res = json.loads((data / "manifest.json").read_text())["config"]["map_resolution"]
+        write_mstn(bad, np.ascontiguousarray(edit(read_mstn(bad), res)))
         out = tmp_path / "x.msck"
         code = main(["pretrain", "--config", str(cfg), "--data", str(data), "--out", str(out)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert f"{bad.name} holds" in err and "the manifest's config gives" in err
+        assert re.search(f"{bad.name}{says}", capsys.readouterr().err)
         assert not out.exists()
+
+    def test_manifest_of_another_version_is_validation_error(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["version"] = 1
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["stats", "--config", str(cfg), "--data", str(data), "--checkpoint", str(root / "pre.msck")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "is version 1," in err and "re-run `misac synth` with the manifest's seed (11) and n (4)" in err
+
+    @pytest.mark.parametrize(
+        "edit, says",
+        [
+            (
+                lambda e: e["files"].pop("radar"),
+                "sample 1 available 'radar' is true, but its files do not list 'radar'",
+            ),
+            (lambda e: e["files"].update(lidar="x.mstn"), "sample 1 files name 'lidar', which is not one of"),
+        ],
+        ids=["file_missing", "unknown_modality"],
+    )
+    def test_availability_contradicting_the_files_is_validation_error(self, workspace, tmp_path, capsys, edit, says):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest["samples"][1])
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["stats", "--config", str(cfg), "--data", str(data), "--checkpoint", str(root / "pre.msck")])
+        assert code == 1
+        assert says in capsys.readouterr().err
 
     def test_manifest_that_is_not_json_is_validation_error(self, workspace, tmp_path, capsys):
         root, cfg = workspace

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from misac import synth
 from misac.synth import (
@@ -19,13 +21,49 @@ from misac.synth import (
 
 C = synth.C_LIGHT
 
-# a sample file whose dtype or shape contradicts the manifest's config:
-# the modality of the file and how it is rewritten
+# float64 bit patterns a map codec could mangle: -0.0, the smallest and
+# largest subnormals, +-inf, a quiet NaN with a payload, a signalling NaN and
+# a negative NaN
+SPECIAL_BITS = [
+    0x8000_0000_0000_0000,
+    0x0000_0000_0000_0001,
+    0x000F_FFFF_FFFF_FFFF,
+    0x7FF0_0000_0000_0000,
+    0xFFF0_0000_0000_0000,
+    0x7FF8_0000_DEAD_BEEF,
+    0x7FF0_0000_0000_0001,
+    0xFFF8_0000_0000_0000,
+]
+
+
+def replaced(a, where, value):
+    a = a.copy()
+    a[where] = value
+    return a
+
+
+# a sample file that contradicts the manifest's config, or a map file whose
+# cell rows map_cells could not have written: the modality of the file, how
+# it is rewritten (given the map resolution), and what the error says after
+# the file's name
 FILE_FAULTS = {
-    "map_complex": ("map", lambda a: a.astype(np.complex128)),
-    "radar_three_maps": ("radar", lambda a: np.concatenate([a, a[:1]])),
-    "csi_float": ("csi", lambda a: a.real),
-    "map_half_resolution": ("map", lambda a: a[::2, ::2]),
+    "map_complex": ("map", lambda a, res: a.astype(np.complex128), " holds .*the manifest's config gives"),
+    "radar_three_maps": ("radar", lambda a, res: np.concatenate([a, a[:1]]), " holds .*the manifest's config gives"),
+    "csi_float": ("csi", lambda a, res: a.real, " holds .*the manifest's config gives"),
+    "map_four_columns": ("map", lambda a, res: a[:, :4], r" holds float64 \(\d+, 4\); .* gives float64 \(k, 5\)"),
+    "map_index_past_the_grid": (
+        "map",
+        lambda a, res: replaced(a, (-1, 0), res * res),
+        r": map cell row \d+ \(index \d+\.0\) is outside \[0, \d+\)",
+    ),
+    "map_index_repeated": ("map", lambda a, res: replaced(a, (1, 0), a[0, 0]), ": map cell row 1 .* is not above"),
+    "map_index_decreasing": ("map", lambda a, res: a[[1, 0, *range(2, len(a))]], ": map cell row 1 .* is not above"),
+    "map_index_not_integral": (
+        "map", lambda a, res: replaced(a, (0, 0), a[0, 0] + 0.5), ": map cell row 0 .* is not an integer"
+    ),
+    "map_all_zero_cell": (
+        "map", lambda a, res: replaced(a, (2, slice(1, None)), 0.0), r": map cell row 2 .* all \+0\.0"
+    ),
 }
 
 
@@ -281,7 +319,7 @@ class TestDataset:
         assert sum(s.map is not None for s in samples) == 10
 
     def test_synthesized_and_loaded_maps_share_one_layout(self, tmp_path):
-        # the map file is the grid itself; bev and height are views of it
+        # loading rebuilds the grid from the map file's cells; bev and height are views of it
         generated, _ = synth.synth_dataset(SynthConfig(map_resolution=64), 2, 4, out_dir=tmp_path)
         loaded, _ = synth.load_dataset(tmp_path)
         for smap in (generated[0].map, loaded[0].map):
@@ -317,8 +355,9 @@ class TestDataset:
             (lambda m: m["samples"][0].pop("labels"), "labels"),
             (lambda m: m["samples"][1]["labels"].pop("beam_index"), "beam_index"),
             (lambda m: m["samples"][1].pop("index"), "index"),
+            (lambda m: m["samples"][1].pop("available"), "available"),
         ],
-        ids=["config", "n_sc", "samples", "files", "labels", "beam_index", "index"],
+        ids=["config", "n_sc", "samples", "files", "labels", "beam_index", "index", "available"],
     )
     def test_manifest_missing_key_is_named(self, tmp_path, edit, key):
         synth.synth_dataset(SynthConfig(), 2, 11, out_dir=tmp_path)
@@ -354,13 +393,68 @@ class TestDataset:
         with pytest.raises(synth.SceneError, match=f"{where} {key!r} must be"):
             synth.load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("kind, edit", FILE_FAULTS.values(), ids=FILE_FAULTS.keys())
-    def test_sample_file_contradicting_the_manifest_is_named(self, tmp_path, kind, edit):
-        synth.synth_dataset(SynthConfig(), 2, 11, out_dir=tmp_path)
+    @pytest.mark.parametrize("kind, edit, says", FILE_FAULTS.values(), ids=FILE_FAULTS.keys())
+    def test_sample_file_contradicting_the_manifest_is_named(self, tmp_path, kind, edit, says):
+        cfg = SynthConfig()
+        synth.synth_dataset(cfg, 2, 11, out_dir=tmp_path)
         bad = tmp_path / f"sample_00001_{kind}.mstn"
-        synth.write_mstn(bad, np.ascontiguousarray(edit(synth.read_mstn(bad))))
-        with pytest.raises(synth.SceneError, match=f"{bad.name} holds .*the manifest's config gives"):
+        synth.write_mstn(bad, np.ascontiguousarray(edit(synth.read_mstn(bad), cfg.map_resolution)))
+        with pytest.raises(synth.SceneError, match=f"{bad.name}{says}"):
             synth.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("version", [1, 3, "2", 2.0, None])
+    def test_manifest_of_another_version_is_refused(self, tmp_path, version):
+        synth.synth_dataset(SynthConfig(map_resolution=64), 2, 11, out_dir=tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["version"] = version
+        path.write_text(json.dumps(manifest))
+        found = json.dumps(version)
+        with pytest.raises(synth.SceneError, match=rf"is version {found}, .*`misac synth` .*seed \(11\) and n \(2\)"):
+            synth.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit, says",
+        [
+            (lambda e: e["files"].pop("csi"), "sample 1 available 'csi' is true, but its files do not list 'csi'"),
+            (lambda e: e["available"].update(map=False), "sample 1 available 'map' is false, but its files list 'map'"),
+            (lambda e: e["available"].pop("radar"), "sample 1 available 'radar' is null, but its files list 'radar'"),
+            (lambda e: e["files"].update(lidar="x.mstn"), "sample 1 files name 'lidar', which is not one of"),
+        ],
+        ids=["file_missing", "file_not_available", "availability_missing", "unknown_modality"],
+    )
+    def test_availability_contradicting_the_files_is_named(self, tmp_path, edit, says):
+        synth.synth_dataset(SynthConfig(map_resolution=64), 2, 11, out_dir=tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["samples"][1])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(synth.SceneError, match=f"dataset manifest: {says}"):
+            synth.load_dataset(tmp_path)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        res=st.integers(1, 6),
+        cells=st.dictionaries(
+            st.integers(0, 6 * 6 * 4 - 1),
+            st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+            max_size=12,
+        ),
+    )
+    @example(res=4, cells={})
+    @example(res=2, cells={i: b for i, b in enumerate(SPECIAL_BITS)})
+    def test_map_cells_round_trip_bit_for_bit(self, tmp_path, res, cells):
+        bits = np.zeros(res * res * 4, dtype=np.uint64)
+        for i, b in cells.items():
+            bits[i % bits.size] = b
+        grid = bits.view(np.float64).reshape(res, res, 4)
+        path = tmp_path / "map.mstn"
+        synth.write_mstn(path, synth.map_cells(grid))
+        rows = synth.read_mstn(path)
+        assert rows.shape == (np.count_nonzero(bits.reshape(-1, 4).any(axis=1)), 5)
+        back = synth.map_grid(rows, res, path)
+        assert back.shape == grid.shape and back.dtype == np.float64
+        np.testing.assert_array_equal(back.view(np.uint64), grid.view(np.uint64))
 
     def test_loaded_radar_maps_are_views_of_the_file_array(self, tmp_path, monkeypatch):
         generated, _ = synth.synth_dataset(SynthConfig(), 2, 4, out_dir=tmp_path)
