@@ -92,9 +92,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     os.replace(tmp, path)
 
 
-def load_checkpoint(
-    path: str | Path, expect_fingerprint: str | None = None, force: bool = False
-) -> Checkpoint:
+def load_checkpoint(path: str | Path, expect_fingerprint: str | None = None) -> Checkpoint:
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -116,12 +114,11 @@ def load_checkpoint(
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError("checkpoint payload checksum mismatch (truncated or corrupt)")
     if expect_fingerprint is not None and header["fingerprint"] != expect_fingerprint:
-        if not force:
-            raise CheckpointError(
-                "checkpoint was written under a different config "
-                f"({header['fingerprint'][:12]}... vs {expect_fingerprint[:12]}...); "
-                "pass --force to load anyway"
-            )
+        raise CheckpointError(
+            "checkpoint was written under a different config "
+            f"({header['fingerprint'][:12]}... vs {expect_fingerprint[:12]}...); "
+            "pass --force to load anyway"
+        )
     params: dict[str, np.ndarray] = {}
     moments: dict[str, np.ndarray] = {}
     for name, start, stop in _tensor_spans(header["tensors"], payload.nbytes):

@@ -203,7 +203,7 @@ def cmd_pretrain(args) -> int:
     start = 0
     out = Path(args.out)
     if out.exists():
-        ckpt = load_checkpoint(out, fp, force=args.force)
+        ckpt = load_checkpoint(out, None if args.force else fp)
         rng = restore(ckpt, model, opt)
         start = ckpt.step
         note(f"resuming from {out} at step {start}")
@@ -246,7 +246,7 @@ def cmd_finetune(args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("finetune needs --checkpoint (or --scratch)")
-        ckpt = load_checkpoint(args.checkpoint, fp, force=args.force)
+        ckpt = load_checkpoint(args.checkpoint, None if args.force else fp)
         restore(ckpt, pre)
         init = "pretrained"
     model = _finetune_model(cfg, pre, task, seed)
@@ -278,7 +278,7 @@ def cmd_eval(args) -> int:
     samples, data_hash = _load_data(args.data)
     pre = _build_model(cfg, seed)
     model = _finetune_model(cfg, pre, task, seed)
-    ckpt = load_checkpoint(args.checkpoint, fp, force=args.force)
+    ckpt = load_checkpoint(args.checkpoint, None if args.force else fp)
     restore(ckpt, model)
     metrics = evaluate(model, samples, settings, seed=seed)
     _report(task, data_hash, drop, metrics, len(samples), seed)
@@ -308,7 +308,7 @@ def cmd_stats(args) -> int:
     fp = fingerprint(cfg)
     samples, data_hash = _load_data(args.data)
     model = _build_model(cfg, seed)
-    ckpt = load_checkpoint(args.checkpoint, fp, force=args.force)
+    ckpt = load_checkpoint(args.checkpoint, None if args.force else fp)
     restore(ckpt, model)  # a fine-tune checkpoint's head tensors are ignored
     counts = param_counts(model.named_params(), cfg.model.top_k, cfg.model.n_experts)
     emit({"kind": "params", **counts})

@@ -121,7 +121,6 @@ class PoolStats:
     pool: str
     weights: Tensor  # [n_tokens, K] dense routing weights (zeros off-selection)
     selected: np.ndarray  # [n_tokens, k] chosen expert ids
-    n_tokens: int
 
 
 def _topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
@@ -156,7 +155,6 @@ def _dispatch(
     rows form one block in token order and each expert layer runs as one
     grouped node. pos[t, r] is the r-th place of token t in that order, so
     every token's outputs are summed in expert order."""
-    n = x.shape[0]
     K = len(pool.experts)
     sel = _topk_indices(logits.data, k) if frozen is None else frozen
     w = tt.softmax(tt.take_along_last(logits, sel))  # [n, k]
@@ -169,7 +167,7 @@ def _dispatch(
     h = tt.gelu(tt.grouped_linear(xs, [e.fc1.w for e in ex], [e.fc1.b for e in ex], offsets))
     out = tt.grouped_linear(h, [e.fc2.w for e in ex], [e.fc2.b for e in ex], offsets)
     y = tt.combine_rows(out, w, pos, pairs)
-    stats = PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel, n_tokens=n)
+    stats = PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel)
     return y, stats
 
 

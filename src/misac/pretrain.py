@@ -320,7 +320,7 @@ def pool_usage(stats: list[PoolStats], n_experts: int) -> Iterator[PoolUsage]:
     for (layer, pool), members in sorted(groups.items()):
         weights = tt.concat([m.weights for m in members], axis=0)
         counts = sum(np.bincount(m.selected.reshape(-1), minlength=n_experts) for m in members)
-        load = counts / sum(m.n_tokens for m in members)
+        load = counts / sum(m.selected.shape[0] for m in members)
         yield PoolUsage(layer, pool, tt.tmean(weights, axis=0), load)
 
 

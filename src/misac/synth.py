@@ -20,12 +20,12 @@ Geometry conventions, fixed across the package:
 * The radar maps are one [2, n, n] complex array (range-angle, then
   range-velocity), the layout of the radar file; ``ra`` and ``rv`` are views
   of it.
-* A map is one [res, res, 4] grid (three bev occupancy channels, then
-  height) that rasterization draws into. Its file holds only the cells whose
-  channels are not all +0.0, as float64 [k, 5] rows (``map_cells``), and
-  loading rebuilds the grid from them (``map_grid``), so synthesized and
-  loaded maps share one layout. Loading checks each sample file's dtype and
-  shape against the manifest's config, and each map file's cell rows.
+* A map is a [res, res] grid of four channels (bev occupancy, then height)
+  held as float64 [k, 5] rows of its cells that are not all +0.0
+  (``SceneMap``). Rasterization builds the rows from the scene, the map file
+  is the rows, and loading keeps the file's array: no dense grid is built.
+  Loading checks each sample file's dtype, shape and finiteness against the
+  manifest's config, and each map file's rows.
 
 All randomness flows through explicitly passed numpy Generators; dataset
 generation derives per-sample substreams as seed ^ index.
@@ -145,19 +145,60 @@ class RadarMaps:
 
 @dataclass
 class SceneMap:
-    """Rasterized bird's-eye view in one [res, res, 4] grid: channels 0-2
-    (bev) are scatterer / tx / rx occupancy in {0,1}; channel 3 (height)
-    holds the per-cell max scatterer z in meters."""
+    """Rasterized bird's-eye view of a [res, res] grid of four channels: 0-2
+    (bev) are scatterer / tx / rx occupancy in {0,1}; 3 (height) holds the
+    per-cell max scatterer z in meters. ``rows`` is the map file's float64
+    [k, 5] array: one row per cell whose channels are not all +0.0 bit
+    patterns, in increasing row-major cell index (row * res + col). Column 0
+    is the index, columns 1-4 the channels; every other cell is +0.0 in all
+    four. This class is the only code that knows that row layout."""
 
-    grid: np.ndarray  # [res, res, 4]
+    rows: np.ndarray  # float64 [k, 5]
+    resolution: int
+
+    @classmethod
+    def from_cells(cls, index: np.ndarray, channels: np.ndarray, resolution: int) -> SceneMap:
+        """The map whose listed cells are index (increasing), with channels [k, 4]."""
+        return cls(np.column_stack([index, channels]), resolution)
+
+    @classmethod
+    def checked(cls, rows: np.ndarray, resolution: int, path: Path) -> SceneMap:
+        """The map of a file's float64 [k, 5] rows; a row that rasterization
+        could not have written is a SceneError naming path."""
+        index, n_cells = rows[:, 0], resolution * resolution
+        problems = (
+            (index != np.trunc(index), "is not an integer"),
+            ((index < 0) | (index >= n_cells), f"is outside [0, {n_cells})"),
+            (np.diff(index, prepend=-1.0) <= 0, "is not above the previous row's index"),
+            ((rows[:, 1:].view(np.uint64) == 0).all(axis=1), "lists a cell whose four channels are all +0.0"),
+        )
+        for bad, what in problems:
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise SceneError(f"dataset file {path}: map cell row {row} (index {index[row]}) {what}")
+        return cls(rows, resolution)
 
     @property
-    def bev(self) -> np.ndarray:  # [res, res, 3] view
-        return self.grid[..., :3]
+    def index(self) -> np.ndarray:  # [k] row-major cell indices
+        return self.rows[:, 0].astype(np.intp)
 
     @property
-    def height(self) -> np.ndarray:  # [res, res, 1] view
-        return self.grid[..., 3:]
+    def channels(self) -> np.ndarray:  # [k, 4] view
+        return self.rows[:, 1:]
+
+    def _dense(self, columns: slice) -> np.ndarray:
+        res = self.resolution
+        grid = np.zeros((res * res, columns.stop - columns.start))
+        grid[self.index] = self.rows[:, columns]
+        return grid.reshape(res, res, -1)
+
+    @property
+    def bev(self) -> np.ndarray:  # a dense [res, res, 3] copy, built on each read
+        return self._dense(slice(1, 4))
+
+    @property
+    def height(self) -> np.ndarray:  # a dense [res, res, 1] copy, built on each read
+        return self._dense(slice(4, 5))
 
 
 @dataclass
@@ -171,7 +212,7 @@ class Labels:
 MODALITY_NAMES = ("csi", "radar", "map")
 
 # the manifest version synth_dataset writes and load_dataset reads; version 2
-# stores each map file as its nonzero cells (map_cells)
+# stores each map file as its listed cells' rows (SceneMap)
 DATASET_VERSION = 2
 
 
@@ -337,30 +378,36 @@ def rasterize_scene(
     scene: SceneSpec, resolution: int = 256, marker_radius: float = 3.0
 ) -> SceneMap:
     """Occupancy raster over the footprint; rows follow y, columns follow x,
-    so a scatterer at (0, 0) lands in the center cell."""
+    so a scatterer at (0, 0) lands in the center cell. The listed cells are
+    the scatterers' cells and the tx and rx marker discs."""
+    if resolution < 1:
+        raise SceneError("map resolution must be >= 1")
     F = scene.footprint
-    smap = SceneMap(np.zeros((resolution, resolution, 4)))
-    bev, height = smap.bev, smap.height
 
     def cell(x: float, y: float) -> tuple[int, int]:
         col = min(int((x + F) / (2 * F) * resolution), resolution - 1)
         row = min(int((y + F) / (2 * F) * resolution), resolution - 1)
         return row, col
 
-    for s in scene.scatterers:
-        row, col = cell(s.position[0], s.position[1])
-        bev[row, col, 0] = 1.0
-        height[row, col, 0] = max(height[row, col, 0], s.position[2])
-
+    scatterers = [row * resolution + col for row, col in (cell(*s.position[:2]) for s in scene.scatterers)]
     rad = max(int(round(marker_radius / (2 * F) * resolution)), 1)
-    for pos, ch in ((scene.tx_position, 1), (scene.rx_position, 2)):
+    discs = []
+    for pos in (scene.tx_position, scene.rx_position):
         row, col = cell(pos[0], pos[1])
         lo_r, hi_r = max(row - rad, 0), min(row + rad + 1, resolution)
         lo_c, hi_c = max(col - rad, 0), min(col + rad + 1, resolution)
         rr, cc = np.mgrid[lo_r:hi_r, lo_c:hi_c]
         disc = (rr - row) ** 2 + (cc - col) ** 2 <= rad * rad
-        bev[lo_r:hi_r, lo_c:hi_c, ch][disc] = 1.0
-    return smap
+        discs.append(rr[disc] * resolution + cc[disc])
+    index = np.unique(np.concatenate([scatterers, *discs]))
+    channels = np.zeros((index.size, 4))
+    at = np.searchsorted(index, scatterers)
+    channels[at, 0] = 1.0
+    for i, s in zip(at, scene.scatterers):  # in scene order, as a running max from +0.0
+        channels[i, 3] = max(channels[i, 3], s.position[2])
+    for ch, disc in enumerate(discs, 1):
+        channels[np.searchsorted(index, disc), ch] = 1.0
+    return SceneMap.from_cells(index, channels, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +590,7 @@ def synth_dataset(
                 write_mstn(out / files["radar"], sample.radar.data)
             if sample.map is not None:
                 files["map"] = f"sample_{i:05d}_map.mstn"
-                write_mstn(out / files["map"], map_cells(sample.map.grid))
+                write_mstn(out / files["map"], sample.map.rows)
         entries.append(
             {
                 "index": i,
@@ -569,47 +616,6 @@ def synth_dataset(
     return samples, manifest
 
 
-def _channel_bits(channels: np.ndarray) -> np.ndarray:
-    """The OR of the bit patterns of each row's four float64 channels: 0
-    exactly where all four are +0.0."""
-    bits = channels.view(np.uint64)
-    return bits[:, 0] | bits[:, 1] | bits[:, 2] | bits[:, 3]
-
-
-def map_cells(grid: np.ndarray) -> np.ndarray:
-    """The map file's float64 [k, 5] rows for a [res, res, 4] grid: one row
-    per cell whose four channels are not all +0.0 bit patterns, in increasing
-    row-major cell index. Column 0 is the index (row * res + col), columns
-    1-4 the cell's channels."""
-    flat = grid.reshape(-1, 4)
-    index = np.flatnonzero(_channel_bits(flat))
-    cells = np.empty((index.size, 5))
-    cells[:, 0] = index
-    cells[:, 1:] = flat[index]
-    return cells
-
-
-def map_grid(cells: np.ndarray, resolution: int, path: Path) -> np.ndarray:
-    """The [resolution, resolution, 4] grid whose map_cells are cells (float64
-    [k, 5]); rows that map_cells could not have written are a SceneError
-    naming path."""
-    index, n_cells = cells[:, 0], resolution * resolution
-    with np.errstate(invalid="ignore"):  # a non-finite index fails the first check
-        problems = (
-            (index != np.trunc(index), "is not an integer"),
-            ((index < 0) | (index >= n_cells), f"is outside [0, {n_cells})"),
-            (np.diff(index, prepend=-1.0) <= 0, "is not above the previous row's index"),
-            (_channel_bits(cells[:, 1:]) == 0, "lists a cell whose four channels are all +0.0"),
-        )
-    for bad, what in problems:
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise SceneError(f"dataset file {path}: map cell row {row} (index {index[row]}) {what}")
-    grid = np.zeros((resolution, resolution, 4))
-    grid.reshape(-1, 4)[index.astype(np.intp)] = cells[:, 1:]
-    return grid
-
-
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -621,15 +627,17 @@ def manifest_hash(manifest: dict) -> str:
 _LABEL_TYPES = {"beam_index": int, "distance_m": (int, float), "aoa_rad": (int, float)}
 
 
-def _field(record, key: str, where: str, kind):
-    """record[key] from a parsed manifest if it is of type kind, or a
-    SceneError naming the key."""
+def _field(record, key: str, where: str, kind, least: int | None = None):
+    """record[key] from a parsed manifest if it is of type kind (and, given
+    least, not below it), or a SceneError naming the key."""
     if not isinstance(record, dict) or key not in record:
         raise SceneError(f"dataset manifest: {where} has no {key!r}")
     value = record[key]
     if isinstance(value, bool) or not isinstance(value, kind):
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise SceneError(f"dataset manifest: {where} {key!r} must be {names}, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise SceneError(f"dataset manifest: {where} {key!r} must be >= {least}, got {value}")
     return value
 
 
@@ -637,18 +645,18 @@ def _file_layouts(cfg: dict) -> dict[str, tuple[np.dtype, tuple[int | None, ...]
     """The dtype and shape of each modality's sample file under the
     manifest's synthesis config; None is an extent the config leaves free
     (a map file's cell count)."""
-    n_antennas = _field(cfg, "n_t", "config", int) * _field(cfg, "n_r", "config", int)
-    side = _field(_field(cfg, "radar", "config", dict), "out_size", "config radar", int)
+    n_antennas = _field(cfg, "n_t", "config", int, 1) * _field(cfg, "n_r", "config", int, 1)
+    side = _field(_field(cfg, "radar", "config", dict), "out_size", "config radar", int, 1)
     return {
-        "csi": (np.dtype(np.complex128), (n_antennas, _field(cfg, "n_sc", "config", int))),
+        "csi": (np.dtype(np.complex128), (n_antennas, _field(cfg, "n_sc", "config", int, 1))),
         "radar": (np.dtype(np.complex128), (2, side, side)),
         "map": (np.dtype(np.float64), (None, 5)),
     }
 
 
 def _read_sample_file(path: Path, layout: tuple[np.dtype, tuple[int | None, ...]]) -> np.ndarray:
-    """read_mstn(path); a file that does not parse, or holds another dtype or
-    shape than layout, is a SceneError naming it."""
+    """read_mstn(path); a file that does not parse, holds another dtype or
+    shape than layout, or holds a non-finite value is a SceneError naming it."""
     try:
         arr = read_mstn(path)
     except ValueError as e:
@@ -657,6 +665,8 @@ def _read_sample_file(path: Path, layout: tuple[np.dtype, tuple[int | None, ...]
     if arr.dtype != dtype or len(arr.shape) != len(shape) or any(w not in (None, g) for w, g in zip(shape, arr.shape)):
         want = "(" + ", ".join("k" if w is None else str(w) for w in shape) + ")"
         raise SceneError(f"dataset file {path} holds {arr.dtype} {arr.shape}; the manifest's config gives {dtype} {want}")
+    if not np.isfinite(arr).all():
+        raise SceneError(f"dataset file {path} holds a non-finite value")
     return arr
 
 
@@ -679,7 +689,7 @@ def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dic
         )
     root = path.parent
     cfg = _field(manifest, "config", "the manifest", dict)
-    layouts, res = _file_layouts(cfg), _field(cfg, "map_resolution", "config", int)
+    layouts, res = _file_layouts(cfg), _field(cfg, "map_resolution", "config", int, 1)
     samples = []
     for i, e in enumerate(_field(manifest, "samples", "the manifest", list)):
         where = f"sample {i}"
@@ -699,7 +709,7 @@ def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dic
         arrays = {m: _read_sample_file(p, layouts[m]) for m, p in paths.items()}
         csi = ChannelSample(ComplexTensor(arrays["csi"])) if "csi" in arrays else None
         radar = RadarMaps(arrays["radar"]) if "radar" in arrays else None
-        smap = SceneMap(map_grid(arrays["map"], res, paths["map"])) if "map" in arrays else None
+        smap = SceneMap.checked(arrays["map"], res, paths["map"]) if "map" in arrays else None
         lab = _field(e, "labels", where, dict)
         labels = {k: _field(lab, k, f"{where} labels", kind) for k, kind in _LABEL_TYPES.items()}
         samples.append(

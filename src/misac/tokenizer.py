@@ -95,6 +95,8 @@ class TokenizerConfig:
     def __post_init__(self):
         if self.d < 1:
             raise TokenError("embedding width must be >= 1")
+        if not 0 < self.height_scale < np.inf:  # _prepare_map needs +0.0 / height_scale == +0.0
+            raise TokenError(f"height_scale must be positive and finite, got {self.height_scale}")
         for role in ("anchor", "context"):
             if sum(getattr(m, role) for m in self.specs) > 1:
                 raise TokenError(f"more than one {role} modality")
@@ -126,19 +128,6 @@ def _unit_power_scale(x: np.ndarray) -> float:
     return 1.0 / np.sqrt(p) if p > 0 else 1.0
 
 
-def _block_mean(x: np.ndarray, factor: int) -> np.ndarray:
-    """Mean over factor x factor blocks of [H, W, C]: the factor² strided
-    slices summed in place, block row outer, then divided by factor²; bit for
-    bit x.reshape(H / f, f, W / f, f, C).mean(axis=(1, 3))."""
-    out = x[::factor, ::factor].copy()
-    for i in range(factor):
-        for j in range(factor):
-            if i or j:
-                out += x[i::factor, j::factor]
-    out /= factor * factor
-    return out
-
-
 def _prepare_csi(csi, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
     h = csi.h.data
     scale = _unit_power_scale(h)
@@ -146,21 +135,26 @@ def _prepare_csi(csi, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndar
 
 
 def _prepare_map(smap, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
-    """A copy of the [res, res, 4] grid with height divided by height_scale,
-    block-averaged from the native side down to the configured one. The
-    strided block sums read this warm contiguous copy, not the sample's cold
-    grid; channels never mix, so the result is bit for bit the average of bev
-    and of the scaled height taken apart."""
-    x = smap.grid.copy()
-    x[..., 3:] /= cfg.height_scale
-    native = x.shape[0]
-    if native != spec.height:
-        if native % spec.height:
-            raise TokenError(
-                f"map side {native} not an integer multiple of configured {spec.height}"
-            )
-        x = _block_mean(x, native // spec.height)
-    return x, 1.0
+    """The map's mean over factor x factor blocks, height divided by
+    height_scale, from its listed cells alone. The cells are added into the
+    [side, side, 4] grid in row-major order, so each block sums them in the
+    order that strided block sums over the dense grid do. There the unlisted
+    cells add +0.0, which changes a sum only when it is -0.0, so a block whose
+    factor² cells are all listed starts from -0.0 (the identity of +) and any
+    other from +0.0: bit for bit those strided sums, divided by factor²."""
+    native, side = smap.resolution, spec.height
+    if native % side:
+        raise TokenError(f"map side {native} not an integer multiple of configured {side}")
+    factor = native // side
+    index = smap.index
+    block = index // native // factor * side + index % native // factor
+    cells = smap.channels.copy()
+    cells[:, 3] /= cfg.height_scale
+    out = np.zeros((side * side, 4))
+    out[np.bincount(block, minlength=side * side) == factor * factor] = -0.0
+    np.add.at(out, block, cells)
+    out /= factor * factor
+    return out.reshape(side, side, 4), 1.0
 
 
 def _prepare_radar(radar, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:

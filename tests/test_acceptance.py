@@ -340,7 +340,7 @@ def test_criterion_3_routing_laws():
     sel = (np.arange(n)[:, None] + np.arange(k)[None, :]) % K
     dense = np.zeros((n, K))
     np.put_along_axis(dense, sel, 1.0 / k, axis=1)
-    uniform = PoolStats(layer=0, pool="csi", weights=Tensor(dense), selected=sel, n_tokens=n)
+    uniform = PoolStats(layer=0, pool="csi", weights=Tensor(dense), selected=sel)
     lb = load_balance_loss([uniform], K).item()
     assert abs(lb - k / K**2) < 1e-6 and abs(lb - 0.0625) < 1e-6
 

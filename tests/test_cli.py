@@ -35,7 +35,8 @@ def replaced(a, where, value):
 
 # as in test_synth: a sample file's modality, a rewrite of it (given the map
 # resolution) that contradicts the manifest's config or the map file's cell
-# layout, and what the error says after the file's name
+# layout or holds a non-finite value, and what the error says after the
+# file's name
 FILE_FAULTS = {
     "map_complex": ("map", lambda a, res: a.astype(np.complex128), " holds .*the manifest's config gives"),
     "radar_three_maps": ("radar", lambda a, res: np.concatenate([a, a[:1]]), " holds .*the manifest's config gives"),
@@ -52,6 +53,9 @@ FILE_FAULTS = {
     "map_all_zero_cell": (
         "map", lambda a, res: replaced(a, (2, slice(1, None)), 0.0), r": map cell row 2 .* all \+0\.0"
     ),
+    "csi_nan": ("csi", lambda a, res: replaced(a, (0, 1), complex(np.nan, 0.0)), " holds a non-finite value"),
+    "radar_inf": ("radar", lambda a, res: replaced(a, (1, 2, 3), np.inf), " holds a non-finite value"),
+    "map_nan_channel": ("map", lambda a, res: replaced(a, (3, 4), np.nan), " holds a non-finite value"),
 }
 
 
@@ -317,8 +321,8 @@ class TestFinetuneAndEval:
             == 0
         )
         capsys.readouterr()
-        pre = load_checkpoint(root / "pre.msck", force=True)
-        post = load_checkpoint(out, force=True)
+        pre = load_checkpoint(root / "pre.msck")
+        post = load_checkpoint(out)
         encoder_names = [k for k in pre.params if k.startswith(("embed.", "pos.", "id.", "block"))]
         assert encoder_names
         for k in encoder_names:

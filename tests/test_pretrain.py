@@ -261,7 +261,7 @@ def rotating_stats(layer: int, pool: str, n: int, n_experts: int, k: int) -> Poo
     w = np.zeros((n, n_experts))
     for i in range(n):
         w[i, sel[i]] = 1.0 / k
-    return PoolStats(layer, pool, Tensor(w), sel, n)
+    return PoolStats(layer, pool, Tensor(w), sel)
 
 
 class TestLoadBalanceLoss:
@@ -274,7 +274,7 @@ class TestLoadBalanceLoss:
         n = 10
         w = np.zeros((n, 8))
         w[:, 0] = 1.0
-        stats = PoolStats(0, "csi", Tensor(w), np.zeros((n, 1), dtype=int), n)
+        stats = PoolStats(0, "csi", Tensor(w), np.zeros((n, 1), dtype=int))
         loss = load_balance_loss([stats], 8)
         assert abs(loss.item() - 1 / 8) < 1e-12
 
@@ -282,15 +282,15 @@ class TestLoadBalanceLoss:
         n = 10
         w = np.zeros((n, 8))
         w[:, 0] = 1.0
-        collapsed = PoolStats(0, "csi", Tensor(w), np.zeros((n, 1), dtype=int), n)
+        collapsed = PoolStats(0, "csi", Tensor(w), np.zeros((n, 1), dtype=int))
         loss = load_balance_loss([rotating_stats(0, "shared", 16, 8, 4), collapsed], 8)
         assert abs(loss.item() - 0.5 * (0.0625 + 0.125)) < 1e-12
 
     def test_batch_members_aggregate_before_the_product(self):
-        a = PoolStats(0, "shared", Tensor(np.array([[1.0, 0.0]])), np.array([[0]]), 1)
+        a = PoolStats(0, "shared", Tensor(np.array([[1.0, 0.0]])), np.array([[0]]))
         wb = np.zeros((3, 2))
         wb[:, 1] = 1.0
-        b = PoolStats(0, "shared", Tensor(wb), np.ones((3, 1), dtype=int), 3)
+        b = PoolStats(0, "shared", Tensor(wb), np.ones((3, 1), dtype=int))
         # pooled: Imp = Load = [0.25, 0.75] -> (1/2)(0.0625 + 0.5625)
         loss = load_balance_loss([a, b], 2)
         assert abs(loss.item() - 0.3125) < 1e-12
@@ -304,7 +304,7 @@ class TestLoadBalanceLoss:
             n = int(rng.integers(4, 12))
             w = np.abs(rng.normal(size=(n, 8)))
             sel = np.stack([rng.choice(8, size=4, replace=False) for _ in range(n)])
-            stats.append(PoolStats(layer, pool, Tensor(w), sel, n))
+            stats.append(PoolStats(layer, pool, Tensor(w), sel))
             counts = np.bincount(sel.reshape(-1), minlength=8)
             want_terms.append((w.mean(axis=0) * (counts / n)).sum() / 8)
         loss = load_balance_loss(stats, 8)
@@ -312,7 +312,7 @@ class TestLoadBalanceLoss:
 
     def test_importance_carries_gradient(self):
         w = Tensor(np.full((4, 2), 0.5), requires_grad=True)
-        stats = PoolStats(0, "shared", w, np.tile([0, 1], (4, 1)), 4)
+        stats = PoolStats(0, "shared", w, np.tile([0, 1], (4, 1)))
         with tt.Tape() as tape:
             loss = load_balance_loss([stats], 2)
         tt.backward(loss, tape)

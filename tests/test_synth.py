@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from map_oracle import map_cells, rasterize_dense
 from misac import synth
 from misac.synth import (
     ChannelSample,
@@ -42,10 +43,10 @@ def replaced(a, where, value):
     return a
 
 
-# a sample file that contradicts the manifest's config, or a map file whose
-# cell rows map_cells could not have written: the modality of the file, how
-# it is rewritten (given the map resolution), and what the error says after
-# the file's name
+# a sample file that contradicts the manifest's config, holds a non-finite
+# value, or is a map file whose cell rows rasterization could not have
+# written: the modality of the file, how it is rewritten (given the map
+# resolution), and what the error says after the file's name
 FILE_FAULTS = {
     "map_complex": ("map", lambda a, res: a.astype(np.complex128), " holds .*the manifest's config gives"),
     "radar_three_maps": ("radar", lambda a, res: np.concatenate([a, a[:1]]), " holds .*the manifest's config gives"),
@@ -64,6 +65,9 @@ FILE_FAULTS = {
     "map_all_zero_cell": (
         "map", lambda a, res: replaced(a, (2, slice(1, None)), 0.0), r": map cell row 2 .* all \+0\.0"
     ),
+    "csi_nan": ("csi", lambda a, res: replaced(a, (0, 1), complex(np.nan, 0.0)), " holds a non-finite value"),
+    "radar_inf": ("radar", lambda a, res: replaced(a, (1, 2, 3), np.inf), " holds a non-finite value"),
+    "map_nan_channel": ("map", lambda a, res: replaced(a, (3, 4), np.nan), " holds a non-finite value"),
 }
 
 
@@ -251,6 +255,27 @@ class TestRaster:
         assert smap.bev[..., 2].sum() > 0  # rx disc
         assert set(np.unique(smap.bev)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("resolution", [64, 128, 256])
+    def test_rows_match_the_dense_raster_byte_for_byte(self, resolution):
+        # scenes from the desk ranges, and from ranges that put markers on the
+        # footprint's edge, scatterers below ground and many in one cell
+        edges = SynthConfig(
+            n_scatterers=(1, 40), scatter_x=(-100.0, 100.0), scatter_y=(-100.0, 100.0), scatter_z=(-5.0, 25.0),
+            tx_x=(-100.0, 100.0), tx_y=(-100.0, 100.0), rx_position=(100.0, -100.0, 10.0),
+        )
+        for cfg in (SynthConfig(), edges):
+            for seed in range(60):
+                scene = synth.sample_scene(cfg, np.random.default_rng(seed))
+                for radius in (3.0, 0.1, 9.0):
+                    smap = synth.rasterize_scene(scene, resolution, radius)
+                    want = map_cells(rasterize_dense(scene, resolution, radius))
+                    assert smap.resolution == resolution and smap.rows.dtype == want.dtype
+                    assert smap.rows.shape == want.shape and smap.rows.tobytes() == want.tobytes()
+
+    def test_resolution_below_one_rejected(self):
+        with pytest.raises(synth.SceneError, match="map resolution must be >= 1"):
+            synth.rasterize_scene(one_scatterer_scene((0.0, 0.0, 1.0)), 0)
+
     def test_empty_scene_rejected(self):
         with pytest.raises(synth.SceneError):
             SceneSpec(scatterers=(), tx_position=(0, 0, 1), rx_position=(-80, 0, 10))
@@ -319,14 +344,14 @@ class TestDataset:
         assert sum(s.map is not None for s in samples) == 10
 
     def test_synthesized_and_loaded_maps_share_one_layout(self, tmp_path):
-        # loading rebuilds the grid from the map file's cells; bev and height are views of it
+        # a map is its file's cell rows whether synthesized or loaded; no grid is built
         generated, _ = synth.synth_dataset(SynthConfig(map_resolution=64), 2, 4, out_dir=tmp_path)
         loaded, _ = synth.load_dataset(tmp_path)
         for smap in (generated[0].map, loaded[0].map):
-            assert smap.grid.shape == (64, 64, 4) and smap.grid.flags.c_contiguous
-            assert np.shares_memory(smap.bev, smap.grid) and np.shares_memory(smap.height, smap.grid)
-            assert smap.grid.flags.writeable and smap.grid.ctypes.data % 8 == 0
-        np.testing.assert_array_equal(generated[0].map.grid, loaded[0].map.grid)
+            assert smap.resolution == 64 and smap.rows.dtype == np.float64
+            assert smap.rows.ndim == 2 and smap.rows.shape[1] == 5 and smap.rows.flags.c_contiguous
+            assert smap.rows.flags.writeable and smap.rows.ctypes.data % 8 == 0
+        assert generated[0].map.rows.tobytes() == loaded[0].map.rows.tobytes()
 
     def test_roundtrip_through_disk(self, tmp_path):
         cfg = SynthConfig(availability={"csi": 1.0, "radar": 0.5, "map": 1.0})
@@ -381,8 +406,16 @@ class TestDataset:
             (lambda m: m["samples"][0]["labels"].update(distance_m="far"), "sample 0 labels", "distance_m"),
             (lambda m: m["samples"][1]["labels"].update(aoa_rad=True), "sample 1 labels", "aoa_rad"),
             (lambda m: m["samples"][1].update(index="1"), "sample 1", "index"),
+            (lambda m: m["config"].update(map_resolution=-1), "config", "map_resolution"),
+            (lambda m: m["config"].update(n_t=0), "config", "n_t"),
+            (lambda m: m["config"].update(n_r=-2), "config", "n_r"),
+            (lambda m: m["config"].update(n_sc=0), "config", "n_sc"),
+            (lambda m: m["config"]["radar"].update(out_size=0), "config radar", "out_size"),
         ],
-        ids=["config", "map_resolution", "samples", "files", "file_name", "labels", "beam_index", "distance_m", "aoa_rad", "index"],
+        ids=[
+            "config", "map_resolution", "samples", "files", "file_name", "labels", "beam_index", "distance_m",
+            "aoa_rad", "index", "map_resolution_negative", "n_t_zero", "n_r_negative", "n_sc_zero", "out_size_zero",
+        ],
     )
     def test_manifest_wrong_type_is_named(self, tmp_path, edit, where, key):
         synth.synth_dataset(SynthConfig(), 2, 11, out_dir=tmp_path)
@@ -444,17 +477,36 @@ class TestDataset:
     @example(res=4, cells={})
     @example(res=2, cells={i: b for i, b in enumerate(SPECIAL_BITS)})
     def test_map_cells_round_trip_bit_for_bit(self, tmp_path, res, cells):
+        # any bit pattern, NaN and inf included, survives the write, the read
+        # and the row check; only load_dataset refuses non-finite values
         bits = np.zeros(res * res * 4, dtype=np.uint64)
         for i, b in cells.items():
             bits[i % bits.size] = b
         grid = bits.view(np.float64).reshape(res, res, 4)
         path = tmp_path / "map.mstn"
-        synth.write_mstn(path, synth.map_cells(grid))
+        synth.write_mstn(path, map_cells(grid))
         rows = synth.read_mstn(path)
         assert rows.shape == (np.count_nonzero(bits.reshape(-1, 4).any(axis=1)), 5)
-        back = synth.map_grid(rows, res, path)
-        assert back.shape == grid.shape and back.dtype == np.float64
-        np.testing.assert_array_equal(back.view(np.uint64), grid.view(np.uint64))
+        back = synth.SceneMap.checked(rows, res, path)
+        assert back.rows is rows and back.resolution == res
+        dense = np.concatenate([back.bev, back.height], axis=-1)
+        assert dense.shape == grid.shape and dense.dtype == np.float64
+        np.testing.assert_array_equal(dense.view(np.uint64), grid.view(np.uint64))
+
+    def test_loaded_maps_are_the_file_arrays(self, tmp_path, monkeypatch):
+        generated, _ = synth.synth_dataset(SynthConfig(map_resolution=128), 3, 4, out_dir=tmp_path)
+        read, read_mstn = {}, synth.read_mstn
+
+        def recording_read(path):
+            read[path.name] = read_mstn(path)
+            return read[path.name]
+
+        monkeypatch.setattr(synth, "read_mstn", recording_read)
+        loaded, _ = synth.load_dataset(tmp_path)
+        for a, b in zip(generated, loaded):
+            assert b.map.rows is read[f"sample_{b.index:05d}_map.mstn"]
+            assert b.map.resolution == a.map.resolution == 128
+            assert b.map.rows.tobytes() == a.map.rows.tobytes()
 
     def test_loaded_radar_maps_are_views_of_the_file_array(self, tmp_path, monkeypatch):
         generated, _ = synth.synth_dataset(SynthConfig(), 2, 4, out_dir=tmp_path)

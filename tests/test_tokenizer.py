@@ -3,7 +3,10 @@ law, normalization policies, desk token arithmetic."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from map_oracle import scene_map
 from misac import synth, tensor as tt, tokenizer as tok
 from misac.config import desk_config
 from misac.tensor import Tensor
@@ -30,8 +33,8 @@ def prepare_map_oracle(bev, height, side, height_scale=30.0):
     return native.reshape(side, f, side, f, 4).mean(axis=(1, 3))
 
 
-def map_cfg(side):
-    return TokenizerConfig(d=8, specs={Modality.MAP: ModalitySpec(side, side, (8, 8))})
+def map_cfg(side, patch=(8, 8)):
+    return TokenizerConfig(d=8, specs={Modality.MAP: ModalitySpec(side, side, patch)})
 
 
 def unpatchify_np(tokens, grid, patch, channels):
@@ -170,7 +173,7 @@ class TestPreprocess:
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     def test_map_matches_the_joined_grid_oracle_on_dense_data(self, factor):
         r = np.random.default_rng(factor)
-        smap = synth.SceneMap(np.concatenate([r.random((256, 256, 3)), r.normal(size=(256, 256, 1)) * 20.0], axis=-1))
+        smap = scene_map(np.concatenate([r.random((256, 256, 3)), r.normal(size=(256, 256, 1)) * 20.0], axis=-1))
         side = 256 // factor
         got = tok.preprocess(synth.MultimodalSample(
             index=0, csi=None, radar=None, map=smap, labels=None
@@ -180,13 +183,53 @@ class TestPreprocess:
     def test_map_matches_the_joined_grid_oracle_on_a_desk_dataset(self, tmp_path):
         desk = desk_config()
         synth.synth_dataset(desk.data.synth_config(desk.model), 8, seed=5, out_dir=tmp_path)
-        loaded, _ = synth.load_dataset(tmp_path)  # bev and height are views of one packed file
+        loaded, _ = synth.load_dataset(tmp_path)  # each map is its file's cell rows
         cfg = desk.model.tokenizer_config()
         side = cfg.spec(Modality.MAP).height
         for s in loaded:
             assert s.map.bev.shape[0] > side
             got = tok.preprocess(s, Modality.MAP, cfg).array
             np.testing.assert_array_equal(got, prepare_map_oracle(s.map.bev, s.map.height, side))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        factor=st.sampled_from([1, 2, 4]),
+        side=st.integers(1, 4),
+        cells=st.dictionaries(
+            st.integers(0, 16 * 16 * 4 - 1),
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf, 1.0, -1.0]),
+                st.floats(allow_nan=False, width=64),
+            ),
+            max_size=40,
+        ),
+        all_listed=st.booleans(),
+    )
+    @example(factor=4, side=1, cells={}, all_listed=True)  # one fully listed block, all -0.0
+    @example(factor=2, side=2, cells={0: -0.0, 5: 0.0}, all_listed=False)
+    @example(factor=1, side=1, cells={3: -5e-324}, all_listed=False)
+    def test_map_rows_match_the_joined_grid_oracle_bit_for_bit(self, factor, side, cells, all_listed):
+        # sparse grids of +-0.0, subnormals and +-inf; all_listed fills every
+        # unset channel with -0.0, so every cell is listed. inf - inf makes a
+        # NaN: it stays NaN, but its payload is not promised.
+        native = side * factor
+        flat = np.full(native * native * 4, -0.0 if all_listed else 0.0)
+        for i, v in cells.items():
+            flat[i % flat.size] = v
+        grid = flat.reshape(native, native, 4)
+        sample = synth.MultimodalSample(index=0, csi=None, radar=None, map=scene_map(grid), labels=None)
+        got = tok.preprocess(sample, Modality.MAP, map_cfg(side, (1, 1))).array
+        want = prepare_map_oracle(grid[..., :3], grid[..., 3:], side)
+        # np.mean starts each block's sum from +0.0; the pipeline's strided
+        # block sums start from the block's first cell, so a channel that is
+        # -0.0 in all factor² cells of a block (after the height scaling,
+        # which takes -5e-324 to -0.0) stays -0.0 there
+        scaled = np.concatenate([grid[..., :3], grid[..., 3:] / 30.0], axis=-1)
+        blocks = scaled.reshape(side, factor, side, factor, 4)
+        want[(np.signbit(blocks) & (blocks == 0)).all(axis=(1, 3))] = -0.0
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
     def test_map_native_passthrough(self, sample):
         cfg = TokenizerConfig(
