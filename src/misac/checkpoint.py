@@ -195,16 +195,6 @@ def _tensor_spans(spans: list, size: int) -> list[tuple[str, int, int]]:
 # model <-> checkpoint
 
 
-def rng_state_to_json(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
-def rng_from_json(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
-
-
 def snapshot(model, fingerprint: str, step: int, opt=None, rng=None) -> Checkpoint:
     """Capture params (and optionally optimizer/rng state) from any object
     with named_params()."""
@@ -215,7 +205,7 @@ def snapshot(model, fingerprint: str, step: int, opt=None, rng=None) -> Checkpoi
         params=params,
         opt_t=0 if opt is None else opt.t,
         opt_moments={} if opt is None else {k: v.copy() for k, v in opt.state_arrays().items()},
-        rng_state=None if rng is None else rng_state_to_json(rng),
+        rng_state=None if rng is None else rng.bit_generator.state,
     )
 
 
@@ -244,4 +234,8 @@ def restore(ckpt: Checkpoint, model, opt=None):
         p.data = arr.copy()
     if opt is not None:
         opt.load_state_arrays(ckpt.opt_moments, ckpt.opt_t)
-    return None if ckpt.rng_state is None else rng_from_json(ckpt.rng_state)
+    if ckpt.rng_state is None:
+        return None
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = ckpt.rng_state
+    return rng

@@ -153,20 +153,20 @@ def _dispatch(
 
     The (token, slot) pairs are stably sorted by expert, so each expert's
     rows form one block in token order and each expert layer runs as one
-    grouped node. pos[t, r] is the r-th place of token t in that order, so
-    every token's outputs are summed in expert order."""
+    grouped node. That pair order is the one table dispatch_rows and
+    combine_rows take, and the combine sums every token's outputs in it,
+    which is expert order."""
     K = len(pool.experts)
     sel = _topk_indices(logits.data, k) if frozen is None else frozen
     w = tt.softmax(tt.take_along_last(logits, sel))  # [n, k]
     dense = tt.scatter_last(w, sel, K)  # [n, K], exact zeros elsewhere
     pairs = np.argsort(sel.reshape(-1), kind="stable")
-    pos = np.argsort(pairs // sel.shape[1], kind="stable").reshape(sel.shape)
     offsets = np.concatenate([[0], np.cumsum(np.bincount(sel.reshape(-1), minlength=K))])
     ex = pool.experts
-    xs = tt.dispatch_rows(x, pos)
+    xs = tt.dispatch_rows(x, pairs)
     h = tt.gelu(tt.grouped_linear(xs, [e.fc1.w for e in ex], [e.fc1.b for e in ex], offsets))
     out = tt.grouped_linear(h, [e.fc2.w for e in ex], [e.fc2.b for e in ex], offsets)
-    y = tt.combine_rows(out, w, pos, pairs)
+    y = tt.combine_rows(out, w, pairs)
     stats = PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel)
     return y, stats
 

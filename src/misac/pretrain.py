@@ -131,8 +131,8 @@ def sample_mask(
         width = min(max(int(round(scheme.ratio * gc)), 1), gc - 1)
         start = int(rng.integers(0, gc - width + 1))
         return MaskSpec.from_omega(column_mask(grid, np.arange(start, start + width)))
-    step = scheme.spacing // patch_w if scheme.spacing % patch_w == 0 else round(scheme.spacing / patch_w)
-    return MaskSpec.from_omega(column_mask(grid, np.arange(gc) % max(step, 2) > 0))
+    step = max(round(scheme.spacing / patch_w), 2)
+    return MaskSpec.from_omega(column_mask(grid, np.arange(gc) % step > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +459,6 @@ class StepInputs:
 
     prepped: list[dict[Modality, Prepped]]
     masks: list[dict[Modality, MaskSpec]]
-    scheme: MaskScheme
 
 
 def prepare_sample(
@@ -510,7 +509,7 @@ def prepare_step_inputs(
                 masks[m] = sample_mask(sample_scheme("random", rng), spec.grid, rng)
         prepped_all.append(prepped)
         masks_all.append(masks)
-    return StepInputs(prepped=prepped_all, masks=masks_all, scheme=scheme)
+    return StepInputs(prepped=prepped_all, masks=masks_all)
 
 
 def step_objective(

@@ -596,11 +596,7 @@ def synth_dataset(
                 "index": i,
                 "available": sample.available,
                 "files": files,
-                "labels": {
-                    "beam_index": sample.labels.beam_index,
-                    "distance_m": sample.labels.distance_m,
-                    "aoa_rad": sample.labels.aoa_rad,
-                },
+                "labels": dataclasses.asdict(sample.labels),
             }
         )
     manifest = {

@@ -211,50 +211,39 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     )
 
 
-def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """out[idx] += vals along axis 0 for a 1-D idx, in place, with repeated
-    rows summed in the order they appear in idx: bit for bit what np.add.at
-    computes.
-
-    Strictly increasing rows take one fancy-index add. Otherwise one stable
-    sort ranks each repeat of a row, and round r adds every row's r-th
-    repeat, so no round holds a row twice."""
-    if idx.size and idx.min() < 0:
-        idx = np.arange(out.shape[0])[idx]  # wraps negatives once, raises past -len
-    if idx.size < 2 or np.all(idx[1:] > idx[:-1]):
-        out[idx] += vals
-        return out
-    order = np.argsort(idx, kind="stable")
-    run_start = np.flatnonzero(np.diff(idx[order], prepend=-1))
-    run_len = np.diff(run_start, append=idx.size)
-    rank = np.arange(idx.size) - np.repeat(run_start, run_len)
-    for r in range(int(run_len.max())):
-        pick = order[rank == r]
-        out[idx[pick]] += vals[pick]
-    return out
-
-
-def _row_index(idx) -> np.ndarray:
+def _row_index(idx, op: str) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
-        raise ValueError(f"row index must be 1-D, got shape {idx.shape}")
+        raise ValueError(f"{op}: row index must be 1-D, got shape {idx.shape}")
+    return idx
+
+
+def _rising_rows(idx, op: str) -> np.ndarray:
+    """A 1-D row index that starts at 0 or above and strictly increases, so
+    out[idx] += vals adds each value to its own row exactly once."""
+    idx = _row_index(idx, op)
+    if idx.size and (idx[0] < 0 or np.any(idx[1:] <= idx[:-1])):
+        raise ValueError(f"{op}: row index must start at 0 or above and strictly increase")
     return idx
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows along axis 0; gradient scatter-adds back (duplicates ok)."""
-    idx = _row_index(idx)
+    """Select rows along axis 0; the gradient adds back into the same rows."""
+    idx = _rising_rows(idx, "gather_rows")
 
     def vjp(g):
-        return _scatter_add_rows(np.zeros_like(a.data), idx, g)
+        ga = np.zeros_like(a.data)
+        ga[idx] += g
+        return ga
 
     return _emit("gather_rows", a.data[idx], [(a, vjp)])
 
 
 def index_add(base: Tensor, idx, vals: Tensor) -> Tensor:
-    """Return base with vals scatter-added at rows idx (axis 0)."""
-    idx = _row_index(idx)
-    out = _scatter_add_rows(base.data.copy(), idx, vals.data)
+    """Return base with vals added at rows idx (axis 0)."""
+    idx = _rising_rows(idx, "index_add")
+    out = base.data.copy()
+    out[idx] += vals.data
     return _emit("index_add", out, [(base, lambda g: g), (vals, lambda g: g[idx])])
 
 
@@ -341,14 +330,17 @@ def grouped_linear(x: Tensor, ws: Sequence[Tensor], bs: Sequence[Tensor], offset
     return _emit("grouped_linear", out, vjps)
 
 
-def _pos_table(pos, n: int) -> np.ndarray:
-    """Check that pos is an [n, k] table holding each of 0 .. n*k - 1 once."""
-    pos = np.asarray(pos, dtype=np.int64)
-    if pos.ndim != 2 or pos.shape[0] != n:
-        raise ValueError(f"position table must be [{n}, k], got shape {pos.shape}")
-    if not np.array_equal(np.sort(pos, axis=None), np.arange(pos.size)):
-        raise ValueError("position table must hold each place 0 .. n*k - 1 once")
-    return pos
+def _places(pairs, n: int, op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check that pairs, the places of n tokens at k slots each, holds each
+    flat (token * k + slot) index 0 .. n*k - 1 once. Returns pairs, the token
+    of every place (pairs // k) and the [n, k] table of each token's places
+    in order."""
+    pairs = _row_index(pairs, op)
+    k = pairs.size // n if n else 0
+    if k < 1 or pairs.size != n * k or not np.array_equal(np.sort(pairs), np.arange(pairs.size)):
+        raise ValueError(f"{op}: pairs must hold each of 0 .. n*k - 1 once for the {n} tokens")
+    rows = pairs // k
+    return pairs, rows, np.argsort(rows, kind="stable").reshape(n, k)
 
 
 def _sum_places(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -359,13 +351,11 @@ def _sum_places(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return out
 
 
-def dispatch_rows(x: Tensor, pos) -> Tensor:
-    """Fan every row of x out to k places: row t of x becomes rows pos[t, :]
-    of the result, where the [n, k] table pos holds each place 0 .. n*k - 1
-    once. The gradient of row t sums its k places in r order, with no scatter."""
-    pos = _pos_table(pos, x.data.shape[0])
-    rows = np.empty(pos.size, dtype=np.int64)
-    rows[pos] = np.arange(pos.shape[0])[:, None]
+def dispatch_rows(x: Tensor, pairs) -> Tensor:
+    """Fan every row of x out to its k places: place p of the result is row
+    pairs[p] // k of x. The gradient of row t sums its k places in order,
+    with no scatter."""
+    _, rows, pos = _places(pairs, x.data.shape[0], "dispatch_rows")
 
     def vjp(g):
         return _sum_places(g, pos)
@@ -373,18 +363,13 @@ def dispatch_rows(x: Tensor, pos) -> Tensor:
     return _emit("dispatch_rows", x.data[rows], [(x, vjp)])
 
 
-def combine_rows(out: Tensor, w: Tensor, pos, pairs) -> Tensor:
-    """Weighted fan-in, the inverse of dispatch_rows:
-    y[t] = sum_r out[pos[t, r]] * w.flat[pairs[pos[t, r]]], added in r order.
-    pairs[p] is the flat index into w (token * k + slot) of place p."""
-    pos = _pos_table(pos, w.data.shape[0])
-    pairs = _row_index(pairs)
-    if w.data.shape != pos.shape or out.data.shape[0] != pos.size:
-        raise ValueError("combine_rows: w must be [n, k] like pos, with one out row per place")
-    rows = pairs // pos.shape[1]  # the token of every place
-    if not (np.array_equal(np.sort(pairs), np.arange(pos.size))
-            and np.all(rows[pos] == np.arange(pos.shape[0])[:, None])):
-        raise ValueError("combine_rows: pairs must index w once per place, in its token's row")
+def combine_rows(out: Tensor, w: Tensor, pairs) -> Tensor:
+    """Weighted fan-in, the inverse of dispatch_rows: row t of the result sums
+    out[p] * w.flat[pairs[p]] over token t's places p in order, where
+    pairs[p] is the flat index into the [n, k] w (token * k + slot) of place p."""
+    pairs, rows, pos = _places(pairs, w.data.shape[0], "combine_rows")
+    if w.data.shape != pos.shape or out.data.shape[0] != pairs.size:
+        raise ValueError("combine_rows: w must be [n, k] for the n*k places, with one out row per place")
     place_w = w.data.reshape(-1)[pairs][:, None]
 
     def vjp_out(g):

@@ -160,10 +160,30 @@ def _per_expert_dispatch(pool, x, logits, k, layer, frozen):
     return y, stats
 
 
+def _gather_any_rows(a, idx):
+    """gather_rows for any 1-D index: the gradient adds repeated rows in
+    index order, with np.add.at."""
+
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        return ga
+
+    return tt._emit("gather_rows", a.data[idx], [(a, vjp)])
+
+
+def _index_add_any_rows(base, idx, vals):
+    """index_add for any 1-D index: repeated rows add in index order, with
+    np.add.at."""
+    out = base.data.copy()
+    np.add.at(out, idx, vals.data)
+    return tt._emit("index_add", out, [(base, lambda g: g), (vals, lambda g: g[idx])])
+
+
 def _index_add_dispatch(pool, x, logits, k, layer, frozen):
     """Reference dispatch: the grouped expert layers, with rows gathered by
-    gather_rows and combined by gather_rows of the pair weights, mul and an
-    index_add onto zeros."""
+    token and combined by a gather of the pair weights, mul and an add onto
+    zeros, the gather and the add taking the unsorted, repeated token rows."""
     n, d = x.shape
     K = len(pool.experts)
     sel = enc._topk_indices(logits.data, k) if frozen is None else frozen
@@ -173,11 +193,11 @@ def _index_add_dispatch(pool, x, logits, k, layer, frozen):
     tokens = pairs // sel.shape[1]
     offsets = np.concatenate([[0], np.cumsum(np.bincount(sel.reshape(-1), minlength=K))])
     ex = pool.experts
-    xs = tt.gather_rows(x, tokens)
+    xs = _gather_any_rows(x, tokens)
     h = tt.gelu(tt.grouped_linear(xs, [e.fc1.w for e in ex], [e.fc1.b for e in ex], offsets))
     out = tt.grouped_linear(h, [e.fc2.w for e in ex], [e.fc2.b for e in ex], offsets)
-    pair_w = tt.gather_rows(tt.reshape(w, (-1, 1)), pairs)
-    y = tt.index_add(Tensor(np.zeros((n, d))), tokens, tt.mul(out, pair_w))
+    pair_w = _gather_any_rows(tt.reshape(w, (-1, 1)), pairs)
+    y = _index_add_any_rows(Tensor(np.zeros((n, d))), tokens, tt.mul(out, pair_w))
     stats = enc.PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel)
     return y, stats
 

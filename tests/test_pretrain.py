@@ -568,7 +568,7 @@ class TestEncodeDecode:
         masks = [tiny_masks(seed=20), tiny_masks(seed=21)]
         from misac.pretrain import StepInputs
 
-        inputs = StepInputs(prepped=inputs_prepped, masks=masks, scheme=MaskScheme("random", ratio=0.5))
+        inputs = StepInputs(prepped=inputs_prepped, masks=masks)
         saved = {k: p.data.copy() for k, p in params.items()}
         try:
             for p in params.values():
@@ -627,7 +627,6 @@ class TestStepPreparation:
         cfg = PretrainSettings()
         a = prepare_step_inputs(small_samples[:2], model, cfg, np.random.default_rng(8))
         b = prepare_step_inputs(small_samples[:2], model, cfg, np.random.default_rng(8))
-        assert a.scheme == b.scheme
         for ma, mb in zip(a.masks, b.masks):
             assert set(ma) == set(mb)
             for m in ma:

@@ -71,8 +71,8 @@ def primitive_cases():
     b = T.Tensor(r.normal(size=(4, 3)) + 3.0, requires_grad=True)
     v = T.Tensor(r.normal(size=(3, 5)), requires_grad=True)
     # a's four rows fan out to k = 3 places each; pairs[place] is the flat
-    # (row * 3 + slot) index into the [4, 3] weight b
-    pos = np.array([[0, 5, 9], [1, 2, 10], [3, 6, 7], [4, 8, 11]])
+    # (row * 3 + slot) index into the [4, 3] weight b, so row t's places are
+    # [[0, 5, 9], [1, 2, 10], [3, 6, 7], [4, 8, 11]][t]
     pairs = np.array([0, 3, 4, 6, 9, 1, 7, 8, 10, 2, 5, 11])
     last = np.array([[0, 2], [1, 0], [2, 1], [0, 1]])  # distinct columns within each row
     cases = {
@@ -84,8 +84,8 @@ def primitive_cases():
         "transpose": lambda: T.tsum(T.mul(T.transpose(a, (1, 0)), T.transpose(b, (1, 0)))),
         "reshape": lambda: T.tsum(T.square(T.reshape(a, (2, 6)))),
         "concat": lambda: T.tsum(T.square(T.concat([a, b], axis=1))),
-        "gather_rows": lambda: T.tsum(T.square(T.gather_rows(a, np.array([1, 3, 1])))),
-        "index_add": lambda: T.tsum(T.square(T.index_add(a, np.array([3, 0, 3, 1]), b))),
+        "gather_rows": lambda: T.tsum(T.square(T.gather_rows(a, np.array([0, 1, 3])))),
+        "index_add": lambda: T.tsum(T.square(T.index_add(T.concat([a, b], axis=0), np.array([1, 2, 5, 7]), b))),
         "take_along_last": lambda: T.tsum(T.square(T.take_along_last(a, last))),
         "scatter_last": lambda: T.tsum(T.mul(T.scatter_last(T.take_along_last(a, last), last, 3), b)),
         "tile_rows": lambda: T.tsum(T.mul(T.tile_rows(T.tsum(a, axis=0), 4), b)),
@@ -107,8 +107,8 @@ def primitive_cases():
         "grouped_linear": lambda: T.tsum(T.square(T.grouped_linear(  # group 1 is empty
             a, [v, v, v], [T.tsum(v, axis=0), T.tmean(v, axis=0), T.tsum(T.square(v), axis=0)], [0, 1, 1, 4]
         ))),
-        "dispatch_rows": lambda: T.tsum(T.mul(T.dispatch_rows(a, pos), T.concat([b, a, b], axis=0))),
-        "combine_rows": lambda: T.tsum(T.square(T.combine_rows(T.concat([a, b, a], axis=0), b, pos, pairs))),
+        "dispatch_rows": lambda: T.tsum(T.mul(T.dispatch_rows(a, pairs), T.concat([b, a, b], axis=0))),
+        "combine_rows": lambda: T.tsum(T.square(T.combine_rows(T.concat([a, b, a], axis=0), b, pairs))),
     }
     return [a, b, v], cases
 
@@ -186,35 +186,55 @@ class TestForwardValues:
             T.set_finite_checks(prev)
 
 
+# row indices for gather_rows and index_add, and whether they are rising
+ROW_INDICES = {
+    "empty": ([], True),
+    "increasing": ([0, 2, 5], True),
+    "unsorted_unique": ([4, 0, 3, 1], False),
+    "duplicates": ([1, 1, 4, 1, 0, 4, 1], False),
+    "long_run": ([5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 0], False),
+    "negative": ([-1, 5, 2, -6], False),
+}
+
+
 class TestScatterAddRows:
-    @pytest.mark.parametrize(
-        "idx",
-        [
-            [],
-            [0, 2, 5],
-            [4, 0, 3, 1],
-            [1, 1, 4, 1, 0, 4, 1],
-            [5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 0],
-            [-1, 5, 2, -6],
-        ],
-        ids=["empty", "increasing", "unsorted_unique", "duplicates", "long_run", "negative"],
-    )
+    """gather_rows and index_add take only a rising row index, which one
+    fancy-index add places as np.add.at does; they refuse every other index,
+    whose repeats np.add.at would sum in index order."""
+
+    @pytest.mark.parametrize("idx, rising", list(ROW_INDICES.values()), ids=list(ROW_INDICES))
     @pytest.mark.parametrize("width", [None, 3])
-    def test_matches_np_add_at(self, idx, width):
+    def test_matches_np_add_at(self, idx, rising, width):
         r = rng()
         idx = np.array(idx, dtype=np.int64)
         tail = () if width is None else (width,)
         vals = r.normal(size=(idx.size,) + tail) * 10.0 ** r.integers(-6, 6, size=(idx.size,) + tail)
         for base in (np.zeros((6,) + tail), r.normal(size=(6,) + tail)):
+            x = T.Tensor(base, requires_grad=True)
+            if not rising:
+                for op, call in (("gather_rows", lambda: T.gather_rows(x, idx)),
+                                 ("index_add", lambda: T.index_add(x, idx, T.Tensor(vals)))):
+                    with pytest.raises(ValueError, match=f"{op}: row index must start at 0 or above and strictly"):
+                        call()
+                continue
             want = base.copy()
             np.add.at(want, idx, vals)
-            got = T._scatter_add_rows(base.copy(), idx, vals)
-            np.testing.assert_array_equal(got, want)
+            got = T.index_add(x, idx, T.Tensor(vals)).data
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            with T.Tape() as tape:
+                T.gather_rows(x, idx)
+            want = np.zeros_like(base)
+            np.add.at(want, idx, vals)
+            got = tape.nodes[0].vjps[0][1](vals)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("idx", [[0, 6], [2, -7], [1, 1, 6]])
+    @pytest.mark.parametrize("idx", [[0, 6], [5, 6, 7], [6]])
     def test_rows_out_of_range_raise(self, idx):
+        x = T.Tensor(np.zeros((6, 2)))
         with pytest.raises(IndexError):
-            T._scatter_add_rows(np.zeros((6, 2)), np.array(idx), np.ones((len(idx), 2)))
+            T.gather_rows(x, idx)
+        with pytest.raises(IndexError):
+            T.index_add(x, idx, T.Tensor(np.ones((len(idx), 2))))
 
     def test_row_index_must_be_1d(self):
         x = T.Tensor(np.zeros((4, 2)), requires_grad=True)
@@ -419,19 +439,22 @@ class TestBackward:
     def test_pair_primitives_reject_bad_tables(self):
         x, w = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2)))
         out = T.Tensor(np.zeros((4, 3)))
-        good_pos, good_pairs = np.array([[0, 2], [1, 3]]), np.array([0, 2, 1, 3])
-        T.dispatch_rows(x, good_pos)
-        T.combine_rows(out, w, good_pos, good_pairs)
-        for pos in ([0, 1, 2, 3], [[0, 1]], [[0, 2], [2, 3]], [[0, 1], [2, 4]]):
-            with pytest.raises(ValueError, match="position table"):
-                T.dispatch_rows(x, pos)
-            with pytest.raises(ValueError, match="position table"):
-                T.combine_rows(out, w, pos, good_pairs)
-        for pairs in ([0, 2, 1], [0, 2, 2, 3], [0, 1, 2, 3]):  # short, repeated, wrong token
-            with pytest.raises(ValueError, match="pairs"):
-                T.combine_rows(out, w, good_pos, pairs)
+        good_pairs = np.array([0, 2, 1, 3])
+        T.dispatch_rows(x, good_pairs)
+        T.combine_rows(out, w, good_pairs)
+        for pairs in ([0, 2, 1], [0, 2, 2, 3], [0, 2, 1, 4], [0, -1, 2, 3], []):  # short, repeated, past the end, negative, none
+            with pytest.raises(ValueError, match="dispatch_rows: pairs"):
+                T.dispatch_rows(x, pairs)
+            with pytest.raises(ValueError, match="combine_rows: pairs"):
+                T.combine_rows(out, w, pairs)
+        for op, call in (("dispatch_rows", lambda: T.dispatch_rows(x, [[0, 2], [1, 3]])),
+                         ("combine_rows", lambda: T.combine_rows(out, w, [[0, 2], [1, 3]]))):
+            with pytest.raises(ValueError, match=f"{op}: row index must be 1-D"):
+                call()
         with pytest.raises(ValueError, match="one out row per place"):
-            T.combine_rows(T.Tensor(np.zeros((3, 3))), w, good_pos, good_pairs)
+            T.combine_rows(T.Tensor(np.zeros((3, 3))), w, good_pairs)
+        with pytest.raises(ValueError, match="w must be"):
+            T.combine_rows(T.Tensor(np.zeros((6, 3))), w, np.arange(6))  # three places per token
 
     def test_last_axis_ops_assign_like_add_at_and_reject_repeats(self):
         r = rng()
@@ -487,7 +510,7 @@ class TestGradCheck:
         r = rng()
         x = T.Tensor(r.normal(size=(6, 4)), requires_grad=True)
         vals = T.Tensor(r.normal(size=(3, 4)), requires_grad=True)
-        idx = np.array([1, 1, 4])  # duplicates on purpose
+        idx = np.array([1, 2, 4])
         sel = np.array([[0, 2], [3, 1], [2, 0], [1, 0], [0, 3], [2, 1]])
 
         def f_gather():

@@ -27,10 +27,21 @@ def cfg():
 
 def prepare_map_oracle(bev, height, side, height_scale=30.0):
     """The map preparation from before each part was averaged on its own:
-    join bev and scaled height at native size, then mean over blocks."""
+    join bev and scaled height at native size, then mean over blocks.
+    np.mean starts each block's sum from +0.0; the pipeline's block sums
+    start from the block's first cell, so a channel that is -0.0 in all
+    factor² cells of a block (after the height scaling, which takes -5e-324
+    to -0.0) stays -0.0 there, and the oracle sets it so."""
     native = np.concatenate([bev, height / height_scale], axis=-1)
     f = native.shape[0] // side
-    return native.reshape(side, f, side, f, 4).mean(axis=(1, 3))
+    blocks = native.reshape(side, f, side, f, 4)
+    out = blocks.mean(axis=(1, 3))
+    out[(np.signbit(blocks) & (blocks == 0)).all(axis=(1, 3))] = -0.0
+    return out
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def map_cfg(side, patch=(8, 8)):
@@ -178,7 +189,7 @@ class TestPreprocess:
         got = tok.preprocess(synth.MultimodalSample(
             index=0, csi=None, radar=None, map=smap, labels=None
         ), Modality.MAP, map_cfg(side)).array
-        np.testing.assert_array_equal(got, prepare_map_oracle(smap.bev, smap.height, side))
+        assert_same_bits(got, prepare_map_oracle(smap.bev, smap.height, side))
 
     def test_map_matches_the_joined_grid_oracle_on_a_desk_dataset(self, tmp_path):
         desk = desk_config()
@@ -189,7 +200,7 @@ class TestPreprocess:
         for s in loaded:
             assert s.map.bev.shape[0] > side
             got = tok.preprocess(s, Modality.MAP, cfg).array
-            np.testing.assert_array_equal(got, prepare_map_oracle(s.map.bev, s.map.height, side))
+            assert_same_bits(got, prepare_map_oracle(s.map.bev, s.map.height, side))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -220,16 +231,9 @@ class TestPreprocess:
         sample = synth.MultimodalSample(index=0, csi=None, radar=None, map=scene_map(grid), labels=None)
         got = tok.preprocess(sample, Modality.MAP, map_cfg(side, (1, 1))).array
         want = prepare_map_oracle(grid[..., :3], grid[..., 3:], side)
-        # np.mean starts each block's sum from +0.0; the pipeline's strided
-        # block sums start from the block's first cell, so a channel that is
-        # -0.0 in all factor² cells of a block (after the height scaling,
-        # which takes -5e-324 to -0.0) stays -0.0 there
-        scaled = np.concatenate([grid[..., :3], grid[..., 3:] / 30.0], axis=-1)
-        blocks = scaled.reshape(side, factor, side, factor, 4)
-        want[(np.signbit(blocks) & (blocks == 0)).all(axis=(1, 3))] = -0.0
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(got), nan)
-        np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+        assert_same_bits(got[~nan], want[~nan])
 
     def test_map_native_passthrough(self, sample):
         cfg = TokenizerConfig(
@@ -241,7 +245,7 @@ class TestPreprocess:
             },
         )
         prepped = tok.preprocess(sample, Modality.MAP, cfg)
-        np.testing.assert_array_equal(prepped.array[..., :3], sample.map.bev)
+        assert_same_bits(prepped.array, np.concatenate([sample.map.bev, sample.map.height / cfg.height_scale], axis=-1))
 
     def test_missing_modality_rejected(self, sample, cfg):
         s = synth.MultimodalSample(
