@@ -3,9 +3,9 @@
 Primitives execute eagerly on numpy buffers. While a :class:`Tape` is active,
 any primitive whose inputs require gradients appends a node holding
 vector-Jacobian closures; :func:`backward` replays the tape in exact reverse
-order and accumulates into ``Tensor.grad``. Float64 is the default precision
-so the central-difference checker in :func:`grad_check` has enough headroom
-to resolve errors below 1e-7.
+order, accumulates into ``Tensor.grad`` and frees each node as it goes.
+Float64 is the default precision so the central-difference checker in
+:func:`grad_check` has enough headroom to resolve errors below 1e-7.
 
 Also hosts the small binary tensor format used for datasets and checkpoints
 (magic ``MSTN``) and a thin complex-array wrapper for the signal-synthesis
@@ -41,12 +41,13 @@ class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Use as a context manager around the forward computation, then hand to
-    :func:`backward`. A tape is meant to live for a single step; drop it
-    before the next forward.
+    :func:`backward` once. ``backward`` spends the tape: it pops every node,
+    so read the tape before calling it.
     """
 
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
+        self.spent = False
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -70,7 +71,7 @@ class _Node:
 class Tensor:
     """A dense row-major float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
@@ -570,14 +571,28 @@ def mse(pred: Tensor, target: np.ndarray) -> Tensor:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(input) into .grad for every tracked tensor.
 
+    Spends the tape: each node is popped before its vjps run, so its closures,
+    the activations only they hold, and its output with that output's .grad
+    are freed once it is done. Intermediate gradients therefore survive only
+    on tensors the caller still holds. A spent tape is refused.
+
     A tensor's first gradient is kept as its vjp returned it, which may be
     another tensor's gradient buffer (add passes g through). The second
     allocates the sum, and later ones add in place into that buffer only."""
     if loss.data.size != 1:
         raise ValueError("backward: loss must be scalar")
+    if tape.spent:
+        raise ValueError("backward: the tape was already spent by backward")
+    tape.spent = True
     loss.grad = np.ones_like(loss.data)
-    owned: set[int] = set()  # ids of tensors whose .grad this call allocated
-    for node in reversed(tape.nodes):
+    # ids of tensors whose .grad this call allocated. An id may outlive its
+    # tensor, but no vjp creates a Tensor, so every tensor looked up below was
+    # made in the forward, is held by a node not yet popped, and was alive
+    # beside every tensor in this set: no live tensor can reuse a dead id.
+    owned: set[int] = set()
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
         g = node.out.grad
         if g is None:
             continue

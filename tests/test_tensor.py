@@ -3,6 +3,7 @@ hand-derived oracles, frozen activation values, serialization roundtrips."""
 
 import ast
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +119,9 @@ def tape_grads(f, params):
         p.grad = None
     with T.Tape() as tape:
         loss = f()
+    nodes = len(tape)  # read before backward spends the tape
     T.backward(loss, tape)
-    return [p.grad for p in params], len(tape)
+    return [p.grad for p in params], nodes
 
 
 class TestForwardValues:
@@ -393,6 +395,59 @@ class TestBackward:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.grad, w.grad)
 
+    def test_spent_tape_refused(self):
+        w = T.Tensor([2.0], requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.tsum(T.mul(w, w))
+        T.backward(loss, tape)
+        np.testing.assert_array_equal(w.grad, [4.0])
+        with pytest.raises(ValueError, match="already spent by backward"):
+            T.backward(loss, tape)
+        np.testing.assert_array_equal(w.grad, [4.0])
+
+    def test_tape_without_nodes_still_runs(self):
+        with T.Tape() as tape:
+            loss = T.tsum(T.Tensor([1.0, 2.0]))  # nothing tracked, nothing taped
+        assert len(tape) == 0
+        T.backward(loss, tape)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+
+    def test_backward_frees_every_intermediate(self):
+        # The cases' lambdas hold only the leaves, so once backward has
+        # popped the nodes, no tensor a node made may be alive, although the
+        # tape still is; refcounting alone must free them.
+        params, cases = primitive_cases()
+        for name, f in cases.items():
+            with T.Tape() as tape:
+                loss = f()
+            refs = [weakref.ref(node.out) for node in tape.nodes if node.out is not loss]
+            assert refs, name
+            T.backward(loss, tape)
+            assert not tape.nodes and all(ref() is None for ref in refs), name
+            assert any(p.grad is not None for p in params), name
+            for p in params:
+                p.grad = None
+
+    def test_no_vjp_creates_a_tensor(self, monkeypatch):
+        # backward's in-place accumulation keys on ids that may outlive their
+        # tensors; this is what keeps a dead tensor's id from being reused
+        # by a tensor that backward looks up.
+        _, cases = primitive_cases()
+        made = []
+        real_init = T.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            real_init(self, *args, **kwargs)
+
+        for name, f in cases.items():
+            with T.Tape() as tape:
+                loss = f()
+            monkeypatch.setattr(T.Tensor, "__init__", counting_init)
+            T.backward(loss, tape)
+            monkeypatch.undo()
+            assert not made, name
+
     def test_non_scalar_loss_rejected(self):
         w = T.Tensor([1.0, 2.0], requires_grad=True)
         with T.Tape() as tape:
@@ -421,8 +476,9 @@ class TestBackward:
         with T.Tape() as tape:
             out = T.grouped_linear(x, ws, bs, [0, 4, 4, 5])  # group 1 is empty
             loss = T.tsum(T.square(out))
+        nodes = len(tape)  # read before backward spends the tape
         T.backward(loss, tape)
-        assert len(tape) == 3  # one node for every group
+        assert nodes == 3  # one node for every group
         want = np.concatenate([x.data[:4] @ ws[0].data + bs[0].data, x.data[4:] @ ws[2].data + bs[2].data])
         np.testing.assert_array_equal(out.data, want)
         assert ws[1].grad is None and bs[1].grad is None
@@ -830,7 +886,8 @@ class TestTapeOpNames:
         real_backward = T.backward
 
         def recording_backward(loss, tape):
-            tapes.append(tape)
+            # the op names, taken before backward spends the tape
+            tapes.append([vjp.__qualname__ for node in tape.nodes for _, vjp in node.vjps])
             real_backward(loss, tape)
 
         monkeypatch.setattr(T, "backward", recording_backward)
@@ -849,12 +906,11 @@ class TestTapeOpNames:
         ops = []
         for tape in tapes:
             ops.append(set())
-            for node in tape.nodes:
-                for _, vjp in node.vjps:
-                    op, local, _ = vjp.__qualname__.partition(".<locals>.")
-                    fn = getattr(T, op, None)
-                    assert local and not op.startswith("_"), vjp.__qualname__
-                    assert getattr(fn, "__module__", None) == T.__name__, vjp.__qualname__
-                    ops[-1].add(op)
+            for qualname in tape:
+                op, local, _ = qualname.partition(".<locals>.")
+                fn = getattr(T, op, None)
+                assert local and not op.startswith("_"), qualname
+                assert getattr(fn, "__module__", None) == T.__name__, qualname
+                ops[-1].add(op)
         assert {"dispatch_rows", "combine_rows", "grouped_linear", "index_add"} <= ops[0]
         assert not ops[1] & {"dispatch_rows", "combine_rows", "grouped_linear"}  # frozen encoder
