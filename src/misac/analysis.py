@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MisacError
 from .config import ModelConfig, RunConfig
 from .downstream import CHANNEL, RECON_TASKS, TASKS, head_outputs
 from .pretrain import PretrainModel, encode_visible, pool_usage, prepare_sample
 from .tokenizer import Modality
 
 
-class AnalysisError(ValueError):
+class AnalysisError(MisacError):
     pass
 
 
@@ -119,13 +120,13 @@ class RoutingRow:
     load: float
 
 
-def routing_table(model: PretrainModel, samples, drop: tuple[str, ...] = ()) -> list[RoutingRow]:
+def routing_table(model: PretrainModel, samples) -> list[RoutingRow]:
     """Aggregate routing statistics over full (unmasked) forward passes."""
     if not samples:
         raise AnalysisError("routing_table: no samples")
     stats = []
     for sample in samples:
-        stats += encode_visible(model, prepare_sample(sample, model.tok_cfg, drop=drop), {}).stats
+        stats += encode_visible(model, prepare_sample(sample, model.tok_cfg), {}).stats
     return [
         RoutingRow(u.layer, u.pool, e, float(u.importance.data[e]), float(u.load[e]))
         for u in pool_usage(stats, model.enc_cfg.n_experts)

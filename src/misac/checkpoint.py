@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import MisacError
 from .tensor import mstn_dumps, mstn_loads
 
 _MAGIC = b"MSCK"
@@ -43,7 +44,7 @@ _HEADER_TYPES = {
 }
 
 
-class CheckpointError(ValueError):
+class CheckpointError(MisacError):
     pass
 
 

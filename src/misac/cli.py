@@ -16,38 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AnalysisError, param_counts, routing_csv, routing_table, task_flops
-from .checkpoint import (
-    CheckpointError,
-    load_checkpoint,
-    restore,
-    save_checkpoint,
-    snapshot,
-)
+from . import MisacError
+from .analysis import param_counts, routing_csv, routing_table, task_flops
+from .checkpoint import load_checkpoint, restore, save_checkpoint, snapshot
 from .config import ConfigError, RunConfig, load_config, fingerprint
-from .downstream import (
-    TASKS,
-    DownstreamError,
-    FinetuneModel,
-    evaluate,
-    run_finetune,
-)
-from .encoder import EncoderError
-from .pretrain import Adam, PretrainError, PretrainModel, run_pretrain
-from .synth import MODALITY_NAMES, SceneError, load_dataset, manifest_hash, synth_dataset
+from .downstream import TASKS, FinetuneModel, evaluate, run_finetune
+from .pretrain import Adam, PretrainModel, run_pretrain
+from .synth import MODALITY_NAMES, load_dataset, manifest_hash, synth_dataset
 from .tensor import set_finite_checks
-from .tokenizer import TokenError
-
-VALIDATION_ERRORS = (
-    ConfigError,
-    CheckpointError,
-    SceneError,
-    TokenError,
-    EncoderError,
-    PretrainError,
-    DownstreamError,
-    AnalysisError,
-)
 
 
 def emit(obj: dict) -> None:
@@ -345,7 +321,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
-    except VALIDATION_ERRORS as e:
+    except MisacError as e:
         note(f"error: {e}")
         return 1
     except OSError as e:

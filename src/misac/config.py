@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import MisacError
 from .downstream import TASKS, FinetuneSettings
 from .encoder import EncoderConfig
 from .pretrain import PretrainSettings
@@ -28,7 +29,7 @@ from .synth import MODALITY_NAMES, RadarParams, SynthConfig
 from .tokenizer import MODALITY_ORDER, ModalitySpec, TokenizerConfig
 
 
-class ConfigError(ValueError):
+class ConfigError(MisacError):
     pass
 
 
@@ -291,8 +292,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     return cfg.validate()
 
 
-def load_config(path: str | Path | None, preset: str | None = None) -> RunConfig:
-    """Load a config file, or fall back to a named preset (default desk)."""
+def load_config(path: str | Path | None) -> RunConfig:
+    """Load a config file, or fall back to the desk preset."""
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text())
@@ -301,7 +302,7 @@ def load_config(path: str | Path | None, preset: str | None = None) -> RunConfig
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
         return config_from_dict(raw)
-    return _preset(preset or "desk")
+    return desk_config()
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tt
+from . import MisacError, tensor as tt
 from .encoder import MLP
 from .pretrain import (
     Adam,
@@ -44,7 +44,7 @@ from .tensor import Tensor
 from .tokenizer import Modality
 
 
-class DownstreamError(ValueError):
+class DownstreamError(MisacError):
     pass
 
 
@@ -184,6 +184,20 @@ class FinetuneSettings:
     drop: tuple[str, ...] = ()  # modality names excluded at train and eval
 
 
+def check_usable(model: FinetuneModel, samples: list[MultimodalSample], cfg: FinetuneSettings) -> None:
+    """Refuse, naming their indices, the samples the task cannot use: those
+    with no modality left after cfg.drop, and for a reconstruction task
+    those without the CSI it rebuilds."""
+    kept = [m for m in model.pretrained.tok_cfg.modalities if m.name not in cfg.drop]
+    if model.task in RECON_TASKS:
+        kept = [m for m in kept if m == CHANNEL]
+    unusable = [s.index for s in samples if not any(s.available[m.source] for m in kept)]
+    if unusable:
+        need = CHANNEL.name if model.task in RECON_TASKS else "modality"
+        left = f"left after drop {list(cfg.drop)}"
+        raise DownstreamError(f"samples {unusable} have no {need} {left}, which {model.task} needs")
+
+
 def sample_loss(
     model: FinetuneModel,
     sample: MultimodalSample,
@@ -194,15 +208,11 @@ def sample_loss(
     pre = model.pretrained
     if cfg.snr_range is not None and rng is None:
         raise DownstreamError("snr injection needs an rng")
+    check_usable(model, [sample], cfg)
     prepped = prepare_sample(sample, pre.tok_cfg, rng, drop=cfg.drop, snr_range=cfg.snr_range)
-    if not prepped:
-        raise DownstreamError("sample has no usable modality after drops")
     task = model.task
     if task in RECON_TASKS:
-        if CHANNEL not in prepped:
-            raise DownstreamError(f"{task} needs {CHANNEL.name}")
-        spec = model.mask
-        masks = {CHANNEL: spec}
+        masks = {CHANNEL: model.mask}
         res = encode_visible(pre, prepped, masks)
         recon = decode_masked(pre, res, masks)[CHANNEL]
         target = prepped[CHANNEL].array
@@ -211,13 +221,7 @@ def sample_loss(
             loss = tt.mul(sse, Tensor(1.0 / count))
         else:
             loss = tt.mse(recon, target)
-        scale = prepped[CHANNEL].scale
-        aux = {
-            "recon": recon.data / scale,  # de-normalized
-            "target": target / scale,
-            "mask_pixels": pixel_mask(spec.omega, pre.tok_cfg.spec(CHANNEL).patch),
-        }
-        return loss, aux
+        return loss, {"recon": recon.data, "target": target}  # in the model domain
 
     res = encode_visible(pre, prepped, {})
     pooled = tt.tmean(res.h, axis=0, keepdims=True)
@@ -267,6 +271,7 @@ def run_finetune(
 ) -> list[dict]:
     if not samples:
         raise DownstreamError("run_finetune: empty dataset")
+    check_usable(model, samples, cfg)
     trainable = model.trainable_params(cfg.freeze_encoder)
     opt = Adam(trainable)
     rng = np.random.default_rng(seed)
@@ -308,6 +313,7 @@ def evaluate(
     runs that differ only in the model see identical inputs."""
     if not samples:
         raise DownstreamError("evaluate: empty dataset")
+    check_usable(model, samples, cfg)
     rng = np.random.default_rng(seed)
     losses, auxes = [], []
     for s in samples:
@@ -317,12 +323,10 @@ def evaluate(
     out = {"loss": float(np.mean(losses))}
     task = model.task
     if task in RECON_TASKS:
-        nmses = []
-        for a in auxes:
-            recon, target = a["recon"], a["target"]
-            if task == "channel_prediction":  # scored on the hidden columns only
-                recon, target = recon[a["mask_pixels"]], target[a["mask_pixels"]]
-            nmses.append(nmse_db(recon, target))
+        scored = ...  # the whole grid; channel_prediction is scored on its hidden columns only
+        if task == "channel_prediction":
+            scored = pixel_mask(model.mask.omega, model.pretrained.tok_cfg.spec(CHANNEL).patch)
+        nmses = [nmse_db(a["recon"][scored], a["target"][scored]) for a in auxes]
         return {**out, "nmse_db": float(np.mean(nmses))}
     labels = np.asarray([a["label"] for a in auxes])
     if task == "beam_selection":

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tt
+from . import MisacError, tensor as tt
 from .tensor import Tensor
 from .tokenizer import MODALITY_ORDER  # noqa: F401 - the benchmark reads the built-in modalities here
 from .tokenizer import Modality, Prepped, TokenizerConfig, patchify_embed
 
 
-class EncoderError(ValueError):
+class EncoderError(MisacError):
     pass
 
 

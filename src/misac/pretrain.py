@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tt
+from . import MisacError, tensor as tt
 from .encoder import (
     MLP,
     Attention,
@@ -44,7 +44,7 @@ from .tensor import Tensor
 from .tokenizer import Modality, Prepped, TokenizerConfig, preprocess, unpatchify
 
 
-class PretrainError(ValueError):
+class PretrainError(MisacError):
     pass
 
 

@@ -42,12 +42,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import MisacError
 from .tensor import ComplexTensor, read_mstn, write_mstn
 
 C_LIGHT = 299_792_458.0
 
 
-class SceneError(ValueError):
+class SceneError(MisacError):
     pass
 
 
@@ -527,7 +528,7 @@ def derive_labels(scene: SceneSpec, paths: list[PathParams], csi: ChannelSample,
     )
 
 
-def synth_sample(cfg: SynthConfig, index: int, base_seed: int) -> tuple[MultimodalSample, SceneSpec]:
+def synth_sample(cfg: SynthConfig, index: int, base_seed: int) -> MultimodalSample:
     """Generate one fully populated sample from substream base_seed ^ index."""
     rng = np.random.default_rng(base_seed ^ index)
     scene = sample_scene(cfg, rng)
@@ -537,7 +538,7 @@ def synth_sample(cfg: SynthConfig, index: int, base_seed: int) -> tuple[Multimod
     maps = RadarMaps(np.stack([range_angle_map(cube), range_velocity_map(cube)]))
     smap = rasterize_scene(scene, cfg.map_resolution, cfg.marker_radius)
     labels = derive_labels(scene, paths, csi, cfg)
-    return MultimodalSample(index=index, csi=csi, radar=maps, map=smap, labels=labels), scene
+    return MultimodalSample(index=index, csi=csi, radar=maps, map=smap, labels=labels)
 
 
 def _availability_plan(cfg: SynthConfig, n: int, base_seed: int) -> dict[str, np.ndarray]:
@@ -571,7 +572,7 @@ def synth_dataset(
     samples = []
     entries = []
     for i in range(n):
-        full, _scene = synth_sample(cfg, i, seed)
+        full = synth_sample(cfg, i, seed)
         sample = MultimodalSample(
             index=i,
             csi=full.csi if plan["csi"][i] else None,
@@ -620,18 +621,17 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(canonical_json(manifest).encode()).hexdigest()
 
 
-_LABEL_TYPES = {"beam_index": int, "distance_m": (int, float), "aoa_rad": (int, float)}
-
-
 def _field(record, key: str, where: str, kind, least: int | None = None):
-    """record[key] from a parsed manifest if it is of type kind (and, given
-    least, not below it), or a SceneError naming the key."""
+    """record[key] from a parsed manifest if it is of type kind, finite and,
+    given least, not below it; or a SceneError naming the key."""
     if not isinstance(record, dict) or key not in record:
         raise SceneError(f"dataset manifest: {where} has no {key!r}")
     value = record[key]
     if isinstance(value, bool) or not isinstance(value, kind):
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise SceneError(f"dataset manifest: {where} {key!r} must be {names}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+        raise SceneError(f"dataset manifest: {where} {key!r} must be finite, got {value}")
     if least is not None and value < least:
         raise SceneError(f"dataset manifest: {where} {key!r} must be >= {least}, got {value}")
     return value
@@ -686,6 +686,7 @@ def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dic
     root = path.parent
     cfg = _field(manifest, "config", "the manifest", dict)
     layouts, res = _file_layouts(cfg), _field(cfg, "map_resolution", "config", int, 1)
+    n_beams = _field(cfg, "n_beams", "config", int, 1)
     samples = []
     for i, e in enumerate(_field(manifest, "samples", "the manifest", list)):
         where = f"sample {i}"
@@ -706,11 +707,15 @@ def load_dataset(manifest_path: str | Path) -> tuple[list[MultimodalSample], dic
         csi = ChannelSample(ComplexTensor(arrays["csi"])) if "csi" in arrays else None
         radar = RadarMaps(arrays["radar"]) if "radar" in arrays else None
         smap = SceneMap.checked(arrays["map"], res, paths["map"]) if "map" in arrays else None
-        lab = _field(e, "labels", where, dict)
-        labels = {k: _field(lab, k, f"{where} labels", kind) for k, kind in _LABEL_TYPES.items()}
+        lab, at = _field(e, "labels", where, dict), f"{where} labels"
+        labels = Labels(
+            beam_index=_field(lab, "beam_index", at, int, 0),
+            distance_m=_field(lab, "distance_m", at, (int, float)),
+            aoa_rad=_field(lab, "aoa_rad", at, (int, float)),
+        )
+        if labels.beam_index >= n_beams:
+            raise SceneError(f"dataset manifest: {at} 'beam_index' must be < {n_beams}, got {labels.beam_index}")
         samples.append(
-            MultimodalSample(
-                index=_field(e, "index", where, int), csi=csi, radar=radar, map=smap, labels=Labels(**labels)
-            )
+            MultimodalSample(index=_field(e, "index", where, int), csi=csi, radar=radar, map=smap, labels=labels)
         )
     return samples, manifest

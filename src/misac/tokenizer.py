@@ -7,9 +7,9 @@ patches are enumerated row-major over the patch grid; both orderings are
 load-bearing for checkpoint portability and are pinned by tests.
 
 Per-sample normalization: CSI and radar grids are scaled to unit mean power
-(the scale is returned so metrics can be computed in the raw domain); map
-occupancy channels are already in [0, 1] and the height channel is divided
-by a fixed scale.
+(NMSE, the metric of the reconstruction tasks, is the same in either domain);
+map occupancy channels are already in [0, 1] and the height channel is
+divided by a fixed scale.
 
 To add a modality, build a ``Modality`` record with a new id and put it, with
 its ``ModalitySpec``, in the ``TokenizerConfig`` a model is built from; every
@@ -23,12 +23,12 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from . import tensor as tt
+from . import MisacError, tensor as tt
 from .synth import MultimodalSample
 from .tensor import Tensor
 
 
-class TokenError(ValueError):
+class TokenError(MisacError):
     pass
 
 
@@ -62,8 +62,8 @@ class Modality:
     """The one place that knows a modality. Ids are stable (new modalities
     take a new id) and records compare, hash and sort by id alone.
 
-    ``prepare(value, spec, cfg) -> (grid, scale)`` turns the sample's
-    ``source`` field into the [H, W, channels] grid, with model = raw * scale.
+    ``prepare(value, spec, cfg) -> grid`` turns the sample's ``source``
+    field into the [H, W, channels] grid the model reads.
     Roles: every other modality is contrasted with the ``anchor``, the
     ``context`` modality's mean conditions the shared-pool router, and
     modality dropout removes only ``droppable`` ones. A model has at most one
@@ -115,12 +115,10 @@ class TokenizerConfig:
 
 @dataclass
 class Prepped:
-    """A modality grid ready for tokenization. ``scale`` maps raw values to
-    the model domain: model = raw * scale."""
+    """A modality grid ready for tokenization."""
 
     modality: Modality
     array: np.ndarray  # [H, W, C] float64
-    scale: float
 
 
 def _unit_power_scale(x: np.ndarray) -> float:
@@ -128,13 +126,12 @@ def _unit_power_scale(x: np.ndarray) -> float:
     return 1.0 / np.sqrt(p) if p > 0 else 1.0
 
 
-def _prepare_csi(csi, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
+def _prepare_csi(csi, spec: ModalitySpec, cfg: TokenizerConfig) -> np.ndarray:
     h = csi.h.data
-    scale = _unit_power_scale(h)
-    return np.stack([h.real, h.imag], axis=-1) * scale, scale
+    return np.stack([h.real, h.imag], axis=-1) * _unit_power_scale(h)
 
 
-def _prepare_map(smap, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
+def _prepare_map(smap, spec: ModalitySpec, cfg: TokenizerConfig) -> np.ndarray:
     """The map's mean over factor x factor blocks, height divided by
     height_scale, from its listed cells alone. The cells are added into the
     [side, side, 4] grid in row-major order, so each block sums them in the
@@ -154,13 +151,12 @@ def _prepare_map(smap, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.nda
     out[np.bincount(block, minlength=side * side) == factor * factor] = -0.0
     np.add.at(out, block, cells)
     out /= factor * factor
-    return out.reshape(side, side, 4), 1.0
+    return out.reshape(side, side, 4)
 
 
-def _prepare_radar(radar, spec: ModalitySpec, cfg: TokenizerConfig) -> tuple[np.ndarray, float]:
+def _prepare_radar(radar, spec: ModalitySpec, cfg: TokenizerConfig) -> np.ndarray:
     ra, rv = radar.data
-    scale = _unit_power_scale(radar.data)  # both maps together
-    return np.stack([ra.real, ra.imag, rv.real, rv.imag], axis=-1) * scale, scale
+    return np.stack([ra.real, ra.imag, rv.real, rv.imag], axis=-1) * _unit_power_scale(radar.data)  # over both maps
 
 
 # channels: csi re/im, map bev + height / height_scale, radar ra re/im then rv re/im
@@ -176,11 +172,11 @@ def preprocess(sample: MultimodalSample, modality: Modality, cfg: TokenizerConfi
     value = getattr(sample, modality.source)
     if value is None:
         raise TokenError(f"sample has no {modality.source}")
-    arr, scale = modality.prepare(value, spec, cfg)
+    arr = modality.prepare(value, spec, cfg)
     want = (spec.height, spec.width, modality.channels)
     if arr.shape != want:
         raise TokenError(f"{modality.name} grid {arr.shape} != configured {want}")
-    return Prepped(modality=modality, array=arr, scale=scale)
+    return Prepped(modality=modality, array=arr)
 
 
 def patchify(x: np.ndarray, patch: tuple[int, int]) -> np.ndarray:

@@ -179,12 +179,6 @@ class TestRoutingTable:
         assert lines[0] == "layer,pool,expert,importance,load"
         assert len(lines) == len(rows) + 1
 
-    def test_drop_removes_pool(self, routed):
-        model, samples, _ = routed
-        rows = routing_table(model, samples, drop=("map",))
-        assert not any(r.pool == "map" for r in rows)
-        assert any(r.pool == "radar" for r in rows)
-
     def test_empty_samples_rejected(self, routed):
         model, _, _ = routed
         with pytest.raises(AnalysisError):

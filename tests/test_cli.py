@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from misac import cli
+from misac import MisacError, cli
 from misac.checkpoint import load_checkpoint, save_checkpoint, snapshot
 from misac.cli import main
 from misac.config import fingerprint, load_config
@@ -634,6 +634,58 @@ class TestCliSurface:
         code = main(["stats", "--config", str(cfg), "--data", str(data), "--checkpoint", str(root / "pre.msck")])
         assert code == 1
         assert says in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, says",
+        [
+            ("beam_index", -1, "must be >= 0, got -1"),
+            ("beam_index", 99, "must be < 16, got 99"),
+            ("distance_m", float("nan"), "must be finite, got nan"),
+            ("aoa_rad", float("inf"), "must be finite, got inf"),
+        ],
+        ids=["beam_negative", "beam_past_the_codebook", "distance_nan", "aoa_inf"],
+    )
+    def test_label_no_task_can_use_is_validation_error(self, workspace, tmp_path, capsys, key, value, says):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["samples"][0]["labels"][key] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        task = {"beam_index": "beam_selection", "distance_m": "localization", "aoa_rad": "aoa_estimation"}[key]
+        code = main(["finetune", "--config", str(cfg), "--data", str(data), "--scratch", "--task", task])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert not lines_of(out, "finetune_step")
+        assert f"sample 0 labels {key!r} {says}" in err
+
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_sample_without_csi_fails_a_recon_task_before_any_step(self, workspace, tmp_path, capsys, command):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        entry = manifest["samples"][2]
+        (data / entry["files"].pop("csi")).unlink()
+        entry["available"]["csi"] = False
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        args = [command, "--config", str(cfg), "--data", str(data), "--task", "channel_prediction"]
+        args += ["--scratch"] if command == "finetune" else ["--checkpoint", str(root / "pre.msck")]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "samples [2] have no csi left after drop [], which channel_prediction needs" in err
+
+    def test_any_misac_error_exits_one(self, monkeypatch, capsys):
+        class LateModuleError(MisacError):  # a module error no list in the CLI names
+            pass
+
+        def fail(args):
+            raise LateModuleError("named fault")
+
+        monkeypatch.setitem(cli.COMMANDS, "synth", fail)
+        assert main(["synth", "--out", "unused"]) == 1
+        assert capsys.readouterr().err == "error: named fault\n"
 
     def test_manifest_that_is_not_json_is_validation_error(self, workspace, tmp_path, capsys):
         root, cfg = workspace

@@ -2,6 +2,7 @@
 structure, freeze semantics (bit-identical encoder), head gradients against
 central differences, and evaluation plumbing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from misac.downstream import (
     wrapped_abs_error,
 )
 from misac.encoder import EncoderConfig
-from misac.pretrain import Adam, PretrainModel, cosine_lr, prepare_sample
+from misac.pretrain import Adam, PretrainModel, cosine_lr, pixel_mask, prepare_sample
 from misac.synth import SynthConfig, synth_dataset
 from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig
 
@@ -206,13 +207,23 @@ class TestLossesAndTraining:
             assert np.isfinite(loss.item()) and loss.item() >= 0.0
             assert aux
 
-    def test_recon_aux_is_denormalized(self, samples):
-        # target in aux must match the raw channel, not the unit-power version
-        model = make_model("channel_prediction")
-        _, aux = sample_loss(model, samples[0], FinetuneSettings())
-        h = samples[0].csi.h.data
-        want = np.stack([h.real, h.imag], axis=-1)
-        assert np.allclose(aux["target"], want)
+    def test_recon_nmse_is_the_raw_domain_nmse(self, samples):
+        # each sample is scored on its unit-power grid; NMSE is blind to that common scale
+        cfg = FinetuneSettings()
+        for task in ("channel_prediction", "channel_estimation"):
+            model = make_model(task)
+            scored = ...
+            if task == "channel_prediction":
+                scored = pixel_mask(model.mask.omega, model.pretrained.tok_cfg.spec(Modality.CSI).patch)
+            raw = []
+            for s in samples:
+                h = s.csi.h.data
+                scale = 1.0 / np.sqrt(np.mean(np.abs(h) ** 2))
+                _, aux = sample_loss(model, s, cfg)
+                target = np.stack([h.real, h.imag], axis=-1)
+                np.testing.assert_allclose(aux["target"] / scale, target, rtol=1e-12)
+                raw.append(nmse_db(aux["recon"][scored] / scale, target[scored]))
+            assert evaluate(model, samples, cfg)["nmse_db"] == pytest.approx(np.mean(raw), rel=1e-12)
 
     def test_batch_loss_is_mean_of_sample_losses(self, samples):
         model = make_model("beam_selection")
@@ -342,3 +353,32 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self, samples):
         with pytest.raises(DownstreamError):
             evaluate(make_model("beam_selection"), [], FinetuneSettings())
+
+
+class TestUnusableSamples:
+    """run_finetune and evaluate refuse a sample the task cannot use before
+    the first step, naming it."""
+
+    def test_recon_task_refuses_a_sample_without_csi(self, samples):
+        data = [samples[0], samples[1], dataclasses.replace(samples[2], csi=None), samples[3]]
+        model = make_model("channel_prediction")
+        records = []
+        with pytest.raises(DownstreamError, match=r"samples \[2\] have no csi left after drop \[\]"):
+            run_finetune(model, data, FinetuneSettings(steps=4, batch_size=1), seed=0, log=records.append)
+        assert records == []
+        with pytest.raises(DownstreamError, match=r"samples \[2\] have no csi"):
+            evaluate(model, data, FinetuneSettings())
+
+    def test_label_task_refuses_a_sample_left_with_no_modality(self, samples):
+        only_map = dataclasses.replace(samples[1], csi=None, radar=None)
+        data = [samples[0], only_map, samples[2], dataclasses.replace(samples[3], csi=None, radar=None)]
+        model = make_model("beam_selection")
+        cfg = FinetuneSettings(steps=4, batch_size=1, drop=("map",))
+        records = []
+        with pytest.raises(DownstreamError, match=r"samples \[1, 3\] have no modality left after drop \['map'\]"):
+            run_finetune(model, data, cfg, seed=0, log=records.append)
+        assert records == []
+        with pytest.raises(DownstreamError, match=r"samples \[1, 3\] have no modality"):
+            evaluate(model, data, cfg)
+        run_finetune(model, data, dataclasses.replace(cfg, drop=()), seed=0, log=records.append)
+        assert len(records) == 4  # the same samples train once the map stays

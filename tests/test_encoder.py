@@ -27,7 +27,7 @@ def small():
     cfg = EncoderConfig(d=16, n_layers=2, n_heads=4, n_experts=8, top_k=4)
     model = MultimodalEncoder(cfg, tok_cfg, np.random.default_rng(0))
     scfg = synth.SynthConfig(n_t=8, n_sc=8)
-    sample, _ = synth.synth_sample(scfg, 0, 13)
+    sample = synth.synth_sample(scfg, 0, 13)
     prepped = {m: tok.preprocess(sample, m, tok_cfg) for m in tok_cfg.modalities}
     return model, prepped
 

@@ -28,8 +28,7 @@ from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig, preprocess
 
 def _prepare_power(csi, spec, cfg):
     power = np.abs(csi.h.data)[..., None] ** 2
-    scale = 1.0 / power.mean()
-    return power * scale, scale
+    return power * (1.0 / power.mean())
 
 
 POWER = Modality(3, "power", 1, "csi", _prepare_power, droppable=True)
@@ -116,7 +115,9 @@ def test_present_fourth_modality_joins_every_part_of_the_model(tiny_samples):
     assert tok.modalities == (Modality.CSI, Modality.MAP, Modality.RADAR, POWER)
     prepped = preprocess(tiny_samples[0], POWER, tok)
     assert prepped.array.shape == (4, 16, 1)
-    np.testing.assert_allclose(prepped.array[..., 0] / prepped.scale, np.abs(tiny_samples[0].csi.h.data) ** 2)
+    assert prepped.array.mean() == pytest.approx(1.0, abs=1e-12)  # unit mean power
+    power = np.abs(tiny_samples[0].csi.h.data) ** 2
+    np.testing.assert_allclose(prepped.array[..., 0], power / power.mean())
     model = build(TINY, tok)
     names = model.named_params()
     assert names["embed.power.w"].shape == (2 * 2 * 1, TINY.d)

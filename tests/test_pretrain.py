@@ -472,9 +472,9 @@ def tiny_model(seed: int = 0) -> PretrainModel:
 def tiny_prepped(seed: int = 1) -> dict[Modality, Prepped]:
     rng = np.random.default_rng(seed)
     return {
-        Modality.CSI: Prepped(Modality.CSI, rng.normal(size=(4, 8, 2)), 1.0),
-        Modality.MAP: Prepped(Modality.MAP, rng.normal(size=(8, 8, 4)), 1.0),
-        Modality.RADAR: Prepped(Modality.RADAR, rng.normal(size=(8, 8, 4)), 1.0),
+        Modality.CSI: Prepped(Modality.CSI, rng.normal(size=(4, 8, 2))),
+        Modality.MAP: Prepped(Modality.MAP, rng.normal(size=(8, 8, 4))),
+        Modality.RADAR: Prepped(Modality.RADAR, rng.normal(size=(8, 8, 4))),
     }
 
 
@@ -517,7 +517,7 @@ class TestEncodeDecode:
         pix = np.kron(omega, np.ones((2, 2))).astype(bool)
         arr[pix] += 37.0
         prepped_b = dict(prepped_a)
-        prepped_b[Modality.CSI] = Prepped(Modality.CSI, arr, 1.0)
+        prepped_b[Modality.CSI] = Prepped(Modality.CSI, arr)
         rec_a = decode_masked(model, encode_visible(model, prepped_a, masks), masks)
         rec_b = decode_masked(model, encode_visible(model, prepped_b, masks), masks)
         for m in rec_a:
@@ -531,7 +531,7 @@ class TestEncodeDecode:
         r, c = divmod(int(vis_token), 4)
         arr[2 * r, 2 * c, 0] += 1.0
         prepped_b = dict(prepped_a)
-        prepped_b[Modality.CSI] = Prepped(Modality.CSI, arr, 1.0)
+        prepped_b[Modality.CSI] = Prepped(Modality.CSI, arr)
         rec_a = decode_masked(model, encode_visible(model, prepped_a, masks), masks)
         rec_b = decode_masked(model, encode_visible(model, prepped_b, masks), masks)
         assert not np.array_equal(rec_a[Modality.CSI].data, rec_b[Modality.CSI].data)

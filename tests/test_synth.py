@@ -426,6 +426,26 @@ class TestDataset:
         with pytest.raises(synth.SceneError, match=f"{where} {key!r} must be"):
             synth.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "key, value, says",
+        [
+            ("beam_index", -1, "must be >= 0, got -1"),
+            ("beam_index", 16, "must be < 16, got 16"),
+            ("distance_m", math.nan, "must be finite, got nan"),
+            ("aoa_rad", -math.inf, "must be finite, got -inf"),
+        ],
+        ids=["beam_negative", "beam_past_the_codebook", "distance_nan", "aoa_inf"],
+    )
+    def test_label_no_task_can_use_is_named(self, tmp_path, key, value, says):
+        # json writes and reads NaN and -Infinity; a beam index must pick one of the 16 codebook beams
+        synth.synth_dataset(SynthConfig(), 2, 11, out_dir=tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["samples"][1]["labels"][key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(synth.SceneError, match=f"sample 1 labels {key!r} {says}"):
+            synth.load_dataset(tmp_path)
+
     @pytest.mark.parametrize("kind, edit, says", FILE_FAULTS.values(), ids=FILE_FAULTS.keys())
     def test_sample_file_contradicting_the_manifest_is_named(self, tmp_path, kind, edit, says):
         cfg = SynthConfig()

@@ -845,6 +845,21 @@ class TestModalityLiterals:
         assert MODALITY_NAMING <= constants
 
 
+class TestErrorClasses:
+    def test_every_error_class_derives_from_misac_error(self):
+        """The CLI exits 1 on a MisacError, so an error class on another
+        base would exit 2."""
+        bases = {
+            f"{path.name}: {node.name}": [getattr(b, "id", None) for b in node.bases]
+            for path in sorted(Path(T.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Error")
+        }
+        assert bases.pop("__init__.py: MisacError") == ["ValueError"]
+        assert len(bases) >= 8
+        assert {name: b for name, b in bases.items() if b != ["MisacError"]} == {}
+
+
 def import_faults(src: Path) -> list[str]:
     """Imports in src that run inside a function, and imports of an
     _-prefixed name from a misac module."""
