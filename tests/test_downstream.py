@@ -382,3 +382,105 @@ class TestUnusableSamples:
             evaluate(model, data, cfg)
         run_finetune(model, data, dataclasses.replace(cfg, drop=()), seed=0, log=records.append)
         assert len(records) == 4  # the same samples train once the map stays
+
+
+# ---------------------------------------------------------------------------
+# the fine-tune path, pinned as the desk pretrain step is
+
+
+def pinned_finetune_runs() -> dict[tuple[str, str], tuple[list[float], dict, dict]]:
+    """(loss history, metrics, metrics without the map) of a 2-step head-only
+    and a 2-step full fine-tune of every task, with SNR injection, from one
+    fixed desk model on desk seed-5 samples."""
+    from misac.config import desk_config
+    from misac.downstream import TASKS
+
+    desk = desk_config()
+    synth_cfg = desk.data.synth_config(desk.model)
+    samples, _ = synth_dataset(synth_cfg, 8, seed=5)
+    out = {}
+    for task in TASKS:
+        for freeze in ("head", "full"):
+            pre = PretrainModel(
+                desk.model.encoder_config(),
+                desk.model.tokenizer_config(),
+                np.random.default_rng(0),
+                decoder_blocks=desk.model.decoder_blocks,
+            )
+            model = FinetuneModel(pre, task, np.random.default_rng(1), n_beams=synth_cfg.n_beams)
+            cfg = dataclasses.replace(
+                desk.finetune.settings(), steps=2, batch_size=4,
+                freeze_encoder=freeze == "head", snr_range=(10.0, 25.0),
+            )
+            history = [r["loss"] for r in run_finetune(model, samples, cfg, seed=3)]
+            metrics = evaluate(model, samples, cfg, seed=4)
+            without_map = evaluate(model, samples, dataclasses.replace(cfg, drop=("map",)), seed=4)
+            out[task, freeze] = (history, metrics, without_map)
+    return out
+
+
+FINETUNE_PINS = {
+    ('channel_prediction', 'head'): (
+        [0.5510802238470234, 0.5309482158555974],
+        {'loss': 0.52287327949503, 'nmse_db': 0.17176391589956003},
+        {'loss': 0.52123451357691, 'nmse_db': 0.15980040026954775},
+    ),
+    ('channel_prediction', 'full'): (
+        [0.5510802238470234, 0.5192622871854841],
+        {'loss': 0.553363594520879, 'nmse_db': 0.4213870912758596},
+        {'loss': 0.5363637389906744, 'nmse_db': 0.28583168392071634},
+    ),
+    ('channel_estimation', 'head'): (
+        [0.5626316108800704, 0.5592891326878903],
+        {'loss': 0.5360760297714979, 'nmse_db': 0.30069900418586226},
+        {'loss': 0.5403467283863582, 'nmse_db': 0.3358790995711851},
+    ),
+    ('channel_estimation', 'full'): (
+        [0.5626316108800704, 0.5627961404905685],
+        {'loss': 0.6637098577591725, 'nmse_db': 1.2286527559133646},
+        {'loss': 0.635526169124363, 'nmse_db': 1.035385109716422},
+    ),
+    ('beam_selection', 'head'): (
+        [2.768106600383429, 2.771503048287733],
+        {'loss': 2.7460785366616522, 'top1': 0.5, 'top3': 0.75},
+        {'loss': 2.7550502433531445, 'top1': 0.125, 'top3': 0.5},
+    ),
+    ('beam_selection', 'full'): (
+        [2.768106600383429, 2.719708449748269],
+        {'loss': 2.643745934480827, 'top1': 0.375, 'top3': 0.625},
+        {'loss': 2.6458869154244398, 'top1': 0.375, 'top3': 0.5},
+    ),
+    ('localization', 'head'): (
+        [12612.398398690384, 13110.772892258523],
+        {'loss': 12856.622098185206, 'mae_m': 106.61071901757123, 'rmse_m': 113.3870455483571},
+        {'loss': 12858.838063944877, 'mae_m': 106.62078532912682, 'rmse_m': 113.39681681575051},
+    ),
+    ('localization', 'full'): (
+        [12612.398398690384, 13083.200364974946],
+        {'loss': 12789.877174918747, 'mae_m': 106.2949291145775, 'rmse_m': 113.09233915221114},
+        {'loss': 12791.811529774344, 'mae_m': 106.3040461490491, 'rmse_m': 113.100890932717},
+    ),
+    ('aoa_estimation', 'head'): (
+        [0.48473600825746016, 0.5081905744421169],
+        {'loss': 0.4703762855758922, 'mae_rad': 0.8076491991116408, 'mae_deg': 46.274890436218094},
+        {'loss': 0.4796653423019152, 'mae_rad': 0.9966461431921606, 'mae_deg': 57.103617672901905},
+    ),
+    ('aoa_estimation', 'full'): (
+        [0.48473600825746016, 0.37751478061715293],
+        {'loss': 0.21899197071844817, 'mae_rad': 0.3629204509753522, 'mae_deg': 20.793810139872182},
+        {'loss': 0.23291489020606437, 'mae_rad': 0.3986477273175688, 'mae_deg': 22.840832287778788},
+    ),
+}
+
+
+def test_fixed_seed_finetunes_are_pinned():
+    # Every task's fine-tune losses and eval metrics; the relative bound
+    # leaves room for the last digits that the BLAS thread count moves.
+    got = pinned_finetune_runs()
+    assert got.keys() == FINETUNE_PINS.keys()
+    for key, (history, metrics, without_map) in FINETUNE_PINS.items():
+        g_history, g_metrics, g_without_map = got[key]
+        assert g_history == pytest.approx(history, rel=1e-12, abs=0), key
+        assert g_metrics.keys() == metrics.keys() and g_without_map.keys() == without_map.keys(), key
+        assert g_metrics == pytest.approx(metrics, rel=1e-12, abs=0), key
+        assert g_without_map == pytest.approx(without_map, rel=1e-12, abs=0), key
