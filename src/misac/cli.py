@@ -112,8 +112,15 @@ def _finetune_model(cfg: RunConfig, pre: PretrainModel, task: str, seed: int) ->
     return FinetuneModel(pre, task, np.random.default_rng(seed + 1), n_beams=n_beams)
 
 
-def _load_data(path: str):
+def _load_data(path: str, cfg: RunConfig | None = None):
+    """The dataset's samples and manifest hash. Given the run config, refuse a
+    dataset labelled on a beam codebook of another size than the one the
+    task heads are built for."""
     samples, manifest = load_dataset(path)
+    if cfg is not None:
+        got, want = manifest["config"]["n_beams"], cfg.data.synth_config(cfg.model).n_beams
+        if got != want:
+            raise ConfigError(f"dataset {path} labels beams of n_beams={got}, the run config has n_beams={want}")
     return samples, manifest_hash(manifest)
 
 
@@ -213,7 +220,7 @@ def cmd_finetune(args) -> int:
     run = _override(cfg, task=args.task, freeze=args.freeze).finetune
     task, settings = run.task, run.settings()
     fp = fingerprint(cfg)
-    samples, data_hash = _load_data(args.data)
+    samples, data_hash = _load_data(args.data, cfg)
     pre = _build_model(cfg, seed)
     init = "scratch"
     if args.scratch:
@@ -251,7 +258,7 @@ def cmd_eval(args) -> int:
     run = _override(cfg, task=args.task, drop=drop).finetune
     task, settings = run.task, run.settings()
     fp = fingerprint(cfg)
-    samples, data_hash = _load_data(args.data)
+    samples, data_hash = _load_data(args.data, cfg)
     pre = _build_model(cfg, seed)
     model = _finetune_model(cfg, pre, task, seed)
     ckpt = load_checkpoint(args.checkpoint, None if args.force else fp)

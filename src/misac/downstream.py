@@ -36,12 +36,11 @@ from .pretrain import (
     decode_masked,
     encode_visible,
     mask_loss,
-    pixel_mask,
     prepare_sample,
 )
 from .synth import MultimodalSample, SynthConfig
 from .tensor import Tensor
-from .tokenizer import Modality
+from .tokenizer import Modality, ModalitySpec
 
 
 class DownstreamError(MisacError):
@@ -55,7 +54,6 @@ TASKS = (
     "localization",
     "aoa_estimation",
 )
-RECON_TASKS = ("channel_prediction", "channel_estimation")
 CHANNEL = Modality.CSI  # the modality the reconstruction tasks hide and rebuild
 PILOT_SPACING = 4  # token columns from one channel_estimation pilot to the next
 
@@ -64,26 +62,22 @@ PILOT_SPACING = 4  # token columns from one channel_estimation pilot to the next
 # task-defined CSI masks (deterministic)
 
 
-def prediction_mask(grid: tuple[int, int]) -> MaskSpec:
+def prediction_mask(spec: ModalitySpec) -> MaskSpec:
     """Hide the last quarter of token columns (at least one)."""
-    gc = grid[1]
-    return MaskSpec.from_omega(column_mask(grid, np.arange(gc - max(1, round(0.25 * gc)), gc)))
+    gc = spec.grid[1]
+    return column_mask(spec, np.arange(gc - max(1, round(0.25 * gc)), gc))
 
 
-def estimation_mask(grid: tuple[int, int]) -> MaskSpec:
+def estimation_mask(spec: ModalitySpec) -> MaskSpec:
     """Keep every PILOT_SPACING-th token column visible (pilot comb)."""
-    gc = grid[1]
+    gc = spec.grid[1]
     if PILOT_SPACING >= gc:
         raise DownstreamError(f"pilot spacing {PILOT_SPACING} needs more than {gc} token columns")
-    return MaskSpec.from_omega(column_mask(grid, np.arange(gc) % PILOT_SPACING > 0))
+    return column_mask(spec, np.arange(gc) % PILOT_SPACING > 0)
 
 
-def task_mask(task: str, grid: tuple[int, int]) -> MaskSpec | None:
-    if task == "channel_prediction":
-        return prediction_mask(grid)
-    if task == "channel_estimation":
-        return estimation_mask(grid)
-    return None
+# the reconstruction tasks, each with the builder of the CSI mask it hides
+RECON_TASKS = {"channel_prediction": prediction_mask, "channel_estimation": estimation_mask}
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +138,7 @@ class FinetuneModel:
         if task in RECON_TASKS:
             if CHANNEL not in pretrained.tok_cfg.specs:
                 raise DownstreamError(f"{task} needs {CHANNEL.name}")
-            self.mask = task_mask(task, pretrained.tok_cfg.spec(CHANNEL).grid)
+            self.mask = RECON_TASKS[task](pretrained.tok_cfg.spec(CHANNEL))
             self.head = None
         else:
             d = pretrained.enc_cfg.d
@@ -215,7 +209,7 @@ def sample_loss(
         masks = {CHANNEL: model.mask}
         res = encode_visible(pre, prepped, masks)
         recon = decode_masked(pre, res, masks)[CHANNEL]
-        target = prepped[CHANNEL].array
+        target = prepped[CHANNEL]
         if task == "channel_prediction":
             sse, count = mask_loss({CHANNEL: recon}, {CHANNEL: target}, masks)
             loss = tt.mul(sse, Tensor(1.0 / count))
@@ -323,9 +317,7 @@ def evaluate(
     out = {"loss": float(np.mean(losses))}
     task = model.task
     if task in RECON_TASKS:
-        scored = ...  # the whole grid; channel_prediction is scored on its hidden columns only
-        if task == "channel_prediction":
-            scored = pixel_mask(model.mask.omega, model.pretrained.tok_cfg.spec(CHANNEL).patch)
+        scored = model.mask.pixels if task == "channel_prediction" else ...  # estimation: the whole grid
         nmses = [nmse_db(a["recon"][scored], a["target"][scored]) for a in auxes]
         return {**out, "nmse_db": float(np.mean(nmses))}
     labels = np.asarray([a["label"] for a in auxes])

@@ -25,7 +25,7 @@ import numpy as np
 from . import MisacError, tensor as tt
 from .tensor import Tensor
 from .tokenizer import MODALITY_ORDER  # noqa: F401 - the benchmark reads the built-in modalities here
-from .tokenizer import Modality, Prepped, TokenizerConfig, patchify_embed
+from .tokenizer import Modality, TokenizerConfig, patchify_embed
 
 
 class EncoderError(MisacError):
@@ -312,13 +312,12 @@ class MultimodalEncoder:
             self.mod_id[m] = Tensor(np.zeros(cfg.d), requires_grad=True)
         self.blocks = [EncoderBlock(rng, cfg, tok_cfg.modalities) for _ in range(cfg.n_layers)]
 
-    def embed(self, prepped: Prepped, visible: np.ndarray | None = None) -> Tensor:
+    def embed(self, modality: Modality, grid: np.ndarray, visible: np.ndarray | None = None) -> Tensor:
         """Patch tokens + positional row + modality id; optionally keep a
         subset of rows (positions follow the original grid coordinates)."""
-        m = prepped.modality
-        lin = self.patch_embed[m]
-        tokens = patchify_embed(prepped, lin.w, lin.b, self.tok_cfg)
-        h = tt.add(tt.add(tokens, self.pos[m]), self.mod_id[m])
+        lin = self.patch_embed[modality]
+        tokens = patchify_embed(grid, self.tok_cfg.spec(modality), lin.w, lin.b, self.cfg.d)
+        h = tt.add(tt.add(tokens, self.pos[modality]), self.mod_id[modality])
         if visible is not None:
             if visible.size == 0:
                 raise EncoderError("embed: empty visible set")

@@ -41,7 +41,7 @@ from .encoder import (
 )
 from .synth import MultimodalSample, with_noisy_csi
 from .tensor import Tensor
-from .tokenizer import Modality, Prepped, TokenizerConfig, preprocess, unpatchify
+from .tokenizer import Modality, ModalitySpec, TokenizerConfig, preprocess, unpatchify
 
 
 class PretrainError(MisacError):
@@ -88,37 +88,34 @@ class MaskSpec:
     visible: np.ndarray  # sorted token indices
     masked: np.ndarray  # sorted token indices
     omega: np.ndarray  # [grid_rows, grid_cols] bool, True = masked
+    patch: tuple[int, int]  # of the grid the tokens cut
 
     @classmethod
-    def from_omega(cls, omega: np.ndarray) -> "MaskSpec":
+    def from_omega(cls, omega: np.ndarray, patch: tuple[int, int]) -> "MaskSpec":
         flat = omega.reshape(-1)
-        return cls(np.nonzero(~flat)[0], np.nonzero(flat)[0], omega)
+        return cls(np.nonzero(~flat)[0], np.nonzero(flat)[0], omega, patch)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The token-grid mask spread over the pixels of each token's patch."""
+        return self.omega.repeat(self.patch[0], axis=0).repeat(self.patch[1], axis=1)
 
 
-def pixel_mask(omega: np.ndarray, patch: tuple[int, int]) -> np.ndarray:
-    """Spread a token-grid mask over the pixels of each token's patch."""
-    return omega.repeat(patch[0], axis=0).repeat(patch[1], axis=1)
-
-
-def column_mask(grid: tuple[int, int], masked_cols: np.ndarray) -> np.ndarray:
-    """A token-grid mask that hides whole columns (indices or a bool row)."""
-    omega = np.zeros(grid, dtype=bool)
+def column_mask(spec: ModalitySpec, masked_cols: np.ndarray) -> MaskSpec:
+    """The mask of spec's token grid that hides whole columns (indices or a
+    bool row)."""
+    omega = np.zeros(spec.grid, dtype=bool)
     omega[:, masked_cols] = True
-    return omega
+    return MaskSpec.from_omega(omega, spec.patch)
 
 
-def sample_mask(
-    scheme: MaskScheme,
-    grid: tuple[int, int],
-    rng: np.random.Generator,
-    patch_w: int = 1,
-) -> MaskSpec:
+def sample_mask(scheme: MaskScheme, spec: ModalitySpec, rng: np.random.Generator) -> MaskSpec:
     """Draw a mask over a modality's token grid that leaves both sides
     non-empty: the random count is clamped to [1, n - 1], the stripe width to
     [1, cols - 1], and the comb step is at least 2 token columns. Comb spacing
     is given in input columns (subcarriers) and converts to token columns via
-    patch_w: exact when divisible, else nearest (ties to even)."""
-    gr, gc = grid
+    the patch width: exact when divisible, else nearest (ties to even)."""
+    grid = gr, gc = spec.grid
     n = gr * gc
     if n < 2 or (scheme.kind != "random" and gc < 2):
         raise PretrainError(f"a {gr}x{gc} token grid cannot hold a {scheme.kind} mask")
@@ -126,13 +123,13 @@ def sample_mask(
         n_masked = min(max(int(round(scheme.ratio * n)), 1), n - 1)
         omega = np.zeros(n, dtype=bool)
         omega[rng.permutation(n)[:n_masked]] = True
-        return MaskSpec.from_omega(omega.reshape(grid))
+        return MaskSpec.from_omega(omega.reshape(grid), spec.patch)
     if scheme.kind == "frequency":
         width = min(max(int(round(scheme.ratio * gc)), 1), gc - 1)
         start = int(rng.integers(0, gc - width + 1))
-        return MaskSpec.from_omega(column_mask(grid, np.arange(start, start + width)))
-    step = max(round(scheme.spacing / patch_w), 2)
-    return MaskSpec.from_omega(column_mask(grid, np.arange(gc) % step > 0))
+        return column_mask(spec, np.arange(start, start + width))
+    step = max(round(scheme.spacing / spec.patch[1]), 2)
+    return column_mask(spec, np.arange(gc) % step > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +208,16 @@ class PretrainModel:
 
 def encode_visible(
     model: PretrainModel,
-    prepped: dict[Modality, Prepped],
+    prepped: dict[Modality, np.ndarray],
     masks: dict[Modality, MaskSpec],
     frozen: FrozenRouting | None = None,
 ) -> EncodeResult:
-    """Tokenize each present modality, keep visible rows, encode jointly.
-    Modalities without a mask entry are fully visible."""
+    """Tokenize each present modality's grid, keep visible rows, encode
+    jointly. Modalities without a mask entry are fully visible."""
     parts = []
     for m in sorted(prepped):
         visible = masks[m].visible if m in masks else None
-        parts.append((m, model.encoder.embed(prepped[m], visible)))
+        parts.append((m, model.encoder.embed(m, prepped[m], visible)))
     return model.encoder.encode(parts, frozen)
 
 
@@ -233,18 +230,17 @@ def decode_masked(
     latents and mask tokens onto the decoder positions of their grid rows,
     run the decoder blocks, project to pixels, fold patches."""
     out: dict[Modality, Tensor] = {}
-    for m, spec in masks.items():
+    for m, mask in masks.items():
         dec = model.decoders[m]
         latents = result.rows(m)
-        if latents.shape[0] != spec.visible.size:
+        if latents.shape[0] != mask.visible.size:
             raise PretrainError("mask/visible row mismatch at decode")
-        h = tt.index_add(dec.pos, spec.visible, latents)
-        if spec.masked.size:
-            h = tt.index_add(h, spec.masked, tt.tile_rows(dec.mask_token, spec.masked.size))
+        h = tt.index_add(dec.pos, mask.visible, latents)
+        if mask.masked.size:
+            h = tt.index_add(h, mask.masked, tt.tile_rows(dec.mask_token, mask.masked.size))
         for block in dec.blocks:
             h = block(h, model.enc_cfg.rms_eps)
-        layout = model.tok_cfg.spec(m)
-        out[m] = unpatchify(dec.out(h), layout.grid, layout.patch, m.channels)
+        out[m] = unpatchify(dec.out(h), model.tok_cfg.spec(m), m.channels)
     return out
 
 
@@ -262,16 +258,17 @@ def mask_loss(
     sse: Tensor | None = None
     count = 0
     for m, recon in recons.items():
-        spec = masks[m]
+        mask = masks[m]
         target = targets[m]
         if recon.shape != target.shape:
             raise PretrainError(f"reconstruction shape {recon.shape} != target {target.shape}")
-        ph = target.shape[0] // spec.omega.shape[0]
-        pw = target.shape[1] // spec.omega.shape[1]
-        pix = pixel_mask(spec.omega, (ph, pw))[..., None]
-        term = tt.tsum(tt.square(tt.mul(tt.sub(recon, Tensor(target)), Tensor(pix))))
+        pix = mask.pixels
+        if pix.shape != target.shape[:2]:
+            raise PretrainError(f"mask pixel grid {pix.shape} != target {target.shape[:2]}")
+        term = tt.tsum(tt.square(tt.mul(tt.sub(recon, Tensor(target)), Tensor(pix[..., None]))))
         sse = term if sse is None else tt.add(sse, term)
-        count += int(spec.masked.size) * ph * pw * target.shape[2]
+        ph, pw = mask.patch
+        count += int(mask.masked.size) * ph * pw * target.shape[2]
     if sse is None or count == 0:
         raise PretrainError("mask_loss: nothing masked")
     return sse, count
@@ -457,7 +454,7 @@ class PretrainSettings:
 class StepInputs:
     """Everything sampled for one step, so a step can be replayed exactly."""
 
-    prepped: list[dict[Modality, Prepped]]
+    prepped: list[dict[Modality, np.ndarray]]  # each present modality's grid
     masks: list[dict[Modality, MaskSpec]]
 
 
@@ -468,8 +465,8 @@ def prepare_sample(
     drop: tuple[str, ...] = (),
     dropout: float | None = None,
     snr_range: tuple[float, float] | None = None,
-) -> dict[Modality, Prepped]:
-    """Preprocess the sample's present modalities, in id order: those it has
+) -> dict[Modality, np.ndarray]:
+    """The grids of the sample's present modalities, in id order: those it has
     and drop does not name, less the droppable ones that modality dropout
     removes (one rng draw each while more than one is left; no draws when
     dropout is None), after adding CSI noise when snr_range is set and the
@@ -502,11 +499,7 @@ def prepare_step_inputs(
         prepped = prepare_sample(sample, tok_cfg, rng, dropout=cfg.modality_dropout, snr_range=cfg.snr_range)
         masks = {}
         for m in prepped:
-            spec = tok_cfg.spec(m)
-            if m.anchor:
-                masks[m] = sample_mask(scheme, spec.grid, rng, spec.patch[1])
-            else:
-                masks[m] = sample_mask(sample_scheme("random", rng), spec.grid, rng)
+            masks[m] = sample_mask(scheme if m.anchor else sample_scheme("random", rng), tok_cfg.spec(m), rng)
         prepped_all.append(prepped)
         masks_all.append(masks)
     return StepInputs(prepped=prepped_all, masks=masks_all)
@@ -529,7 +522,7 @@ def step_objective(
         res = encode_visible(model, prepped, masks, None if frozen is None else frozen[i])
         results.append(res)
         recons = decode_masked(model, res, masks)
-        targets = {m: prepped[m].array for m in recons}
+        targets = {m: prepped[m] for m in recons}
         sse, count = mask_loss(recons, targets, masks)
         sse_total = sse if sse_total is None else tt.add(sse_total, sse)
         count_total += count

@@ -113,14 +113,6 @@ class TokenizerConfig:
         return ph * pw * modality.channels
 
 
-@dataclass
-class Prepped:
-    """A modality grid ready for tokenization."""
-
-    modality: Modality
-    array: np.ndarray  # [H, W, C] float64
-
-
 def _unit_power_scale(x: np.ndarray) -> float:
     p = float(np.mean(np.abs(x) ** 2))
     return 1.0 / np.sqrt(p) if p > 0 else 1.0
@@ -166,8 +158,9 @@ Modality.RADAR = Modality(2, "radar", 4, "radar", _prepare_radar, droppable=True
 MODALITY_ORDER = (Modality.CSI, Modality.MAP, Modality.RADAR)
 
 
-def preprocess(sample: MultimodalSample, modality: Modality, cfg: TokenizerConfig) -> Prepped:
-    """The modality's configured [H, W, C] grid, prepared from its sample field."""
+def preprocess(sample: MultimodalSample, modality: Modality, cfg: TokenizerConfig) -> np.ndarray:
+    """The modality's configured [H, W, C] float64 grid, prepared from its
+    sample field."""
     spec = cfg.spec(modality)
     value = getattr(sample, modality.source)
     if value is None:
@@ -176,30 +169,28 @@ def preprocess(sample: MultimodalSample, modality: Modality, cfg: TokenizerConfi
     want = (spec.height, spec.width, modality.channels)
     if arr.shape != want:
         raise TokenError(f"{modality.name} grid {arr.shape} != configured {want}")
-    return Prepped(modality=modality, array=arr)
+    return arr
 
 
-def patchify(x: np.ndarray, patch: tuple[int, int]) -> np.ndarray:
+def patchify(x: np.ndarray, spec: ModalitySpec) -> np.ndarray:
     """[H, W, C] -> [n_tokens, ph*pw*C], row-major in both orderings."""
-    spec = ModalitySpec(x.shape[0], x.shape[1], patch)
-    (gr, gc), (ph, pw), c = spec.grid, patch, x.shape[2]
+    if x.shape[:2] != (spec.height, spec.width):
+        raise TokenError(f"grid {x.shape[:2]} != spec {(spec.height, spec.width)}")
+    (gr, gc), (ph, pw), c = spec.grid, spec.patch, x.shape[2]
     return x.reshape(gr, ph, gc, pw, c).transpose(0, 2, 1, 3, 4).reshape(spec.n_tokens, ph * pw * c)
 
 
-def unpatchify(tokens: Tensor, grid: tuple[int, int], patch: tuple[int, int], channels: int) -> Tensor:
+def unpatchify(tokens: Tensor, spec: ModalitySpec, channels: int) -> Tensor:
     """Differentiable inverse of patchify for [n_tokens, ph*pw*C] tensors."""
-    gr, gc = grid
-    ph, pw = patch
+    (gr, gc), (ph, pw) = spec.grid, spec.patch
     x = tt.reshape(tokens, (gr, gc, ph, pw, channels))
     x = tt.transpose(x, (0, 2, 1, 3, 4))
-    return tt.reshape(x, (gr * ph, gc * pw, channels))
+    return tt.reshape(x, (spec.height, spec.width, channels))
 
 
-def patchify_embed(prepped: Prepped, w: Tensor, b: Tensor, cfg: TokenizerConfig) -> Tensor:
+def patchify_embed(grid: np.ndarray, spec: ModalitySpec, w: Tensor, b: Tensor, d: int) -> Tensor:
     """Patch + affine embed to [n_tokens, d]: token_i = vec(patch_i) @ w + b."""
-    spec = cfg.spec(prepped.modality)
-    patches = patchify(prepped.array, spec.patch)
-    if w.shape != (patches.shape[1], cfg.d):
-        raise TokenError(f"embedding matrix {w.shape} != {(patches.shape[1], cfg.d)}")
+    patches = patchify(grid, spec)
+    if w.shape != (patches.shape[1], d):
+        raise TokenError(f"embedding matrix {w.shape} != {(patches.shape[1], d)}")
     return tt.matmul(Tensor(patches), w, bias=b)
-

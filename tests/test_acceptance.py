@@ -26,8 +26,10 @@ from misac.downstream import (
     TASKS,
     FinetuneModel,
     FinetuneSettings,
+    estimation_mask,
     evaluate,
     nmse_db,
+    prediction_mask,
     run_finetune,
 )
 from misac.encoder import ExpertPool, PoolStats, _dispatch, gate_specific
@@ -47,7 +49,7 @@ from misac.pretrain import (
 )
 from misac.synth import RadarParams, Scatterer, SceneSpec, synth_dataset
 from misac.synth import C_LIGHT, radar_cube, range_angle_map, range_velocity_map
-from misac.tokenizer import Modality
+from misac.tokenizer import Modality, ModalitySpec
 
 DESK = desk_config()
 
@@ -396,24 +398,25 @@ def test_criterion_4_masking_laws():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
 
-    comb = sample_mask(MaskScheme("comb", spacing=4), (4, 32), rng, patch_w=1)
+    comb = sample_mask(MaskScheme("comb", spacing=4), ModalitySpec(4, 32, (1, 1)), rng)
     visible_cols = np.flatnonzero(~comb.omega.any(axis=0))
     masked_cols = np.flatnonzero(comb.omega.all(axis=0))
     assert visible_cols.size == 8
     assert visible_cols.size + masked_cols.size == 32
     np.testing.assert_array_equal(visible_cols, np.arange(0, 32, 4))
 
-    random_half = sample_mask(MaskScheme("random", ratio=0.5), (8, 16), rng)
+    random_half = sample_mask(MaskScheme("random", ratio=0.5), ModalitySpec(8, 16, (1, 1)), rng)
     assert random_half.omega.size == 128
     assert random_half.masked.size == 64
 
     # loss must not react to ground truth outside the masked support
-    spec = sample_mask(MaskScheme("random", ratio=0.5), (4, 4), rng)
+    spec = sample_mask(MaskScheme("random", ratio=0.5), ModalitySpec(8, 8, (2, 2)), rng)
     target = np.random.default_rng(1).standard_normal((8, 8, 2))
     recon = Tensor(np.random.default_rng(2).standard_normal((8, 8, 2)))
     base, _ = mask_loss({Modality.CSI: recon}, {Modality.CSI: target}, {Modality.CSI: spec})
 
     pixel_mask = np.kron(spec.omega, np.ones((2, 2), dtype=bool))
+    np.testing.assert_array_equal(spec.pixels, pixel_mask)
     outside = np.argwhere(~pixel_mask)
     inside = np.argwhere(pixel_mask)
     bumped = target.copy()
@@ -426,6 +429,20 @@ def test_criterion_4_masking_laws():
     bumped_in[inside[0][0], inside[0][1], 0] += 7.0
     changed, _ = mask_loss({Modality.CSI: Tensor(recon.data)}, {Modality.CSI: bumped_in}, {Modality.CSI: spec})
     assert changed.item() != base.item()
+
+    # the masked count follows each mask's patch, for every scheme and task
+    # mask, on the desk CSI layout and on one cut by (2, 4) patches
+    desk_csi = DESK.model.tokenizer_config().spec(Modality.CSI)
+    for layout in (desk_csi, ModalitySpec(16, 32, (2, 4))):
+        (ph, pw), shape = layout.patch, (layout.height, layout.width, Modality.CSI.channels)
+        schemes = (MaskScheme("random", ratio=0.3), MaskScheme("frequency", ratio=0.3), MaskScheme("comb", spacing=8))
+        masks = [sample_mask(s, layout, rng) for s in schemes] + [prediction_mask(layout), estimation_mask(layout)]
+        for mask in masks:
+            assert mask.pixels.shape == shape[:2]
+            assert mask.pixels.sum() == mask.masked.size * ph * pw
+            zeros = np.zeros(shape)
+            _, count = mask_loss({Modality.CSI: Tensor(zeros)}, {Modality.CSI: zeros}, {Modality.CSI: mask})
+            assert count == mask.pixels.sum() * Modality.CSI.channels
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

@@ -21,7 +21,7 @@ from misac.checkpoint import (
 )
 from misac.encoder import EncoderConfig
 from misac.pretrain import Adam, PretrainModel
-from misac.tokenizer import Modality, ModalitySpec, Prepped, TokenizerConfig
+from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig
 
 
 def tiny_model(seed: int = 0) -> PretrainModel:
@@ -294,7 +294,7 @@ class TestModelSnapshot:
     def test_forward_is_bit_identical_after_roundtrip(self, tmp_path):
         model = tiny_model(0)
         rng = np.random.default_rng(1)
-        prepped = {Modality.CSI: Prepped(Modality.CSI, rng.normal(size=(4, 8, 2)))}
+        prepped = {Modality.CSI: rng.normal(size=(4, 8, 2))}
         from misac.pretrain import encode_visible
 
         before = encode_visible(model, prepped, {}).h.data.copy()

@@ -676,6 +676,24 @@ class TestCliSurface:
         assert out == ""
         assert "samples [2] have no csi left after drop [], which channel_prediction needs" in err
 
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_dataset_of_another_beam_count_is_validation_error(self, workspace, tmp_path, capsys, command):
+        # a label inside the dataset's 32 beams but past the run config's 16
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["config"]["n_beams"] = 32
+        manifest["samples"][0]["labels"]["beam_index"] = 20
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        load_dataset(data)  # the dataset itself is sound
+        args = [command, "--config", str(cfg), "--data", str(data), "--task", "beam_selection"]
+        args += ["--scratch"] if command == "finetune" else ["--checkpoint", str(root / "ft.msck")]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"dataset {data} labels beams of n_beams=32, the run config has n_beams=16" in err
+
     def test_any_misac_error_exits_one(self, monkeypatch, capsys):
         class LateModuleError(MisacError):  # a module error no list in the CLI names
             pass

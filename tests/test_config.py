@@ -345,7 +345,7 @@ def test_config_either_fails_validation_or_encodes(fields, settings_draw, seed):
     model = MultimodalEncoder(cfg.model.encoder_config(), tok, np.random.default_rng(seed))
     parts = []
     for m in tok.modalities:
-        h = model.embed(preprocess(sample, m, tok))
+        h = model.embed(m, preprocess(sample, m, tok))
         assert h.shape == (tok.spec(m).n_tokens, cfg.model.d)
         parts.append((m, h))
     with tt.Tape():

@@ -18,15 +18,15 @@ from misac.downstream import (
     evaluate,
     finetune_step,
     nmse_db,
+    RECON_TASKS,
     prediction_mask,
     run_finetune,
     sample_loss,
-    task_mask,
     topk_accuracy,
     wrapped_abs_error,
 )
 from misac.encoder import EncoderConfig
-from misac.pretrain import Adam, PretrainModel, cosine_lr, pixel_mask, prepare_sample
+from misac.pretrain import Adam, PretrainModel, cosine_lr, prepare_sample
 from misac.synth import SynthConfig, synth_dataset
 from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig
 
@@ -83,18 +83,18 @@ class TestMetrics:
 
 class TestTaskMasks:
     def test_prediction_hides_last_quarter(self):
-        spec = prediction_mask((8, 16))
+        spec = prediction_mask(ModalitySpec(16, 32, (2, 2)))
         masked_cols = np.nonzero(spec.omega.all(axis=0))[0]
         assert np.array_equal(masked_cols, [12, 13, 14, 15])
         assert not spec.omega[:, :12].any()
         assert spec.masked.size == 8 * 4
 
     def test_prediction_masks_at_least_one_column(self):
-        spec = prediction_mask((2, 2))
+        spec = prediction_mask(ModalitySpec(2, 2, (1, 1)))
         assert np.array_equal(np.nonzero(spec.omega.all(axis=0))[0], [1])
 
     def test_estimation_keeps_pilot_comb(self):
-        spec = estimation_mask((8, 16))  # PILOT_SPACING is 4
+        spec = estimation_mask(ModalitySpec(16, 32, (2, 2)))  # PILOT_SPACING is 4
         visible_cols = np.nonzero(~spec.omega.any(axis=0))[0]
         assert np.array_equal(visible_cols, [0, 4, 8, 12])
         assert spec.visible.size == 8 * 4
@@ -104,14 +104,18 @@ class TestTaskMasks:
         # the comb needs more token columns than its spacing of 4
         for cols in (1, 3, 4):
             with pytest.raises(DownstreamError, match="pilot spacing"):
-                estimation_mask((8, cols))
-        visible_cols = np.nonzero(~estimation_mask((8, 5)).omega.any(axis=0))[0]
+                estimation_mask(ModalitySpec(8, cols, (1, 1)))
+        visible_cols = np.nonzero(~estimation_mask(ModalitySpec(8, 5, (1, 1))).omega.any(axis=0))[0]
         assert np.array_equal(visible_cols, [0, 4])
 
-    def test_task_mask_dispatch(self):
-        assert task_mask("channel_prediction", (8, 16)) is not None
-        assert task_mask("channel_estimation", (8, 16)) is not None
-        assert task_mask("beam_selection", (8, 16)) is None
+    def test_recon_tasks_table_builds_each_task_mask(self):
+        assert RECON_TASKS == {"channel_prediction": prediction_mask, "channel_estimation": estimation_mask}
+        for task, build in RECON_TASKS.items():
+            model = make_model(task)
+            want = build(model.pretrained.tok_cfg.spec(Modality.CSI))
+            assert model.mask.patch == want.patch == (2, 2)
+            np.testing.assert_array_equal(model.mask.omega, want.omega)
+        assert make_model("beam_selection").mask is None
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,7 @@ class TestLossesAndTraining:
             model = make_model(task)
             scored = ...
             if task == "channel_prediction":
-                scored = pixel_mask(model.mask.omega, model.pretrained.tok_cfg.spec(Modality.CSI).patch)
+                scored = np.kron(model.mask.omega, np.ones((2, 2), dtype=bool))  # its 2 x 2 CSI patches
             raw = []
             for s in samples:
                 h = s.csi.h.data

@@ -15,7 +15,7 @@ from misac.tokenizer import Modality
 
 @pytest.fixture(scope="module")
 def small():
-    """Tiny encoder plus one fully-populated prepped sample."""
+    """Tiny encoder plus the grids of one fully-populated sample."""
     tok_cfg = tok.TokenizerConfig(
         d=16,
         specs={
@@ -33,7 +33,7 @@ def small():
 
 
 def embed_all(model, prepped):
-    return [(m, model.embed(prepped[m])) for m in model.tok_cfg.modalities]
+    return [(m, model.embed(m, prepped[m])) for m in model.tok_cfg.modalities]
 
 
 def topk_oracle(row: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:

@@ -113,11 +113,11 @@ def tiny_samples():
 def test_present_fourth_modality_joins_every_part_of_the_model(tiny_samples):
     tok = with_power(TINY)
     assert tok.modalities == (Modality.CSI, Modality.MAP, Modality.RADAR, POWER)
-    prepped = preprocess(tiny_samples[0], POWER, tok)
-    assert prepped.array.shape == (4, 16, 1)
-    assert prepped.array.mean() == pytest.approx(1.0, abs=1e-12)  # unit mean power
+    grid = preprocess(tiny_samples[0], POWER, tok)
+    assert grid.shape == (4, 16, 1)
+    assert grid.mean() == pytest.approx(1.0, abs=1e-12)  # unit mean power
     power = np.abs(tiny_samples[0].csi.h.data) ** 2
-    np.testing.assert_allclose(prepped.array[..., 0], power / power.mean())
+    np.testing.assert_allclose(grid[..., 0], power / power.mean())
     model = build(TINY, tok)
     names = model.named_params()
     assert names["embed.power.w"].shape == (2 * 2 * 1, TINY.d)
@@ -153,7 +153,7 @@ def power_mask_loss(model, inputs) -> float:
     for prepped, masks in zip(inputs.prepped, inputs.masks):
         res = encode_visible(model, prepped, masks)
         recon = decode_masked(model, res, {POWER: masks[POWER]})
-        sse, count = mask_loss(recon, {POWER: prepped[POWER].array}, masks)
+        sse, count = mask_loss(recon, {POWER: prepped[POWER]}, masks)
         total += sse.item() / count
     return total / len(inputs.prepped)
 

@@ -35,11 +35,16 @@ from misac.pretrain import (
 )
 from misac.synth import SynthConfig, synth_dataset
 from misac.tensor import Tensor
-from misac.tokenizer import Modality, ModalitySpec, Prepped, TokenizerConfig, preprocess
+from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig, preprocess
 
 
 # ---------------------------------------------------------------------------
 # mask schemes
+
+
+def token_grid(grid: tuple[int, int], patch_w: int = 1) -> ModalitySpec:
+    """A layout whose token grid is grid, cut by 1 x patch_w patches."""
+    return ModalitySpec(grid[0], grid[1] * patch_w, (1, patch_w))
 
 
 class TestMaskSchemes:
@@ -65,7 +70,7 @@ class TestMaskSchemes:
 
     def test_random_mask_count_and_partition(self):
         rng = np.random.default_rng(3)
-        spec = sample_mask(MaskScheme("random", ratio=0.25), (4, 8), rng)
+        spec = sample_mask(MaskScheme("random", ratio=0.25), token_grid((4, 8)), rng)
         assert spec.masked.size == round(0.25 * 32) == 8
         assert spec.visible.size == 24
         together = np.sort(np.concatenate([spec.visible, spec.masked]))
@@ -73,13 +78,13 @@ class TestMaskSchemes:
         assert np.array_equal(np.nonzero(spec.omega.reshape(-1))[0], spec.masked)
 
     def test_random_mask_determinism(self):
-        a = sample_mask(MaskScheme("random", ratio=0.3), (4, 8), np.random.default_rng(7))
-        b = sample_mask(MaskScheme("random", ratio=0.3), (4, 8), np.random.default_rng(7))
+        a = sample_mask(MaskScheme("random", ratio=0.3), token_grid((4, 8)), np.random.default_rng(7))
+        b = sample_mask(MaskScheme("random", ratio=0.3), token_grid((4, 8)), np.random.default_rng(7))
         assert np.array_equal(a.masked, b.masked)
 
     def test_frequency_stripe_is_contiguous_columns(self):
         rng = np.random.default_rng(11)
-        spec = sample_mask(MaskScheme("frequency", ratio=0.3), (2, 10), rng)
+        spec = sample_mask(MaskScheme("frequency", ratio=0.3), token_grid((2, 10)), rng)
         cols = np.nonzero(spec.omega.all(axis=0))[0]
         assert cols.size == round(0.3 * 10) == 3
         assert np.array_equal(np.diff(cols), np.ones(2, dtype=cols.dtype))
@@ -89,38 +94,38 @@ class TestMaskSchemes:
 
     def test_comb_exact_patch_division(self):
         # spacing 4 subcarriers over patch width 2 -> every 2nd token column visible
-        spec = sample_mask(MaskScheme("comb", spacing=4), (2, 8), np.random.default_rng(0), patch_w=2)
+        spec = sample_mask(MaskScheme("comb", spacing=4), token_grid((2, 8), 2), np.random.default_rng(0))
         visible_cols = np.nonzero(~spec.omega.any(axis=0))[0]
         assert np.array_equal(visible_cols, [0, 2, 4, 6])
 
     def test_comb_rounds_to_nearest_token_spacing(self):
         # 5 / 2 = 2.5 rounds to 2 (ties to even); 7 / 2 = 3.5 rounds to 4
-        s5 = sample_mask(MaskScheme("comb", spacing=5), (2, 8), np.random.default_rng(0), patch_w=2)
+        s5 = sample_mask(MaskScheme("comb", spacing=5), token_grid((2, 8), 2), np.random.default_rng(0))
         assert np.array_equal(np.nonzero(~s5.omega.any(axis=0))[0], [0, 2, 4, 6])
-        s7 = sample_mask(MaskScheme("comb", spacing=7), (2, 8), np.random.default_rng(0), patch_w=2)
+        s7 = sample_mask(MaskScheme("comb", spacing=7), token_grid((2, 8), 2), np.random.default_rng(0))
         assert np.array_equal(np.nonzero(~s7.omega.any(axis=0))[0], [0, 4])
 
     def test_comb_step_floors_at_two(self):
         # spacing 4 with patch width 8 would be a step of 1: everything visible
-        spec = sample_mask(MaskScheme("comb", spacing=4), (2, 8), np.random.default_rng(0), patch_w=8)
+        spec = sample_mask(MaskScheme("comb", spacing=4), token_grid((2, 8), 8), np.random.default_rng(0))
         assert np.array_equal(np.nonzero(~spec.omega.any(axis=0))[0], [0, 2, 4, 6])
 
     def test_degenerate_counts_are_clamped(self):
         # round(ratio * n) of 0 or n would leave one side empty
         for ratio, grid, n_masked in [(0.1, (1, 4), 1), (0.9, (1, 2), 1), (0.11, (2, 2), 1), (0.9, (2, 2), 3)]:
-            spec = sample_mask(MaskScheme("random", ratio=ratio), grid, np.random.default_rng(0))
+            spec = sample_mask(MaskScheme("random", ratio=ratio), token_grid(grid), np.random.default_rng(0))
             assert spec.masked.size == n_masked and spec.visible.size == grid[0] * grid[1] - n_masked
         for ratio, width in [(0.11, 1), (0.9, 3)]:
-            spec = sample_mask(MaskScheme("frequency", ratio=ratio), (2, 4), np.random.default_rng(0))
+            spec = sample_mask(MaskScheme("frequency", ratio=ratio), token_grid((2, 4)), np.random.default_rng(0))
             assert spec.omega.all(axis=0).sum() == width and spec.omega.any(axis=0).sum() == width
 
     def test_grid_too_small_for_a_mask_rejected(self):
         with pytest.raises(PretrainError):
-            sample_mask(MaskScheme("random", ratio=0.5), (1, 1), np.random.default_rng(0))
+            sample_mask(MaskScheme("random", ratio=0.5), token_grid((1, 1)), np.random.default_rng(0))
         with pytest.raises(PretrainError):
-            sample_mask(MaskScheme("frequency", ratio=0.5), (4, 1), np.random.default_rng(0))
+            sample_mask(MaskScheme("frequency", ratio=0.5), token_grid((4, 1)), np.random.default_rng(0))
         with pytest.raises(PretrainError):
-            sample_mask(MaskScheme("comb", spacing=4), (4, 1), np.random.default_rng(0))
+            sample_mask(MaskScheme("comb", spacing=4), token_grid((4, 1)), np.random.default_rng(0))
 
     def test_paper_csi_grid_takes_every_scheme(self):
         # the paper preset's 4x8 CSI token grid with patch width 4 turns comb
@@ -130,7 +135,7 @@ class TestMaskSchemes:
         spec = paper_config().model.tokenizer_config().spec(Modality.CSI)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            mask = sample_mask(choose_csi_scheme(rng), spec.grid, rng, spec.patch[1])
+            mask = sample_mask(choose_csi_scheme(rng), spec, rng)
             assert mask.masked.size and mask.visible.size
 
 
@@ -144,7 +149,7 @@ class TestMaskLoss:
         self.target = rng.normal(size=(4, 8, 2))
         omega = np.zeros((2, 4), dtype=bool)
         omega[0, 1] = omega[1, 3] = omega[1, 0] = True  # 3 masked tokens of 8
-        self.spec = MaskSpec.from_omega(omega)
+        self.spec = MaskSpec.from_omega(omega, (2, 2))
 
     def test_zero_when_reconstruction_matches(self):
         sse, count = mask_loss(
@@ -176,7 +181,7 @@ class TestMaskLoss:
         t2 = np.zeros((8, 8, 4))
         omega2 = np.zeros((2, 2), dtype=bool)
         omega2[0, 0] = True
-        spec2 = MaskSpec.from_omega(omega2)
+        spec2 = MaskSpec.from_omega(omega2, (4, 4))
         r2 = t2.copy()
         r2[0, 0, 0] = 1.0  # masked map pixel, squared error 1
         recon1 = self.target.copy()
@@ -196,6 +201,10 @@ class TestMaskLoss:
                 {Modality.CSI: self.target},
                 {Modality.CSI: self.spec},
             )
+        # a mask whose patch does not cut the target's grid
+        coarse = MaskSpec.from_omega(self.spec.omega, (1, 1))
+        with pytest.raises(PretrainError, match=r"mask pixel grid \(2, 4\) != target \(4, 8\)"):
+            mask_loss({Modality.CSI: Tensor(self.target.copy())}, {Modality.CSI: self.target}, {Modality.CSI: coarse})
 
     def test_nothing_masked_rejected(self):
         with pytest.raises(PretrainError):
@@ -469,19 +478,19 @@ def tiny_model(seed: int = 0) -> PretrainModel:
     return PretrainModel(TINY_ENC, tiny_tok(), np.random.default_rng(seed), decoder_blocks=1)
 
 
-def tiny_prepped(seed: int = 1) -> dict[Modality, Prepped]:
+def tiny_prepped(seed: int = 1) -> dict[Modality, np.ndarray]:
     rng = np.random.default_rng(seed)
     return {
-        Modality.CSI: Prepped(Modality.CSI, rng.normal(size=(4, 8, 2))),
-        Modality.MAP: Prepped(Modality.MAP, rng.normal(size=(8, 8, 4))),
-        Modality.RADAR: Prepped(Modality.RADAR, rng.normal(size=(8, 8, 4))),
+        Modality.CSI: rng.normal(size=(4, 8, 2)),
+        Modality.MAP: rng.normal(size=(8, 8, 4)),
+        Modality.RADAR: rng.normal(size=(8, 8, 4)),
     }
 
 
 def tiny_masks(seed: int = 2) -> dict[Modality, MaskSpec]:
     rng = np.random.default_rng(seed)
     return {
-        m: sample_mask(MaskScheme("random", ratio=0.5), tiny_tok().spec(m).grid, rng)
+        m: sample_mask(MaskScheme("random", ratio=0.5), tiny_tok().spec(m), rng)
         for m in (Modality.CSI, Modality.MAP, Modality.RADAR)
     }
 
@@ -512,12 +521,12 @@ class TestEncodeDecode:
         # changing the input only under masked csi patches must not move any output
         model, masks = tiny_model(), tiny_masks()
         prepped_a = tiny_prepped()
-        arr = prepped_a[Modality.CSI].array.copy()
+        arr = prepped_a[Modality.CSI].copy()
         omega = masks[Modality.CSI].omega
         pix = np.kron(omega, np.ones((2, 2))).astype(bool)
         arr[pix] += 37.0
         prepped_b = dict(prepped_a)
-        prepped_b[Modality.CSI] = Prepped(Modality.CSI, arr)
+        prepped_b[Modality.CSI] = arr
         rec_a = decode_masked(model, encode_visible(model, prepped_a, masks), masks)
         rec_b = decode_masked(model, encode_visible(model, prepped_b, masks), masks)
         for m in rec_a:
@@ -526,12 +535,12 @@ class TestEncodeDecode:
     def test_visible_pixels_do_reach_reconstruction(self):
         model, masks = tiny_model(), tiny_masks()
         prepped_a = tiny_prepped()
-        arr = prepped_a[Modality.CSI].array.copy()
+        arr = prepped_a[Modality.CSI].copy()
         vis_token = masks[Modality.CSI].visible[0]
         r, c = divmod(int(vis_token), 4)
         arr[2 * r, 2 * c, 0] += 1.0
         prepped_b = dict(prepped_a)
-        prepped_b[Modality.CSI] = Prepped(Modality.CSI, arr)
+        prepped_b[Modality.CSI] = arr
         rec_a = decode_masked(model, encode_visible(model, prepped_a, masks), masks)
         rec_b = decode_masked(model, encode_visible(model, prepped_b, masks), masks)
         assert not np.array_equal(rec_a[Modality.CSI].data, rec_b[Modality.CSI].data)
@@ -539,7 +548,7 @@ class TestEncodeDecode:
     def test_empty_mask_reconstructs_from_all_tokens(self):
         model, prepped = tiny_model(), tiny_prepped()
         omega = np.zeros((2, 4), dtype=bool)
-        spec = MaskSpec.from_omega(omega)
+        spec = MaskSpec.from_omega(omega, (2, 2))
         res = encode_visible(model, prepped, {Modality.CSI: spec})
         recons = decode_masked(model, res, {Modality.CSI: spec})
         assert recons[Modality.CSI].shape == (4, 8, 2)
@@ -550,7 +559,7 @@ class TestEncodeDecode:
         omega = np.ones((2, 4), dtype=bool)
         omega[0, 0] = False  # one visible token; encoder saw more
         other = dict(masks)
-        other[Modality.CSI] = MaskSpec.from_omega(omega)
+        other[Modality.CSI] = MaskSpec.from_omega(omega, (2, 2))
         with pytest.raises(PretrainError):
             decode_masked(model, res, other)
 
@@ -633,7 +642,7 @@ class TestStepPreparation:
                 assert np.array_equal(ma[m].masked, mb[m].masked)
         for pa, pb in zip(a.prepped, b.prepped):
             for m in pa:
-                assert np.array_equal(pa[m].array, pb[m].array)
+                assert np.array_equal(pa[m], pb[m])
 
     def test_full_dropout_leaves_csi_only(self, small_samples):
         model = small_model()
@@ -661,10 +670,10 @@ class TestStepPreparation:
         clean = preprocess(small_samples[0], Modality.CSI, model.tok_cfg)
         noisy_cfg = PretrainSettings(modality_dropout=0.0, snr_range=(10.0, 25.0))
         inputs = prepare_step_inputs(small_samples[:1], model, noisy_cfg, np.random.default_rng(0))
-        assert not np.array_equal(inputs.prepped[0][Modality.CSI].array, clean.array)
+        assert not np.array_equal(inputs.prepped[0][Modality.CSI], clean)
         off_cfg = PretrainSettings(modality_dropout=0.0, snr_range=None)
         inputs2 = prepare_step_inputs(small_samples[:1], model, off_cfg, np.random.default_rng(0))
-        assert np.array_equal(inputs2.prepped[0][Modality.CSI].array, clean.array)
+        assert np.array_equal(inputs2.prepped[0][Modality.CSI], clean)
 
 
 class TestTrainingLoop:

@@ -66,8 +66,8 @@ class TestCounts:
             ModalitySpec(16, 30, (2, 4))
         with pytest.raises(tok.TokenError, match="patch sides must be >= 1"):
             ModalitySpec(16, 30, (0, 3))
-        with pytest.raises(tok.TokenError, match="does not tile"):
-            tok.patchify(np.zeros((16, 30, 1)), (2, 4))
+        with pytest.raises(tok.TokenError, match=r"grid \(16, 30\) != spec \(16, 32\)"):
+            tok.patchify(np.zeros((16, 30, 1)), ModalitySpec(16, 32, (2, 4)))
 
     def test_config_validates_patches(self):
         with pytest.raises(tok.TokenError):
@@ -84,7 +84,7 @@ class TestCounts:
 class TestPatchify:
     def test_frozen_ordering_2x2(self):
         x = np.arange(16, dtype=float).reshape(4, 4, 1)
-        patches = tok.patchify(x, (2, 2))
+        patches = tok.patchify(x, ModalitySpec(4, 4, (2, 2)))
         # patch 0 covers rows 0:2, cols 0:2, row-major within the patch
         np.testing.assert_array_equal(patches[0], [0, 1, 4, 5])
         np.testing.assert_array_equal(patches[1], [2, 3, 6, 7])
@@ -94,43 +94,50 @@ class TestPatchify:
         x = np.zeros((2, 2, 2))
         x[..., 0] = [[1, 2], [3, 4]]
         x[..., 1] = [[10, 20], [30, 40]]
-        patches = tok.patchify(x, (2, 2))
+        patches = tok.patchify(x, ModalitySpec(2, 2, (2, 2)))
         np.testing.assert_array_equal(patches[0], [1, 10, 2, 20, 3, 30, 4, 40])
 
     def test_roundtrip_is_lossless(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(12, 20, 3))
-        patches = tok.patchify(x, (3, 4))
+        patches = tok.patchify(x, ModalitySpec(12, 20, (3, 4)))
         back = unpatchify_np(patches, (4, 5), (3, 4), 3)
         np.testing.assert_array_equal(back, x)
 
     def test_unpatchify_tensor_matches_numpy_and_grads_flow(self):
         rng = np.random.default_rng(6)
         t = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-        out = tok.unpatchify(t, (2, 3), (2, 2), 2)
+        out = tok.unpatchify(t, ModalitySpec(4, 6, (2, 2)), 2)
         np.testing.assert_array_equal(out.data, unpatchify_np(t.data, (2, 3), (2, 2), 2))
-        err = tt.grad_check(lambda: tt.tsum(tt.square(tok.unpatchify(t, (2, 3), (2, 2), 2))), [t])
+        err = tt.grad_check(lambda: tt.tsum(tt.square(tok.unpatchify(t, ModalitySpec(4, 6, (2, 2)), 2))), [t])
         assert err < 1e-7
 
     def test_token_locality(self, sample, cfg):
-        prepped = tok.preprocess(sample, Modality.CSI, cfg)
+        grid, spec = tok.preprocess(sample, Modality.CSI, cfg), cfg.spec(Modality.CSI)
         rng = np.random.default_rng(0)
         w = Tensor(rng.normal(size=(cfg.patch_dim(Modality.CSI), cfg.d)))
         b = Tensor(np.zeros(cfg.d))
-        base = tok.patchify_embed(prepped, w, b, cfg).data
-        bumped = tok.Prepped(Modality.CSI, prepped.array.copy())
-        bumped.array[0, 0, 0] += 1.0  # inside patch 0 only
-        after = tok.patchify_embed(bumped, w, b, cfg).data
+        base = tok.patchify_embed(grid, spec, w, b, cfg.d).data
+        bumped = grid.copy()
+        bumped[0, 0, 0] += 1.0  # inside patch 0 only
+        after = tok.patchify_embed(bumped, spec, w, b, cfg.d).data
         changed = np.where(np.any(base != after, axis=1))[0]
         np.testing.assert_array_equal(changed, [0])
 
+    def test_embedding_shape_is_checked_on_both_axes(self, sample, cfg):
+        grid, spec = tok.preprocess(sample, Modality.CSI, cfg), cfg.spec(Modality.CSI)
+        rows, b = cfg.patch_dim(Modality.CSI), Tensor(np.zeros(cfg.d))
+        for shape in ((rows + 1, cfg.d), (rows, cfg.d + 1)):
+            with pytest.raises(tok.TokenError, match=rf"embedding matrix \({shape[0]}, {shape[1]}\) != \({rows}, {cfg.d}\)"):
+                tok.patchify_embed(grid, spec, Tensor(np.zeros(shape)), b, cfg.d)
+
     def test_affine_law(self, sample, cfg):
-        prepped = tok.preprocess(sample, Modality.RADAR, cfg)
+        grid, spec = tok.preprocess(sample, Modality.RADAR, cfg), cfg.spec(Modality.RADAR)
         rng = np.random.default_rng(1)
         w = Tensor(rng.normal(size=(cfg.patch_dim(Modality.RADAR), cfg.d)))
         b = Tensor(rng.normal(size=cfg.d))
-        tokens = tok.patchify_embed(prepped, w, b, cfg)
-        patches = tok.patchify(prepped.array, cfg.spec(Modality.RADAR).patch)
+        tokens = tok.patchify_embed(grid, spec, w, b, cfg.d)
+        patches = tok.patchify(grid, spec)
         k = 17
         np.testing.assert_allclose(tokens.data[k], patches[k] @ w.data + b.data, atol=1e-12)
         assert tokens.shape == (8 * 8, cfg.d)
@@ -138,15 +145,15 @@ class TestPatchify:
 
 class TestPreprocess:
     def test_csi_unit_mean_power(self, sample, cfg):
-        prepped = tok.preprocess(sample, Modality.CSI, cfg)
-        assert prepped.array.shape == (16, 32, 2)
-        power = np.mean(prepped.array[..., 0] ** 2 + prepped.array[..., 1] ** 2)
+        grid = tok.preprocess(sample, Modality.CSI, cfg)
+        assert grid.shape == (16, 32, 2)
+        power = np.mean(grid[..., 0] ** 2 + grid[..., 1] ** 2)
         assert power == pytest.approx(1.0, abs=1e-12)
         # the raw channel times one positive factor, the one that gives unit power
         h = sample.csi.h.data
         scaled = h / np.sqrt(np.mean(np.abs(h) ** 2))
-        np.testing.assert_allclose(prepped.array[..., 0], scaled.real, atol=1e-12)
-        np.testing.assert_allclose(prepped.array[..., 1], scaled.imag, atol=1e-12)
+        np.testing.assert_allclose(grid[..., 0], scaled.real, atol=1e-12)
+        np.testing.assert_allclose(grid[..., 1], scaled.imag, atol=1e-12)
 
     def test_zero_csi_guard(self, cfg):
         s = synth.MultimodalSample(
@@ -156,27 +163,27 @@ class TestPreprocess:
             map=None,
             labels=synth.Labels(0, 0.0, 0.0),
         )
-        prepped = tok.preprocess(s, Modality.CSI, cfg)
-        assert prepped.array.shape == (16, 32, 2)
-        assert np.all(prepped.array == 0.0)  # left at zero power, not divided by it
+        grid = tok.preprocess(s, Modality.CSI, cfg)
+        assert grid.shape == (16, 32, 2)
+        assert np.all(grid == 0.0)  # left at zero power, not divided by it
 
     def test_radar_combined_power(self, sample, cfg):
-        prepped = tok.preprocess(sample, Modality.RADAR, cfg)
-        assert prepped.array.shape == (64, 64, 4)
-        ra = prepped.array[..., 0] + 1j * prepped.array[..., 1]
-        rv = prepped.array[..., 2] + 1j * prepped.array[..., 3]
+        grid = tok.preprocess(sample, Modality.RADAR, cfg)
+        assert grid.shape == (64, 64, 4)
+        ra = grid[..., 0] + 1j * grid[..., 1]
+        rv = grid[..., 2] + 1j * grid[..., 3]
         power = np.mean(np.abs(np.stack([ra, rv])) ** 2)
         assert power == pytest.approx(1.0, abs=1e-12)
 
     def test_map_downsample_and_height_scale(self, sample, cfg):
-        prepped = tok.preprocess(sample, Modality.MAP, cfg)
-        assert prepped.array.shape == (64, 64, 4)
+        grid = tok.preprocess(sample, Modality.MAP, cfg)
+        assert grid.shape == (64, 64, 4)
         # block mean of {0,1} masks stays in [0,1]
-        assert prepped.array[..., :3].min() >= 0.0
-        assert prepped.array[..., :3].max() <= 1.0
+        assert grid[..., :3].min() >= 0.0
+        assert grid[..., :3].max() <= 1.0
         native = np.concatenate([sample.map.bev, sample.map.height / 30.0], axis=-1)
         want = native.reshape(64, 4, 64, 4, 4).mean(axis=(1, 3))
-        np.testing.assert_allclose(prepped.array, want, atol=1e-12)
+        np.testing.assert_allclose(grid, want, atol=1e-12)
 
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     def test_map_matches_the_joined_grid_oracle_on_dense_data(self, factor):
@@ -185,7 +192,7 @@ class TestPreprocess:
         side = 256 // factor
         got = tok.preprocess(synth.MultimodalSample(
             index=0, csi=None, radar=None, map=smap, labels=None
-        ), Modality.MAP, map_cfg(side)).array
+        ), Modality.MAP, map_cfg(side))
         assert_same_bits(got, prepare_map_oracle(smap.bev, smap.height, side))
 
     def test_map_matches_the_joined_grid_oracle_on_a_desk_dataset(self, tmp_path):
@@ -196,7 +203,7 @@ class TestPreprocess:
         side = cfg.spec(Modality.MAP).height
         for s in loaded:
             assert s.map.bev.shape[0] > side
-            got = tok.preprocess(s, Modality.MAP, cfg).array
+            got = tok.preprocess(s, Modality.MAP, cfg)
             assert_same_bits(got, prepare_map_oracle(s.map.bev, s.map.height, side))
 
     @settings(max_examples=300, deadline=None)
@@ -228,7 +235,7 @@ class TestPreprocess:
         sample = synth.MultimodalSample(index=0, csi=None, radar=None, map=scene_map(grid), labels=None)
         # +inf and -inf in one block (invalid), or huge floats whose sum passes the largest float (overflow)
         with np.errstate(invalid="ignore", over="ignore"):
-            got = tok.preprocess(sample, Modality.MAP, map_cfg(side, (1, 1))).array
+            got = tok.preprocess(sample, Modality.MAP, map_cfg(side, (1, 1)))
             want = prepare_map_oracle(grid[..., :3], grid[..., 3:], side)
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(got), nan)
@@ -243,8 +250,8 @@ class TestPreprocess:
                 Modality.RADAR: ModalitySpec(64, 64, (8, 8)),
             },
         )
-        prepped = tok.preprocess(sample, Modality.MAP, cfg)
-        assert_same_bits(prepped.array, np.concatenate([sample.map.bev, sample.map.height / cfg.height_scale], axis=-1))
+        grid = tok.preprocess(sample, Modality.MAP, cfg)
+        assert_same_bits(grid, np.concatenate([sample.map.bev, sample.map.height / cfg.height_scale], axis=-1))
 
     def test_missing_modality_rejected(self, sample, cfg):
         s = synth.MultimodalSample(
