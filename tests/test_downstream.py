@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from misac import tensor as tt
-from misac.config import config_from_dict
+from misac.config import config_from_dict, desk_config
 from misac.downstream import (
+    RECON_TASKS,
+    TASKS,
     DownstreamError,
     FinetuneModel,
     FinetuneSettings,
@@ -18,7 +20,6 @@ from misac.downstream import (
     evaluate,
     finetune_step,
     nmse_db,
-    RECON_TASKS,
     prediction_mask,
     run_finetune,
     sample_loss,
@@ -396,9 +397,6 @@ def pinned_finetune_runs() -> dict[tuple[str, str], tuple[list[float], dict, dic
     """(loss history, metrics, metrics without the map) of a 2-step head-only
     and a 2-step full fine-tune of every task, with SNR injection, from one
     fixed desk model on desk seed-5 samples."""
-    from misac.config import desk_config
-    from misac.downstream import TASKS
-
     desk = desk_config()
     synth_cfg = desk.data.synth_config(desk.model)
     samples, _ = synth_dataset(synth_cfg, 8, seed=5)
