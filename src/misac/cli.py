@@ -112,15 +112,28 @@ def _finetune_model(cfg: RunConfig, pre: PretrainModel, task: str, seed: int) ->
     return FinetuneModel(pre, task, np.random.default_rng(seed + 1), n_beams=n_beams)
 
 
-def _load_data(path: str, cfg: RunConfig | None = None):
-    """The dataset's samples and manifest hash. Given the run config, refuse a
-    dataset labelled on a beam codebook of another size than the one the
-    task heads are built for."""
+def _load_data(path: str, cfg: RunConfig, labels: bool = False):
+    """The dataset's samples and manifest hash. Refuse a dataset synthesized
+    on another CSI grid or radar map size than the run config's model reads,
+    or with a map side its map_size does not divide; with labels, also one
+    labelled on a beam codebook of another size than the task heads'."""
     samples, manifest = load_dataset(path)
-    if cfg is not None:
-        got, want = manifest["config"]["n_beams"], cfg.data.synth_config(cfg.model).n_beams
-        if got != want:
-            raise ConfigError(f"dataset {path} labels beams of n_beams={got}, the run config has n_beams={want}")
+    got, want = manifest["config"], cfg.data.synth_config(cfg.model)
+    fields = {  # name: (what the dataset holds, the dataset's value, the run config's)
+        "n_t*n_r": ("holds CSI", got["n_t"] * got["n_r"], want.n_antennas),
+        "n_sc": ("holds CSI", got["n_sc"], want.n_sc),
+        "radar.out_size": ("holds radar maps", got["radar"]["out_size"], want.radar.out_size),
+    }
+    if labels:
+        fields["n_beams"] = ("labels beams", got["n_beams"], want.n_beams)
+    for name, (holds, have, need) in fields.items():
+        if have != need:
+            raise ConfigError(f"dataset {path} {holds} of {name}={have}, the run config has {name}={need}")
+    if got["map_resolution"] % cfg.model.map_size:
+        raise ConfigError(
+            f"dataset {path} holds maps of map_resolution={got['map_resolution']}, "
+            f"which the run config's map_size={cfg.model.map_size} does not divide"
+        )
     return samples, manifest_hash(manifest)
 
 
@@ -178,7 +191,7 @@ def cmd_synth(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg, seed = _load(args)
     fp = fingerprint(cfg)
-    samples, data_hash = _load_data(args.data)
+    samples, data_hash = _load_data(args.data, cfg)
     settings = cfg.pretrain.settings()
     model = _build_model(cfg, seed)
     opt = Adam(model.named_params())
@@ -220,7 +233,7 @@ def cmd_finetune(args) -> int:
     run = _override(cfg, task=args.task, freeze=args.freeze).finetune
     task, settings = run.task, run.settings()
     fp = fingerprint(cfg)
-    samples, data_hash = _load_data(args.data, cfg)
+    samples, data_hash = _load_data(args.data, cfg, labels=True)
     pre = _build_model(cfg, seed)
     init = "scratch"
     if args.scratch:
@@ -258,7 +271,7 @@ def cmd_eval(args) -> int:
     run = _override(cfg, task=args.task, drop=drop).finetune
     task, settings = run.task, run.settings()
     fp = fingerprint(cfg)
-    samples, data_hash = _load_data(args.data, cfg)
+    samples, data_hash = _load_data(args.data, cfg, labels=True)
     pre = _build_model(cfg, seed)
     model = _finetune_model(cfg, pre, task, seed)
     ckpt = load_checkpoint(args.checkpoint, None if args.force else fp)
@@ -289,7 +302,7 @@ def cmd_eval(args) -> int:
 def cmd_stats(args) -> int:
     cfg, seed = _load(args)
     fp = fingerprint(cfg)
-    samples, data_hash = _load_data(args.data)
+    samples, data_hash = _load_data(args.data, cfg)
     model = _build_model(cfg, seed)
     ckpt = load_checkpoint(args.checkpoint, None if args.force else fp)
     restore(ckpt, model)  # a fine-tune checkpoint's head tensors are ignored

@@ -180,8 +180,9 @@ class FinetuneSettings:
 
 def check_usable(model: FinetuneModel, samples: list[MultimodalSample], cfg: FinetuneSettings) -> None:
     """Refuse, naming their indices, the samples the task cannot use: those
-    with no modality left after cfg.drop, and for a reconstruction task
-    those without the CSI it rebuilds."""
+    with no modality left after cfg.drop, for a reconstruction task those
+    without the CSI it rebuilds, and for beam_selection those whose beam
+    label the head has no logit for."""
     kept = [m for m in model.pretrained.tok_cfg.modalities if m.name not in cfg.drop]
     if model.task in RECON_TASKS:
         kept = [m for m in kept if m == CHANNEL]
@@ -190,6 +191,11 @@ def check_usable(model: FinetuneModel, samples: list[MultimodalSample], cfg: Fin
         need = CHANNEL.name if model.task in RECON_TASKS else "modality"
         left = f"left after drop {list(cfg.drop)}"
         raise DownstreamError(f"samples {unusable} have no {need} {left}, which {model.task} needs")
+    if model.task == "beam_selection":
+        n_beams = model.head.fc2.w.data.shape[1]
+        past = [s.index for s in samples if not 0 <= s.labels.beam_index < n_beams]
+        if past:
+            raise DownstreamError(f"samples {past} have a beam_index outside the head's {n_beams} beams [0, {n_beams})")
 
 
 def sample_loss(

@@ -15,8 +15,8 @@ Geometry conventions, fixed across the package:
   2 pi (2 S r / c) t within a chirp, 2 pi (2 f_c v / c) T_c per chirp, and
   2 pi * spacing * sin(theta) per element. Range-angle / range-velocity maps
   are unnormalized 2D FFTs (numpy convention, no fftshift) averaged
-  coherently over the remaining axis; a config switch averages magnitudes
-  instead.
+  coherently over the remaining axis, taken as the one FFT of the mean
+  slice; a config switch averages the slices' FFT magnitudes instead.
 * The radar maps are one [2, n, n] complex array (range-angle, then
   range-velocity), the layout of the radar file; ``ra`` and ``rv`` are views
   of it.
@@ -345,17 +345,17 @@ def radar_cube(scene: SceneSpec, params: RadarParams) -> RadarCube:
 
 
 def _averaged_fft2(cube: RadarCube, axis: int) -> np.ndarray:
-    """2D FFT over the two other axes of each slice of the cube along axis,
-    averaged across the slices. Both FFT axes are zero-padded (or truncated)
-    to the params' out_size. Averaging is coherent unless the cube's params
-    request magnitude averaging."""
+    """2D FFT over the two other axes of the cube, averaged across its slices
+    along axis, both FFT axes zero-padded (or truncated) to out_size. The DFT
+    is linear, so a coherent average is the FFT of the mean slice; magnitude
+    averaging, when the params request it, transforms each slice."""
     size = cube.params.out_size
+    if not cube.params.magnitude_average:
+        return np.fft.fft2(cube.data.mean(axis=axis), s=(size, size))
     slices = np.moveaxis(cube.data, axis, 0)
-    spectra = np.fft.fft2(slices, s=(size, size), axes=(1, 2))
-    if cube.params.magnitude_average:
-        spectra = np.abs(spectra)
+    spectra = np.abs(np.fft.fft2(slices, s=(size, size), axes=(1, 2)))
     acc = np.zeros((size, size), dtype=np.complex128)
-    for s in spectra:  # in slice order: tests/test_golden_bytes.py pins the bytes
+    for s in spectra:  # magnitudes in slice order: tests/test_golden_bytes.py pins the bytes
         acc += s
     return acc / len(slices)
 

@@ -2,6 +2,7 @@
 contract, JSON-line output shape, resume continuation, freeze verification,
 and eval/finetune report consistency."""
 
+import dataclasses
 import json
 import re
 import shutil
@@ -16,7 +17,7 @@ from misac.checkpoint import load_checkpoint, save_checkpoint, snapshot
 from misac.cli import main
 from misac.config import fingerprint, load_config
 from misac.pretrain import Adam, PretrainSettings, PretrainModel, run_pretrain
-from misac.synth import load_dataset
+from misac.synth import load_dataset, synth_dataset
 from misac.tensor import read_mstn, write_mstn
 
 MINI = {
@@ -693,6 +694,43 @@ class TestCliSurface:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"dataset {data} labels beams of n_beams=32, the run config has n_beams=16" in err
+
+    # a synthesis config field the run config's model cannot read, the
+    # dataset's value, and what the refusal says after "dataset <path> "
+    GRID_MISMATCHES = {
+        "n_t*n_r": (lambda c: dataclasses.replace(c, n_t=8), "holds CSI of n_t*n_r=8, the run config has n_t*n_r=16"),
+        "n_sc": (lambda c: dataclasses.replace(c, n_sc=64), "holds CSI of n_sc=64, the run config has n_sc=32"),
+        "radar.out_size": (
+            lambda c: dataclasses.replace(c, radar=dataclasses.replace(c.radar, out_size=32)),
+            "holds radar maps of radar.out_size=32, the run config has radar.out_size=64",
+        ),
+        "map_resolution": (
+            lambda c: dataclasses.replace(c, map_resolution=96),
+            "holds maps of map_resolution=96, which the run config's map_size=64 does not divide",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "stats"])
+    @pytest.mark.parametrize("field", list(GRID_MISMATCHES))
+    def test_dataset_of_another_grid_is_validation_error(self, workspace, tmp_path, capsys, field, command):
+        root, cfg = workspace
+        edit, says = self.GRID_MISMATCHES[field]
+        data = tmp_path / "data"
+        run = load_config(str(cfg))
+        synth_dataset(edit(run.data.synth_config(run.model)), 4, 11, data)
+        load_dataset(data)  # the dataset itself is sound
+        out_path = tmp_path / "out.msck"
+        args = {
+            "pretrain": ["--out", str(out_path)],
+            "finetune": ["--scratch", "--out", str(out_path)],
+            "eval": ["--checkpoint", str(root / "ft.msck")],
+            "stats": ["--checkpoint", str(root / "pre.msck")],
+        }[command]
+        assert main([command, "--config", str(cfg), "--data", str(data), *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: dataset {data} {says}\n"
+        assert not out_path.exists()
 
     def test_any_misac_error_exits_one(self, monkeypatch, capsys):
         class LateModuleError(MisacError):  # a module error no list in the CLI names

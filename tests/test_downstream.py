@@ -388,6 +388,21 @@ class TestUnusableSamples:
         run_finetune(model, data, dataclasses.replace(cfg, drop=()), seed=0, log=records.append)
         assert len(records) == 4  # the same samples train once the map stays
 
+    def test_beam_label_past_the_head_is_refused(self, samples):
+        # labels drawn on a 32-beam codebook, a head of 16 beams
+        data = [
+            dataclasses.replace(s, labels=dataclasses.replace(s.labels, beam_index=b))
+            for s, b in zip(samples, [5, 5, 31, 9])
+        ]
+        model = make_model("beam_selection")
+        assert model.head.fc2.w.data.shape[1] == 16
+        records = []
+        with pytest.raises(DownstreamError, match=r"samples \[2\] have a beam_index outside the head's 16 beams"):
+            run_finetune(model, data, FinetuneSettings(steps=4, batch_size=1), seed=0, log=records.append)
+        assert records == []
+        with pytest.raises(DownstreamError, match=r"samples \[2\] have a beam_index outside the head's 16 beams"):
+            evaluate(model, data, FinetuneSettings())
+
 
 # ---------------------------------------------------------------------------
 # the fine-tune path, pinned as the desk pretrain step is

@@ -1,5 +1,6 @@
 """Signal synthesis: closed-form channel checks, radar peak-bin placement,
-an O(N^2) DFT-matrix oracle for the FFT maps, raster and dataset invariants."""
+an O(N^2) DFT-matrix oracle and a per-slice FFT oracle for the radar maps,
+raster and dataset invariants."""
 
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from map_oracle import map_cells, rasterize_dense
 from misac import synth
+from misac.config import desk_config
 from misac.synth import (
     ChannelSample,
     PathParams,
@@ -147,6 +149,50 @@ def dft2_oracle(x: np.ndarray, size: int) -> np.ndarray:
     return dft_matrix(x.shape[0]) @ x @ dft_matrix(x.shape[1]).T
 
 
+def per_slice_average(cube: synth.RadarCube, axis: int) -> np.ndarray:
+    """The coherent map as it was taken before it transformed the mean slice:
+    every slice's zero-padded (or truncated) 2D FFT, summed in slice order
+    into a zeroed accumulator, divided by the slice count."""
+    size = cube.params.out_size
+    slices = np.moveaxis(cube.data, axis, 0)
+    spectra = np.fft.fft2(slices, s=(size, size), axes=(1, 2))
+    acc = np.zeros((size, size), dtype=np.complex128)
+    for s in spectra:
+        acc += s
+    return acc / len(slices)
+
+
+def assert_maps_match_per_slice_oracle(cube, ra, rv):
+    """Both maps within 1e-12 of the oracle, relative to its largest bin."""
+    for got, axis in ((ra, 1), (rv, 0)):
+        want = per_slice_average(cube, axis)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _coord(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+SCENE_OF_SEED_9 = synth.sample_scene(SynthConfig(), np.random.default_rng(9))
+# scenes inside SynthConfig's scatterer bounds, all in the radar's range
+SCENES = st.builds(
+    SceneSpec,
+    scatterers=st.lists(
+        st.builds(
+            Scatterer,
+            position=st.tuples(_coord(-40.0, 80.0), _coord(-70.0, 70.0), _coord(0.0, 25.0)),
+            reflectivity=_coord(0.3, 1.0),
+            velocity=st.tuples(_coord(-15.0, 15.0), _coord(-15.0, 15.0)),
+        ),
+        min_size=1,
+        max_size=4,
+    ).map(tuple),
+    tx_position=st.just((0.0, 0.0, 2.0)),
+    rx_position=st.just((-80.0, 0.0, 10.0)),
+)
+
+
 class TestRadar:
     def test_range_and_angle_peak_bins(self):
         params = RadarParams()
@@ -204,6 +250,34 @@ class TestRadar:
         )
         np.testing.assert_allclose(ra, want, atol=1e-9 * want.max())
         assert np.all(ra.imag == 0)
+
+    def test_desk_dataset_maps_match_per_slice_oracle(self):
+        desk = desk_config()
+        cfg = desk.data.synth_config(desk.model)
+        samples, _ = synth.synth_dataset(cfg, 32, seed=5)
+        for s in samples:
+            scene = synth.sample_scene(cfg, np.random.default_rng(5 ^ s.index))  # synth_sample's substream
+            assert_maps_match_per_slice_oracle(synth.radar_cube(scene, cfg.radar), *s.radar.data)
+
+    # out_size above every cube extent (zero-padding), below them
+    # (truncation), and a single chirp or a single rx element
+    @example(scene=SCENE_OF_SEED_9, out_size=64, n_chirp=16, n_rx=8)
+    @example(scene=SCENE_OF_SEED_9, out_size=8, n_chirp=16, n_rx=8)
+    @example(scene=SCENE_OF_SEED_9, out_size=16, n_chirp=16, n_rx=8)
+    @example(scene=SCENE_OF_SEED_9, out_size=64, n_chirp=1, n_rx=8)
+    @example(scene=SCENE_OF_SEED_9, out_size=64, n_chirp=16, n_rx=1)
+    @example(scene=SCENE_OF_SEED_9, out_size=8, n_chirp=1, n_rx=1)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scene=SCENES,
+        out_size=st.sampled_from([8, 16, 33, 64]),
+        n_chirp=st.integers(1, 16),
+        n_rx=st.integers(1, 8),
+    )
+    def test_maps_match_per_slice_oracle(self, scene, out_size, n_chirp, n_rx):
+        params = RadarParams(n_chirp=n_chirp, n_rx=n_rx, out_size=out_size)
+        cube = synth.radar_cube(scene, params)
+        assert_maps_match_per_slice_oracle(cube, synth.range_angle_map(cube), synth.range_velocity_map(cube))
 
     def test_single_slice_parseval(self):
         # unnormalized FFT: sum |X|^2 == prod(padded dims) * sum |x|^2
