@@ -212,9 +212,11 @@ def snapshot(model, fingerprint: str, step: int, opt=None, rng=None) -> Checkpoi
 
 def restore(ckpt: Checkpoint, model, opt=None):
     """Copy checkpoint arrays into the model (and optimizer); returns the
-    restored rng (or None). Every model parameter must be in the checkpoint;
-    checkpoint tensors the model lacks (a fine-tune head) are ignored. To
-    resume (opt given) it must also hold Adam moments and an rng state."""
+    restored rng (or None). Every model parameter must be in the checkpoint
+    as a float64 array of its shape; checkpoint tensors the model lacks (a
+    fine-tune head) are ignored. To resume (opt given) it must also hold an
+    rng state and, for each optimized parameter, its m. and v. Adam moments
+    of that form. Every tensor is checked before any is copied."""
     if opt is not None:
         held = {"Adam moments": ckpt.opt_moments, "rng state": ckpt.rng_state}
         lacking = " and no ".join(name for name, value in held.items() if not value)
@@ -226,13 +228,22 @@ def restore(ckpt: Checkpoint, model, opt=None):
     missing = set(params) - set(ckpt.params)
     if missing:
         raise CheckpointError(f"checkpoint lacks parameters: {sorted(missing)[:4]}...")
+    wanted = [(f"parameter {k}", ckpt.params[k], p.data.shape) for k, p in params.items()]
+    if opt is not None:
+        wanted += [
+            (f"Adam moment {name}", ckpt.opt_moments.get(name), p.data.shape)
+            for k, p in opt.params.items()
+            for name in (f"m.{k}", f"v.{k}")
+        ]
+    for what, arr, shape in wanted:
+        if arr is None:
+            raise CheckpointError(f"checkpoint lacks {what}")
+        if arr.dtype != np.float64:
+            raise CheckpointError(f"{what} is {arr.dtype} in the checkpoint; the model needs float64")
+        if arr.shape != shape:
+            raise CheckpointError(f"shape mismatch for {what}: checkpoint {arr.shape} vs model {shape}")
     for k, p in params.items():
-        arr = ckpt.params[k]
-        if arr.shape != p.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for {k}: checkpoint {arr.shape} vs model {p.data.shape}"
-            )
-        p.data = arr.copy()
+        p.data = ckpt.params[k].copy()
     if opt is not None:
         opt.load_state_arrays(ckpt.opt_moments, ckpt.opt_t)
     if ckpt.rng_state is None:

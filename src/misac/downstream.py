@@ -40,7 +40,7 @@ from .pretrain import (
 )
 from .synth import MultimodalSample, SynthConfig
 from .tensor import Tensor
-from .tokenizer import Modality, ModalitySpec
+from .tokenizer import Modality, ModalitySpec, patchify
 
 
 class DownstreamError(MisacError):
@@ -215,13 +215,13 @@ def sample_loss(
         masks = {CHANNEL: model.mask}
         res = encode_visible(pre, prepped, masks)
         recon = decode_masked(pre, res, masks)[CHANNEL]
-        target = prepped[CHANNEL]
+        target = patchify(prepped[CHANNEL], pre.tok_cfg.spec(CHANNEL))
         if task == "channel_prediction":
             sse, count = mask_loss({CHANNEL: recon}, {CHANNEL: target}, masks)
             loss = tt.mul(sse, Tensor(1.0 / count))
         else:
             loss = tt.mse(recon, target)
-        return loss, {"recon": recon.data, "target": target}  # in the model domain
+        return loss, {"recon": recon.data, "target": target}  # token rows, in the model domain
 
     res = encode_visible(pre, prepped, {})
     pooled = tt.tmean(res.h, axis=0, keepdims=True)
@@ -323,7 +323,7 @@ def evaluate(
     out = {"loss": float(np.mean(losses))}
     task = model.task
     if task in RECON_TASKS:
-        scored = model.mask.pixels if task == "channel_prediction" else ...  # estimation: the whole grid
+        scored = model.mask.masked if task == "channel_prediction" else ...  # estimation: every token
         nmses = [nmse_db(a["recon"][scored], a["target"][scored]) for a in auxes]
         return {**out, "nmse_db": float(np.mean(nmses))}
     labels = np.asarray([a["label"] for a in auxes])

@@ -4,11 +4,12 @@ and an expert load-balancing penalty.
 
 The encoder only ever sees visible tokens. Reconstruction happens in a
 lightweight per-modality decoder: visible latents and a learnable mask token
-are scattered back to the full grid, decoder positions are added, a couple
-of plain transformer blocks run over the full sequence, and a linear head
-maps back to patch pixels. The masked loss is charged on the masked support
-only, normalized by the number of masked scalar elements (the unnormalized
-sum is also reported).
+are scattered back to the full token grid, decoder positions are added, a
+couple of plain transformer blocks run over the full sequence, and a linear
+head maps each token to its patch vector. The masked loss compares the
+masked token rows with the same rows of the patchified input, normalized by
+the number of masked scalar elements (the unnormalized sum is also
+reported).
 
 The anchor's (CSI's) masking draws one of three schemes per step: uniform
 random tokens, contiguous frequency stripes (whole token-columns), or a comb
@@ -41,7 +42,7 @@ from .encoder import (
 )
 from .synth import MultimodalSample, with_noisy_csi
 from .tensor import Tensor
-from .tokenizer import Modality, ModalitySpec, TokenizerConfig, preprocess, unpatchify
+from .tokenizer import Modality, ModalitySpec, TokenizerConfig, patchify, preprocess
 
 
 class PretrainError(MisacError):
@@ -88,17 +89,11 @@ class MaskSpec:
     visible: np.ndarray  # sorted token indices
     masked: np.ndarray  # sorted token indices
     omega: np.ndarray  # [grid_rows, grid_cols] bool, True = masked
-    patch: tuple[int, int]  # of the grid the tokens cut
 
     @classmethod
-    def from_omega(cls, omega: np.ndarray, patch: tuple[int, int]) -> "MaskSpec":
+    def from_omega(cls, omega: np.ndarray) -> "MaskSpec":
         flat = omega.reshape(-1)
-        return cls(np.nonzero(~flat)[0], np.nonzero(flat)[0], omega, patch)
-
-    @property
-    def pixels(self) -> np.ndarray:
-        """The token-grid mask spread over the pixels of each token's patch."""
-        return self.omega.repeat(self.patch[0], axis=0).repeat(self.patch[1], axis=1)
+        return cls(np.nonzero(~flat)[0], np.nonzero(flat)[0], omega)
 
 
 def column_mask(spec: ModalitySpec, masked_cols: np.ndarray) -> MaskSpec:
@@ -106,7 +101,7 @@ def column_mask(spec: ModalitySpec, masked_cols: np.ndarray) -> MaskSpec:
     bool row)."""
     omega = np.zeros(spec.grid, dtype=bool)
     omega[:, masked_cols] = True
-    return MaskSpec.from_omega(omega, spec.patch)
+    return MaskSpec.from_omega(omega)
 
 
 def sample_mask(scheme: MaskScheme, spec: ModalitySpec, rng: np.random.Generator) -> MaskSpec:
@@ -123,7 +118,7 @@ def sample_mask(scheme: MaskScheme, spec: ModalitySpec, rng: np.random.Generator
         n_masked = min(max(int(round(scheme.ratio * n)), 1), n - 1)
         omega = np.zeros(n, dtype=bool)
         omega[rng.permutation(n)[:n_masked]] = True
-        return MaskSpec.from_omega(omega.reshape(grid), spec.patch)
+        return MaskSpec.from_omega(omega.reshape(grid))
     if scheme.kind == "frequency":
         width = min(max(int(round(scheme.ratio * gc)), 1), gc - 1)
         start = int(rng.integers(0, gc - width + 1))
@@ -226,9 +221,10 @@ def decode_masked(
     result: EncodeResult,
     masks: dict[Modality, MaskSpec],
 ) -> dict[Modality, Tensor]:
-    """Reconstruct the full grid of every masked modality: add visible
-    latents and mask tokens onto the decoder positions of their grid rows,
-    run the decoder blocks, project to pixels, fold patches."""
+    """Reconstruct every token of each masked modality as its
+    [n_tokens, patch_dim] patch vectors, the layout patchify gives: add
+    visible latents and mask tokens onto the decoder positions of their
+    token rows, run the decoder blocks, project each row."""
     out: dict[Modality, Tensor] = {}
     for m, mask in masks.items():
         dec = model.decoders[m]
@@ -240,7 +236,7 @@ def decode_masked(
             h = tt.index_add(h, mask.masked, tt.tile_rows(dec.mask_token, mask.masked.size))
         for block in dec.blocks:
             h = block(h, model.enc_cfg.rms_eps)
-        out[m] = unpatchify(dec.out(h), model.tok_cfg.spec(m), m.channels)
+        out[m] = dec.out(h)
     return out
 
 
@@ -253,8 +249,9 @@ def mask_loss(
     targets: dict[Modality, np.ndarray],
     masks: dict[Modality, MaskSpec],
 ) -> tuple[Tensor, int]:
-    """(sum of squared errors over the masked scalar elements, their count);
-    the masked mean is sse / count."""
+    """(sum of squared errors over the masked token rows, their count of
+    scalar elements); the masked mean is sse / count. Reconstructions and
+    targets are [n_tokens, patch_dim] token matrices."""
     sse: Tensor | None = None
     count = 0
     for m, recon in recons.items():
@@ -262,13 +259,12 @@ def mask_loss(
         target = targets[m]
         if recon.shape != target.shape:
             raise PretrainError(f"reconstruction shape {recon.shape} != target {target.shape}")
-        pix = mask.pixels
-        if pix.shape != target.shape[:2]:
-            raise PretrainError(f"mask pixel grid {pix.shape} != target {target.shape[:2]}")
-        term = tt.tsum(tt.square(tt.mul(tt.sub(recon, Tensor(target)), Tensor(pix[..., None]))))
+        if mask.omega.size != target.shape[0]:
+            raise PretrainError(f"mask over {mask.omega.size} tokens != target's {target.shape[0]}")
+        rows = mask.masked
+        term = tt.tsum(tt.square(tt.sub(tt.gather_rows(recon, rows), Tensor(target[rows]))))
         sse = term if sse is None else tt.add(sse, term)
-        ph, pw = mask.patch
-        count += int(mask.masked.size) * ph * pw * target.shape[2]
+        count += int(rows.size) * target.shape[1]
     if sse is None or count == 0:
         raise PretrainError("mask_loss: nothing masked")
     return sse, count
@@ -522,7 +518,7 @@ def step_objective(
         res = encode_visible(model, prepped, masks, None if frozen is None else frozen[i])
         results.append(res)
         recons = decode_masked(model, res, masks)
-        targets = {m: prepped[m] for m in recons}
+        targets = {m: patchify(prepped[m], model.tok_cfg.spec(m)) for m in recons}
         sse, count = mask_loss(recons, targets, masks)
         sse_total = sse if sse_total is None else tt.add(sse_total, sse)
         count_total += count

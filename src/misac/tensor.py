@@ -180,11 +180,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _emit("transpose", a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    return _emit("reshape", a.data.reshape(shape), [(a, lambda g: g.reshape(a.data.shape))])
-
-
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Join parts along axis; a lone part is returned as is, with no node."""
     if len(parts) == 0:

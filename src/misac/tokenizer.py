@@ -180,14 +180,6 @@ def patchify(x: np.ndarray, spec: ModalitySpec) -> np.ndarray:
     return x.reshape(gr, ph, gc, pw, c).transpose(0, 2, 1, 3, 4).reshape(spec.n_tokens, ph * pw * c)
 
 
-def unpatchify(tokens: Tensor, spec: ModalitySpec, channels: int) -> Tensor:
-    """Differentiable inverse of patchify for [n_tokens, ph*pw*C] tensors."""
-    (gr, gc), (ph, pw) = spec.grid, spec.patch
-    x = tt.reshape(tokens, (gr, gc, ph, pw, channels))
-    x = tt.transpose(x, (0, 2, 1, 3, 4))
-    return tt.reshape(x, (spec.height, spec.width, channels))
-
-
 def patchify_embed(grid: np.ndarray, spec: ModalitySpec, w: Tensor, b: Tensor, d: int) -> Tensor:
     """Patch + affine embed to [n_tokens, d]: token_i = vec(patch_i) @ w + b."""
     patches = patchify(grid, spec)

@@ -4,6 +4,7 @@ model snapshot/restore."""
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -367,6 +368,53 @@ class TestModelSnapshot:
         ckpt.params["pos.csi"] = np.zeros((3, 3))
         with pytest.raises(CheckpointError, match="shape mismatch"):
             restore(ckpt, tiny_model(1))
+
+    # a tensor of a resumable checkpoint, the fault written in its place
+    # (None drops it), and the words of the refusal that follow its name
+    TENSOR_FAULTS = {
+        "param_float32": ("proj.radar.w", lambda a: a.astype(np.float32), " is float32"),
+        "param_complex128": ("proj.radar.w", lambda a: a.astype(np.complex128), " is complex128"),
+        "param_shape": ("proj.radar.w", lambda a: a[:1], r": checkpoint \(1, 16\) vs model \(16, 16\)"),
+        "moment_float32": ("m.proj.radar.w", lambda a: a.astype(np.float32), " is float32"),
+        "moment_complex128": ("v.embed.csi.b", lambda a: a.astype(np.complex128), " is complex128"),
+        "moment_missing": ("m.block0.attn.k.w", None, ""),
+        "moment_shape": ("v.block0.attn.k.w", lambda a: a[:1], r": checkpoint \(1, 16\) vs model \(16, 16\)"),
+    }
+
+    @pytest.mark.parametrize(
+        "fault, with_opt",
+        # without an optimizer restore reads no moments
+        [(f, True) for f in TENSOR_FAULTS] + [(f, False) for f in TENSOR_FAULTS if f.startswith("param")],
+    )
+    def test_bad_tensor_is_refused_before_anything_is_copied(self, tmp_path, fault, with_opt):
+        name, edit, says = self.TENSOR_FAULTS[fault]
+        moment = fault.startswith("moment")
+        source = tiny_model(1)
+        source_opt = Adam(source.named_params())
+        for p in source_opt.params.values():
+            p.grad = np.ones_like(p.data)
+        source_opt.step(1e-3)
+        ckpt = snapshot(source, "a" * 64, step=1, opt=source_opt, rng=np.random.default_rng(5))
+        held = ckpt.opt_moments if moment else ckpt.params
+        if edit is None:
+            del held[name]
+        else:
+            held[name] = edit(held[name])
+        save_checkpoint(tmp_path / "bad.msck", ckpt)
+
+        model = tiny_model(0)
+        opt = Adam(model.named_params())
+        for p in opt.params.values():
+            p.grad = np.full_like(p.data, 0.5)
+        opt.step(1e-3)
+        params = {k: p.data.copy() for k, p in model.named_params().items()}
+        state = {k: v.copy() for k, v in opt.state_arrays().items()}
+        what = "Adam moment" if moment else "parameter"
+        with pytest.raises(CheckpointError, match=f"{what} {re.escape(name)}{says}"):
+            restore(load_checkpoint(tmp_path / "bad.msck"), model, opt if with_opt else None)
+        assert all(np.array_equal(p.data, params[k]) for k, p in model.named_params().items())
+        assert opt.t == 1
+        assert all(np.array_equal(v, state[k]) for k, v in opt.state_arrays().items())
 
     def test_strict_missing_params(self):
         model = tiny_model(0)

@@ -732,6 +732,61 @@ class TestCliSurface:
         assert err == f"error: dataset {data} {says}\n"
         assert not out_path.exists()
 
+    # a checkpoint tensor, the fault written in its place (None drops it),
+    # and what the refusal says
+    TENSOR_FAULTS = {
+        "param_float32": (
+            "block0.attn.k.w", lambda a: a.astype(np.float32),
+            "parameter block0.attn.k.w is float32 in the checkpoint; the model needs float64",
+        ),
+        "param_complex128": (
+            "block0.attn.k.w", lambda a: a.astype(np.complex128),
+            "parameter block0.attn.k.w is complex128 in the checkpoint; the model needs float64",
+        ),
+        "moment_float32": (
+            "m.block0.attn.k.w", lambda a: a.astype(np.float32),
+            "Adam moment m.block0.attn.k.w is float32 in the checkpoint; the model needs float64",
+        ),
+        "moment_missing": ("m.block0.attn.k.w", None, "checkpoint lacks Adam moment m.block0.attn.k.w"),
+        "moment_shape": (
+            "v.block0.attn.k.w", lambda a: a[:1],
+            "shape mismatch for Adam moment v.block0.attn.k.w: checkpoint (1, 16) vs model (16, 16)",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "fault, command",
+        # only a resume reads the moments
+        [(f, "pretrain") for f in TENSOR_FAULTS]
+        + [(f, c) for f in TENSOR_FAULTS if f.startswith("param") for c in ("finetune", "eval", "stats")],
+    )
+    def test_bad_checkpoint_tensor_exits_one(self, workspace, tmp_path, capsys, fault, command):
+        root, cfg = workspace
+        name, edit, says = self.TENSOR_FAULTS[fault]
+        ckpt = load_checkpoint(root / ("ft.msck" if command == "eval" else "pre.msck"))
+        ckpt.step = 2  # a resume would run steps 2 and 3 and rewrite the file
+        held = ckpt.opt_moments if fault.startswith("moment") else ckpt.params
+        if edit is None:
+            del held[name]
+        else:
+            held[name] = edit(held[name])
+        bad, out_path = tmp_path / "bad.msck", tmp_path / "out.msck"
+        save_checkpoint(bad, ckpt)
+        written = bad.read_bytes()
+        args = {
+            "pretrain": ["--out", str(bad)],
+            "finetune": ["--checkpoint", str(bad), "--out", str(out_path)],
+            "eval": ["--checkpoint", str(bad)],
+            "stats": ["--checkpoint", str(bad), "--out", str(out_path)],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--data", str(root / "data"), *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {says}\n"
+        assert bad.read_bytes() == written
+        assert not out_path.exists()
+
     def test_any_misac_error_exits_one(self, monkeypatch, capsys):
         class LateModuleError(MisacError):  # a module error no list in the CLI names
             pass

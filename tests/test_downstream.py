@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from grid_oracle import unpatchify
 from misac import tensor as tt
 from misac.config import config_from_dict, desk_config
 from misac.downstream import (
@@ -29,7 +30,7 @@ from misac.downstream import (
 from misac.encoder import EncoderConfig
 from misac.pretrain import Adam, PretrainModel, cosine_lr, prepare_sample
 from misac.synth import SynthConfig, synth_dataset
-from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig
+from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig, patchify
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,6 @@ class TestTaskMasks:
         for task, build in RECON_TASKS.items():
             model = make_model(task)
             want = build(model.pretrained.tok_cfg.spec(Modality.CSI))
-            assert model.mask.patch == want.patch == (2, 2)
             np.testing.assert_array_equal(model.mask.omega, want.omega)
         assert make_model("beam_selection").mask is None
 
@@ -213,21 +213,24 @@ class TestLossesAndTraining:
             assert aux
 
     def test_recon_nmse_is_the_raw_domain_nmse(self, samples):
-        # each sample is scored on its unit-power grid; NMSE is blind to that common scale
+        # each sample is scored on the token rows of its unit-power grid; NMSE
+        # is blind to that common scale and to the order of the elements
         cfg = FinetuneSettings()
         for task in ("channel_prediction", "channel_estimation"):
             model = make_model(task)
+            layout = model.pretrained.tok_cfg.spec(Modality.CSI)
             scored = ...
             if task == "channel_prediction":
-                scored = np.kron(model.mask.omega, np.ones((2, 2), dtype=bool))  # its 2 x 2 CSI patches
+                scored = np.kron(model.mask.omega, np.ones(layout.patch, dtype=bool))  # its CSI pixels
             raw = []
             for s in samples:
                 h = s.csi.h.data
                 scale = 1.0 / np.sqrt(np.mean(np.abs(h) ** 2))
                 _, aux = sample_loss(model, s, cfg)
                 target = np.stack([h.real, h.imag], axis=-1)
-                np.testing.assert_allclose(aux["target"] / scale, target, rtol=1e-12)
-                raw.append(nmse_db(aux["recon"][scored] / scale, target[scored]))
+                np.testing.assert_allclose(aux["target"] / scale, patchify(target, layout), rtol=1e-12)
+                recon = unpatchify(tt.Tensor(aux["recon"]), layout, 2).data
+                raw.append(nmse_db(recon[scored] / scale, target[scored]))
             assert evaluate(model, samples, cfg)["nmse_db"] == pytest.approx(np.mean(raw), rel=1e-12)
 
     def test_batch_loss_is_mean_of_sample_losses(self, samples):

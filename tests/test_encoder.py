@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from grid_oracle import reshape
 from misac import encoder as enc, synth, tensor as tt, tokenizer as tok
 from misac.encoder import EncoderConfig, MultimodalEncoder
 from misac.tensor import Tensor
@@ -196,7 +197,7 @@ def _index_add_dispatch(pool, x, logits, k, layer, frozen):
     xs = _gather_any_rows(x, tokens)
     h = tt.gelu(tt.grouped_linear(xs, [e.fc1.w for e in ex], [e.fc1.b for e in ex], offsets))
     out = tt.grouped_linear(h, [e.fc2.w for e in ex], [e.fc2.b for e in ex], offsets)
-    pair_w = _gather_any_rows(tt.reshape(w, (-1, 1)), pairs)
+    pair_w = _gather_any_rows(reshape(w, (-1, 1)), pairs)
     y = _index_add_any_rows(Tensor(np.zeros((n, d))), tokens, tt.mul(out, pair_w))
     stats = enc.PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel)
     return y, stats

@@ -23,7 +23,7 @@ from misac.pretrain import (
     step_objective,
 )
 from misac.synth import synth_dataset
-from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig, preprocess
+from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig, patchify, preprocess
 
 
 def _prepare_power(csi, spec, cfg):
@@ -153,7 +153,7 @@ def power_mask_loss(model, inputs) -> float:
     for prepped, masks in zip(inputs.prepped, inputs.masks):
         res = encode_visible(model, prepped, masks)
         recon = decode_masked(model, res, {POWER: masks[POWER]})
-        sse, count = mask_loss(recon, {POWER: prepped[POWER]}, masks)
+        sse, count = mask_loss(recon, {POWER: patchify(prepped[POWER], model.tok_cfg.spec(POWER))}, masks)
         total += sse.item() / count
     return total / len(inputs.prepped)
 

@@ -5,11 +5,16 @@ and resume-exactness."""
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from grid_oracle import grid_mask_loss, unpatchify
 from misac import tensor as tt
+from misac.downstream import PILOT_SPACING, estimation_mask, prediction_mask
 from misac.encoder import EncoderConfig, PoolStats
 from misac.pretrain import (
     Adam,
@@ -35,7 +40,7 @@ from misac.pretrain import (
 )
 from misac.synth import SynthConfig, synth_dataset
 from misac.tensor import Tensor
-from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig, preprocess
+from misac.tokenizer import Modality, ModalitySpec, TokenizerConfig, patchify, preprocess
 
 
 # ---------------------------------------------------------------------------
@@ -143,52 +148,59 @@ class TestMaskSchemes:
 # losses
 
 
+CSI_LAYOUT = ModalitySpec(4, 8, (2, 2))  # a 2 x 4 token grid of 8-wide patch vectors
+
+
 class TestMaskLoss:
+    """mask_loss on token matrices; each case is written on the [H, W, C]
+    grid and patchified, so pixels name the elements they move."""
+
     def setup_method(self):
         rng = np.random.default_rng(5)
-        self.target = rng.normal(size=(4, 8, 2))
+        self.grid = rng.normal(size=(4, 8, 2))
+        self.target = patchify(self.grid, CSI_LAYOUT)
         omega = np.zeros((2, 4), dtype=bool)
         omega[0, 1] = omega[1, 3] = omega[1, 0] = True  # 3 masked tokens of 8
-        self.spec = MaskSpec.from_omega(omega, (2, 2))
+        self.spec = MaskSpec.from_omega(omega)
 
-    def test_zero_when_reconstruction_matches(self):
-        sse, count = mask_loss(
-            {Modality.CSI: Tensor(self.target.copy())},
+    def loss_of(self, grid):
+        return mask_loss(
+            {Modality.CSI: Tensor(patchify(grid, CSI_LAYOUT))},
             {Modality.CSI: self.target},
             {Modality.CSI: self.spec},
         )
+
+    def test_zero_when_reconstruction_matches(self):
+        sse, count = self.loss_of(self.grid.copy())
         assert sse.item() == 0.0
         assert count == 3 * 2 * 2 * 2
 
     def test_visible_errors_do_not_count(self):
-        recon = self.target.copy()
+        recon = self.grid.copy()
         recon[0:2, 0:2, :] += 9.0  # token (0, 0) is visible
-        sse, _ = mask_loss(
-            {Modality.CSI: Tensor(recon)}, {Modality.CSI: self.target}, {Modality.CSI: self.spec}
-        )
+        sse, _ = self.loss_of(recon)
         assert sse.item() == 0.0
 
     def test_single_masked_pixel_delta(self):
-        recon = self.target.copy()
+        recon = self.grid.copy()
         recon[0, 2, 0] += 0.5  # inside masked token (0, 1)
-        sse, count = mask_loss(
-            {Modality.CSI: Tensor(recon)}, {Modality.CSI: self.target}, {Modality.CSI: self.spec}
-        )
+        sse, count = self.loss_of(recon)
         assert count == 24
         assert abs(sse.item() - 0.25) < 1e-12
 
     def test_two_modalities_pool_counts(self):
+        map_layout = ModalitySpec(8, 8, (4, 4))
         t2 = np.zeros((8, 8, 4))
         omega2 = np.zeros((2, 2), dtype=bool)
         omega2[0, 0] = True
-        spec2 = MaskSpec.from_omega(omega2, (4, 4))
+        spec2 = MaskSpec.from_omega(omega2)
         r2 = t2.copy()
         r2[0, 0, 0] = 1.0  # masked map pixel, squared error 1
-        recon1 = self.target.copy()
+        recon1 = self.grid.copy()
         recon1[0, 2, 0] += 1.0  # masked csi pixel, squared error 1
         sse, count = mask_loss(
-            {Modality.CSI: Tensor(recon1), Modality.MAP: Tensor(r2)},
-            {Modality.CSI: self.target, Modality.MAP: t2},
+            {Modality.CSI: Tensor(patchify(recon1, CSI_LAYOUT)), Modality.MAP: Tensor(patchify(r2, map_layout))},
+            {Modality.CSI: self.target, Modality.MAP: patchify(t2, map_layout)},
             {Modality.CSI: self.spec, Modality.MAP: spec2},
         )
         assert count == 24 + 1 * 4 * 4 * 4
@@ -197,18 +209,79 @@ class TestMaskLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(PretrainError):
             mask_loss(
-                {Modality.CSI: Tensor(np.zeros((4, 8, 1)))},
+                {Modality.CSI: Tensor(np.zeros((8, 4)))},
                 {Modality.CSI: self.target},
                 {Modality.CSI: self.spec},
             )
-        # a mask whose patch does not cut the target's grid
-        coarse = MaskSpec.from_omega(self.spec.omega, (1, 1))
-        with pytest.raises(PretrainError, match=r"mask pixel grid \(2, 4\) != target \(4, 8\)"):
-            mask_loss({Modality.CSI: Tensor(self.target.copy())}, {Modality.CSI: self.target}, {Modality.CSI: coarse})
+        # a mask over another token grid than the target's
+        other = MaskSpec.from_omega(np.zeros((4, 8), dtype=bool))
+        with pytest.raises(PretrainError, match="mask over 32 tokens != target's 8"):
+            mask_loss({Modality.CSI: Tensor(self.target.copy())}, {Modality.CSI: self.target}, {Modality.CSI: other})
 
     def test_nothing_masked_rejected(self):
         with pytest.raises(PretrainError):
             mask_loss({}, {}, {})
+
+
+@st.composite
+def layouts_and_masks(draw):
+    """A layout with a patch of any shape, a channel count of 1, 2 or 4, and
+    a mask of one of the kinds the pipeline builds: a scheme's draw or a
+    reconstruction task's mask."""
+    ph, pw = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    gr, gc = draw(st.integers(1, 4)), draw(st.integers(2, 9))
+    layout = ModalitySpec(gr * ph, gc * pw, (ph, pw))
+    channels = draw(st.sampled_from([1, 2, 4]))
+    kind = draw(st.sampled_from(["random", "frequency", "comb", "prediction", "estimation"]))
+    if kind == "prediction":
+        mask = prediction_mask(layout)
+    elif kind == "estimation":
+        assume(gc > PILOT_SPACING)
+        mask = estimation_mask(layout)
+    else:
+        if kind == "comb":
+            scheme = MaskScheme("comb", spacing=draw(st.integers(2, 16)))
+        else:
+            scheme = MaskScheme(kind, ratio=draw(st.floats(0.05, 0.95)))
+        mask = sample_mask(scheme, layout, np.random.default_rng(draw(st.integers(0, 2**16))))
+    return layout, channels, mask
+
+
+class TestTokenSpaceOracle:
+    """mask_loss on token rows against the grid path it replaced
+    (grid_oracle): the reconstruction folded to [H, W, C] by a
+    differentiable unpatchify, scored over the whole grid under the
+    np.kron pixel mask."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(layouts_and_masks(), st.integers(0, 2**16))
+    def test_token_loss_matches_the_grid_oracle(self, drawn, seed):
+        layout, channels, mask = drawn
+        rng = np.random.default_rng(seed)
+        grid_target = rng.normal(size=(layout.height, layout.width, channels))
+        recon_tokens = rng.normal(size=(layout.n_tokens, layout.patch[0] * layout.patch[1] * channels))
+        m = Modality.CSI
+
+        token = Tensor(recon_tokens.copy(), requires_grad=True)
+        with tt.Tape() as tape:
+            sse, count = mask_loss({m: token}, {m: patchify(grid_target, layout)}, {m: mask})
+        tt.backward(sse, tape)
+
+        folded = Tensor(recon_tokens.copy(), requires_grad=True)
+        with tt.Tape() as tape:
+            want, want_count = grid_mask_loss(
+                {m: unpatchify(folded, layout, channels)}, {m: grid_target}, {m: mask}, {m: layout.patch}
+            )
+        tt.backward(want, tape)
+
+        assert count == want_count == mask.masked.size * layout.patch[0] * layout.patch[1] * channels
+        assert sse.item() == pytest.approx(want.item(), rel=1e-12, abs=0)
+        assert np.array_equal(token.grad, folded.grad)
+
+    def test_oracle_fold_inverts_patchify(self):
+        layout = ModalitySpec(6, 8, (3, 2))
+        grid = np.random.default_rng(0).normal(size=(6, 8, 4))
+        np.testing.assert_array_equal(unpatchify(Tensor(patchify(grid, layout)), layout, 4).data, grid)
 
 
 def infonce_oracle(zc: np.ndarray, zm: np.ndarray, tau: float) -> float:
@@ -513,9 +586,10 @@ class TestEncodeDecode:
     def test_decode_shapes(self):
         model, prepped, masks = tiny_model(), tiny_prepped(), tiny_masks()
         recons = decode_masked(model, encode_visible(model, prepped, masks), masks)
-        assert recons[Modality.CSI].shape == (4, 8, 2)
-        assert recons[Modality.MAP].shape == (8, 8, 4)
-        assert recons[Modality.RADAR].shape == (8, 8, 4)
+        # one row per token, in patchify's layout: [n_tokens, ph * pw * C]
+        assert recons[Modality.CSI].shape == (8, 2 * 2 * 2)
+        assert recons[Modality.MAP].shape == (4, 4 * 4 * 4)
+        assert recons[Modality.RADAR].shape == (4, 4 * 4 * 4)
 
     def test_masked_pixels_cannot_leak_into_reconstruction(self):
         # changing the input only under masked csi patches must not move any output
@@ -548,10 +622,10 @@ class TestEncodeDecode:
     def test_empty_mask_reconstructs_from_all_tokens(self):
         model, prepped = tiny_model(), tiny_prepped()
         omega = np.zeros((2, 4), dtype=bool)
-        spec = MaskSpec.from_omega(omega, (2, 2))
+        spec = MaskSpec.from_omega(omega)
         res = encode_visible(model, prepped, {Modality.CSI: spec})
         recons = decode_masked(model, res, {Modality.CSI: spec})
-        assert recons[Modality.CSI].shape == (4, 8, 2)
+        assert recons[Modality.CSI].shape == (8, 8)
 
     def test_mismatched_mask_rejected_at_decode(self):
         model, prepped, masks = tiny_model(), tiny_prepped(), tiny_masks()
@@ -559,7 +633,7 @@ class TestEncodeDecode:
         omega = np.ones((2, 4), dtype=bool)
         omega[0, 0] = False  # one visible token; encoder saw more
         other = dict(masks)
-        other[Modality.CSI] = MaskSpec.from_omega(omega, (2, 2))
+        other[Modality.CSI] = MaskSpec.from_omega(omega)
         with pytest.raises(PretrainError):
             decode_masked(model, res, other)
 
@@ -743,9 +817,15 @@ class TestTrainingLoop:
         assert grad_norm == pytest.approx(33.14746209136952, rel=1e-12, abs=0)
 
     def test_fixed_seed_desk_step_tape_is_pinned(self):
-        # The node count of the same desk step: five per attention call (the
-        # q, k, v and o projections and one attention core), down from 17
-        # when the core was a reshape/transpose/matmul/scale/softmax chain.
+        # The node count of the same desk step, and its nodes per op, read
+        # from each vjp's __qualname__ as test_every_vjp_names_its_primitive
+        # reads it, so a change that moves nodes between ops shows which op
+        # moved. Five nodes per attention call (the q, k, v and o projections
+        # and one attention core), down from 17 when the core was a
+        # reshape/transpose/matmul/scale/softmax chain; four per masked
+        # modality's loss (gather_rows, sub, square, sum over its token
+        # rows), down from seven when each decode was folded back to its grid
+        # and scored under a pixel mask.
         from misac.config import desk_config
 
         desk = desk_config()
@@ -760,7 +840,15 @@ class TestTrainingLoop:
         inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
         with tt.Tape() as tape:
             step_objective(model, inputs, cfg)
-        assert len(tape) == 1432
+        ops = Counter(node.vjps[0][1].__qualname__.partition(".<locals>.")[0] for node in tape.nodes)
+        assert dict(ops) == {
+            "add": 154, "combine_rows": 54, "concat": 48, "dispatch_rows": 54, "exp": 2,
+            "gather_rows": 117, "gelu": 73, "grouped_linear": 108, "index_add": 38, "log": 2,
+            "matmul": 284, "mul": 22, "rmsnorm": 86, "scaled_dot_product_attention": 35,
+            "scatter_last": 54, "softmax": 54, "square": 19, "sub": 23, "take_along_last": 56,
+            "tile_rows": 29, "tmean": 32, "transpose": 2, "tsum": 29,
+        }
+        assert len(tape) == 1375
 
     def test_fixed_seed_desk_step_backward_adds_no_memory(self):
         # backward frees each node once its vjps have run, so the step's

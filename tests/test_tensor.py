@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special
 
+from grid_oracle import reshape
 from misac import tensor as T
 
 
@@ -21,7 +22,8 @@ def rng():
 
 
 # Division and square root, needed only by the rmsnorm oracle below, so they
-# live here rather than in misac.tensor; test_each_primitive grad-checks them.
+# live here rather than in misac.tensor; test_each_primitive grad-checks them,
+# and the oracles' reshape from grid_oracle with them.
 def div(a, b):
     return T._emit(
         "div",
@@ -56,12 +58,12 @@ def attention_chain(q, k, v, n_heads):
     dh = d // n_heads
 
     def split(t):
-        return T.transpose(T.reshape(t, (n, n_heads, dh)), (1, 0, 2))
+        return T.transpose(reshape(t, (n, n_heads, dh)), (1, 0, 2))
 
     qh, kh, vh = split(q), split(k), split(v)
     scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), T.Tensor(1.0 / math.sqrt(dh)))
     mix = T.matmul(T.softmax(scores), vh)
-    return T.reshape(T.transpose(mix, (1, 0, 2)), (n, d))
+    return reshape(T.transpose(mix, (1, 0, 2)), (n, d))
 
 
 def primitive_cases():
@@ -83,7 +85,7 @@ def primitive_cases():
         "div": lambda: T.tsum(div(a, b)),
         "matmul": lambda: T.tsum(T.square(T.matmul(a, v))),
         "transpose": lambda: T.tsum(T.mul(T.transpose(a, (1, 0)), T.transpose(b, (1, 0)))),
-        "reshape": lambda: T.tsum(T.square(T.reshape(a, (2, 6)))),
+        "reshape": lambda: T.tsum(T.square(reshape(a, (2, 6)))),
         "concat": lambda: T.tsum(T.square(T.concat([a, b], axis=1))),
         "gather_rows": lambda: T.tsum(T.square(T.gather_rows(a, np.array([0, 1, 3])))),
         "index_add": lambda: T.tsum(T.square(T.index_add(T.concat([a, b], axis=0), np.array([1, 2, 5, 7]), b))),
@@ -102,9 +104,9 @@ def primitive_cases():
         "mean_axis": lambda: T.tsum(T.square(T.tmean(a, axis=0, keepdims=True))),
         "sum_axis": lambda: T.tsum(T.square(T.tsum(a, axis=1))),
         "rmsnorm": lambda: T.tsum(T.square(T.rmsnorm(T.sub(a, b), T.mul(a, b)))),
-        "rmsnorm_1d": lambda: T.tsum(T.square(T.rmsnorm(T.reshape(a, (12,)), T.reshape(b, (12,))))),
-        "matmul_bias": lambda: T.tsum(T.square(T.matmul(a, v, bias=T.reshape(T.tsum(v, axis=0), (5,))))),
-        "matmul_bias_3d": lambda: T.tsum(T.square(T.matmul(T.reshape(a, (2, 2, 3)), v, bias=T.Tensor(np.ones(5))))),
+        "rmsnorm_1d": lambda: T.tsum(T.square(T.rmsnorm(reshape(a, (12,)), reshape(b, (12,))))),
+        "matmul_bias": lambda: T.tsum(T.square(T.matmul(a, v, bias=reshape(T.tsum(v, axis=0), (5,))))),
+        "matmul_bias_3d": lambda: T.tsum(T.square(T.matmul(reshape(a, (2, 2, 3)), v, bias=T.Tensor(np.ones(5))))),
         "grouped_linear": lambda: T.tsum(T.square(T.grouped_linear(  # group 1 is empty
             a, [v, v, v], [T.tsum(v, axis=0), T.tmean(v, axis=0), T.tsum(T.square(v), axis=0)], [0, 1, 1, 4]
         ))),
