@@ -193,10 +193,16 @@ class RunConfig:
             rows, cols = tok.spec(mod).grid
             if rows * cols < 2 or (mod.anchor and cols < 2):
                 raise ConfigError(f"model: the {rows}x{cols} {mod.name} token grid cannot hold a mask")
-        resolution = self.data.synth_config(m).map_resolution
-        if resolution % m.map_size:
+        synth_cfg = self.data.synth_config(m)
+        if synth_cfg.map_resolution % m.map_size:
             raise ConfigError(
-                f"map_size={m.map_size} does not divide the synthesized map side {resolution}"
+                f"map_size={m.map_size} does not divide the synthesized map side {synth_cfg.map_resolution}"
+            )
+        corner = math.sqrt(2.0) * max(abs(v) for v in self.data.speed)  # both velocity axes at the bound
+        if corner >= synth_cfg.radar.max_speed:
+            raise ConfigError(
+                f"data.speed={list(self.data.speed)} allows {corner:.2f} m/s, not below the radar's "
+                f"unambiguous speed {synth_cfg.radar.max_speed:.2f} m/s"
             )
         for mod in self.data.availability:
             if mod not in MODALITY_NAMES:

@@ -33,6 +33,7 @@ generation derives per-sample substreams as seed ^ index.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import hashlib
 import json
@@ -123,6 +124,10 @@ class RadarParams:
     @property
     def max_range(self) -> float:
         return C_LIGHT * self.sample_rate / (2.0 * self.slope)
+
+    @property
+    def max_speed(self) -> float:  # unambiguous radial speed: a quarter wavelength per chirp
+        return C_LIGHT / (4.0 * self.carrier * self.chirp_period)
 
 
 @dataclass
@@ -320,27 +325,29 @@ def _radar_targets(scene: SceneSpec, params: RadarParams):
         theta = math.atan2(delta[1], delta[0])
         u = delta[:2] / max(np.linalg.norm(delta[:2]), 1e-12)
         v_r = float(np.dot(np.asarray(s.velocity), u))
+        if abs(v_r) >= params.max_speed:
+            raise SceneError(
+                f"target radial speed {v_r:.1f} m/s beyond unambiguous speed {params.max_speed:.2f} m/s"
+            )
         amp = s.reflectivity / max(r, 1.0) ** 2  # two-way spreading
         out.append((r, v_r, theta, amp))
     return out
 
 
 def radar_cube(scene: SceneSpec, params: RadarParams) -> RadarCube:
-    """Point-target FMCW cube [n_rx, n_chirp, n_samp], stop-and-hop."""
-    m = np.arange(params.n_rx)[:, None, None]
-    c = np.arange(params.n_chirp)[None, :, None]
-    n = np.arange(params.n_samp)[None, None, :]
+    """Point-target FMCW cube [n_rx, n_chirp, n_samp], stop-and-hop. Each
+    target adds a constant phasor times the outer product of its element,
+    chirp and sample phasors, elementwise, so no BLAS kernel moves a byte."""
+    m, c, n = np.arange(params.n_rx), np.arange(params.n_chirp), np.arange(params.n_samp)
     cube = np.zeros((params.n_rx, params.n_chirp, params.n_samp), dtype=np.complex128)
     for r, v_r, theta, amp in _radar_targets(scene, params):
         f_beat = 2.0 * params.slope * r / C_LIGHT
         f_dopp = 2.0 * params.carrier * v_r / C_LIGHT
-        phase = (
-            -4.0 * math.pi * params.carrier * r / C_LIGHT
-            + 2.0 * math.pi * f_beat * n / params.sample_rate
-            + 2.0 * math.pi * f_dopp * c * params.chirp_period
-            + 2.0 * math.pi * params.spacing * math.sin(theta) * m
+        rx = cmath.rect(amp, -4.0 * math.pi * params.carrier * r / C_LIGHT) * np.exp(
+            1j * (2.0 * math.pi * params.spacing * math.sin(theta) * m)
         )
-        cube = cube + amp * np.exp(1j * phase)
+        slow = rx[:, None] * np.exp(1j * (2.0 * math.pi * f_dopp * c * params.chirp_period))
+        cube += slow[:, :, None] * np.exp(1j * (2.0 * math.pi * f_beat * n / params.sample_rate))
     return RadarCube(cube, params)
 
 

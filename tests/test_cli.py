@@ -156,6 +156,15 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
         assert "map_size=48" in capsys.readouterr().err
 
+    def test_speed_past_the_unambiguous_speed_is_validation_error(self, tmp_path, capsys):
+        # a 100 m/s target would alias in Doppler (the limit is 78.07 m/s at
+        # the default radar); the speed bound is refused before any file
+        cfg = write_cfg(tmp_path, data={"speed": [-100.0, 100.0]})
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert "data.speed=[-100.0, 100.0]" in err and "unambiguous speed 78.07 m/s" in err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize(
         "section, fields, named",
         [

@@ -441,54 +441,54 @@ def pinned_finetune_runs() -> dict[tuple[str, str], tuple[list[float], dict, dic
 
 FINETUNE_PINS = {
     ('channel_prediction', 'head'): (
-        [0.5510802238470234, 0.5309482158555974],
-        {'loss': 0.52287327949503, 'nmse_db': 0.17176391589956003},
-        {'loss': 0.52123451357691, 'nmse_db': 0.15980040026954775},
+        [0.5510802238471133, 0.5309482158555432],
+        {'loss': 0.5228732794950058, 'nmse_db': 0.1717639158993794},
+        {'loss': 0.5212345135768872, 'nmse_db': 0.15980040026936765},
     ),
     ('channel_prediction', 'full'): (
-        [0.5510802238470234, 0.5192622871854841],
-        {'loss': 0.553363594520879, 'nmse_db': 0.4213870912758596},
-        {'loss': 0.5363637389906744, 'nmse_db': 0.28583168392071634},
+        [0.5510802238471133, 0.5192622871881358],
+        {'loss': 0.5533635945257674, 'nmse_db': 0.42138709131427926},
+        {'loss': 0.5363637389958387, 'nmse_db': 0.2858316839625173},
     ),
     ('channel_estimation', 'head'): (
-        [0.5626316108800704, 0.5592891326878903],
-        {'loss': 0.5360760297714979, 'nmse_db': 0.30069900418586226},
-        {'loss': 0.5403467283863582, 'nmse_db': 0.3358790995711851},
+        [0.5626316108802065, 0.5592891326878251],
+        {'loss': 0.5360760297714666, 'nmse_db': 0.30069900418562745},
+        {'loss': 0.5403467283863078, 'nmse_db': 0.3358790995707854},
     ),
     ('channel_estimation', 'full'): (
-        [0.5626316108800704, 0.5627961404905685],
-        {'loss': 0.6637098577591725, 'nmse_db': 1.2286527559133646},
-        {'loss': 0.635526169124363, 'nmse_db': 1.035385109716422},
+        [0.5626316108802065, 0.5627961404874358],
+        {'loss': 0.6637098577595515, 'nmse_db': 1.2286527559158698},
+        {'loss': 0.6355261691255383, 'nmse_db': 1.035385109724786},
     ),
     ('beam_selection', 'head'): (
-        [2.768106600383429, 2.771503048287733],
-        {'loss': 2.7460785366616522, 'top1': 0.5, 'top3': 0.75},
-        {'loss': 2.7550502433531445, 'top1': 0.125, 'top3': 0.5},
+        [2.7681066003834136, 2.771503048287761],
+        {'loss': 2.7460785366616496, 'top1': 0.5, 'top3': 0.75},
+        {'loss': 2.7550502433531516, 'top1': 0.125, 'top3': 0.5},
     ),
     ('beam_selection', 'full'): (
-        [2.768106600383429, 2.719708449748269],
-        {'loss': 2.643745934480827, 'top1': 0.375, 'top3': 0.625},
-        {'loss': 2.6458869154244398, 'top1': 0.375, 'top3': 0.5},
+        [2.7681066003834136, 2.7197084497482793],
+        {'loss': 2.6437459344809393, 'top1': 0.375, 'top3': 0.625},
+        {'loss': 2.6458869154246942, 'top1': 0.375, 'top3': 0.5},
     ),
     ('localization', 'head'): (
-        [12612.398398690384, 13110.772892258523],
+        [12612.398398690391, 13110.77289225852],
         {'loss': 12856.622098185206, 'mae_m': 106.61071901757123, 'rmse_m': 113.3870455483571},
-        {'loss': 12858.838063944877, 'mae_m': 106.62078532912682, 'rmse_m': 113.39681681575051},
+        {'loss': 12858.838063944871, 'mae_m': 106.62078532912678, 'rmse_m': 113.39681681575048},
     ),
     ('localization', 'full'): (
-        [12612.398398690384, 13083.200364974946],
-        {'loss': 12789.877174918747, 'mae_m': 106.2949291145775, 'rmse_m': 113.09233915221114},
-        {'loss': 12791.811529774344, 'mae_m': 106.3040461490491, 'rmse_m': 113.100890932717},
+        [12612.398398690391, 13083.200364974902],
+        {'loss': 12789.877174918385, 'mae_m': 106.29492911457578, 'rmse_m': 113.09233915220953},
+        {'loss': 12791.811529773939, 'mae_m': 106.30404614904717, 'rmse_m': 113.1008909327152},
     ),
     ('aoa_estimation', 'head'): (
-        [0.48473600825746016, 0.5081905744421169],
-        {'loss': 0.4703762855758922, 'mae_rad': 0.8076491991116408, 'mae_deg': 46.274890436218094},
-        {'loss': 0.4796653423019152, 'mae_rad': 0.9966461431921606, 'mae_deg': 57.103617672901905},
+        [0.48473600825744056, 0.5081905744421313],
+        {'loss': 0.4703762855758876, 'mae_rad': 0.8076491991122433, 'mae_deg': 46.27489043625262},
+        {'loss': 0.47966534230190294, 'mae_rad': 0.9966461431930163, 'mae_deg': 57.10361767295093},
     ),
     ('aoa_estimation', 'full'): (
-        [0.48473600825746016, 0.37751478061715293],
-        {'loss': 0.21899197071844817, 'mae_rad': 0.3629204509753522, 'mae_deg': 20.793810139872182},
-        {'loss': 0.23291489020606437, 'mae_rad': 0.3986477273175688, 'mae_deg': 22.840832287778788},
+        [0.48473600825744056, 0.3775147806196468],
+        {'loss': 0.21899197071913099, 'mae_rad': 0.36292045097423903, 'mae_deg': 20.793810139808404},
+        {'loss': 0.2329148902067729, 'mae_rad': 0.39864772731635645, 'mae_deg': 22.840832287709325},
     ),
 }
 

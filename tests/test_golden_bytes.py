@@ -3,9 +3,12 @@ checkpoint with Adam moments, pinned so that a change to how synthesis or
 serialization moves its data cannot move a byte unnoticed. Regeneration
 tests elsewhere only compare one run against another of the same code.
 
-A hash is re-pinned only when an oracle test bounds the change that moved it
-(as tests/test_synth.py's per-slice oracle bounds the coherent radar maps to
-1e-12 relative), and each re-pin is recorded in CHANGES.md."""
+A hash is re-pinned only when an oracle test bounds the change that moved it,
+and only after the replaced code, swapped back in, has reproduced every pin.
+In tests/test_synth.py the per-slice oracle bounds the coherent radar maps
+to 1e-12 relative, and the long-double oracle of tests/radar_oracle.py
+bounds every radar cube element by the roundings of the separable form.
+Each re-pin is recorded in CHANGES.md."""
 
 import dataclasses
 import hashlib
@@ -33,17 +36,17 @@ SHARED_SHA256 = {
 VARIANT_SHA256 = {
     False: {
         "manifest.json": "57791c816173109437d13d5c59140cd1b1d5984b16e1564419dc646e51864622",
-        "sample_00000_radar.mstn": "498470978e38f30de757c5522900ab914b9cc00f97baaa475404e7861d05fe0b",
-        "sample_00001_radar.mstn": "60ffe770fb97baa64a1cedfa42c40ca2032c9b48aa3ceeb4dc2ff227055acc60",
-        "sample_00002_radar.mstn": "b27f93845f597d61c1a7eb23bc3e63f082b2d07b49c99ad10461f5601a4c59e2",
-        "sample_00003_radar.mstn": "c5c6569941c43d22051956af7c983bcf51b76c688920b969a0605d2634761881",
+        "sample_00000_radar.mstn": "090ab44725ae1c81762b8665f205d5a54dfaeb6ca12979d805fa39e0928bb9a7",
+        "sample_00001_radar.mstn": "644d0801174ad51d5bad519eadfb7633226bf07772e0f16ec4f6ac4c522366ab",
+        "sample_00002_radar.mstn": "2320bdedbf0a9946365dd3bb431064cc62f1f9276cc1eb78edb4417ec17fcf19",
+        "sample_00003_radar.mstn": "9c8cc82df0ed7caea6cd4b17c4afb385f8fe56ddfd271ce0f2d7720baf730168",
     },
     True: {
         "manifest.json": "240a4dfcfed8e71174b0b38065bbff42cc5ec10534f84b5003c5bf2c3a0fe9fb",
-        "sample_00000_radar.mstn": "71d91c4f6acc3d11e8cb67c25f8f43861983ead33ba59bb1b233e1baa19d731d",
-        "sample_00001_radar.mstn": "e89732c1d083d3aadf4694472ed695c6cda7007f4291739594acd07bf567fa55",
-        "sample_00002_radar.mstn": "9fbe9da2ff5f7935352d15255a43745efb3527921d28ed4998cb562b12a45d90",
-        "sample_00003_radar.mstn": "920d9d8afe93fc47309cf04c8ce556f82dff4e59bcbc9035448dfbd3e5bd4116",
+        "sample_00000_radar.mstn": "e9b7df048b19f36d22c50fa9b77df3a0812dde3c9f6c426ffe65a66f89c6f838",
+        "sample_00001_radar.mstn": "71c77cc25001cc326d52696f2be3313a937d7cff81f854dfd16ccc49718c5bce",
+        "sample_00002_radar.mstn": "d2e72ddf5c505dd0603a55545819e89fdda8d9744accf295ce2238074507b1bf",
+        "sample_00003_radar.mstn": "bcb53a132766e6e87f863e1de3525c4ef21a3e408fbb75a7b1faf807f6f6e341",
     },
 }
 CHECKPOINT_SHA256 = "53bcbc8b652b15fe4070d417c050ab00daed141b6378a3920de84fb0342e6032"

@@ -21,6 +21,7 @@ from misac.synth import (
     SceneSpec,
     SynthConfig,
 )
+from radar_oracle import radar_cube_longdouble, radar_cube_per_element
 
 C = synth.C_LIGHT
 
@@ -170,6 +171,55 @@ def assert_maps_match_per_slice_oracle(cube, ra, rv):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def separable_cube_bound(scene, params) -> float:
+    """A bound on how far any element of synth.radar_cube may lie from the
+    long-double evaluation of the same signal model, derived from the
+    roundings of the separable form; u = 2^-53, gamma_k = k u / (1 - k u).
+
+    Per target (r, v_r, theta, amp), the float64 cube adds
+    amp * e^(-j phi) * p_m * p_c * p_n with phi = 4 pi f_c r / c:
+    * phi is rounded four times (pi, * f_c, * r, / c; the * 4 is exact), so
+      it is off by at most gamma_4 * phi. At up to ~1.9e5 rad this is the
+      only large term: the per-element form also rounds the three sums that
+      add the other phases to it.
+    * Each per-axis phase psi (element, chirp, sample) is rounded at most
+      six times: f_beat and f_dopp twice, then pi, the frequency, the index
+      and the period; sin(theta) is within 1 ulp (2u relative), the spacing
+      one rounding. So it is off by at most gamma_6 * |psi|, bounded by its
+      value at the last index.
+    * A phase error d moves a unit phasor by |e^(jd) - 1| <= |d|. Each exp
+      (the three per-axis phasors: cos and sin within 1 ulp each) is off by
+      at most 2u in modulus, cmath.rect(amp, phi) by 3u relative (one more
+      rounding for * amp), and each of the three complex products by
+      sqrt(5) u relative (Brent, Percival and Zimmermann 2007; 2u with a
+      fused multiply-add).
+    * With E the sum of those relative errors, the term is off by at most
+      amp * (exp(E) - 1), which covers their second-order products.
+    The T terms are summed in scene order from zero: the first addition is
+    exact and each other rounds the running sum by u in each component, at
+    most (T - 1) u sum(amp e^E) in all. The oracle's own error is bounded the
+    same way in long double (u_L = 2^-64), with room to spare: gamma_16 on
+    its phase sum and 16 u_L on its exp and product."""
+    u, u_long = 2.0**-53, 2.0**-64
+
+    def gamma(k, unit):
+        return k * unit / (1 - k * unit)
+
+    bound, amps = 0.0, []
+    for r, v_r, theta, amp in synth._radar_targets(scene, params):
+        phi = 4.0 * math.pi * params.carrier * r / C
+        psi = (
+            2.0 * math.pi * params.spacing * abs(math.sin(theta)) * (params.n_rx - 1)
+            + 2.0 * math.pi * abs(2.0 * params.carrier * v_r / C) * (params.n_chirp - 1) * params.chirp_period
+            + 2.0 * math.pi * (2.0 * params.slope * r / C) * (params.n_samp - 1) / params.sample_rate
+        )
+        e = gamma(4, u) * phi + gamma(6, u) * psi + 3 * u + 3 * 2 * u + 3 * math.sqrt(5) * u
+        e_long = gamma(16, u_long) * (phi + psi) + 16 * u_long
+        bound += amp * (math.expm1(e) + math.expm1(e_long))
+        amps.append(amp * math.exp(e))
+    return bound + (len(amps) - 1) * (u + u_long) * sum(amps)
+
+
 def _coord(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
@@ -300,6 +350,46 @@ class TestRadar:
         assert np.linalg.norm(np.array([95.0, 70.0, 0.0]) - np.array([-95.0, -70.0, 10.0])) > r_bad - 2
         with pytest.raises(synth.SceneError):
             synth.radar_cube(scene, params)
+
+
+class TestRadarCube:
+    """The separable cube against the long-double evaluation of its signal
+    model, and against the per-element form it replaced."""
+
+    @example(scene=SCENE_OF_SEED_9, n_rx=8, n_chirp=16, n_samp=32)
+    @example(scene=SCENE_OF_SEED_9, n_rx=1, n_chirp=1, n_samp=1)
+    @settings(max_examples=100, deadline=None)
+    @given(scene=SCENES, n_rx=st.integers(1, 8), n_chirp=st.integers(1, 16), n_samp=st.integers(1, 32))
+    def test_every_element_within_the_derived_bound_of_the_long_double_oracle(
+        self, scene, n_rx, n_chirp, n_samp
+    ):
+        params = RadarParams(n_rx=n_rx, n_chirp=n_chirp, n_samp=n_samp)
+        cube = synth.radar_cube(scene, params).data
+        want = radar_cube_longdouble(scene, params)
+        assert cube.shape == want.shape == (n_rx, n_chirp, n_samp)
+        assert np.abs(cube - want).max() <= separable_cube_bound(scene, params)
+
+    def test_desk_cubes_are_no_further_from_the_oracle_than_the_per_element_form(self):
+        desk = desk_config()
+        cfg = desk.data.synth_config(desk.model)
+        for i in range(32):
+            scene = synth.sample_scene(cfg, np.random.default_rng(5 ^ i))  # synth_sample's substream
+            want = radar_cube_longdouble(scene, cfg.radar)
+            separable = np.abs(synth.radar_cube(scene, cfg.radar).data - want).max()
+            per_element = np.abs(radar_cube_per_element(scene, cfg.radar).data - want).max()
+            assert separable <= per_element, i
+
+    def test_target_beyond_unambiguous_speed_rejected(self):
+        # past c / (4 f_c T_c) the Doppler phase per chirp passes pi, and the
+        # range-velocity map would show the target at an aliased speed
+        params = RadarParams()
+        assert params.max_speed == pytest.approx(78.07, abs=0.005)
+        below, at = math.nextafter(params.max_speed, 0.0), params.max_speed
+        synth.radar_cube(one_scatterer_scene((0.0, 0.0, 10.0), velocity=(-below, 0.0)), params)
+        for v in (at, -at, 100.0):
+            scene = one_scatterer_scene((0.0, 0.0, 10.0), velocity=(v, 0.0))  # on boresight: v_r = v
+            with pytest.raises(synth.SceneError, match="beyond unambiguous speed 78.07 m/s"):
+                synth.radar_cube(scene, params)
 
 
 class TestRaster:
