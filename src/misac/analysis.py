@@ -128,7 +128,7 @@ def routing_table(model: PretrainModel, samples) -> list[RoutingRow]:
     for sample in samples:
         stats += encode_visible(model, prepare_sample(sample, model.tok_cfg), {}).stats
     return [
-        RoutingRow(u.layer, u.pool, e, float(u.importance.data[e]), float(u.load[e]))
+        RoutingRow(u.layer, u.pool, e, float(u.importance[e]), float(u.load[e]))
         for u in pool_usage(stats, model.enc_cfg.n_experts)
         for e in range(model.enc_cfg.n_experts)
     ]

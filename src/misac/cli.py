@@ -94,8 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> tuple[RunConfig, int]:
     cfg = load_config(args.config)
-    seed = cfg.data.seed if args.seed is None else int(args.seed)
-    return cfg, seed
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed={args.seed} must be >= 0")
+    return cfg, cfg.data.seed if args.seed is None else args.seed
 
 
 def _build_model(cfg: RunConfig, seed: int) -> PretrainModel:

@@ -6,12 +6,19 @@ and one specific pool per modality (routed from the token alone).
 Layout invariants:
 
 * Tokens concatenate in modality id order, restricted to the modalities
-  present; segment bounds travel with the sequence.
+  present; segment bounds travel with the sequence, and the segments tile
+  the rows in order.
 * Routing is top-k over a truncated softmax: the k highest gate logits are
   renormalized, every other expert weight is exactly zero, and ties break
   toward the lower expert index. Gradients flow through the selected weights
   only; the selection itself is treated as constant, and callers can freeze
   a captured selection to keep the loss smooth for finite-difference checks.
+* Each block runs two dispatches, one per branch. The shared one routes
+  every row over the shared pool. The specific one routes every segment
+  over its own modality's pool at once: one grouped gate over the segments'
+  row blocks, and one expert chain over every present pool's experts, pool
+  after pool, where a row's selected ids are offset by K times its
+  segment's ordinal, so a token reaches only its own modality's experts.
 * Both expert branches re-enter the stream through their own RMSNorm gain:
   out = x + rmsnorm(y_shared) + rmsnorm(y_specific).
 """
@@ -92,12 +99,10 @@ class MLP:
 
 
 class ExpertPool:
-    """K experts plus a gate. Shared pools gate on [token; context] (2d in),
-    modality pools gate on the token alone (d in)."""
+    """K experts plus a gate over gate_in features: the shared pool gates on
+    [token; context] (2d in), a modality pool on the token alone (d in)."""
 
-    def __init__(self, rng, cfg: EncoderConfig, kind: str):
-        self.kind = kind
-        gate_in = 2 * cfg.d if kind == "shared" else cfg.d
+    def __init__(self, rng, cfg: EncoderConfig, gate_in: int):
         self.gate = Linear(rng, gate_in, cfg.n_experts)
         self.experts = [MLP(rng, cfg.d, cfg.hidden_mult * cfg.d, cfg.d) for _ in range(cfg.n_experts)]
 
@@ -117,10 +122,15 @@ class Segment:
 
 @dataclass
 class PoolStats:
+    """What one dispatch routed: row t reached experts selected[t] of pool
+    pools[part[t]] of this layer, with weights weights[t]."""
+
     layer: int
-    pool: str
-    weights: Tensor  # [n_tokens, K] dense routing weights (zeros off-selection)
-    selected: np.ndarray  # [n_tokens, k] chosen expert ids
+    branch: str  # "shared" or "specific": the dispatch's FrozenRouting key
+    pools: tuple[str, ...]
+    part: np.ndarray  # [n_tokens] each row's index into pools
+    weights: Tensor  # [n_tokens, k] routing weights of the selected experts
+    selected: np.ndarray  # [n_tokens, k] chosen expert ids within the row's pool
 
 
 def _topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
@@ -128,47 +138,29 @@ def _topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-logits, axis=-1, kind="stable")[:, :k]
 
 
-def gate_shared(x: Tensor, ctx: Tensor, pool: ExpertPool) -> Tensor:
-    """Gate logits of [token; context], with the [d] context on every row."""
-    if pool.kind != "shared":
-        raise EncoderError("gate_shared: pool is not the shared pool")
-    return pool.gate(tt.concat([x, tt.tile_rows(ctx, x.shape[0])], axis=1))
-
-
-def gate_specific(x: Tensor, pool: ExpertPool) -> Tensor:
-    if pool.kind == "shared":
-        raise EncoderError("gate_specific: pool is the shared pool")
-    return pool.gate(x)
-
-
 def _dispatch(
-    pool: ExpertPool,
-    x: Tensor,
-    logits: Tensor,
-    k: int,
-    layer: int,
-    frozen: np.ndarray | None,
-) -> tuple[Tensor, PoolStats]:
-    """Route each row to its top-k experts and sum the weighted outputs.
+    experts: list[MLP], x: Tensor, logits: Tensor, part: np.ndarray, k: int, frozen: np.ndarray | None
+) -> tuple[Tensor, Tensor, np.ndarray]:
+    """Route each row to the top-k of its K gate logits and sum the weighted
+    outputs. Returns the output, the [n, k] weights and the selection.
 
-    The (token, slot) pairs are stably sorted by expert, so each expert's
-    rows form one block in token order and each expert layer runs as one
-    grouped node. That pair order is the one table dispatch_rows and
-    combine_rows take, and the combine sums every token's outputs in it,
-    which is expert order."""
-    K = len(pool.experts)
+    experts holds one or more pools of K experts, pool after pool; row t
+    belongs to pool part[t], and its selected ids, offset by K * part[t],
+    name only that pool's experts. The (token, slot) pairs are stably sorted
+    by that offset id, so each expert's rows form one block in token order
+    and each expert layer runs as one grouped node. That pair order is the
+    one table dispatch_rows and combine_rows take, and the combine sums every
+    token's outputs in it, which is expert order."""
+    K = logits.shape[1]
     sel = _topk_indices(logits.data, k) if frozen is None else frozen
-    w = tt.softmax(tt.take_along_last(logits, sel))  # [n, k]
-    dense = tt.scatter_last(w, sel, K)  # [n, K], exact zeros elsewhere
-    pairs = np.argsort(sel.reshape(-1), kind="stable")
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(sel.reshape(-1), minlength=K))])
-    ex = pool.experts
+    w = tt.softmax(tt.take_along_last(logits, sel))  # [n, k]; refuses ids outside [0, K)
+    ids = (sel + K * part[:, None]).reshape(-1)
+    pairs = np.argsort(ids, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=len(experts)))])
     xs = tt.dispatch_rows(x, pairs)
-    h = tt.gelu(tt.grouped_linear(xs, [e.fc1.w for e in ex], [e.fc1.b for e in ex], offsets))
-    out = tt.grouped_linear(h, [e.fc2.w for e in ex], [e.fc2.b for e in ex], offsets)
-    y = tt.combine_rows(out, w, pairs)
-    stats = PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel)
-    return y, stats
+    h = tt.gelu(tt.grouped_linear(xs, [e.fc1.w for e in experts], [e.fc1.b for e in experts], offsets))
+    out = tt.grouped_linear(h, [e.fc2.w for e in experts], [e.fc2.b for e in experts], offsets)
+    return tt.combine_rows(out, w, pairs), w, sel
 
 
 class Attention:
@@ -197,8 +189,8 @@ class EncoderBlock:
         self.g_attn = Tensor(np.ones(d), requires_grad=True)
         self.g_shared = Tensor(np.ones(d), requires_grad=True)
         self.g_specific = Tensor(np.ones(d), requires_grad=True)
-        self.shared = ExpertPool(rng, cfg, "shared")
-        self.specific = {m: ExpertPool(rng, cfg, m.name) for m in modalities}
+        self.shared = ExpertPool(rng, cfg, 2 * d)
+        self.specific = {m: ExpertPool(rng, cfg, d) for m in modalities}
 
     def named(self, prefix: str):
         out = (
@@ -223,7 +215,7 @@ def pool_context(h: Tensor, segments: list[Segment]) -> Tensor:
     return Tensor(np.zeros(h.shape[1]))
 
 
-FrozenRouting = dict[tuple[int, str], np.ndarray]
+FrozenRouting = dict[tuple[int, str], np.ndarray]  # (layer, branch): the dispatch's [n, k] selection
 
 
 def ss_dmoe_forward(
@@ -235,30 +227,37 @@ def ss_dmoe_forward(
     layer: int,
     frozen: FrozenRouting | None = None,
 ) -> tuple[Tensor, list[PoolStats]]:
-    """Shared pool over all rows plus one modality pool per segment."""
+    """The shared pool over all rows, then every segment's own pool in one
+    dispatch: one grouped gate over the segments' row blocks, and one expert
+    chain over the present pools' experts."""
+    n = x.shape[0]
+    bounds = [0] + [seg.stop for seg in segments]
+    if [seg.start for seg in segments] != bounds[:-1] or bounds[-1] != n or np.any(np.diff(bounds) < 1):
+        raise EncoderError("ss_dmoe_forward: the segments must tile the rows in order, each with a row")
 
-    def frozen_for(pool: str):
-        return None if frozen is None else frozen.get((layer, pool))
-
-    y_shared, st = _dispatch(
-        block.shared, x, gate_shared(x, ctx, block.shared), cfg.top_k, layer, frozen_for("shared")
-    )
-    stats = [st]
-    y_parts = []  # the segments tile rows [0, n) in order, so y_spec is their concat
-    for seg in segments:
-        pool = block.specific[seg.modality]
-        xm = tt.gather_rows(x, np.arange(seg.start, seg.stop))
-        ym, st = _dispatch(
-            pool, xm, gate_specific(xm, pool), cfg.top_k, layer, frozen_for(pool.kind)
+    def route(branch, pools, logits, experts, part):
+        y, w, sel = _dispatch(
+            experts, x, logits, part, cfg.top_k, None if frozen is None else frozen.get((layer, branch))
         )
-        y_parts.append(ym)
-        stats.append(st)
-    y_spec = tt.concat(y_parts, axis=0)
+        return y, PoolStats(layer, branch, pools, part, w, sel)
+
+    shared = block.shared
+    shared_logits = shared.gate(tt.concat([x, tt.tile_rows(ctx, n)], axis=1))
+    y_shared, st_shared = route("shared", ("shared",), shared_logits, shared.experts, np.zeros(n, dtype=np.int64))
+    specific = [block.specific[seg.modality] for seg in segments]
+    logits = tt.grouped_linear(x, [p.gate.w for p in specific], [p.gate.b for p in specific], bounds)
+    y_spec, st_spec = route(
+        "specific",
+        tuple(seg.modality.name for seg in segments),
+        logits,
+        [e for p in specific for e in p.experts],
+        np.repeat(np.arange(len(segments)), np.diff(bounds)),
+    )
     out = tt.add(
         tt.add(x, tt.rmsnorm(y_shared, block.g_shared, cfg.rms_eps)),
         tt.rmsnorm(y_spec, block.g_specific, cfg.rms_eps),
     )
-    return out, stats
+    return out, [st_shared, st_spec]
 
 
 def encoder_block(
@@ -291,7 +290,7 @@ class EncodeResult:
         return tt.gather_rows(self.h, np.arange(seg.start, seg.stop))
 
     def frozen_routing(self) -> FrozenRouting:
-        return {(s.layer, s.pool): s.selected for s in self.stats}
+        return {(s.layer, s.branch): s.selected for s in self.stats}
 
 
 class MultimodalEncoder:

@@ -300,37 +300,39 @@ def contrastive_loss(
 class PoolUsage:
     layer: int
     pool: str
-    importance: Tensor  # [K] token-mean of the dense routing weights, carries gradient
+    importance: np.ndarray  # [K] token-mean routing weight of each expert
     load: np.ndarray  # [K] share of the tokens that selected each expert
+    rows: np.ndarray  # mask of the pool's rows among the rows of every stats entry, in order
 
 
 def pool_usage(stats: list[PoolStats], n_experts: int) -> Iterator[PoolUsage]:
-    """Yield the usage of each (layer, pool) group of stats, in key order,
-    pooled over every sample's tokens in that group."""
-    groups: dict[tuple[int, str], list[PoolStats]] = {}
-    for s in stats:
-        groups.setdefault((s.layer, s.pool), []).append(s)
-    for (layer, pool), members in sorted(groups.items()):
-        weights = tt.concat([m.weights for m in members], axis=0)
-        counts = sum(np.bincount(m.selected.reshape(-1), minlength=n_experts) for m in members)
-        load = counts / sum(m.selected.shape[0] for m in members)
-        yield PoolUsage(layer, pool, tt.tmean(weights, axis=0), load)
+    """Yield the usage of each (layer, pool), in key order, pooled over
+    every row routed to that pool."""
+    keys = sorted({(s.layer, pool) for s in stats for pool in s.pools})
+    group = np.concatenate([np.array([keys.index((s.layer, p)) for p in s.pools])[s.part] for s in stats])
+    sel = np.concatenate([s.selected for s in stats])
+    w = np.concatenate([s.weights.data for s in stats])
+    for g, (layer, pool) in enumerate(keys):
+        rows = group == g
+        picked, n = sel[rows].reshape(-1), np.count_nonzero(rows)
+        importance = np.bincount(picked, weights=w[rows].reshape(-1), minlength=n_experts) / n
+        yield PoolUsage(layer, pool, importance, np.bincount(picked, minlength=n_experts) / n, rows)
 
 
 def load_balance_loss(stats: list[PoolStats], n_experts: int) -> Tensor:
-    """Mean over (layer, pool) groups of (1/K) sum_e Imp(e) * Load(e).
-
-    Importance carries gradient; load, the hard selection frequency, is
-    treated as constant. Uniform routing gives top_k / K^2."""
+    """Mean over the G (layer, pool) groups of (1/K) sum_e Imp(e) * Load(e),
+    as one product of every routed weight with a constant: the sum over
+    groups g, their N_g rows t and slots j of w[t, j] Load_g(sel[t, j]) /
+    (G K N_g). Importance carries gradient; load, the hard selection
+    frequency, is treated as constant. Uniform routing gives top_k / K^2."""
     if not stats:
         raise PretrainError("load_balance_loss: no routing stats")
-    total: Tensor | None = None
-    n_groups = 0
-    for usage in pool_usage(stats, n_experts):
-        term = tt.mul(tt.tsum(tt.mul(usage.importance, Tensor(usage.load))), Tensor(1.0 / n_experts))
-        total = term if total is None else tt.add(total, term)
-        n_groups += 1
-    return tt.mul(total, Tensor(1.0 / n_groups))
+    usages = list(pool_usage(stats, n_experts))
+    sel = np.concatenate([s.selected for s in stats])
+    coef = np.empty(sel.shape)
+    for u in usages:
+        coef[u.rows] = u.load[sel[u.rows]] / (len(usages) * n_experts * np.count_nonzero(u.rows))
+    return tt.tsum(tt.mul(tt.concat([s.weights for s in stats], axis=0), Tensor(coef)))
 
 
 def total_loss(

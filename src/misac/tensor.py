@@ -243,23 +243,22 @@ def index_add(base: Tensor, idx, vals: Tensor) -> Tensor:
     return _emit("index_add", out, [(base, lambda g: g), (vals, lambda g: g[idx])])
 
 
-def _last_index(idx, n_rows: int, op: str) -> tuple[np.ndarray, np.ndarray]:
-    """The [N, k] index and its row numbers; every row must name distinct
-    columns, so a fancy assignment places each value exactly once."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[0] != n_rows:
-        raise ValueError(f"{op}: index must be [{n_rows}, k], got shape {idx.shape}")
-    ordered = np.sort(idx, axis=1)
-    if np.any(ordered[:, 1:] == ordered[:, :-1]):
-        raise ValueError(f"{op}: repeated index within a row")
-    return idx, np.arange(n_rows)[:, None]
-
-
 def take_along_last(a: Tensor, idx) -> Tensor:
-    """Gather along the last axis of a 2D tensor; idx is [N, k] ints."""
+    """Gather along the last axis of a 2D tensor: row t of the [N, k] result
+    is a[t, idx[t]]. Every row of idx must name k distinct columns of a, so
+    the gradient places each value exactly once."""
     if a.data.ndim != 2:
         raise ValueError("take_along_last: expected a 2D tensor")
-    idx, rows = _last_index(idx, a.data.shape[0], "take_along_last")
+    n, width = a.data.shape
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 2 or idx.shape[0] != n:
+        raise ValueError(f"take_along_last: index must be [{n}, k], got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= width):
+        raise ValueError(f"take_along_last: index outside [0, {width})")
+    ordered = np.sort(idx, axis=1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
+        raise ValueError("take_along_last: repeated index within a row")
+    rows = np.arange(n)[:, None]
 
     def vjp(g):
         out = np.zeros_like(a.data)
@@ -267,14 +266,6 @@ def take_along_last(a: Tensor, idx) -> Tensor:
         return out
 
     return _emit("take_along_last", a.data[rows, idx], [(a, vjp)])
-
-
-def scatter_last(vals: Tensor, idx, width: int) -> Tensor:
-    """Inverse of take_along_last: place [N, k] vals into a dense [N, width]."""
-    idx, rows = _last_index(idx, vals.data.shape[0], "scatter_last")
-    out = np.zeros((vals.data.shape[0], width))
-    out[rows, idx] = vals.data
-    return _emit("scatter_last", out, [(vals, lambda g: g[rows, idx])])
 
 
 def tile_rows(v: Tensor, n: int) -> Tensor:

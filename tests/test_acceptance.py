@@ -32,7 +32,7 @@ from misac.downstream import (
     prediction_mask,
     run_finetune,
 )
-from misac.encoder import ExpertPool, PoolStats, _dispatch, gate_specific
+from misac.encoder import ExpertPool, PoolStats, _dispatch
 from misac.pretrain import (
     MaskScheme,
     PretrainModel,
@@ -185,8 +185,6 @@ def _primitive_checks(rng) -> dict[str, float]:
     last = np.array([[1], [4], [0]])
     check("take_along_last", lambda: ([a35], lambda: scalarize(tt.take_along_last(a35, last))))
     w32 = p((3, 2))
-    sel = np.array([[0, 3], [1, 4], [2, 0]])
-    check("scatter_last", lambda: ([w32], lambda: scalarize(tt.scatter_last(w32, sel, 5))))
     check("tsum", lambda: ([a35], lambda: tt.square(tt.tsum(a35))))
     check("tmean_axis", lambda: ([a35], lambda: scalarize(tt.tmean(a35, axis=0))))
     check("exp", lambda: ([a35], lambda: scalarize(tt.exp(a35))))
@@ -346,33 +344,34 @@ def test_criterion_3_routing_laws():
     enc = DESK.model.encoder_config()
     K, k = enc.n_experts, enc.top_k
     assert (K, k) == (8, 4)
-    pool = ExpertPool(np.random.default_rng(0), enc, "csi")
+    pool = ExpertPool(np.random.default_rng(0), enc, enc.d)
     n = 10_000
     x = Tensor(np.random.default_rng(1).standard_normal((n, enc.d)))
-    logits = gate_specific(x, pool)
-    _, stats = _dispatch(pool, x, logits, k, layer=0, frozen=None)
+    logits = pool.gate(x)
+    part = np.zeros(n, dtype=np.int64)  # every row in the one pool
+    _, w, sel = _dispatch(pool.experts, x, logits, part, k, frozen=None)
 
-    w = stats.weights.data
+    # the dispatch routes each row by its k weights over k distinct experts;
+    # every other expert's weight is exactly zero
+    w = w.data
     row_sums = w.sum(axis=1)
     assert np.abs(row_sums - 1.0).max() < 1e-9
-    support = np.count_nonzero(w, axis=1)
+    support = np.array([np.unique(s[ws != 0]).size for s, ws in zip(sel, w)])
     assert np.all(support == k)
 
-    imp = w.mean(axis=0)
+    imp = np.bincount(sel.reshape(-1), weights=w.reshape(-1), minlength=K) / n
     assert abs(imp.sum() - 1.0) < 1e-9
-    load = np.bincount(stats.selected.reshape(-1), minlength=K) / n
+    load = np.bincount(sel.reshape(-1), minlength=K) / n
     assert abs(load.sum() - k) < 1e-9
 
     # rotating selection with equal weights realizes perfectly uniform routing
     sel = (np.arange(n)[:, None] + np.arange(k)[None, :]) % K
-    dense = np.zeros((n, K))
-    np.put_along_axis(dense, sel, 1.0 / k, axis=1)
-    uniform = PoolStats(layer=0, pool="csi", weights=Tensor(dense), selected=sel)
+    uniform = PoolStats(0, "specific", ("csi",), part, Tensor(np.full((n, k), 1.0 / k)), sel)
     lb = load_balance_loss([uniform], K).item()
     assert abs(lb - k / K**2) < 1e-6 and abs(lb - 0.0625) < 1e-6
 
     # with k = K the sparse path must reproduce the dense softmax mixture
-    y_full, _ = _dispatch(pool, x, logits, K, layer=0, frozen=None)
+    y_full, _, _ = _dispatch(pool.experts, x, logits, part, K, frozen=None)
     soft = tt.softmax(logits).data
     want = np.zeros_like(y_full.data)
     for e in range(K):

@@ -807,6 +807,28 @@ class TestCliSurface:
         assert main(["synth", "--out", "unused"]) == 1
         assert capsys.readouterr().err == "error: named fault\n"
 
+    @pytest.mark.parametrize("command", ["synth", "pretrain", "finetune", "eval", "stats"])
+    def test_negative_seed_is_validation_error(self, workspace, tmp_path, capsys, command):
+        root, cfg = workspace
+        data = ["--data", str(root / "data")]
+        rest = {
+            "synth": ["--out", str(tmp_path / "d")],
+            "pretrain": [*data, "--out", str(tmp_path / "pre.msck")],
+            "finetune": [*data, "--checkpoint", str(root / "pre.msck"), "--out", str(tmp_path / "ft.msck")],
+            "eval": [*data, "--checkpoint", str(root / "ft.msck")],
+            "stats": [*data, "--checkpoint", str(root / "pre.msck"), "--out", str(tmp_path / "r.csv")],
+        }[command]
+        assert main([command, "--config", str(cfg), "--seed", "-3", *rest]) == 1
+        assert capsys.readouterr().err == "error: --seed=-3 must be >= 0\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_fingerprint_ignores_the_seed_flag(self, workspace, capsys):
+        # the workspace checkpoint was pre-trained without --seed; a seed
+        # override must not read as another config
+        root, cfg = workspace
+        args = ["--data", str(root / "data"), "--checkpoint", str(root / "pre.msck")]
+        assert main(["stats", "--config", str(cfg), "--seed", "4", *args]) == 0
+
     def test_manifest_that_is_not_json_is_validation_error(self, workspace, tmp_path, capsys):
         root, cfg = workspace
         data = tmp_path / "data"

@@ -1,4 +1,5 @@
-"""Encoder: frozen routing values, a dense O(N*K) dispatch oracle, a numpy
+"""Encoder: frozen routing values, a dense O(N*K) dispatch oracle, the
+per-segment specific branch as the oracle of the merged one, a numpy
 attention oracle, context asymmetry, segment isolation, and gradient checks
 through full blocks with frozen expert selection."""
 
@@ -6,12 +7,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grid_oracle import reshape
 from misac import encoder as enc, synth, tensor as tt, tokenizer as tok
 from misac.encoder import EncoderConfig, MultimodalEncoder
 from misac.tensor import Tensor
 from misac.tokenizer import Modality
+
+# a fourth modality that only the encoder tests route: the encoder reads a
+# modality's id and name alone
+POWER = Modality(3, "power", 1, "csi", None, droppable=True)
 
 
 @pytest.fixture(scope="module")
@@ -45,30 +52,38 @@ def topk_oracle(row: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
     return idx, e / e.sum()
 
 
-def route(logits: Tensor, k: int) -> enc.PoolStats:
-    """The routing that _dispatch applies to the rows of logits."""
+def one_pool(experts, x, logits, k, frozen=None):
+    """_dispatch over a single pool: every row is part 0."""
+    return enc._dispatch(experts, x, logits, np.zeros(x.shape[0], dtype=np.int64), k, frozen)
+
+
+def route(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
+    """The routing that _dispatch applies to the rows of logits: the [n, k]
+    weights and the selection."""
     n, K = logits.shape
-    pool = enc.ExpertPool(np.random.default_rng(0), EncoderConfig(d=4, n_heads=1, n_experts=K, top_k=k), "csi")
-    return enc._dispatch(pool, Tensor(np.zeros((n, 4))), logits, k, 0, None)[1]
+    pool = enc.ExpertPool(np.random.default_rng(0), EncoderConfig(d=4, n_heads=1, n_experts=K, top_k=k), 4)
+    _, w, sel = one_pool(pool.experts, Tensor(np.zeros((n, 4))), logits, k)
+    return w, sel
 
 
 class TestTopkSoftmax:
     def test_frozen_example(self):
-        stats = route(Tensor([[2.0, 1.0, 0.0, -1.0]]), k=2)
-        np.testing.assert_array_equal(stats.selected, [[0, 1]])
-        np.testing.assert_allclose(stats.weights.data, [[0.7311, 0.2689, 0.0, 0.0]], atol=1e-4)
-        assert stats.weights.data.sum() == pytest.approx(1.0)
+        w, sel = route(Tensor([[2.0, 1.0, 0.0, -1.0]]), k=2)
+        np.testing.assert_array_equal(sel, [[0, 1]])
+        np.testing.assert_allclose(w.data, [[0.7311, 0.2689]], atol=1e-4)
+        assert w.data.sum() == pytest.approx(1.0)
 
     def test_uniform_logits_tie_to_lowest_indices(self):
-        stats = route(Tensor([[1.0, 1.0, 1.0, 1.0]]), k=2)
-        np.testing.assert_array_equal(stats.selected, [[0, 1]])
-        np.testing.assert_allclose(stats.weights.data, [[0.5, 0.5, 0.0, 0.0]])
+        w, sel = route(Tensor([[1.0, 1.0, 1.0, 1.0]]), k=2)
+        np.testing.assert_array_equal(sel, [[0, 1]])
+        np.testing.assert_allclose(w.data, [[0.5, 0.5]])
 
     def test_k_equals_K_is_plain_softmax(self):
         logits = Tensor(np.array([[0.3, -1.2, 2.0, 0.0]]))
-        stats = route(logits, k=4)
+        w, sel = route(logits, k=4)
+        np.testing.assert_array_equal(sel, [[2, 0, 3, 1]])
         full = tt.softmax(logits).data
-        np.testing.assert_allclose(stats.weights.data, full, atol=1e-12)
+        np.testing.assert_allclose(w.data, full[:, [2, 0, 3, 1]], atol=1e-12)
 
     def test_k_out_of_range_rejected(self):
         with pytest.raises(enc.EncoderError):
@@ -79,8 +94,8 @@ class TestTopkSoftmax:
     def test_gradient_only_through_selected(self):
         logits = Tensor([[2.0, 1.0, 0.0, -1.0]], requires_grad=True)
         with tt.Tape() as tape:
-            stats = route(logits, k=2)
-            loss = tt.tsum(tt.square(stats.weights))
+            w, _ = route(logits, k=2)
+            loss = tt.tsum(tt.square(w))
         tt.backward(loss, tape)
         assert logits.grad is not None
         np.testing.assert_array_equal(logits.grad[0, 2:], [0.0, 0.0])
@@ -90,75 +105,80 @@ class TestTopkSoftmax:
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(10, 8))
         logits[4, [1, 6]] = logits[4].max()  # a tie for the top slot
-        batched = route(Tensor(logits), 4)
+        w, sel = route(Tensor(logits), 4)
         for i in range(10):
-            single = route(Tensor(logits[i : i + 1]), 4)
-            np.testing.assert_array_equal(batched.selected[i], single.selected[0])
-            np.testing.assert_array_equal(batched.weights.data[i], single.weights.data[0])
-            idx, w = topk_oracle(logits[i], 4)
-            np.testing.assert_array_equal(batched.selected[i], idx)
-            np.testing.assert_allclose(batched.weights.data[i, idx], w, atol=1e-15)
+            w1, sel1 = route(Tensor(logits[i : i + 1]), 4)
+            np.testing.assert_array_equal(sel[i], sel1[0])
+            np.testing.assert_array_equal(w.data[i], w1.data[0])
+            idx, want = topk_oracle(logits[i], 4)
+            np.testing.assert_array_equal(sel[i], idx)
+            np.testing.assert_allclose(w.data[i], want, atol=1e-15)
 
 
 class TestDispatch:
     def test_matches_dense_loop_oracle(self):
         rng = np.random.default_rng(7)
         cfg = EncoderConfig(d=12, n_heads=4, n_experts=5, top_k=3)
-        pool = enc.ExpertPool(rng, cfg, "csi")
+        pool = enc.ExpertPool(rng, cfg, 12)
         x = Tensor(rng.normal(size=(9, 12)))
-        logits = enc.gate_specific(x, pool)
-        y, stats = enc._dispatch(pool, x, logits, 3, layer=0, frozen=None)
+        logits = pool.gate(x)
+        y, _, sel = one_pool(pool.experts, x, logits, 3)
         want = np.zeros((9, 12))
         for i in range(9):
             idx, w = topk_oracle(logits.data[i], 3)
-            np.testing.assert_array_equal(stats.selected[i], idx)
+            np.testing.assert_array_equal(sel[i], idx)
             for slot, e in enumerate(idx):
                 row = Tensor(x.data[i : i + 1])
                 want[i] += w[slot] * pool.experts[e](row).data[0]
         np.testing.assert_allclose(y.data, want, atol=1e-10)
 
-    def test_dense_weights_rows_sum_to_one_and_load(self):
+    def test_weights_rows_sum_to_one_and_load(self):
         rng = np.random.default_rng(8)
         cfg = EncoderConfig(d=8, n_heads=2, n_experts=8, top_k=4)
-        pool = enc.ExpertPool(rng, cfg, "radar")
+        pool = enc.ExpertPool(rng, cfg, 8)
         x = Tensor(rng.normal(size=(20, 8)))
-        _, stats = enc._dispatch(pool, x, enc.gate_specific(x, pool), 4, 0, None)
-        np.testing.assert_allclose(stats.weights.data.sum(axis=1), 1.0, atol=1e-12)
-        counts = np.zeros(8)
-        for e in range(8):
-            counts[e] = (stats.selected == e).sum()
+        _, w, sel = one_pool(pool.experts, x, pool.gate(x), 4)
+        np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
+        counts = np.bincount(sel.reshape(-1), minlength=8)
         assert counts.sum() == 20 * 4  # every token fans out to exactly k experts
-        assert ((stats.weights.data != 0).sum(axis=1) == 4).all()
+        assert all(len(set(row)) == 4 for row in sel.tolist()) and (w.data > 0).all()
 
     def test_frozen_selection_reused(self):
         rng = np.random.default_rng(9)
         cfg = EncoderConfig(d=8, n_heads=2, n_experts=4, top_k=2)
-        pool = enc.ExpertPool(rng, cfg, "csi")
+        pool = enc.ExpertPool(rng, cfg, 8)
         x = Tensor(rng.normal(size=(5, 8)))
-        logits = enc.gate_specific(x, pool)
         frozen = np.tile([3, 0], (5, 1))
-        _, stats = enc._dispatch(pool, x, logits, 2, 0, frozen)
-        np.testing.assert_array_equal(stats.selected, frozen)
+        _, _, sel = one_pool(pool.experts, x, pool.gate(x), 2, frozen)
+        np.testing.assert_array_equal(sel, frozen)
+
+    @pytest.mark.parametrize("bad", [[-1, 0], [4, 0]])
+    def test_frozen_id_outside_the_pool_rejected(self, bad):
+        # offset by K * part, a -1 would name the previous pool's last expert
+        rng = np.random.default_rng(9)
+        cfg = EncoderConfig(d=8, n_heads=2, n_experts=4, top_k=2)
+        experts = [e for _ in range(2) for e in enc.ExpertPool(rng, cfg, 8).experts]
+        x = Tensor(rng.normal(size=(4, 8)))
+        part = np.array([0, 0, 1, 1])
+        with pytest.raises(ValueError, match="take_along_last: index outside"):
+            enc._dispatch(experts, x, Tensor(rng.normal(size=(4, 4))), part, 2, np.tile(bad, (4, 1)))
 
 
-def _per_expert_dispatch(pool, x, logits, k, layer, frozen):
+def _per_expert_dispatch(pool, x, logits, k, frozen):
     """Reference dispatch: one gather, expert MLP, weighting and scatter-add
-    per expert, with each weight picked out of the dense routing matrix."""
+    per expert, with each weight picked out of the [n, k] routing weights."""
     n, d = x.shape
-    K = len(pool.experts)
     sel = enc._topk_indices(logits.data, k) if frozen is None else frozen
     w = tt.softmax(tt.take_along_last(logits, sel))
-    dense = tt.scatter_last(w, sel, K)
     y = Tensor(np.zeros((n, d)))
-    for e in range(K):
-        rows = np.nonzero((sel == e).any(axis=1))[0]
+    for e in range(len(pool.experts)):
+        rows, slots = np.nonzero(sel == e)
         if rows.size == 0:
             continue
         xe = tt.gather_rows(x, rows)
-        we = tt.take_along_last(tt.gather_rows(dense, rows), np.full((rows.size, 1), e))
+        we = tt.take_along_last(tt.gather_rows(w, rows), slots[:, None])
         y = tt.index_add(y, rows, tt.mul(pool.experts[e](xe), we))
-    stats = enc.PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel)
-    return y, stats
+    return y, w, sel
 
 
 def _gather_any_rows(a, idx):
@@ -181,7 +201,7 @@ def _index_add_any_rows(base, idx, vals):
     return tt._emit("index_add", out, [(base, lambda g: g), (vals, lambda g: g[idx])])
 
 
-def _index_add_dispatch(pool, x, logits, k, layer, frozen):
+def _index_add_dispatch(pool, x, logits, k, frozen):
     """Reference dispatch: the grouped expert layers, with rows gathered by
     token and combined by a gather of the pair weights, mul and an add onto
     zeros, the gather and the add taking the unsorted, repeated token rows."""
@@ -189,7 +209,6 @@ def _index_add_dispatch(pool, x, logits, k, layer, frozen):
     K = len(pool.experts)
     sel = enc._topk_indices(logits.data, k) if frozen is None else frozen
     w = tt.softmax(tt.take_along_last(logits, sel))
-    dense = tt.scatter_last(w, sel, K)
     pairs = np.argsort(sel.reshape(-1), kind="stable")
     tokens = pairs // sel.shape[1]
     offsets = np.concatenate([[0], np.cumsum(np.bincount(sel.reshape(-1), minlength=K))])
@@ -199,39 +218,39 @@ def _index_add_dispatch(pool, x, logits, k, layer, frozen):
     out = tt.grouped_linear(h, [e.fc2.w for e in ex], [e.fc2.b for e in ex], offsets)
     pair_w = _gather_any_rows(reshape(w, (-1, 1)), pairs)
     y = _index_add_any_rows(Tensor(np.zeros((n, d))), tokens, tt.mul(out, pair_w))
-    stats = enc.PoolStats(layer=layer, pool=pool.kind, weights=dense, selected=sel)
-    return y, stats
+    return y, w, sel
+
+
+def _grouped_dispatch(pool, x, logits, k, frozen):
+    return one_pool(pool.experts, x, logits, k, frozen)
 
 
 class TestGroupedDispatch:
     """The grouped dispatch against the per-expert loop it replaced: outputs,
-    routing stats, and the gradients of a loss that reads both the output and
-    the dense routing weights."""
+    routing, and the gradients of a loss that reads both the output and the
+    routing weights."""
 
     N, D, K = 9, 12, 5
 
     def _run(self, dispatch, pool, top_k, frozen):
         rng = np.random.default_rng(40)
         x = Tensor(rng.normal(size=(self.N, self.D)), requires_grad=True)
-        probe_y, probe_w = rng.normal(size=(self.N, self.D)), rng.normal(size=(self.N, self.K))
+        probe_y, probe_w = rng.normal(size=(self.N, self.D)), rng.normal(size=(self.N, top_k))
         params = [p for _, p in pool.named("pool")]
         for p in params:
             p.grad = None
         with tt.Tape() as tape:
-            y, stats = dispatch(pool, x, enc.gate_specific(x, pool), top_k, 0, frozen)
-            loss = tt.add(
-                tt.tsum(tt.mul(y, Tensor(probe_y))), tt.tsum(tt.mul(stats.weights, Tensor(probe_w)))
-            )
+            y, w, sel = dispatch(pool, x, pool.gate(x), top_k, frozen)
+            loss = tt.add(tt.tsum(tt.mul(y, Tensor(probe_y))), tt.tsum(tt.mul(w, Tensor(probe_w))))
         tt.backward(loss, tape)
-        return y.data, stats, [x.grad] + [p.grad for p in params]
+        return y.data, w.data, sel, [x.grad] + [p.grad for p in params]
 
     def _assert_same(self, pool, top_k, frozen=None):
-        y_ref, st_ref, g_ref = self._run(_per_expert_dispatch, pool, top_k, frozen)
-        y, st, g = self._run(enc._dispatch, pool, top_k, frozen)
+        y_ref, w_ref, sel_ref, g_ref = self._run(_per_expert_dispatch, pool, top_k, frozen)
+        y, w, sel, g = self._run(_grouped_dispatch, pool, top_k, frozen)
         assert np.abs(y - y_ref).max() <= 1e-12 * np.abs(y_ref).max()
-        assert (st.layer, st.pool) == (st_ref.layer, st_ref.pool)
-        np.testing.assert_array_equal(st.selected, st_ref.selected)
-        np.testing.assert_array_equal(st.weights.data, st_ref.weights.data)
+        np.testing.assert_array_equal(sel, sel_ref)
+        np.testing.assert_array_equal(w, w_ref)
         for got, want in zip(g, g_ref):
             assert (got is None) == (want is None)
             if want is not None:
@@ -239,10 +258,10 @@ class TestGroupedDispatch:
         return g
 
     def _assert_identical(self, pool, top_k, frozen=None):
-        y_ref, st_ref, g_ref = self._run(_index_add_dispatch, pool, top_k, frozen)
-        y, st, g = self._run(enc._dispatch, pool, top_k, frozen)
+        y_ref, w_ref, _, g_ref = self._run(_index_add_dispatch, pool, top_k, frozen)
+        y, w, _, g = self._run(_grouped_dispatch, pool, top_k, frozen)
         np.testing.assert_array_equal(y, y_ref)
-        np.testing.assert_array_equal(st.weights.data, st_ref.weights.data)
+        np.testing.assert_array_equal(w, w_ref)
         for got, want in zip(g, g_ref):
             assert (got is None) == (want is None)
             if want is not None:
@@ -252,11 +271,11 @@ class TestGroupedDispatch:
     @pytest.mark.parametrize("top_k", [1, 3, 5])
     def test_matches_per_expert_loop(self, top_k):
         cfg = EncoderConfig(d=self.D, n_heads=4, n_experts=self.K, top_k=top_k)
-        self._assert_same(enc.ExpertPool(np.random.default_rng(41), cfg, "csi"), top_k)
+        self._assert_same(enc.ExpertPool(np.random.default_rng(41), cfg, self.D), top_k)
 
     def test_frozen_selection_with_idle_expert(self):
         cfg = EncoderConfig(d=self.D, n_heads=4, n_experts=self.K, top_k=3)
-        pool = enc.ExpertPool(np.random.default_rng(42), cfg, "map")
+        pool = enc.ExpertPool(np.random.default_rng(42), cfg, self.D)
         frozen = (np.arange(self.N)[:, None] + np.arange(3)[None, :]) % (self.K - 1)
         grads = self._assert_same(pool, 3, frozen)
         idle = pool.experts[self.K - 1]
@@ -266,11 +285,11 @@ class TestGroupedDispatch:
     @pytest.mark.parametrize("top_k", [1, 3, 5])
     def test_fused_combine_matches_index_add_bit_for_bit(self, top_k):
         cfg = EncoderConfig(d=self.D, n_heads=4, n_experts=self.K, top_k=top_k)
-        self._assert_identical(enc.ExpertPool(np.random.default_rng(43), cfg, "radar"), top_k)
+        self._assert_identical(enc.ExpertPool(np.random.default_rng(43), cfg, self.D), top_k)
 
     def test_fused_combine_with_idle_expert_matches_index_add(self):
         cfg = EncoderConfig(d=self.D, n_heads=4, n_experts=self.K, top_k=3)
-        pool = enc.ExpertPool(np.random.default_rng(44), cfg, "csi")
+        pool = enc.ExpertPool(np.random.default_rng(44), cfg, self.D)
         frozen = (np.arange(self.N)[:, None] + np.arange(3)[None, :]) % (self.K - 1)
         grads = self._assert_identical(pool, 3, frozen)
         idle = pool.experts[self.K - 1]
@@ -278,44 +297,178 @@ class TestGroupedDispatch:
         assert all(g is not None for g in grads[: -4])
 
 
+def per_segment_ss_dmoe(x, segments, ctx, block, cfg, layer, frozen=None):
+    """The SS-DMoE block as it ran before its specific pools shared one
+    dispatch: the shared dispatch, then per segment a gather of its rows, its
+    own gate and a dispatch over its own pool, joined by a concat. Returns
+    the block output and the shared and per-segment (weights, selection)."""
+    n = x.shape[0]
+
+    def frozen_for(key):
+        return None if frozen is None else frozen[key]
+
+    shared = block.shared
+    logits = shared.gate(tt.concat([x, tt.tile_rows(ctx, n)], axis=1))
+    y_shared, w, sel = one_pool(shared.experts, x, logits, cfg.top_k, frozen_for("shared"))
+    routed = [(w, sel)]
+    y_parts = []
+    for seg in segments:
+        pool = block.specific[seg.modality]
+        xm = tt.gather_rows(x, np.arange(seg.start, seg.stop))
+        ym, w, sel = one_pool(pool.experts, xm, pool.gate(xm), cfg.top_k, frozen_for(seg.modality))
+        y_parts.append(ym)
+        routed.append((w, sel))
+    out = tt.add(
+        tt.add(x, tt.rmsnorm(y_shared, block.g_shared, cfg.rms_eps)),
+        tt.rmsnorm(tt.concat(y_parts, axis=0), block.g_specific, cfg.rms_eps),
+    )
+    return out, routed
+
+
+@st.composite
+def merged_cases(draw):
+    """A block over 1-4 present modalities of 1-6 rows each, top-k in
+    [1, K], and optionally a frozen selection that leaves experts k .. K - 1
+    of every pool idle."""
+    K = draw(st.integers(2, 4))
+    k = draw(st.integers(1, K))
+    mods = draw(st.lists(st.sampled_from(tok.MODALITY_ORDER + (POWER,)), min_size=1, max_size=4, unique=True))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=len(mods), max_size=len(mods)))
+    frozen = draw(st.booleans())
+    return K, k, sorted(mods), sizes, frozen, draw(st.integers(0, 2**32 - 1))
+
+
+class TestMergedSpecificDispatch:
+    """One dispatch over every present modality's pool against the
+    per-segment path it replaced, which lives on here as the oracle."""
+
+    D = 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(merged_cases())
+    def test_matches_the_per_segment_oracle(self, case):
+        K, k, mods, sizes, frozen, seed = case
+        rng = np.random.default_rng(seed)
+        cfg = EncoderConfig(d=self.D, n_heads=2, n_experts=K, top_k=k)
+        block = enc.EncoderBlock(rng, cfg, tuple(tok.MODALITY_ORDER) + (POWER,))
+        bounds = np.cumsum([0] + sizes)
+        segments = [enc.Segment(m, int(lo), int(hi)) for m, lo, hi in zip(mods, bounds, bounds[1:])]
+        n = int(bounds[-1])
+        x = Tensor(rng.normal(size=(n, self.D)), requires_grad=True)
+        ctx = Tensor(rng.normal(size=self.D), requires_grad=True)
+        probe = rng.normal(size=(n, self.D))
+        merged_frozen = oracle_frozen = None
+        if frozen:
+            # each row picks k distinct experts among the first k of its pool
+            # (or of the shared pool), so every expert past k stays idle
+            sel = np.stack([rng.permutation(k) for _ in range(n)]).reshape(n, k)
+            shared = np.stack([rng.permutation(k) for _ in range(n)]).reshape(n, k)
+            merged_frozen = {(0, "shared"): shared, (0, "specific"): sel}
+            oracle_frozen = {"shared": shared, **{s.modality: sel[s.start : s.stop] for s in segments}}
+        params = [ctx, x] + [p for _, p in block.named("b")]
+
+        def run(forward, frozen_sel):
+            for p in params:
+                p.grad = None
+            with tt.Tape() as tape:
+                out, weights, selections = forward(frozen_sel)
+                loss = tt.add(tt.tsum(tt.mul(out, Tensor(probe))), tt.tsum(tt.square(weights)))
+            tt.backward(loss, tape)
+            return out.data, weights.data, selections, [p.grad for p in params]
+
+        def merged(frozen_sel):
+            out, (shared_st, spec_st) = enc.ss_dmoe_forward(x, segments, ctx, block, cfg, 0, frozen_sel)
+            assert spec_st.pools == tuple(m.name for m in mods)
+            np.testing.assert_array_equal(spec_st.part, np.repeat(np.arange(len(mods)), sizes))
+            weights = tt.concat([shared_st.weights, spec_st.weights], axis=0)
+            return out, weights, [shared_st.selected, spec_st.selected]
+
+        def oracle(frozen_sel):
+            out, routed = per_segment_ss_dmoe(x, segments, ctx, block, cfg, 0, frozen_sel)
+            weights = tt.concat([w for w, _ in routed], axis=0)
+            return out, weights, [routed[0][1], np.concatenate([sel for _, sel in routed[1:]])]
+
+        got = run(merged, merged_frozen)
+        want = run(oracle, oracle_frozen)
+        for a, b in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(a, b)
+        for g, g_ref in zip(got[3], want[3]):
+            assert (g is None) == (g_ref is None)
+            if g_ref is not None:
+                assert np.abs(g - g_ref).max() <= 1e-12 * max(np.abs(g_ref).max(), 1e-300)
+        absent = [m for m in block.specific if m not in mods]
+        for m in absent:
+            assert all(p.grad is None for _, p in block.specific[m].named("p"))
+        if frozen and k < K:
+            for m in mods:
+                idle = block.specific[m].experts[k:]
+                assert all(p.grad is None for e in idle for _, p in e.named("e"))
+
+    @pytest.mark.parametrize("perturbed", [0, 1, 2, 3])
+    def test_a_modality_pool_moves_only_its_own_rows(self, perturbed):
+        """No cross-modal interference: perturbing one modality's gate and
+        experts leaves every other segment's rows array_equal."""
+        rng = np.random.default_rng(50 + perturbed)
+        cfg = EncoderConfig(d=self.D, n_heads=2, n_experts=4, top_k=2)
+        mods = tuple(tok.MODALITY_ORDER) + (POWER,)
+        block = enc.EncoderBlock(rng, cfg, mods)
+        segments = [enc.Segment(m, 5 * i, 5 * i + 5) for i, m in enumerate(mods)]
+        x, ctx = Tensor(rng.normal(size=(20, self.D))), Tensor(rng.normal(size=self.D))
+        base, _ = enc.ss_dmoe_forward(x, segments, ctx, block, cfg, 0)
+        for _, p in block.specific[mods[perturbed]].named("p"):
+            p.data = p.data + rng.normal(0.0, 0.5, size=p.data.shape)
+        out, _ = enc.ss_dmoe_forward(x, segments, ctx, block, cfg, 0)
+        for seg in segments:
+            rows = slice(seg.start, seg.stop)
+            if seg.modality == mods[perturbed]:
+                assert np.abs(out.data[rows] - base.data[rows]).max() > 0
+            else:
+                np.testing.assert_array_equal(out.data[rows], base.data[rows])
+
+
 class TestGates:
+    def _shared_stats(self, x, ctx, block, cfg):
+        _, stats = enc.ss_dmoe_forward(Tensor(x), [enc.Segment(Modality.CSI, 0, len(x))], Tensor(ctx), block, cfg, 0)
+        return stats[0]
+
     def test_shared_gate_zero_context_uses_token_block_only(self):
         rng = np.random.default_rng(11)
         cfg = EncoderConfig(d=8, n_heads=2, n_experts=4, top_k=2)
-        pool = enc.ExpertPool(rng, cfg, "shared")
-        x = Tensor(rng.normal(size=(6, 8)))
-        got = enc.gate_shared(x, Tensor(np.zeros(8)), pool).data
-        want = x.data @ pool.gate.w.data[:8] + pool.gate.b.data
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        block = enc.EncoderBlock(rng, cfg, tok.MODALITY_ORDER)
+        x = rng.normal(size=(6, 8))
+        got = self._shared_stats(x, np.zeros(8), block, cfg)
+        logits = x @ block.shared.gate.w.data[:8] + block.shared.gate.b.data
+        for i in range(6):
+            idx, w = topk_oracle(logits[i], 2)
+            np.testing.assert_array_equal(got.selected[i], idx)
+            np.testing.assert_allclose(got.weights.data[i], w, atol=1e-12)
 
     def test_shared_gate_conditions_on_context(self):
         rng = np.random.default_rng(12)
         cfg = EncoderConfig(d=8, n_heads=2, n_experts=4, top_k=2)
-        pool = enc.ExpertPool(rng, cfg, "shared")
-        x = Tensor(rng.normal(size=(6, 8)))
-        a = enc.gate_shared(x, Tensor(np.zeros(8)), pool).data
-        b = enc.gate_shared(x, Tensor(np.ones(8)), pool).data
+        block = enc.EncoderBlock(rng, cfg, tok.MODALITY_ORDER)
+        x = rng.normal(size=(6, 8))
+        a = self._shared_stats(x, np.zeros(8), block, cfg).weights.data
+        b = self._shared_stats(x, np.ones(8), block, cfg).weights.data
         assert np.abs(a - b).max() > 0
 
     def test_gate_input_widths_are_asymmetric(self):
         rng = np.random.default_rng(13)
-        cfg = EncoderConfig(d=8, n_heads=2)
-        shared = enc.ExpertPool(rng, cfg, "shared")
-        spec = enc.ExpertPool(rng, cfg, "map")
-        assert shared.gate.w.shape[0] == 16
-        assert spec.gate.w.shape[0] == 8
+        block = enc.EncoderBlock(rng, EncoderConfig(d=8, n_heads=2), tok.MODALITY_ORDER)
+        assert block.shared.gate.w.shape[0] == 16
+        assert all(pool.gate.w.shape[0] == 8 for pool in block.specific.values())
 
-    def test_kind_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "bounds",
+        [[(0, 3), (4, 6)], [(0, 4), (3, 6)], [(0, 3), (3, 5)], [(1, 3), (3, 6)], [(0, 0), (0, 6)], [(3, 6), (0, 3)]],
+    )
+    def test_segments_that_do_not_tile_the_rows_rejected(self, bounds):
         rng = np.random.default_rng(14)
-        cfg = EncoderConfig(d=8, n_heads=2)
-        shared = enc.ExpertPool(rng, cfg, "shared")
-        spec = enc.ExpertPool(rng, cfg, "csi")
-        x = Tensor(np.zeros((2, 8)))
-        ctx = Tensor(np.zeros(8))
-        with pytest.raises(enc.EncoderError):
-            enc.gate_shared(x, ctx, spec)
-        with pytest.raises(enc.EncoderError):
-            enc.gate_specific(x, shared)
+        cfg = EncoderConfig(d=8, n_heads=2, n_experts=4, top_k=2)
+        block = enc.EncoderBlock(rng, cfg, tok.MODALITY_ORDER)
+        segments = [enc.Segment(m, lo, hi) for m, (lo, hi) in zip(tok.MODALITY_ORDER, bounds)]
+        with pytest.raises(enc.EncoderError, match="tile the rows"):
+            enc.ss_dmoe_forward(Tensor(np.zeros((6, 8))), segments, Tensor(np.zeros(8)), block, cfg, 0)
 
 
 class TestAttention:
@@ -376,22 +529,28 @@ class TestEncode:
             model.encode([parts[0], parts[0]])
 
     def test_stats_cover_layers_and_pools(self, small):
+        """Two dispatches per layer: the shared one over every row, the
+        specific one over every row, each in its segment's pool."""
         model, prepped = small
         res = model.encode(embed_all(model, prepped))
-        keys = {(s.layer, s.pool) for s in res.stats}
-        assert keys == {
-            (li, p) for li in range(2) for p in ("shared", "csi", "map", "radar")
-        }
+        assert [(s.layer, s.branch) for s in res.stats] == [
+            (li, b) for li in range(2) for b in ("shared", "specific")
+        ]
         for s in res.stats:
-            expect = 48 if s.pool == "shared" else 16
-            assert s.selected.shape[0] == expect
+            assert s.selected.shape == s.weights.shape == (48, 4)
+            if s.branch == "shared":
+                assert s.pools == ("shared",)
+                np.testing.assert_array_equal(s.part, np.zeros(48))
+            else:
+                assert s.pools == ("csi", "map", "radar")
+                np.testing.assert_array_equal(s.part, np.repeat([0, 1, 2], 16))
+        assert set(res.frozen_routing()) == {(li, b) for li in range(2) for b in ("shared", "specific")}
 
     def test_missing_modality_drops_its_pool_and_context(self, small):
         model, prepped = small
         parts = [(m, t) for m, t in embed_all(model, prepped) if m != Modality.MAP]
         res = model.encode(parts)
-        pools = {s.pool for s in res.stats}
-        assert pools == {"shared", "csi", "radar"}
+        assert {s.pools for s in res.stats} == {("shared",), ("csi", "radar")}
         with pytest.raises(enc.EncoderError):
             res.segment(Modality.MAP)
 

@@ -30,6 +30,7 @@ from misac.pretrain import (
     encode_visible,
     load_balance_loss,
     mask_loss,
+    pool_usage,
     prepare_step_inputs,
     pretrain_step,
     run_pretrain,
@@ -338,12 +339,24 @@ class TestContrastiveLoss:
         assert all(z.grad is not None and np.abs(z.grad).max() > 0 for z in zs + ys)
 
 
+def one_pool_stats(layer: int, pool: str, w, sel: np.ndarray) -> PoolStats:
+    """The stats of a dispatch that routed every row in the one pool."""
+    w = w if isinstance(w, Tensor) else Tensor(np.asarray(w, dtype=float))
+    branch = "shared" if pool == "shared" else "specific"
+    return PoolStats(layer, branch, (pool,), np.zeros(len(sel), dtype=np.int64), w, sel)
+
+
 def rotating_stats(layer: int, pool: str, n: int, n_experts: int, k: int) -> PoolStats:
     sel = np.stack([np.arange(i, i + k) % n_experts for i in range(n)])
-    w = np.zeros((n, n_experts))
-    for i in range(n):
-        w[i, sel[i]] = 1.0 / k
-    return PoolStats(layer, pool, Tensor(w), sel)
+    return one_pool_stats(layer, pool, np.full((n, k), 1.0 / k), sel)
+
+
+def collapsed_stats(layer: int, pool: str, n: int, k: int) -> PoolStats:
+    """Every row puts its whole weight on expert 0 (and selects 1 .. k - 1 at
+    zero weight)."""
+    w = np.zeros((n, k))
+    w[:, 0] = 1.0
+    return one_pool_stats(layer, pool, w, np.tile(np.arange(k), (n, 1)))
 
 
 class TestLoadBalanceLoss:
@@ -352,49 +365,74 @@ class TestLoadBalanceLoss:
         loss = load_balance_loss([rotating_stats(0, "shared", 16, 8, 4)], 8)
         assert abs(loss.item() - 4 / 64) < 1e-12
 
-    def test_collapsed_routing_value(self):
-        n = 10
-        w = np.zeros((n, 8))
-        w[:, 0] = 1.0
-        stats = PoolStats(0, "csi", Tensor(w), np.zeros((n, 1), dtype=int))
-        loss = load_balance_loss([stats], 8)
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_collapsed_routing_value(self, k):
+        # Imp = Load = 1 at expert 0 -> loss = 1 / K
+        loss = load_balance_loss([collapsed_stats(0, "csi", 10, k)], 8)
         assert abs(loss.item() - 1 / 8) < 1e-12
 
     def test_groups_average(self):
-        n = 10
-        w = np.zeros((n, 8))
-        w[:, 0] = 1.0
-        collapsed = PoolStats(0, "csi", Tensor(w), np.zeros((n, 1), dtype=int))
+        collapsed = collapsed_stats(0, "csi", 10, 4)
         loss = load_balance_loss([rotating_stats(0, "shared", 16, 8, 4), collapsed], 8)
         assert abs(loss.item() - 0.5 * (0.0625 + 0.125)) < 1e-12
 
     def test_batch_members_aggregate_before_the_product(self):
-        a = PoolStats(0, "shared", Tensor(np.array([[1.0, 0.0]])), np.array([[0]]))
-        wb = np.zeros((3, 2))
-        wb[:, 1] = 1.0
-        b = PoolStats(0, "shared", Tensor(wb), np.ones((3, 1), dtype=int))
+        a = one_pool_stats(0, "shared", [[1.0]], np.array([[0]]))
+        b = one_pool_stats(0, "shared", np.ones((3, 1)), np.ones((3, 1), dtype=int))
         # pooled: Imp = Load = [0.25, 0.75] -> (1/2)(0.0625 + 0.5625)
         loss = load_balance_loss([a, b], 2)
         assert abs(loss.item() - 0.3125) < 1e-12
         # averaging per-member losses instead would give 0.5
         assert abs(loss.item() - 0.5) > 0.1
 
+    def test_a_merged_dispatch_groups_its_rows_by_pool(self):
+        """One specific dispatch routes rows of several pools: each pool's
+        rows join the same pool's rows of the other dispatches."""
+        rng = np.random.default_rng(1)
+        n, k = 9, 2
+        part = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
+        w = rng.random((n, k))
+        sel = np.stack([rng.choice(4, size=k, replace=False) for _ in range(n)])
+        merged = PoolStats(0, "specific", ("csi", "map"), part, Tensor(w), sel)
+        alone = [
+            one_pool_stats(0, pool, w[part == p], sel[part == p]) for p, pool in enumerate(("csi", "map"))
+        ]
+        assert load_balance_loss([merged], 4).item() == pytest.approx(load_balance_loss(alone, 4).item(), rel=1e-15)
+        got = list(pool_usage([merged], 4))
+        want = list(pool_usage(alone, 4))
+        assert [(u.layer, u.pool) for u in got] == [(0, "csi"), (0, "map")]
+        for u, v in zip(got, want):
+            np.testing.assert_array_equal(u.importance, v.importance)
+            np.testing.assert_array_equal(u.load, v.load)
+
     def test_matches_numpy_oracle(self):
+        """Against the mean over (layer, pool) groups of (1/K) sum_e Imp(e)
+        Load(e), with Imp(e) the token mean of the dense [n, K] weights that
+        place each row's k weights at its selected experts."""
         rng = np.random.default_rng(2)
-        stats, want_terms = [], []
-        for layer, pool in [(0, "shared"), (0, "map"), (1, "shared")]:
+        stats, rows = [], {}
+        for layer, pools in [(0, ("shared",)), (0, ("csi", "map")), (1, ("shared",)), (1, ("map",))]:
             n = int(rng.integers(4, 12))
-            w = np.abs(rng.normal(size=(n, 8)))
+            part = rng.integers(0, len(pools), size=n)
+            w = np.abs(rng.normal(size=(n, 4)))
             sel = np.stack([rng.choice(8, size=4, replace=False) for _ in range(n)])
-            stats.append(PoolStats(layer, pool, Tensor(w), sel))
-            counts = np.bincount(sel.reshape(-1), minlength=8)
-            want_terms.append((w.mean(axis=0) * (counts / n)).sum() / 8)
+            branch = "shared" if pools == ("shared",) else "specific"
+            stats.append(PoolStats(layer, branch, pools, part, Tensor(w), sel))
+            for p, pool in enumerate(pools):
+                dense = np.zeros((n, 8))
+                np.put_along_axis(dense, sel, w, axis=1)
+                rows.setdefault((layer, pool), []).append((dense[part == p], sel[part == p]))
+        want_terms = []
+        for members in rows.values():
+            dense = np.concatenate([d for d, _ in members])
+            counts = np.bincount(np.concatenate([s for _, s in members]).reshape(-1), minlength=8)
+            want_terms.append((dense.mean(axis=0) * (counts / len(dense))).sum() / 8)
         loss = load_balance_loss(stats, 8)
         assert abs(loss.item() - float(np.mean(want_terms))) < 1e-12
 
     def test_importance_carries_gradient(self):
         w = Tensor(np.full((4, 2), 0.5), requires_grad=True)
-        stats = PoolStats(0, "shared", w, np.tile([0, 1], (4, 1)))
+        stats = one_pool_stats(0, "shared", w, np.tile([0, 1], (4, 1)))
         with tt.Tape() as tape:
             loss = load_balance_loss([stats], 2)
         tt.backward(loss, tape)
@@ -842,13 +880,71 @@ class TestTrainingLoop:
             step_objective(model, inputs, cfg)
         ops = Counter(node.vjps[0][1].__qualname__.partition(".<locals>.")[0] for node in tape.nodes)
         assert dict(ops) == {
-            "add": 154, "combine_rows": 54, "concat": 48, "dispatch_rows": 54, "exp": 2,
-            "gather_rows": 117, "gelu": 73, "grouped_linear": 108, "index_add": 38, "log": 2,
-            "matmul": 284, "mul": 22, "rmsnorm": 86, "scaled_dot_product_attention": 35,
-            "scatter_last": 54, "softmax": 54, "square": 19, "sub": 23, "take_along_last": 56,
-            "tile_rows": 29, "tmean": 32, "transpose": 2, "tsum": 29,
+            "add": 147, "combine_rows": 32, "concat": 27, "dispatch_rows": 32, "exp": 2,
+            "gather_rows": 79, "gelu": 51, "grouped_linear": 80, "index_add": 38, "log": 2,
+            "matmul": 246, "mul": 6, "rmsnorm": 86, "scaled_dot_product_attention": 35,
+            "softmax": 32, "square": 19, "sub": 23, "take_along_last": 34,
+            "tile_rows": 29, "tmean": 24, "transpose": 2, "tsum": 22,
         }
-        assert len(tape) == 1375
+        assert len(tape) == 1048
+
+    def test_idle_experts_and_an_absent_pool_stay_untouched(self):
+        # No cross-modal interference, at desk scale: with radar absent from
+        # every sample and each step's routing frozen away from the last
+        # expert of every specific pool, the step leaves the radar pools and
+        # those experts with grad None, and Adam, which skips such a tensor,
+        # leaves it and its moments byte-identical over three steps.
+        from misac.config import desk_config
+
+        desk = desk_config()
+        model = PretrainModel(
+            desk.model.encoder_config(),
+            desk.model.tokenizer_config(),
+            np.random.default_rng(0),
+            decoder_blocks=desk.model.decoder_blocks,
+        )
+        samples, _ = synth_dataset(desk.data.synth_config(desk.model), 8, seed=5)
+        samples = [dataclasses.replace(s, radar=None) for s in samples]
+        cfg = desk.pretrain.settings()
+        last = desk.model.n_experts - 1
+        params = model.named_params()
+        untouched = [
+            k for k in params
+            if k.startswith("block") and (".radar." in k or (f".expert{last}." in k and ".shared." not in k))
+        ]
+        # per layer: the radar gate's weight and bias, its experts' four
+        # tensors each, and the csi and map pools' last experts
+        assert len(untouched) == desk.model.n_layers * (2 + 4 * desk.model.n_experts + 2 * 4)
+        before = {k: params[k].data.tobytes() for k in untouched + ["block0.csi.expert0.fc1.w"]}
+
+        def avoid_last(sel):
+            sel = sel.copy()
+            for row in sel:
+                if last in row:
+                    row[row.tolist().index(last)] = min(set(range(last)) - set(row.tolist()))
+            return sel
+
+        opt = Adam(params)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            inputs = prepare_step_inputs(samples, model, cfg, rng)
+            _, results = step_objective(model, inputs, cfg)
+            frozen = [
+                {key: avoid_last(sel) if key[1] == "specific" else sel for key, sel in r.frozen_routing().items()}
+                for r in results
+            ]
+            opt.zero_grad()
+            with tt.Tape() as tape:
+                loss, _ = step_objective(model, inputs, cfg, frozen=frozen)
+            tt.backward(loss.total, tape)
+            assert all(params[k].grad is None for k in untouched)
+            assert all(params[f"block{i}.{m}.gate.w"].grad is not None for i in range(2) for m in ("csi", "map"))
+            opt.step(1e-3)
+        zeros = np.zeros(1).tobytes()
+        for k in untouched:
+            assert params[k].data.tobytes() == before[k], k
+            assert opt.m[k].tobytes() == opt.v[k].tobytes() == zeros * opt.m[k].size, k
+        assert params["block0.csi.expert0.fc1.w"].data.tobytes() != before["block0.csi.expert0.fc1.w"]
 
     def test_fixed_seed_desk_step_backward_adds_no_memory(self):
         # backward frees each node once its vjps have run, so the step's

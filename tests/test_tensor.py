@@ -90,7 +90,6 @@ def primitive_cases():
         "gather_rows": lambda: T.tsum(T.square(T.gather_rows(a, np.array([0, 1, 3])))),
         "index_add": lambda: T.tsum(T.square(T.index_add(T.concat([a, b], axis=0), np.array([1, 2, 5, 7]), b))),
         "take_along_last": lambda: T.tsum(T.square(T.take_along_last(a, last))),
-        "scatter_last": lambda: T.tsum(T.mul(T.scatter_last(T.take_along_last(a, last), last, 3), b)),
         "tile_rows": lambda: T.tsum(T.mul(T.tile_rows(T.tsum(a, axis=0), 4), b)),
         "exp": lambda: T.tsum(T.exp(T.mul(a, T.Tensor(0.3)))),
         "log": lambda: T.tsum(T.log(a)),
@@ -515,22 +514,23 @@ class TestBackward:
         with pytest.raises(ValueError, match="w must be"):
             T.combine_rows(T.Tensor(np.zeros((6, 3))), w, np.arange(6))  # three places per token
 
-    def test_last_axis_ops_assign_like_add_at_and_reject_repeats(self):
+    def test_take_along_last_assigns_like_add_at_and_rejects_repeats(self):
         r = rng()
         x = T.Tensor(r.normal(size=(3, 5)), requires_grad=True)
         sel = np.array([[4, 0], [1, 3], [2, 1]])
         g = r.normal(size=(3, 2))
         want = np.zeros((3, 5))
         np.add.at(want, (np.arange(3)[:, None], sel), g)
-        np.testing.assert_array_equal(T.scatter_last(T.Tensor(g), sel, 5).data, want)
         with T.Tape() as tape:
             T.take_along_last(x, sel)
         np.testing.assert_array_equal(tape.nodes[0].vjps[0][1](g), want)
         for bad in ([[4, 4], [1, 3], [2, 1]], [[0, 1]], [0, 1, 2]):  # a repeat, too few rows, 1-D
             with pytest.raises(ValueError):
                 T.take_along_last(x, bad)
-            with pytest.raises(ValueError):
-                T.scatter_last(T.Tensor(g), bad, 5)
+        # a negative index would wrap to the last columns, so it is refused
+        for bad in ([[-1, 0], [1, 3], [2, 1]], [[5, 0], [1, 3], [2, 1]]):
+            with pytest.raises(ValueError, match=r"take_along_last: index outside \[0, 5\)"):
+                T.take_along_last(x, bad)
 
     @pytest.mark.parametrize("n", [1, 3, 37, 130, 257])
     def test_tile_rows_matches_add_onto_zeros(self, n):
@@ -581,13 +581,8 @@ class TestGradCheck:
         def f_take():
             return T.tsum(T.square(T.take_along_last(x, sel)))
 
-        pairs = T.Tensor(r.normal(size=(3, 2)), requires_grad=True)
-
-        def f_scatter():
-            return T.tsum(T.square(T.scatter_last(pairs, np.array([[0, 2], [1, 3], [2, 0]]), 4)))
-
-        for f in (f_gather, f_index_add, f_take, f_scatter):
-            assert T.grad_check(f, [x, vals, pairs]) < 1e-7
+        for f in (f_gather, f_index_add, f_take):
+            assert T.grad_check(f, [x, vals]) < 1e-7
 
     def test_rmsnorm_and_composites(self):
         r = rng()
