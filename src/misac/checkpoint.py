@@ -14,8 +14,8 @@ Saving feeds the serialized blobs to one incremental sha256 and writes them
 one by one, never joining the payload. Loading reads the payload into one
 uninitialized numpy buffer of its own (no zero fill), so every float64
 tensor in it is 8-byte aligned, and the returned arrays are writable views
-of that buffer. The header is not covered by the checksum, so its types and
-tensor spans are checked before any array is built.
+of that buffer. The header is not covered by the checksum, so its types,
+counters and tensor spans are checked before any array is built.
 """
 
 from __future__ import annotations
@@ -161,6 +161,9 @@ def _parse_header(head: bytes) -> dict:
         value = header[key]
         if not isinstance(value, kind) or (kind is int and not _is_int(value)):
             raise CheckpointError(f"checkpoint header {key} has type {type(value).__name__}")
+    for key in ("step", "opt_t"):
+        if header[key] < 0:
+            raise CheckpointError(f"checkpoint header {key} is {header[key]}; a counter cannot be negative")
     return header
 
 
@@ -216,7 +219,7 @@ def restore(ckpt: Checkpoint, model, opt=None):
     as a float64 array of its shape; checkpoint tensors the model lacks (a
     fine-tune head) are ignored. To resume (opt given) it must also hold an
     rng state and, for each optimized parameter, its m. and v. Adam moments
-    of that form. Every tensor is checked before any is copied."""
+    of that form. Every tensor and the rng state are checked before any is copied."""
     if opt is not None:
         held = {"Adam moments": ckpt.opt_moments, "rng state": ckpt.rng_state}
         lacking = " and no ".join(name for name, value in held.items() if not value)
@@ -242,12 +245,17 @@ def restore(ckpt: Checkpoint, model, opt=None):
             raise CheckpointError(f"{what} is {arr.dtype} in the checkpoint; the model needs float64")
         if arr.shape != shape:
             raise CheckpointError(f"shape mismatch for {what}: checkpoint {arr.shape} vs model {shape}")
+    rng = None
+    if ckpt.rng_state is not None:
+        rng = np.random.default_rng(0)
+        try:
+            rng.bit_generator.state = ckpt.rng_state
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise CheckpointError(
+                f"checkpoint rng_state is not a generator state numpy accepts ({type(e).__name__}: {e})"
+            ) from None
     for k, p in params.items():
         p.data = ckpt.params[k].copy()
     if opt is not None:
         opt.load_state_arrays(ckpt.opt_moments, ckpt.opt_t)
-    if ckpt.rng_state is None:
-        return None
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = ckpt.rng_state
     return rng

@@ -11,8 +11,7 @@ Layout invariants:
 * Routing is top-k over a truncated softmax: the k highest gate logits are
   renormalized, every other expert weight is exactly zero, and ties break
   toward the lower expert index. Gradients flow through the selected weights
-  only; the selection itself is treated as constant, and callers can freeze
-  a captured selection to keep the loss smooth for finite-difference checks.
+  only; the selection itself is treated as constant.
 * Each block runs two dispatches, one per branch. The shared one routes
   every row over the shared pool. The specific one routes every segment
   over its own modality's pool at once: one grouped gate over the segments'
@@ -126,7 +125,6 @@ class PoolStats:
     pools[part[t]] of this layer, with weights weights[t]."""
 
     layer: int
-    branch: str  # "shared" or "specific": the dispatch's FrozenRouting key
     pools: tuple[str, ...]
     part: np.ndarray  # [n_tokens] each row's index into pools
     weights: Tensor  # [n_tokens, k] routing weights of the selected experts
@@ -139,7 +137,7 @@ def _topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
 
 
 def _dispatch(
-    experts: list[MLP], x: Tensor, logits: Tensor, part: np.ndarray, k: int, frozen: np.ndarray | None
+    experts: list[MLP], x: Tensor, logits: Tensor, part: np.ndarray, k: int
 ) -> tuple[Tensor, Tensor, np.ndarray]:
     """Route each row to the top-k of its K gate logits and sum the weighted
     outputs. Returns the output, the [n, k] weights and the selection.
@@ -152,7 +150,7 @@ def _dispatch(
     one table dispatch_rows and combine_rows take, and the combine sums every
     token's outputs in it, which is expert order."""
     K = logits.shape[1]
-    sel = _topk_indices(logits.data, k) if frozen is None else frozen
+    sel = _topk_indices(logits.data, k)
     w = tt.softmax(tt.take_along_last(logits, sel))  # [n, k]; refuses ids outside [0, K)
     ids = (sel + K * part[:, None]).reshape(-1)
     pairs = np.argsort(ids, kind="stable")
@@ -215,9 +213,6 @@ def pool_context(h: Tensor, segments: list[Segment]) -> Tensor:
     return Tensor(np.zeros(h.shape[1]))
 
 
-FrozenRouting = dict[tuple[int, str], np.ndarray]  # (layer, branch): the dispatch's [n, k] selection
-
-
 def ss_dmoe_forward(
     x: Tensor,
     segments: list[Segment],
@@ -225,7 +220,6 @@ def ss_dmoe_forward(
     block: EncoderBlock,
     cfg: EncoderConfig,
     layer: int,
-    frozen: FrozenRouting | None = None,
 ) -> tuple[Tensor, list[PoolStats]]:
     """The shared pool over all rows, then every segment's own pool in one
     dispatch: one grouped gate over the segments' row blocks, and one expert
@@ -235,19 +229,16 @@ def ss_dmoe_forward(
     if [seg.start for seg in segments] != bounds[:-1] or bounds[-1] != n or np.any(np.diff(bounds) < 1):
         raise EncoderError("ss_dmoe_forward: the segments must tile the rows in order, each with a row")
 
-    def route(branch, pools, logits, experts, part):
-        y, w, sel = _dispatch(
-            experts, x, logits, part, cfg.top_k, None if frozen is None else frozen.get((layer, branch))
-        )
-        return y, PoolStats(layer, branch, pools, part, w, sel)
+    def route(pools, logits, experts, part):
+        y, w, sel = _dispatch(experts, x, logits, part, cfg.top_k)
+        return y, PoolStats(layer, pools, part, w, sel)
 
     shared = block.shared
     shared_logits = shared.gate(tt.concat([x, tt.tile_rows(ctx, n)], axis=1))
-    y_shared, st_shared = route("shared", ("shared",), shared_logits, shared.experts, np.zeros(n, dtype=np.int64))
+    y_shared, st_shared = route(("shared",), shared_logits, shared.experts, np.zeros(n, dtype=np.int64))
     specific = [block.specific[seg.modality] for seg in segments]
     logits = tt.grouped_linear(x, [p.gate.w for p in specific], [p.gate.b for p in specific], bounds)
     y_spec, st_spec = route(
-        "specific",
         tuple(seg.modality.name for seg in segments),
         logits,
         [e for p in specific for e in p.experts],
@@ -261,16 +252,11 @@ def ss_dmoe_forward(
 
 
 def encoder_block(
-    h: Tensor,
-    segments: list[Segment],
-    block: EncoderBlock,
-    cfg: EncoderConfig,
-    layer: int,
-    frozen: FrozenRouting | None = None,
+    h: Tensor, segments: list[Segment], block: EncoderBlock, cfg: EncoderConfig, layer: int
 ) -> tuple[Tensor, list[PoolStats]]:
     h1 = tt.add(h, tt.rmsnorm(attention(h, block.attn, cfg.n_heads), block.g_attn, cfg.rms_eps))
     ctx = pool_context(h1, segments)
-    return ss_dmoe_forward(h1, segments, ctx, block, cfg, layer, frozen)
+    return ss_dmoe_forward(h1, segments, ctx, block, cfg, layer)
 
 
 @dataclass
@@ -288,9 +274,6 @@ class EncodeResult:
     def rows(self, modality: Modality) -> Tensor:
         seg = self.segment(modality)
         return tt.gather_rows(self.h, np.arange(seg.start, seg.stop))
-
-    def frozen_routing(self) -> FrozenRouting:
-        return {(s.layer, s.branch): s.selected for s in self.stats}
 
 
 class MultimodalEncoder:
@@ -323,11 +306,7 @@ class MultimodalEncoder:
             h = tt.gather_rows(h, visible)
         return h
 
-    def encode(
-        self,
-        parts: list[tuple[Modality, Tensor]],
-        frozen: FrozenRouting | None = None,
-    ) -> EncodeResult:
+    def encode(self, parts: list[tuple[Modality, Tensor]]) -> EncodeResult:
         if not parts:
             raise EncoderError("encode: no modalities")
         seen = [m for m, _ in parts]
@@ -341,7 +320,7 @@ class MultimodalEncoder:
         h = tt.concat([t for _, t in parts], axis=0)
         stats: list[PoolStats] = []
         for li, block in enumerate(self.blocks):
-            h, st = encoder_block(h, segments, block, self.cfg, li, frozen)
+            h, st = encoder_block(h, segments, block, self.cfg, li)
             stats.extend(st)
         return EncodeResult(h=h, segments=segments, stats=stats)
 

@@ -33,7 +33,6 @@ from .encoder import (
     Attention,
     EncodeResult,
     EncoderConfig,
-    FrozenRouting,
     Linear,
     MultimodalEncoder,
     PoolStats,
@@ -205,7 +204,6 @@ def encode_visible(
     model: PretrainModel,
     prepped: dict[Modality, np.ndarray],
     masks: dict[Modality, MaskSpec],
-    frozen: FrozenRouting | None = None,
 ) -> EncodeResult:
     """Tokenize each present modality's grid, keep visible rows, encode
     jointly. Modalities without a mask entry are fully visible."""
@@ -213,7 +211,7 @@ def encode_visible(
     for m in sorted(prepped):
         visible = masks[m].visible if m in masks else None
         parts.append((m, model.encoder.embed(m, prepped[m], visible)))
-    return model.encoder.encode(parts, frozen)
+    return model.encoder.encode(parts)
 
 
 def decode_masked(
@@ -503,10 +501,7 @@ def prepare_step_inputs(
     return StepInputs(prepped=prepped_all, masks=masks_all)
 
 
-def step_objective(
-    model: PretrainModel, inputs: StepInputs, cfg: PretrainSettings,
-    frozen: list[FrozenRouting] | None = None,
-) -> tuple[PretrainLoss, list[EncodeResult]]:
+def step_objective(model: PretrainModel, inputs: StepInputs, cfg: PretrainSettings) -> PretrainLoss:
     """Forward the whole batch and assemble the combined objective."""
     all_stats: list[PoolStats] = []
     sse_total: Tensor | None = None
@@ -515,10 +510,8 @@ def step_objective(
     anchor = next((m for m in modalities if m.anchor), None)
     anchors: list[Tensor] = []
     others: dict[Modality, list[Tensor]] = {m: [] for m in modalities if m != anchor}
-    results = []
-    for i, (prepped, masks) in enumerate(zip(inputs.prepped, inputs.masks)):
-        res = encode_visible(model, prepped, masks, None if frozen is None else frozen[i])
-        results.append(res)
+    for prepped, masks in zip(inputs.prepped, inputs.masks):
+        res = encode_visible(model, prepped, masks)
         recons = decode_masked(model, res, masks)
         targets = {m: patchify(prepped[m], model.tok_cfg.spec(m)) for m in recons}
         sse, count = mask_loss(recons, targets, masks)
@@ -533,7 +526,7 @@ def step_objective(
     l_mask = tt.mul(sse_total, Tensor(1.0 / count_total))
     l_cl = contrastive_loss(anchors, others, cfg.tau)
     l_lb = load_balance_loss(all_stats, model.enc_cfg.n_experts)
-    loss = PretrainLoss(
+    return PretrainLoss(
         total=total_loss(l_mask, l_cl, l_lb, cfg.lambda_cl, cfg.lambda_lb),
         mask=l_mask,
         mask_unnormalized=sse_total,
@@ -542,7 +535,6 @@ def step_objective(
         masked_count=count_total,
         n_complete=len(anchors),
     )
-    return loss, results
 
 
 def pretrain_step(
@@ -556,7 +548,7 @@ def pretrain_step(
     inputs = prepare_step_inputs(batch, model, cfg, rng)
     opt.zero_grad()
     with tt.Tape() as tape:
-        loss, _ = step_objective(model, inputs, cfg)
+        loss = step_objective(model, inputs, cfg)
     tt.backward(loss.total, tape)
     opt.step(lr)
     return loss

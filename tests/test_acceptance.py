@@ -18,6 +18,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from routing_replay import recorded, replayed
 from misac import tensor as tt
 from misac.checkpoint import load_checkpoint, save_checkpoint
 from misac.cli import main as cli_main
@@ -239,11 +240,12 @@ def test_criterion_1_gradient_integrity():
     samples, _ = synth_dataset(synth_cfg, 2, seed=5)
     cfg = PretrainSettings(modality_dropout=0.0, snr_range=None)
     inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
-    _, results = step_objective(model, inputs, cfg)
-    frozen = [r.frozen_routing() for r in results]
+    with recorded() as sels:
+        step_objective(model, inputs, cfg)
 
     def objective():
-        return step_objective(model, inputs, cfg, frozen=frozen)[0].total
+        with replayed(sels):
+            return step_objective(model, inputs, cfg).total
 
     params = list(model.named_params().values())
     err = tt.grad_check(objective, params, h=1e-5, coords_per_param=1,
@@ -349,7 +351,7 @@ def test_criterion_3_routing_laws():
     x = Tensor(np.random.default_rng(1).standard_normal((n, enc.d)))
     logits = pool.gate(x)
     part = np.zeros(n, dtype=np.int64)  # every row in the one pool
-    _, w, sel = _dispatch(pool.experts, x, logits, part, k, frozen=None)
+    _, w, sel = _dispatch(pool.experts, x, logits, part, k)
 
     # the dispatch routes each row by its k weights over k distinct experts;
     # every other expert's weight is exactly zero
@@ -366,12 +368,12 @@ def test_criterion_3_routing_laws():
 
     # rotating selection with equal weights realizes perfectly uniform routing
     sel = (np.arange(n)[:, None] + np.arange(k)[None, :]) % K
-    uniform = PoolStats(0, "specific", ("csi",), part, Tensor(np.full((n, k), 1.0 / k)), sel)
+    uniform = PoolStats(0, ("csi",), part, Tensor(np.full((n, k), 1.0 / k)), sel)
     lb = load_balance_loss([uniform], K).item()
     assert abs(lb - k / K**2) < 1e-6 and abs(lb - 0.0625) < 1e-6
 
     # with k = K the sparse path must reproduce the dense softmax mixture
-    y_full, _, _ = _dispatch(pool.experts, x, logits, part, K, frozen=None)
+    y_full, _, _ = _dispatch(pool.experts, x, logits, part, K)
     soft = tt.softmax(logits).data
     want = np.zeros_like(y_full.data)
     for e in range(K):

@@ -179,11 +179,13 @@ class TestHeaderValidation:
             (lambda h: h.update(opt_t=17.0), "header opt_t has type float"),
             (lambda h: h.update(fingerprint=None), "header fingerprint has type NoneType"),
             (lambda h: h.update(rng_state=[]), "header rng_state has type list"),
+            (lambda h: h.update(step=-3), "header step is -3; a counter cannot be negative"),
+            (lambda h: h.update(opt_t=-4), "header opt_t is -4; a counter cannot be negative"),
         ],
         ids=[
             "no_offset", "tensors_not_list", "str_offset", "bool_length", "no_name", "span_not_object",
             "overlap", "negative_length", "duplicate_name", "short_of_payload", "past_payload",
-            "str_step", "float_opt_t", "null_fingerprint", "list_rng_state",
+            "str_step", "float_opt_t", "null_fingerprint", "list_rng_state", "negative_step", "negative_opt_t",
         ],
     )
     def test_malformed_header_raises(self, tmp_path, edit, message):
@@ -289,6 +291,32 @@ class TestRngState:
         save_checkpoint(tmp_path / "c.msck", snapshot(model, "f" * 64, 0, rng=rng))  # a JSON header
         twin = restore(load_checkpoint(tmp_path / "c.msck"), model)
         assert np.array_equal(rng.integers(0, 1000, size=4), twin.integers(0, 1000, size=4))
+
+    @pytest.mark.parametrize(
+        "edit, raised",
+        [
+            (lambda s: {"bit_generator": "PCG64"}, "KeyError"),
+            (lambda s: {**s, "bit_generator": "MT19937"}, "ValueError"),
+            (lambda s: {**s, "state": {"state": "x", "inc": 1}}, "TypeError"),
+            (lambda s: {**s, "state": {"state": -1, "inc": 1}}, "OverflowError"),
+        ],
+        ids=["no_state", "other_generator", "str_state", "negative_state"],
+    )
+    @pytest.mark.parametrize("with_opt", [False, True])
+    def test_state_numpy_rejects_is_refused_before_anything_is_copied(self, tmp_path, edit, raised, with_opt):
+        source = tiny_model(1)
+        source_opt = Adam(source.named_params())
+        ckpt = snapshot(source, "a" * 64, step=1, opt=source_opt, rng=np.random.default_rng(5))
+        ckpt.opt_moments = {k: np.ones_like(v) for k, v in ckpt.opt_moments.items()}
+        ckpt.rng_state = edit(ckpt.rng_state)
+        save_checkpoint(tmp_path / "bad.msck", ckpt)
+        model = tiny_model(0)
+        opt = Adam(model.named_params())
+        params = {k: p.data.copy() for k, p in model.named_params().items()}
+        with pytest.raises(CheckpointError, match=f"checkpoint rng_state is not a generator state numpy accepts \\({raised}"):
+            restore(load_checkpoint(tmp_path / "bad.msck"), model, opt if with_opt else None)
+        assert all(np.array_equal(p.data, params[k]) for k, p in model.named_params().items())
+        assert opt.t == 0 and not any(v.any() for v in opt.state_arrays().values())
 
 
 class TestModelSnapshot:

@@ -274,6 +274,29 @@ class TestPretrain:
         assert "no Adam moments and no rng state" in err and "not a pre-training checkpoint" in err
         assert target.read_bytes() == (root / "ft.msck").read_bytes()
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda h: h.update(step=-3), "header step is -3"),
+            (lambda h: h.update(opt_t=-4), "header opt_t is -4"),
+            (lambda h: h.update(rng_state={"bit_generator": "PCG64"}), "rng_state is not a generator state"),
+        ],
+        ids=["negative_step", "negative_opt_t", "rng_state_without_state"],
+    )
+    def test_resume_from_a_bad_counter_or_rng_state_exits_one(self, workspace, tmp_path, capsys, edit, named):
+        # the header is outside the payload checksum; a negative step would
+        # run steps the schedule does not have, and a negative opt_t would
+        # flip the sign of Adam's bias corrections
+        root, cfg = workspace
+        bad = with_header_edit(root / "pre.msck", tmp_path / "bad.msck", edit)
+        before = bad.read_bytes()
+        capsys.readouterr()
+        code = main(["pretrain", "--config", str(cfg), "--data", str(root / "data"), "--out", str(bad)])
+        assert code == 1
+        out = capsys.readouterr()
+        assert named in out.err and lines_of(out.out, "pretrain_step") == []
+        assert bad.read_bytes() == before
+
     def test_missing_dataset_is_runtime_error(self, workspace, capsys):
         root, cfg = workspace
         code = main(

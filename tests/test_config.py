@@ -357,7 +357,7 @@ def test_config_either_fails_validation_or_encodes(fields, settings_draw, seed):
     )
     train = cfg.pretrain.settings()
     inputs = prepare_step_inputs([sample, sample], pre, train, np.random.default_rng(seed))
-    loss, _ = step_objective(pre, inputs, train)
+    loss = step_objective(pre, inputs, train)
     assert np.isfinite(loss.total.item())
     for s in (train, cfg.finetune.settings()):
         assert s.lr_min <= cosine_lr(1, s.steps, s.lr_min, s.lr_max) <= s.lr_max

@@ -1,9 +1,11 @@
 """Encoder: frozen routing values, a dense O(N*K) dispatch oracle, the
 per-segment specific branch as the oracle of the merged one, a numpy
-attention oracle, context asymmetry, segment isolation, and gradient checks
-through full blocks with frozen expert selection."""
+attention oracle, context asymmetry, segment isolation, the routing replay
+helper, and gradient checks through full blocks with replayed expert
+selection."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grid_oracle import reshape
+from routing_replay import ReplayError, recorded, replayed
 from misac import encoder as enc, synth, tensor as tt, tokenizer as tok
 from misac.encoder import EncoderConfig, MultimodalEncoder
 from misac.tensor import Tensor
@@ -53,8 +56,10 @@ def topk_oracle(row: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
 
 
 def one_pool(experts, x, logits, k, frozen=None):
-    """_dispatch over a single pool: every row is part 0."""
-    return enc._dispatch(experts, x, logits, np.zeros(x.shape[0], dtype=np.int64), k, frozen)
+    """_dispatch over a single pool: every row is part 0. A frozen [n, k]
+    selection is replayed in place of the live top-k."""
+    with nullcontext() if frozen is None else replayed([frozen]):
+        return enc._dispatch(experts, x, logits, np.zeros(x.shape[0], dtype=np.int64), k)
 
 
 def route(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
@@ -149,7 +154,8 @@ class TestDispatch:
         pool = enc.ExpertPool(rng, cfg, 8)
         x = Tensor(rng.normal(size=(5, 8)))
         frozen = np.tile([3, 0], (5, 1))
-        _, _, sel = one_pool(pool.experts, x, pool.gate(x), 2, frozen)
+        with replayed([frozen]):
+            _, _, sel = one_pool(pool.experts, x, pool.gate(x), 2)
         np.testing.assert_array_equal(sel, frozen)
 
     @pytest.mark.parametrize("bad", [[-1, 0], [4, 0]])
@@ -160,8 +166,66 @@ class TestDispatch:
         experts = [e for _ in range(2) for e in enc.ExpertPool(rng, cfg, 8).experts]
         x = Tensor(rng.normal(size=(4, 8)))
         part = np.array([0, 0, 1, 1])
-        with pytest.raises(ValueError, match="take_along_last: index outside"):
-            enc._dispatch(experts, x, Tensor(rng.normal(size=(4, 4))), part, 2, np.tile(bad, (4, 1)))
+        with pytest.raises(ValueError, match="take_along_last: index outside"), replayed([np.tile(bad, (4, 1))]):
+            enc._dispatch(experts, x, Tensor(rng.normal(size=(4, 4))), part, 2)
+
+
+class TestRoutingReplay:
+    """The helper that holds routing fixed for gradient checks: it hands
+    recorded top-k selections back in call order, and refuses a replay that
+    does not fit the forward."""
+
+    @staticmethod
+    def _encode(small):
+        model, prepped = small
+        return model.encode(embed_all(model, prepped))
+
+    def test_replay_reproduces_the_recorded_forward(self, small):
+        live = enc._topk_indices
+        with recorded() as sels:
+            base = self._encode(small)
+        assert len(sels) == 4  # two layers, two dispatches each
+        with replayed(sels):
+            again = self._encode(small)
+        np.testing.assert_array_equal(again.h.data, base.h.data)
+        assert enc._topk_indices is live
+
+    def test_wrong_shape_refused(self, small):
+        live = enc._topk_indices
+        with recorded() as sels:
+            self._encode(small)
+        sels[2] = sels[2][:, :3]
+        with pytest.raises(ReplayError, match=r"selection 2 has shape \(48, 3\); its dispatch routes \(48, 4\)"):
+            with replayed(sels):
+                self._encode(small)
+        assert enc._topk_indices is live
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda sels: sels + sels[:1], "used 4 of 5 selections"), (lambda sels: sels[:-1], "replay ran short")],
+        ids=["leftover", "short"],
+    )
+    def test_replay_that_does_not_use_every_selection_once_refused(self, small, edit, message):
+        with recorded() as sels:
+            self._encode(small)
+        with pytest.raises(ReplayError, match=message):
+            with replayed(edit(sels)):
+                self._encode(small)
+
+    def test_replayed_selection_changes_the_block_output(self):
+        rng = np.random.default_rng(16)
+        cfg = EncoderConfig(d=8, n_heads=2, n_experts=4, top_k=2)
+        block = enc.EncoderBlock(rng, cfg, tok.MODALITY_ORDER)
+        segments = [enc.Segment(Modality.CSI, 0, 3), enc.Segment(Modality.RADAR, 3, 6)]
+        x, ctx = Tensor(rng.normal(size=(6, 8))), Tensor(rng.normal(size=8))
+        with recorded() as live:
+            base, _ = enc.ss_dmoe_forward(x, segments, ctx, block, cfg, 0)
+        other = [(sel + 1) % 4 for sel in live]  # every slot names another expert
+        with replayed(other):
+            out, stats = enc.ss_dmoe_forward(x, segments, ctx, block, cfg, 0)
+        for st, sel in zip(stats, other):
+            np.testing.assert_array_equal(st.selected, sel)
+        assert (np.abs(out.data - base.data).max(axis=1) > 0).all()
 
 
 def _per_expert_dispatch(pool, x, logits, k, frozen):
@@ -363,7 +427,7 @@ class TestMergedSpecificDispatch:
             # (or of the shared pool), so every expert past k stays idle
             sel = np.stack([rng.permutation(k) for _ in range(n)]).reshape(n, k)
             shared = np.stack([rng.permutation(k) for _ in range(n)]).reshape(n, k)
-            merged_frozen = {(0, "shared"): shared, (0, "specific"): sel}
+            merged_frozen = [shared, sel]
             oracle_frozen = {"shared": shared, **{s.modality: sel[s.start : s.stop] for s in segments}}
         params = [ctx, x] + [p for _, p in block.named("b")]
 
@@ -377,7 +441,8 @@ class TestMergedSpecificDispatch:
             return out.data, weights.data, selections, [p.grad for p in params]
 
         def merged(frozen_sel):
-            out, (shared_st, spec_st) = enc.ss_dmoe_forward(x, segments, ctx, block, cfg, 0, frozen_sel)
+            with nullcontext() if frozen_sel is None else replayed(frozen_sel):
+                out, (shared_st, spec_st) = enc.ss_dmoe_forward(x, segments, ctx, block, cfg, 0)
             assert spec_st.pools == tuple(m.name for m in mods)
             np.testing.assert_array_equal(spec_st.part, np.repeat(np.arange(len(mods)), sizes))
             weights = tt.concat([shared_st.weights, spec_st.weights], axis=0)
@@ -530,21 +595,20 @@ class TestEncode:
 
     def test_stats_cover_layers_and_pools(self, small):
         """Two dispatches per layer: the shared one over every row, the
-        specific one over every row, each in its segment's pool."""
+        specific one over every row, each in its segment's pool. The top-k
+        selections are made in that order, which the replay relies on."""
         model, prepped = small
-        res = model.encode(embed_all(model, prepped))
-        assert [(s.layer, s.branch) for s in res.stats] == [
-            (li, b) for li in range(2) for b in ("shared", "specific")
+        with recorded() as sels:
+            res = model.encode(embed_all(model, prepped))
+        assert [(s.layer, s.pools) for s in res.stats] == [
+            (li, pools) for li in range(2) for pools in (("shared",), ("csi", "map", "radar"))
         ]
         for s in res.stats:
             assert s.selected.shape == s.weights.shape == (48, 4)
-            if s.branch == "shared":
-                assert s.pools == ("shared",)
-                np.testing.assert_array_equal(s.part, np.zeros(48))
-            else:
-                assert s.pools == ("csi", "map", "radar")
-                np.testing.assert_array_equal(s.part, np.repeat([0, 1, 2], 16))
-        assert set(res.frozen_routing()) == {(li, b) for li in range(2) for b in ("shared", "specific")}
+            want_part = np.zeros(48) if s.pools == ("shared",) else np.repeat([0, 1, 2], 16)
+            np.testing.assert_array_equal(s.part, want_part)
+        assert len(sels) == len(res.stats)
+        assert all(sel is s.selected for sel, s in zip(sels, res.stats))
 
     def test_missing_modality_drops_its_pool_and_context(self, small):
         model, prepped = small
@@ -629,11 +693,12 @@ class TestEncode:
         try:
             for p in model.named_params().values():
                 p.data = p.data + bump.normal(0.0, 0.1, size=p.data.shape)
-            base = model.encode(embed_all(model, prepped))
-            frozen = base.frozen_routing()
+            with recorded() as sels:
+                model.encode(embed_all(model, prepped))
 
             def f():
-                res = model.encode(embed_all(model, prepped), frozen=frozen)
+                with replayed(sels):
+                    res = model.encode(embed_all(model, prepped))
                 return tt.tmean(tt.square(res.h))
 
             rng = np.random.default_rng(77)

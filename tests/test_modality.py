@@ -8,6 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from routing_replay import recorded, replayed
 from misac import tensor as tt
 from misac.analysis import routing_table
 from misac.config import desk_config
@@ -62,7 +63,7 @@ def three_modality_outputs(tok_cfg, samples) -> dict[str, np.ndarray]:
     model = build(DESK.model, tok_cfg)
     inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
     with tt.Tape() as tape:
-        loss, _ = step_objective(model, inputs, cfg)
+        loss = step_objective(model, inputs, cfg)
     tt.backward(loss.total, tape)
     out["step.loss"] = loss.total.data
     out.update({f"step.grad.{k}": p.grad for k, p in model.named_params().items() if p.grad is not None})
@@ -136,12 +137,13 @@ def test_present_fourth_modality_objective_passes_grad_check(tiny_samples):
     for p in params.values():
         p.data = p.data + rng.normal(0.0, 0.1, size=p.data.shape)
     inputs = prepare_step_inputs(tiny_samples[:2], model, TINY_SETTINGS, np.random.default_rng(1))
-    loss, results = step_objective(model, inputs, TINY_SETTINGS)
+    with recorded() as sels:
+        loss = step_objective(model, inputs, TINY_SETTINGS)
     assert loss.n_complete == 2  # both samples bind power to the anchor
-    frozen = [r.frozen_routing() for r in results]
 
     def objective():
-        return step_objective(model, inputs, TINY_SETTINGS, frozen=frozen)[0].total
+        with replayed(sels):
+            return step_objective(model, inputs, TINY_SETTINGS).total
 
     err = tt.grad_check(objective, list(params.values()), h=1e-5, coords_per_param=2, rng=np.random.default_rng(0))
     assert err < 1e-7, f"max rel grad error {err:.3e}"

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grid_oracle import grid_mask_loss, unpatchify
+from routing_replay import recorded, replayed
 from misac import tensor as tt
 from misac.downstream import PILOT_SPACING, estimation_mask, prediction_mask
 from misac.encoder import EncoderConfig, PoolStats
@@ -342,8 +343,7 @@ class TestContrastiveLoss:
 def one_pool_stats(layer: int, pool: str, w, sel: np.ndarray) -> PoolStats:
     """The stats of a dispatch that routed every row in the one pool."""
     w = w if isinstance(w, Tensor) else Tensor(np.asarray(w, dtype=float))
-    branch = "shared" if pool == "shared" else "specific"
-    return PoolStats(layer, branch, (pool,), np.zeros(len(sel), dtype=np.int64), w, sel)
+    return PoolStats(layer, (pool,), np.zeros(len(sel), dtype=np.int64), w, sel)
 
 
 def rotating_stats(layer: int, pool: str, n: int, n_experts: int, k: int) -> PoolStats:
@@ -393,7 +393,7 @@ class TestLoadBalanceLoss:
         part = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
         w = rng.random((n, k))
         sel = np.stack([rng.choice(4, size=k, replace=False) for _ in range(n)])
-        merged = PoolStats(0, "specific", ("csi", "map"), part, Tensor(w), sel)
+        merged = PoolStats(0, ("csi", "map"), part, Tensor(w), sel)
         alone = [
             one_pool_stats(0, pool, w[part == p], sel[part == p]) for p, pool in enumerate(("csi", "map"))
         ]
@@ -416,8 +416,7 @@ class TestLoadBalanceLoss:
             part = rng.integers(0, len(pools), size=n)
             w = np.abs(rng.normal(size=(n, 4)))
             sel = np.stack([rng.choice(8, size=4, replace=False) for _ in range(n)])
-            branch = "shared" if pools == ("shared",) else "specific"
-            stats.append(PoolStats(layer, branch, pools, part, Tensor(w), sel))
+            stats.append(PoolStats(layer, pools, part, Tensor(w), sel))
             for p, pool in enumerate(pools):
                 dense = np.zeros((n, 8))
                 np.put_along_axis(dense, sel, w, axis=1)
@@ -694,12 +693,12 @@ class TestEncodeDecode:
         try:
             for p in params.values():
                 p.data = p.data + rng.normal(0.0, 0.1, size=p.data.shape)
-            _, results = step_objective(model, inputs, cfg)
-            frozen = [r.frozen_routing() for r in results]
+            with recorded() as sels:
+                step_objective(model, inputs, cfg)
 
             def f():
-                loss, _ = step_objective(model, inputs, cfg, frozen=frozen)
-                return loss.total
+                with replayed(sels):
+                    return step_objective(model, inputs, cfg).total
 
             err = tt.grad_check(f, list(params.values()), h=1e-5, coords_per_param=2,
                                 rng=np.random.default_rng(0))
@@ -763,7 +762,7 @@ class TestStepPreparation:
         for prepped, masks in zip(inputs.prepped, inputs.masks):
             assert set(prepped) == {Modality.CSI}
             assert set(masks) == {Modality.CSI}
-        loss, _ = step_objective(model, inputs, cfg)
+        loss = step_objective(model, inputs, cfg)
         assert loss.n_complete == 0
         assert loss.contrastive.item() == 0.0
 
@@ -773,7 +772,7 @@ class TestStepPreparation:
         inputs = prepare_step_inputs(small_samples[:3], model, cfg, np.random.default_rng(0))
         for prepped in inputs.prepped:
             assert set(prepped) == {Modality.CSI, Modality.MAP, Modality.RADAR}
-        loss, _ = step_objective(model, inputs, cfg)
+        loss = step_objective(model, inputs, cfg)
         assert loss.n_complete == 3
         assert loss.contrastive.item() != 0.0
 
@@ -847,7 +846,7 @@ class TestTrainingLoop:
         cfg = desk.pretrain.settings()
         inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
         with tt.Tape() as tape:
-            loss, _ = step_objective(model, inputs, cfg)
+            loss = step_objective(model, inputs, cfg)
         tt.backward(loss.total, tape)
         grads = [p.grad for p in model.named_params().values() if p.grad is not None]
         grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
@@ -928,14 +927,12 @@ class TestTrainingLoop:
         rng = np.random.default_rng(1)
         for _ in range(3):
             inputs = prepare_step_inputs(samples, model, cfg, rng)
-            _, results = step_objective(model, inputs, cfg)
-            frozen = [
-                {key: avoid_last(sel) if key[1] == "specific" else sel for key, sel in r.frozen_routing().items()}
-                for r in results
-            ]
+            with recorded() as sels:
+                step_objective(model, inputs, cfg)
+            sels[1::2] = [avoid_last(sel) for sel in sels[1::2]]  # per sample and layer: shared, then specific
             opt.zero_grad()
-            with tt.Tape() as tape:
-                loss, _ = step_objective(model, inputs, cfg, frozen=frozen)
+            with tt.Tape() as tape, replayed(sels):
+                loss = step_objective(model, inputs, cfg)
             tt.backward(loss.total, tape)
             assert all(params[k].grad is None for k in untouched)
             assert all(params[f"block{i}.{m}.gate.w"].grad is not None for i in range(2) for m in ("csi", "map"))
@@ -969,7 +966,7 @@ class TestTrainingLoop:
         tracemalloc.start()
         try:
             with tt.Tape() as tape:
-                loss, _ = step_objective(model, inputs, cfg)
+                loss = step_objective(model, inputs, cfg)
             forward, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             tt.backward(loss.total, tape)
@@ -996,7 +993,7 @@ class TestTrainingLoop:
         cfg = desk.pretrain.settings()
         inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
         with tt.Tape() as tape:
-            loss, _ = step_objective(model, inputs, cfg)
+            loss = step_objective(model, inputs, cfg)
         tt.backward(loss.total, tape)
         peaks = {k: float(np.abs(p.grad).max()) for k, p in model.named_params().items() if p.grad is not None}
         top = max(peaks.values())
