@@ -311,10 +311,6 @@ def load_config(path: str | Path | None) -> RunConfig:
     return desk_config()
 
 
-def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
-
-
 def canonical_config_json(cfg: RunConfig) -> str:
     return json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
 

@@ -16,7 +16,7 @@ Geometry conventions, fixed across the package:
   2 pi * spacing * sin(theta) per element. Range-angle / range-velocity maps
   are unnormalized 2D FFTs (numpy convention, no fftshift) averaged
   coherently over the remaining axis, taken as the one FFT of the mean
-  slice; a config switch averages the slices' FFT magnitudes instead.
+  slice.
 * The radar maps are one [2, n, n] complex array (range-angle, then
   range-velocity), the layout of the radar file; ``ra`` and ``rv`` are views
   of it.
@@ -119,7 +119,6 @@ class RadarParams:
     chirp_period: float = 40e-6
     spacing: float = 0.5  # element pitch in wavelengths
     out_size: int = 64
-    magnitude_average: bool = False
 
     @property
     def max_range(self) -> float:
@@ -254,10 +253,10 @@ def steering_vector(theta: float, n_elements: int, spacing: float = 0.5) -> np.n
 
 
 def subcarrier_frequencies(f0: float, bw: float, n_sc: int) -> np.ndarray:
-    if n_sc < 1:
-        raise SceneError("need at least one subcarrier")
-    if n_sc == 1:
-        return np.array([f0])
+    """n_sc subcarriers spread evenly over [f0 - bw/2, f0 + bw/2], both ends
+    included."""
+    if n_sc < 2:
+        raise SceneError(f"need at least 2 subcarriers, got {n_sc}")
     k = np.arange(n_sc)
     return f0 - bw / 2.0 + k * bw / (n_sc - 1)
 
@@ -352,19 +351,11 @@ def radar_cube(scene: SceneSpec, params: RadarParams) -> RadarCube:
 
 
 def _averaged_fft2(cube: RadarCube, axis: int) -> np.ndarray:
-    """2D FFT over the two other axes of the cube, averaged across its slices
-    along axis, both FFT axes zero-padded (or truncated) to out_size. The DFT
-    is linear, so a coherent average is the FFT of the mean slice; magnitude
-    averaging, when the params request it, transforms each slice."""
+    """2D FFT over the two other axes of the cube, averaged coherently across
+    its slices along axis, both FFT axes zero-padded (or truncated) to
+    out_size. The DFT is linear, so that average is the FFT of the mean slice."""
     size = cube.params.out_size
-    if not cube.params.magnitude_average:
-        return np.fft.fft2(cube.data.mean(axis=axis), s=(size, size))
-    slices = np.moveaxis(cube.data, axis, 0)
-    spectra = np.abs(np.fft.fft2(slices, s=(size, size), axes=(1, 2)))
-    acc = np.zeros((size, size), dtype=np.complex128)
-    for s in spectra:  # magnitudes in slice order: tests/test_golden_bytes.py pins the bytes
-        acc += s
-    return acc / len(slices)
+    return np.fft.fft2(cube.data.mean(axis=axis), s=(size, size))
 
 
 def range_angle_map(cube: RadarCube) -> np.ndarray:

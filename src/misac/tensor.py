@@ -4,8 +4,8 @@ Primitives execute eagerly on numpy buffers. While a :class:`Tape` is active,
 any primitive whose inputs require gradients appends a node holding
 vector-Jacobian closures; :func:`backward` replays the tape in exact reverse
 order, accumulates into ``Tensor.grad`` and frees each node as it goes.
-Float64 is the default precision so the central-difference checker in
-:func:`grad_check` has enough headroom to resolve errors below 1e-7.
+Float64 is the default precision so that central differences, the oracle the
+tests check every gradient against, resolve errors below 1e-7.
 
 Also hosts the small binary tensor format used for datasets and checkpoints
 (magic ``MSTN``) and a thin complex-array wrapper for the signal-synthesis
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -56,9 +56,6 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _TAPES.pop()
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 class _Node:
     __slots__ = ("out", "vjps")
@@ -90,10 +87,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("item: tensor is not scalar")
         return float(self.data)
-
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
 
 
 def _emit(op: str, out_data: np.ndarray, vjps) -> Tensor:
@@ -551,7 +544,7 @@ def mse(pred: Tensor, target: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward and the finite-difference checker
+# backward
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -591,59 +584,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
             else:
                 t.grad = t.grad + gi
                 owned.add(id(t))
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    h: float = 1e-5,
-    coords_per_param: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Compare tape gradients of f() against central differences.
-
-    f must be deterministic (it is evaluated repeatedly at perturbed
-    parameter values) and must read the live ``.data`` of params. Returns the
-    max relative error |analytic - numeric| / max(1, |analytic|, |numeric|)
-    over the checked coordinates; all coordinates are checked unless
-    coords_per_param caps the per-tensor sample.
-    """
-    if not (1e-6 <= h <= 1e-4):
-        raise ValueError("grad_check: h must lie in [1e-6, 1e-4]")
-    l0 = f().data.copy()
-    l1 = f().data.copy()
-    if not np.array_equal(l0, l1):
-        raise ValueError("grad_check: f is not deterministic")
-
-    for p in params:
-        p.grad = None
-    with Tape() as tape:
-        loss = f()
-    backward(loss, tape)
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    worst = 0.0
-    for p in params:
-        n = p.data.size
-        if coords_per_param is None or coords_per_param >= n:
-            coords = np.arange(n)
-        else:
-            coords = rng.choice(n, size=coords_per_param, replace=False)
-        flat = p.data.reshape(-1)
-        gflat = None if p.grad is None else p.grad.reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + h
-            lp = float(f().data)
-            flat[c] = orig - h
-            lm = float(f().data)
-            flat[c] = orig
-            numeric = (lp - lm) / (2.0 * h)
-            analytic = 0.0 if gflat is None else float(gflat[c])
-            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from grad_oracle import grad_check
 from routing_replay import recorded, replayed
 from misac import tensor as tt
 from misac.checkpoint import load_checkpoint, save_checkpoint
@@ -157,7 +158,7 @@ def _primitive_checks(rng) -> dict[str, float]:
 
     def check(name, make):
         params, f = make()
-        errs[name] = tt.grad_check(f, params, h=1e-5, rng=rng)
+        errs[name] = grad_check(f, params, h=1e-5, rng=rng)
 
     def p(shape, positive=False):
         data = rng.standard_normal(shape)
@@ -248,8 +249,8 @@ def test_criterion_1_gradient_integrity():
             return step_objective(model, inputs, cfg).total
 
     params = list(model.named_params().values())
-    err = tt.grad_check(objective, params, h=1e-5, coords_per_param=1,
-                        rng=np.random.default_rng(3))
+    err = grad_check(objective, params, h=1e-5, coords_per_param=1,
+                     rng=np.random.default_rng(3))
     elapsed = time.perf_counter() - t0
     assert err < 1e-4, f"full-objective gradient error {err}"
     assert elapsed < 120.0

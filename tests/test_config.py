@@ -24,7 +24,6 @@ from misac.config import (
     fingerprint,
     load_config,
     paper_config,
-    save_config,
 )
 from misac.encoder import MultimodalEncoder
 from misac.pretrain import PretrainModel, cosine_lr, prepare_step_inputs, step_objective
@@ -89,17 +88,22 @@ class TestPresets:
         assert len(history) == 1 and np.isfinite(history[0]["loss"])
 
 
+def write_config(cfg, path):
+    """A config file as a user would write one: the config_to_dict JSON."""
+    path.write_text(json.dumps(config_to_dict(cfg), indent=2))
+
+
 class TestSerialization:
     def test_file_roundtrip(self, tmp_path):
         cfg = desk_config()
-        save_config(cfg, tmp_path / "cfg.json")
+        write_config(cfg, tmp_path / "cfg.json")
         again = load_config(tmp_path / "cfg.json")
         assert again == cfg
         assert fingerprint(again) == fingerprint(cfg)
 
     def test_tuples_survive_json(self, tmp_path):
         cfg = RunConfig(model=ModelConfig(csi_patch=(4, 2), csi_height=16, csi_width=32)).validate()
-        save_config(cfg, tmp_path / "c.json")
+        write_config(cfg, tmp_path / "c.json")
         again = load_config(tmp_path / "c.json")
         assert again.model.csi_patch == (4, 2)
         assert isinstance(again.model.csi_patch, tuple)
@@ -149,7 +153,7 @@ class TestSerialization:
         cfg = config_from_dict({"preset": "paper", "model": {"d": 256}})
         assert cfg.model.d == 256 and cfg.model.n_layers == paper_config().model.n_layers
         assert cfg.pretrain.batch_size == 64
-        save_config(cfg, tmp_path / "paper.json")
+        write_config(cfg, tmp_path / "paper.json")
         assert fingerprint(load_config(tmp_path / "paper.json")) == fingerprint(cfg)
 
     def test_unknown_preset_rejected(self):

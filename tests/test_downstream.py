@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from grad_oracle import grad_check
 from grid_oracle import unpatchify
 from misac import tensor as tt
 from misac.config import config_from_dict, desk_config
@@ -312,8 +313,8 @@ class TestLossesAndTraining:
             return loss
 
         head_params = [p for _, p in model.head.named("head")]
-        err = tt.grad_check(f, head_params, h=1e-5, coords_per_param=3,
-                            rng=np.random.default_rng(0))
+        err = grad_check(f, head_params, h=1e-5, coords_per_param=3,
+                         rng=np.random.default_rng(0))
         assert err < 1e-7, f"max rel grad error {err:.3e}"
 
     def test_training_reduces_loss(self, samples):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grad_oracle import grad_check
 from grid_oracle import reshape
 from routing_replay import ReplayError, recorded, replayed
 from misac import encoder as enc, synth, tensor as tt, tokenizer as tok
@@ -703,7 +704,7 @@ class TestEncode:
 
             rng = np.random.default_rng(77)
             params = list(model.named_params().values())
-            err = tt.grad_check(f, params, coords_per_param=1, rng=rng)
+            err = grad_check(f, params, coords_per_param=1, rng=rng)
             assert err < 1e-7
         finally:
             for n, p in model.named_params().items():

@@ -10,18 +10,16 @@ to 1e-12 relative, and the long-double oracle of tests/radar_oracle.py
 bounds every radar cube element by the roundings of the separable form.
 Each re-pin is recorded in CHANGES.md."""
 
-import dataclasses
 import hashlib
 
 import numpy as np
-import pytest
 
 from misac import synth
 from misac.checkpoint import load_checkpoint, save_checkpoint, snapshot
 from misac.config import desk_config, fingerprint
 from misac.pretrain import Adam, PretrainModel
 
-# csi and map files do not depend on the radar averaging
+# csi and map files
 SHARED_SHA256 = {
     "sample_00000_csi.mstn": "bb05e60227e893d9ad26ea96f1fed8d73a299eba6c2bae03fb9f0887abaeccdc",
     "sample_00000_map.mstn": "038318e52f3b54844b7bcc67e25db7aa5ed07f3ae9f6d09b37337c5fd42f8b7e",
@@ -32,23 +30,16 @@ SHARED_SHA256 = {
     "sample_00003_csi.mstn": "fe2097a4a454f38e6109458693a3b67d7a377c0127145b7af40ca2c4271837b7",
     "sample_00003_map.mstn": "86068356113016610a19c6669698a2869102d72f15d8e4e8f7bc366e40d3bec4",
 }
-# radar files and the manifest, by RadarParams.magnitude_average
-VARIANT_SHA256 = {
-    False: {
-        "manifest.json": "57791c816173109437d13d5c59140cd1b1d5984b16e1564419dc646e51864622",
-        "sample_00000_radar.mstn": "090ab44725ae1c81762b8665f205d5a54dfaeb6ca12979d805fa39e0928bb9a7",
-        "sample_00001_radar.mstn": "644d0801174ad51d5bad519eadfb7633226bf07772e0f16ec4f6ac4c522366ab",
-        "sample_00002_radar.mstn": "2320bdedbf0a9946365dd3bb431064cc62f1f9276cc1eb78edb4417ec17fcf19",
-        "sample_00003_radar.mstn": "9c8cc82df0ed7caea6cd4b17c4afb385f8fe56ddfd271ce0f2d7720baf730168",
-    },
-    True: {
-        "manifest.json": "240a4dfcfed8e71174b0b38065bbff42cc5ec10534f84b5003c5bf2c3a0fe9fb",
-        "sample_00000_radar.mstn": "e9b7df048b19f36d22c50fa9b77df3a0812dde3c9f6c426ffe65a66f89c6f838",
-        "sample_00001_radar.mstn": "71c77cc25001cc326d52696f2be3313a937d7cff81f854dfd16ccc49718c5bce",
-        "sample_00002_radar.mstn": "d2e72ddf5c505dd0603a55545819e89fdda8d9744accf295ce2238074507b1bf",
-        "sample_00003_radar.mstn": "bcb53a132766e6e87f863e1de3525c4ef21a3e408fbb75a7b1faf807f6f6e341",
-    },
+# the coherent radar maps
+RADAR_SHA256 = {
+    "sample_00000_radar.mstn": "090ab44725ae1c81762b8665f205d5a54dfaeb6ca12979d805fa39e0928bb9a7",
+    "sample_00001_radar.mstn": "644d0801174ad51d5bad519eadfb7633226bf07772e0f16ec4f6ac4c522366ab",
+    "sample_00002_radar.mstn": "2320bdedbf0a9946365dd3bb431064cc62f1f9276cc1eb78edb4417ec17fcf19",
+    "sample_00003_radar.mstn": "9c8cc82df0ed7caea6cd4b17c4afb385f8fe56ddfd271ce0f2d7720baf730168",
 }
+# the manifest holds the synthesis config as dataclasses.asdict writes it, so
+# it moves whenever a config field is added or removed
+MANIFEST_SHA256 = "70d49dd2e52c4be417e806056c0245f5067fba9fd6752d546f8e5314bcd32135"
 CHECKPOINT_SHA256 = "53bcbc8b652b15fe4070d417c050ab00daed141b6378a3920de84fb0342e6032"
 
 
@@ -66,16 +57,13 @@ def moved_files(got: dict, pinned: dict) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("magnitude_average", [False, True])
-def test_desk_dataset_bytes_are_pinned(tmp_path, magnitude_average):
+def test_desk_dataset_bytes_are_pinned(tmp_path):
     desk = desk_config()
-    cfg = desk.data.synth_config(desk.model)
-    cfg = dataclasses.replace(cfg, radar=dataclasses.replace(cfg.radar, magnitude_average=magnitude_average))
-    _, manifest = synth.synth_dataset(cfg, 4, seed=5, out_dir=tmp_path)
+    _, manifest = synth.synth_dataset(desk.data.synth_config(desk.model), 4, seed=5, out_dir=tmp_path)
     got = {f.name: sha256_of(f) for f in sorted(tmp_path.iterdir())}
-    moved = moved_files(got, {**SHARED_SHA256, **VARIANT_SHA256[magnitude_average]})
+    moved = moved_files(got, {**SHARED_SHA256, **RADAR_SHA256, "manifest.json": MANIFEST_SHA256})
     assert not moved, "sha256 moved:\n" + "\n".join(moved)
-    assert synth.manifest_hash(manifest) == VARIANT_SHA256[magnitude_average]["manifest.json"]
+    assert synth.manifest_hash(manifest) == MANIFEST_SHA256
 
 
 def test_desk_checkpoint_bytes_are_pinned(tmp_path):

@@ -8,6 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from grad_oracle import grad_check
 from routing_replay import recorded, replayed
 from misac import tensor as tt
 from misac.analysis import routing_table
@@ -145,7 +146,7 @@ def test_present_fourth_modality_objective_passes_grad_check(tiny_samples):
         with replayed(sels):
             return step_objective(model, inputs, TINY_SETTINGS).total
 
-    err = tt.grad_check(objective, list(params.values()), h=1e-5, coords_per_param=2, rng=np.random.default_rng(0))
+    err = grad_check(objective, list(params.values()), h=1e-5, coords_per_param=2, rng=np.random.default_rng(0))
     assert err < 1e-7, f"max rel grad error {err:.3e}"
     assert np.abs(params["proj.power.w"].grad).max() > 0
 

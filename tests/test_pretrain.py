@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grad_oracle import grad_check
 from grid_oracle import grid_mask_loss, unpatchify
 from routing_replay import recorded, replayed
 from misac import tensor as tt
@@ -700,8 +701,8 @@ class TestEncodeDecode:
                 with replayed(sels):
                     return step_objective(model, inputs, cfg).total
 
-            err = tt.grad_check(f, list(params.values()), h=1e-5, coords_per_param=2,
-                                rng=np.random.default_rng(0))
+            err = grad_check(f, list(params.values()), h=1e-5, coords_per_param=2,
+                             rng=np.random.default_rng(0))
             assert err < 1e-7, f"max rel grad error {err:.3e}"
         finally:
             for k, p in params.items():
@@ -885,7 +886,7 @@ class TestTrainingLoop:
             "softmax": 32, "square": 19, "sub": 23, "take_along_last": 34,
             "tile_rows": 29, "tmean": 24, "transpose": 2, "tsum": 22,
         }
-        assert len(tape) == 1048
+        assert len(tape.nodes) == 1048
 
     def test_idle_experts_and_an_absent_pool_stay_untouched(self):
         # No cross-modal interference, at desk scale: with radar absent from

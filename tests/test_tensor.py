@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special
 
+from grad_oracle import grad_check
 from grid_oracle import reshape
 from misac import tensor as T
 
@@ -120,7 +121,7 @@ def tape_grads(f, params):
         p.grad = None
     with T.Tape() as tape:
         loss = f()
-    nodes = len(tape)  # read before backward spends the tape
+    nodes = len(tape.nodes)  # read before backward spends the tape
     T.backward(loss, tape)
     return [p.grad for p in params], nodes
 
@@ -410,7 +411,7 @@ class TestBackward:
     def test_tape_without_nodes_still_runs(self):
         with T.Tape() as tape:
             loss = T.tsum(T.Tensor([1.0, 2.0]))  # nothing tracked, nothing taped
-        assert len(tape) == 0
+        assert len(tape.nodes) == 0
         T.backward(loss, tape)
         np.testing.assert_array_equal(loss.grad, 1.0)
 
@@ -478,7 +479,7 @@ class TestBackward:
         with T.Tape() as tape:
             out = T.grouped_linear(x, ws, bs, [0, 4, 4, 5])  # group 1 is empty
             loss = T.tsum(T.square(out))
-        nodes = len(tape)  # read before backward spends the tape
+        nodes = len(tape.nodes)  # read before backward spends the tape
         T.backward(loss, tape)
         assert nodes == 3  # one node for every group
         want = np.concatenate([x.data[:4] @ ws[0].data + bs[0].data, x.data[4:] @ ws[2].data + bs[2].data])
@@ -547,7 +548,7 @@ class TestBackward:
 class TestGradCheck:
     def test_exp_sum_below_1e7(self):
         w = T.Tensor(rng().normal(size=7), requires_grad=True)
-        err = T.grad_check(lambda: T.tsum(T.exp(w)), [w])
+        err = grad_check(lambda: T.tsum(T.exp(w)), [w])
         assert err < 1e-7
         # the analytic path itself must be exp(w)
         np.testing.assert_allclose(w.grad, np.exp(w.data), atol=1e-12)
@@ -555,14 +556,14 @@ class TestGradCheck:
     def test_each_primitive(self):
         params, cases = primitive_cases()
         for name, f in cases.items():
-            err = T.grad_check(f, params)
+            err = grad_check(f, params)
             assert err < 1e-7, f"{name}: {err}"
 
     def test_batched_matmul(self):
         r = rng()
         a = T.Tensor(r.normal(size=(2, 3, 4)), requires_grad=True)
         b = T.Tensor(r.normal(size=(2, 4, 3)), requires_grad=True)
-        err = T.grad_check(lambda: T.tsum(T.square(T.matmul(a, b))), [a, b])
+        err = grad_check(lambda: T.tsum(T.square(T.matmul(a, b))), [a, b])
         assert err < 1e-7
 
     def test_gather_scatter_ops(self):
@@ -582,23 +583,23 @@ class TestGradCheck:
             return T.tsum(T.square(T.take_along_last(x, sel)))
 
         for f in (f_gather, f_index_add, f_take):
-            assert T.grad_check(f, [x, vals]) < 1e-7
+            assert grad_check(f, [x, vals]) < 1e-7
 
     def test_rmsnorm_and_composites(self):
         r = rng()
         x = T.Tensor(r.normal(size=(3, 8)), requires_grad=True)
         g = T.Tensor(np.ones(8), requires_grad=True)
-        err = T.grad_check(lambda: T.tsum(T.square(T.rmsnorm(x, g))), [x, g])
+        err = grad_check(lambda: T.tsum(T.square(T.rmsnorm(x, g))), [x, g])
         assert err < 1e-7
         w = T.Tensor(r.normal(size=(8, 2)), requires_grad=True)
         b = T.Tensor(np.zeros(2), requires_grad=True)
-        err = T.grad_check(lambda: T.tsum(T.gelu(T.matmul(x, w, bias=b))), [x, w, b])
+        err = grad_check(lambda: T.tsum(T.gelu(T.matmul(x, w, bias=b))), [x, w, b])
         assert err < 1e-7
 
     def test_rejects_bad_h(self):
         w = T.Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
-            T.grad_check(lambda: T.tsum(w), [w], h=1e-2)
+            grad_check(lambda: T.tsum(w), [w], h=1e-2)
 
     def test_rejects_nondeterministic_f(self):
         w = T.Tensor([1.0], requires_grad=True)
@@ -608,7 +609,7 @@ class TestGradCheck:
             return T.tsum(T.mul(w, T.Tensor(r.normal())))
 
         with pytest.raises(ValueError):
-            T.grad_check(f, [w])
+            grad_check(f, [w])
 
 
 class TestSerialization:
