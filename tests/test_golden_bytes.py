@@ -40,6 +40,9 @@ RADAR_SHA256 = {
 # the manifest holds the synthesis config as dataclasses.asdict writes it, so
 # it moves whenever a config field is added or removed
 MANIFEST_SHA256 = "70d49dd2e52c4be417e806056c0245f5067fba9fd6752d546f8e5314bcd32135"
+# the same manifest as written while RadarParams still had magnitude_average,
+# which every dataset synthesized then carries as false in config.radar
+OLD_MANIFEST_SHA256 = "57791c816173109437d13d5c59140cd1b1d5984b16e1564419dc646e51864622"
 CHECKPOINT_SHA256 = "53bcbc8b652b15fe4070d417c050ab00daed141b6378a3920de84fb0342e6032"
 
 
@@ -64,6 +67,26 @@ def test_desk_dataset_bytes_are_pinned(tmp_path):
     moved = moved_files(got, {**SHARED_SHA256, **RADAR_SHA256, "manifest.json": MANIFEST_SHA256})
     assert not moved, "sha256 moved:\n" + "\n".join(moved)
     assert synth.manifest_hash(manifest) == MANIFEST_SHA256
+
+
+def test_dataset_with_the_old_averaging_key_still_loads(tmp_path):
+    desk = desk_config()
+    generated, manifest = synth.synth_dataset(desk.data.synth_config(desk.model), 4, seed=5, out_dir=tmp_path)
+    # the removed key is the manifest's only difference from the old pin
+    manifest["config"]["radar"]["magnitude_average"] = False
+    assert synth.manifest_hash(manifest) == OLD_MANIFEST_SHA256
+    (tmp_path / "manifest.json").write_text(synth.canonical_json(manifest))
+    loaded, read = synth.load_dataset(tmp_path)
+    assert synth.manifest_hash(read) == OLD_MANIFEST_SHA256
+    assert len(loaded) == len(generated)
+    for a, b in zip(generated, loaded):
+        assert a.available == b.available and a.labels == b.labels
+        if a.csi is not None:
+            np.testing.assert_array_equal(a.csi.h.data, b.csi.h.data)
+        if a.radar is not None:
+            np.testing.assert_array_equal(a.radar.data, b.radar.data)
+        if a.map is not None:
+            assert a.map.rows.tobytes() == b.map.rows.tobytes()
 
 
 def test_desk_checkpoint_bytes_are_pinned(tmp_path):
