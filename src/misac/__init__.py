@@ -1,6 +1,14 @@
 """misac: multimodal sensing-and-communication model sandbox."""
 
+import json
+
 __version__ = "0.1.0"
+
+
+def canonical_json(obj) -> str:
+    """obj as JSON with sorted keys and no whitespace: the one text that config
+    fingerprints, dataset manifests and checkpoint headers are written in."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class MisacError(ValueError):

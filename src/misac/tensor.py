@@ -5,7 +5,9 @@ any primitive whose inputs require gradients appends a node holding
 vector-Jacobian closures; :func:`backward` replays the tape in exact reverse
 order, accumulates into ``Tensor.grad`` and frees each node as it goes.
 Float64 is the default precision so that central differences, the oracle the
-tests check every gradient against, resolve errors below 1e-7.
+tests check every gradient against, resolve errors below 1e-7. Each loss
+term is one node: ``cross_entropy`` and ``squared_error`` are primitives,
+and ``mse`` is the mean of the latter.
 
 Also hosts the small binary tensor format used for datasets and checkpoints
 (magic ``MSTN``) and a thin complex-array wrapper for the signal-synthesis
@@ -126,15 +128,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _emit(
-        "sub",
-        a.data - b.data,
-        [(a, lambda g: _unbroadcast(g, a.data.shape)),
-         (b, lambda g: _unbroadcast(-g, b.data.shape))],
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(
         "mul",
@@ -236,22 +229,28 @@ def index_add(base: Tensor, idx, vals: Tensor) -> Tensor:
     return _emit("index_add", out, [(base, lambda g: g), (vals, lambda g: g[idx])])
 
 
-def take_along_last(a: Tensor, idx) -> Tensor:
-    """Gather along the last axis of a 2D tensor: row t of the [N, k] result
-    is a[t, idx[t]]. Every row of idx must name k distinct columns of a, so
-    the gradient places each value exactly once."""
+def _last_index(a: Tensor, idx, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """idx as an [N, k] int array that names k distinct columns in each row of
+    the 2D tensor a, and the [N, 1] row numbers that pair with it, so a
+    gradient placed at [rows, idx] places each value exactly once."""
     if a.data.ndim != 2:
-        raise ValueError("take_along_last: expected a 2D tensor")
+        raise ValueError(f"{op}: expected a 2D tensor")
     n, width = a.data.shape
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[0] != n:
-        raise ValueError(f"take_along_last: index must be [{n}, k], got shape {idx.shape}")
+        raise ValueError(f"{op}: index must be [{n}, k], got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= width):
-        raise ValueError(f"take_along_last: index outside [0, {width})")
+        raise ValueError(f"{op}: index outside [0, {width})")
     ordered = np.sort(idx, axis=1)
     if np.any(ordered[:, 1:] == ordered[:, :-1]):
-        raise ValueError("take_along_last: repeated index within a row")
-    rows = np.arange(n)[:, None]
+        raise ValueError(f"{op}: repeated index within a row")
+    return idx, np.arange(n)[:, None]
+
+
+def take_along_last(a: Tensor, idx) -> Tensor:
+    """Gather along the last axis of a 2D tensor: row t of the [N, k] result
+    is a[t, idx[t]], for k distinct columns idx[t]."""
+    idx, rows = _last_index(a, idx, "take_along_last")
 
     def vjp(g):
         out = np.zeros_like(a.data)
@@ -390,17 +389,36 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _emit("mean", a.data.mean(axis=axis, keepdims=keepdims), [(a, vjp)])
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _emit("exp", out, [(a, lambda g: g * out)])
+def squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
+    """(pred - target)^2 against a constant target, which broadcasts as in add."""
+    d = pred.data - target
+    return _emit("squared_error", d * d, [(pred, lambda g: _unbroadcast(g * 2.0 * d, pred.data.shape))])
 
 
-def log(a: Tensor) -> Tensor:
-    return _emit("log", np.log(a.data), [(a, lambda g: g / a.data)])
+def mse(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error against a constant target of pred's shape."""
+    return tmean(squared_error(pred, target))
 
 
-def square(a: Tensor) -> Tensor:
-    return _emit("square", a.data * a.data, [(a, lambda g: g * 2.0 * a.data)])
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over the [N, k] labels of the softmax cross-entropy of [N, C]
+    logits: the row's max-shifted logsumexp minus the labelled logit. The vjp
+    adds the pick term to the softmax term, in the log/sum/exp chain's order."""
+    idx, rows = _last_index(logits, labels, "cross_entropy")
+    x = logits.data
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    total = e.sum(axis=-1, keepdims=True)
+    d = np.log(total) + m - x[rows, idx]
+
+    def vjp(g):
+        gd = np.broadcast_to(g / d.size, d.shape)
+        gx = np.zeros_like(x)
+        gx[rows, idx] = -gd
+        gx += gd.sum(axis=-1, keepdims=True) / total * e
+        return gx
+
+    return _emit("cross_entropy", d.mean(), [(logits, vjp)])
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -520,27 +538,6 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         return _unbroadcast(g * xhat, gain.data.shape)
 
     return _emit("rmsnorm", xhat * gain.data, [(x, vjp_x), (gain, vjp_gain)])
-
-
-# ---------------------------------------------------------------------------
-# composites (built from primitives, so gradients come for free)
-
-
-def logsumexp_rows(x: Tensor) -> Tensor:
-    """Row-wise log(sum(exp(x))) for a 2D tensor; max-shifted for stability."""
-    m = Tensor(x.data.max(axis=-1, keepdims=True))  # constant shift
-    return add(log(tsum(exp(sub(x, m)), axis=-1, keepdims=True)), m)
-
-
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the rows of [N, C] logits of the softmax cross-entropy
-    against labels, an [N, 1] int array of class indices."""
-    return tmean(sub(logsumexp_rows(logits), take_along_last(logits, labels)))
-
-
-def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target of pred's shape."""
-    return tmean(square(sub(pred, Tensor(target))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ for the token-space mask_loss; misac itself has none of it."""
 
 import numpy as np
 
+from loss_oracle import square, sub
 from misac import tensor as tt
 
 
@@ -37,7 +38,7 @@ def grid_mask_loss(recons, targets, masks, patches):
     for m, recon in recons.items():
         pix = pixel_mask(masks[m].omega, patches[m])
         target = targets[m]
-        term = tt.tsum(tt.square(tt.mul(tt.sub(recon, tt.Tensor(target)), tt.Tensor(pix[..., None]))))
+        term = tt.tsum(square(tt.mul(sub(recon, tt.Tensor(target)), tt.Tensor(pix[..., None]))))
         sse = term if sse is None else tt.add(sse, term)
         count += int(pix.sum()) * target.shape[2]
     return sse, count

@@ -160,18 +160,14 @@ def _primitive_checks(rng) -> dict[str, float]:
         params, f = make()
         errs[name] = grad_check(f, params, h=1e-5, rng=rng)
 
-    def p(shape, positive=False):
-        data = rng.standard_normal(shape)
-        if positive:
-            data = np.abs(data) + 0.5
-        return Tensor(data, requires_grad=True)
+    def p(shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
 
     def scalarize(x):
         return tt.tsum(tt.mul(x, x))
 
     a35, b35, b53 = p((3, 5)), p((3, 5)), p((5, 3))
     check("add", lambda: ([a35, b35], lambda: scalarize(tt.add(a35, b35))))
-    check("sub", lambda: ([a35, b35], lambda: scalarize(tt.sub(a35, b35))))
     check("mul", lambda: ([a35, b35], lambda: scalarize(tt.mul(a35, b35))))
     check("matmul", lambda: ([a35, b53], lambda: scalarize(tt.matmul(a35, b53))))
     check("transpose", lambda: ([a35], lambda: scalarize(tt.transpose(a35, (1, 0)))))
@@ -186,13 +182,11 @@ def _primitive_checks(rng) -> dict[str, float]:
     )
     last = np.array([[1], [4], [0]])
     check("take_along_last", lambda: ([a35], lambda: scalarize(tt.take_along_last(a35, last))))
+    check("cross_entropy", lambda: ([a35], lambda: tt.cross_entropy(a35, last)))
+    check("squared_error", lambda: ([a35], lambda: tt.tsum(tt.squared_error(a35, b35.data))))
     w32 = p((3, 2))
-    check("tsum", lambda: ([a35], lambda: tt.square(tt.tsum(a35))))
+    check("tsum", lambda: ([a35], lambda: scalarize(tt.tsum(a35))))
     check("tmean_axis", lambda: ([a35], lambda: scalarize(tt.tmean(a35, axis=0))))
-    check("exp", lambda: ([a35], lambda: scalarize(tt.exp(a35))))
-    pos = p((3, 5), positive=True)
-    check("log", lambda: ([pos], lambda: scalarize(tt.log(pos))))
-    check("square", lambda: ([a35], lambda: scalarize(tt.square(a35))))
     check("gelu", lambda: ([a35], lambda: scalarize(tt.gelu(a35))))
     check("softmax", lambda: ([a35], lambda: scalarize(tt.mul(tt.softmax(a35), b35))))
     q54, k54, v54 = p((5, 4)), p((5, 4)), p((5, 4))
@@ -202,7 +196,6 @@ def _primitive_checks(rng) -> dict[str, float]:
     )
     gain = p((5,))
     check("rmsnorm", lambda: ([a35, gain], lambda: scalarize(tt.rmsnorm(a35, gain))))
-    check("logsumexp_rows", lambda: ([a35], lambda: scalarize(tt.logsumexp_rows(a35))))
     w, b = p((5, 4)), p((4,))
     check("matmul_bias", lambda: ([a35, w, b], lambda: scalarize(tt.matmul(a35, w, bias=b))))
     ws, bs = [p((5, 4)) for _ in range(3)], [p((4,)) for _ in range(3)]

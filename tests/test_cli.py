@@ -223,6 +223,25 @@ class TestPretrain:
         assert [r["step"] for r in resumed] == [2, 3]
         assert half.read_bytes() == (root / "pre.msck").read_bytes()
 
+    def test_divergence_exits_two_and_keeps_the_last_checkpoint(self, workspace, tmp_path, capsys):
+        # At lr 1e300 the first step's Adam update leaves the parameters near
+        # 1e300, so the forward of the second save chunk overflows and
+        # tensor._emit raises FloatingPointError, naming the op. The step-1
+        # checkpoint stays whole. np.errstate keeps numpy's overflow warning,
+        # an error under the suite's warning filter, from raising first.
+        root, _ = workspace
+        cfg = write_cfg(tmp_path, pretrain={"lr_min": 1e300, "lr_max": 1e300, "save_every": 1})
+        out = tmp_path / "pre.msck"
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["pretrain", "--config", str(cfg), "--data", str(root / "data"), "--out", str(out)])
+        got = capsys.readouterr()
+        assert code == 2
+        assert "runtime error: FloatingPointError: " in got.err
+        assert [r["step"] for r in lines_of(got.out, "pretrain_step")] == [0]
+        assert load_checkpoint(out, fingerprint(load_config(cfg))).step == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "pre.msck"]
+
     def test_finished_checkpoint_is_a_no_op(self, workspace, capsys):
         root, cfg = workspace
         capsys.readouterr()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from misac import tensor as tt
+from misac import canonical_json, tensor as tt
 from misac.config import (
     ConfigError,
     DataConfig,
@@ -17,7 +17,6 @@ from misac.config import (
     ModelConfig,
     PretrainConfig,
     RunConfig,
-    canonical_config_json,
     config_from_dict,
     config_to_dict,
     desk_config,
@@ -123,7 +122,7 @@ class TestSerialization:
         assert fingerprint(base) != fingerprint(tweaked)
 
     def test_canonical_json_has_no_whitespace(self):
-        s = canonical_config_json(desk_config())
+        s = canonical_json(config_to_dict(desk_config()))
         assert ": " not in s and ", " not in s
         json.loads(s)
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from grad_oracle import grad_check
 from grid_oracle import reshape
+from loss_oracle import square
 from routing_replay import ReplayError, recorded, replayed
 from misac import encoder as enc, synth, tensor as tt, tokenizer as tok
 from misac.encoder import EncoderConfig, MultimodalEncoder
@@ -101,7 +102,7 @@ class TestTopkSoftmax:
         logits = Tensor([[2.0, 1.0, 0.0, -1.0]], requires_grad=True)
         with tt.Tape() as tape:
             w, _ = route(logits, k=2)
-            loss = tt.tsum(tt.square(w))
+            loss = tt.tsum(square(w))
         tt.backward(loss, tape)
         assert logits.grad is not None
         np.testing.assert_array_equal(logits.grad[0, 2:], [0.0, 0.0])
@@ -437,7 +438,7 @@ class TestMergedSpecificDispatch:
                 p.grad = None
             with tt.Tape() as tape:
                 out, weights, selections = forward(frozen_sel)
-                loss = tt.add(tt.tsum(tt.mul(out, Tensor(probe))), tt.tsum(tt.square(weights)))
+                loss = tt.add(tt.tsum(tt.mul(out, Tensor(probe))), tt.tsum(square(weights)))
             tt.backward(loss, tape)
             return out.data, weights.data, selections, [p.grad for p in params]
 
@@ -700,7 +701,7 @@ class TestEncode:
             def f():
                 with replayed(sels):
                     res = model.encode(embed_all(model, prepped))
-                return tt.tmean(tt.square(res.h))
+                return tt.tmean(square(res.h))
 
             rng = np.random.default_rng(77)
             params = list(model.named_params().values())

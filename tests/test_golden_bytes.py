@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-from misac import synth
+from misac import canonical_json, synth
 from misac.checkpoint import load_checkpoint, save_checkpoint, snapshot
 from misac.config import desk_config, fingerprint
 from misac.pretrain import Adam, PretrainModel
@@ -75,7 +75,7 @@ def test_dataset_with_the_old_averaging_key_still_loads(tmp_path):
     # the removed key is the manifest's only difference from the old pin
     manifest["config"]["radar"]["magnitude_average"] = False
     assert synth.manifest_hash(manifest) == OLD_MANIFEST_SHA256
-    (tmp_path / "manifest.json").write_text(synth.canonical_json(manifest))
+    (tmp_path / "manifest.json").write_text(canonical_json(manifest))
     loaded, read = synth.load_dataset(tmp_path)
     assert synth.manifest_hash(read) == OLD_MANIFEST_SHA256
     assert len(loaded) == len(generated)

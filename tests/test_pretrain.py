@@ -495,8 +495,7 @@ class TestAdam:
         for _ in range(400):
             opt.zero_grad()
             with tt.Tape() as tape:
-                loss = tt.square(tt.sub(w, Tensor(np.array([3.0]))))
-                loss = tt.tsum(loss)
+                loss = tt.tsum(tt.squared_error(w, np.array([3.0])))
             tt.backward(loss, tape)
             opt.step(0.05)
         assert abs(w.data[0] - 3.0) < 1e-2
@@ -860,10 +859,11 @@ class TestTrainingLoop:
         # reads it, so a change that moves nodes between ops shows which op
         # moved. Five nodes per attention call (the q, k, v and o projections
         # and one attention core), down from 17 when the core was a
-        # reshape/transpose/matmul/scale/softmax chain; four per masked
-        # modality's loss (gather_rows, sub, square, sum over its token
+        # reshape/transpose/matmul/scale/softmax chain; three per masked
+        # modality's loss (gather_rows, squared_error, sum over its token
         # rows), down from seven when each decode was folded back to its grid
-        # and scored under a pixel mask.
+        # and scored under a pixel mask, and four when squared_error was sub
+        # then square; one per contrastive cross_entropy, down from eight.
         from misac.config import desk_config
 
         desk = desk_config()
@@ -880,13 +880,13 @@ class TestTrainingLoop:
             step_objective(model, inputs, cfg)
         ops = Counter(node.vjps[0][1].__qualname__.partition(".<locals>.")[0] for node in tape.nodes)
         assert dict(ops) == {
-            "add": 147, "combine_rows": 32, "concat": 27, "dispatch_rows": 32, "exp": 2,
-            "gather_rows": 79, "gelu": 51, "grouped_linear": 80, "index_add": 38, "log": 2,
+            "add": 145, "combine_rows": 32, "concat": 27, "cross_entropy": 2, "dispatch_rows": 32,
+            "gather_rows": 79, "gelu": 51, "grouped_linear": 80, "index_add": 38,
             "matmul": 246, "mul": 6, "rmsnorm": 86, "scaled_dot_product_attention": 35,
-            "softmax": 32, "square": 19, "sub": 23, "take_along_last": 34,
-            "tile_rows": 29, "tmean": 24, "transpose": 2, "tsum": 22,
+            "softmax": 32, "squared_error": 19, "take_along_last": 32,
+            "tile_rows": 29, "tmean": 22, "transpose": 2, "tsum": 20,
         }
-        assert len(tape.nodes) == 1048
+        assert len(tape.nodes) == 1015
 
     def test_idle_experts_and_an_absent_pool_stay_untouched(self):
         # No cross-modal interference, at desk scale: with radar absent from

@@ -47,8 +47,8 @@ ALLOWED = {
     ("synth", "SceneMap._dense", "grid[self.index] = self.rows[:, columns]"): "the helper of SceneMap.bev and .height",
     ("synth", "SceneMap._dense", "return grid.reshape(res, res, -1)"): "the helper of SceneMap.bev and .height",
     ("tensor", "_unbroadcast", "g = g.sum(axis=axes, keepdims=True)"):
-        "no operand that needs a gradient broadcasts along a size-1 axis in the pipeline, but add, sub, mul "
-        "and matmul accept one, and tests/test_tensor.py checks that gradient",
+        "no operand that needs a gradient broadcasts along a size-1 axis in the pipeline, but add, mul, "
+        "matmul and squared_error accept one, and tests/test_tensor.py checks that gradient",
     ("downstream", "nmse_db", "return floor_db"):
         "only an exact reconstruction reaches the -120 dB floor; tests/test_downstream.py checks it",
 }

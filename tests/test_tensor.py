@@ -15,6 +15,8 @@ from scipy import special
 
 from grad_oracle import grad_check
 from grid_oracle import reshape
+import loss_oracle
+from loss_oracle import exp, log, square, sub
 from misac import tensor as T
 
 
@@ -24,7 +26,8 @@ def rng():
 
 # Division and square root, needed only by the rmsnorm oracle below, so they
 # live here rather than in misac.tensor; test_each_primitive grad-checks them,
-# and the oracles' reshape from grid_oracle with them.
+# and the oracles' reshape from grid_oracle and sub, square, exp and log from
+# loss_oracle with them.
 def div(a, b):
     return T._emit(
         "div",
@@ -43,7 +46,7 @@ def sqrt(a):
 # became one-node primitives: the oracles for their forward values and
 # gradients.
 def rmsnorm_composite(x, gain, eps=1e-6):
-    ms = T.tmean(T.square(x), axis=-1, keepdims=True)
+    ms = T.tmean(square(x), axis=-1, keepdims=True)
     return T.mul(div(x, sqrt(T.add(ms, T.Tensor(eps)))), gain)
 
 
@@ -79,39 +82,44 @@ def primitive_cases():
     # [[0, 5, 9], [1, 2, 10], [3, 6, 7], [4, 8, 11]][t]
     pairs = np.array([0, 3, 4, 6, 9, 1, 7, 8, 10, 2, 5, 11])
     last = np.array([[0, 2], [1, 0], [2, 1], [0, 1]])  # distinct columns within each row
+    target = r.normal(size=(4, 3))
     cases = {
         "add": lambda: T.tsum(T.add(a, b)),
-        "sub": lambda: T.tsum(T.square(T.sub(a, b))),
+        "sub": lambda: T.tsum(square(sub(a, b))),
         "mul": lambda: T.tsum(T.mul(a, b)),
         "div": lambda: T.tsum(div(a, b)),
-        "matmul": lambda: T.tsum(T.square(T.matmul(a, v))),
+        "matmul": lambda: T.tsum(square(T.matmul(a, v))),
         "transpose": lambda: T.tsum(T.mul(T.transpose(a, (1, 0)), T.transpose(b, (1, 0)))),
-        "reshape": lambda: T.tsum(T.square(reshape(a, (2, 6)))),
-        "concat": lambda: T.tsum(T.square(T.concat([a, b], axis=1))),
-        "gather_rows": lambda: T.tsum(T.square(T.gather_rows(a, np.array([0, 1, 3])))),
-        "index_add": lambda: T.tsum(T.square(T.index_add(T.concat([a, b], axis=0), np.array([1, 2, 5, 7]), b))),
-        "take_along_last": lambda: T.tsum(T.square(T.take_along_last(a, last))),
+        "reshape": lambda: T.tsum(square(reshape(a, (2, 6)))),
+        "concat": lambda: T.tsum(square(T.concat([a, b], axis=1))),
+        "gather_rows": lambda: T.tsum(square(T.gather_rows(a, np.array([0, 1, 3])))),
+        "index_add": lambda: T.tsum(square(T.index_add(T.concat([a, b], axis=0), np.array([1, 2, 5, 7]), b))),
+        "take_along_last": lambda: T.tsum(square(T.take_along_last(a, last))),
         "tile_rows": lambda: T.tsum(T.mul(T.tile_rows(T.tsum(a, axis=0), 4), b)),
-        "exp": lambda: T.tsum(T.exp(T.mul(a, T.Tensor(0.3)))),
-        "log": lambda: T.tsum(T.log(a)),
+        "exp": lambda: T.tsum(exp(T.mul(a, T.Tensor(0.3)))),
+        "log": lambda: T.tsum(log(a)),
         "sqrt": lambda: T.tsum(sqrt(a)),
-        "square": lambda: T.tsum(T.square(a)),
-        "gelu": lambda: T.tsum(T.gelu(T.sub(a, b))),
-        "softmax": lambda: T.tsum(T.square(T.softmax(a))),
-        "scaled_dot_product_attention": lambda: T.tsum(T.square(
-            T.scaled_dot_product_attention(a, b, T.sub(a, b), 3)
+        "square": lambda: T.tsum(square(a)),
+        "gelu": lambda: T.tsum(T.gelu(sub(a, b))),
+        "softmax": lambda: T.tsum(square(T.softmax(a))),
+        "scaled_dot_product_attention": lambda: T.tsum(square(
+            T.scaled_dot_product_attention(a, b, sub(a, b), 3)
         )),
-        "mean_axis": lambda: T.tsum(T.square(T.tmean(a, axis=0, keepdims=True))),
-        "sum_axis": lambda: T.tsum(T.square(T.tsum(a, axis=1))),
-        "rmsnorm": lambda: T.tsum(T.square(T.rmsnorm(T.sub(a, b), T.mul(a, b)))),
-        "rmsnorm_1d": lambda: T.tsum(T.square(T.rmsnorm(reshape(a, (12,)), reshape(b, (12,))))),
-        "matmul_bias": lambda: T.tsum(T.square(T.matmul(a, v, bias=reshape(T.tsum(v, axis=0), (5,))))),
-        "matmul_bias_3d": lambda: T.tsum(T.square(T.matmul(reshape(a, (2, 2, 3)), v, bias=T.Tensor(np.ones(5))))),
-        "grouped_linear": lambda: T.tsum(T.square(T.grouped_linear(  # group 1 is empty
-            a, [v, v, v], [T.tsum(v, axis=0), T.tmean(v, axis=0), T.tsum(T.square(v), axis=0)], [0, 1, 1, 4]
+        "mean_axis": lambda: T.tsum(square(T.tmean(a, axis=0, keepdims=True))),
+        "sum_axis": lambda: T.tsum(square(T.tsum(a, axis=1))),
+        "rmsnorm": lambda: T.tsum(square(T.rmsnorm(sub(a, b), T.mul(a, b)))),
+        "rmsnorm_1d": lambda: T.tsum(square(T.rmsnorm(reshape(a, (12,)), reshape(b, (12,))))),
+        "matmul_bias": lambda: T.tsum(square(T.matmul(a, v, bias=reshape(T.tsum(v, axis=0), (5,))))),
+        "matmul_bias_3d": lambda: T.tsum(square(T.matmul(reshape(a, (2, 2, 3)), v, bias=T.Tensor(np.ones(5))))),
+        "grouped_linear": lambda: T.tsum(square(T.grouped_linear(  # group 1 is empty
+            a, [v, v, v], [T.tsum(v, axis=0), T.tmean(v, axis=0), T.tsum(square(v), axis=0)], [0, 1, 1, 4]
         ))),
         "dispatch_rows": lambda: T.tsum(T.mul(T.dispatch_rows(a, pairs), T.concat([b, a, b], axis=0))),
-        "combine_rows": lambda: T.tsum(T.square(T.combine_rows(T.concat([a, b, a], axis=0), b, pairs))),
+        "combine_rows": lambda: T.tsum(square(T.combine_rows(T.concat([a, b, a], axis=0), b, pairs))),
+        "squared_error": lambda: T.tsum(T.squared_error(T.mul(a, b), target)),
+        "squared_error_broadcast": lambda: T.tsum(T.squared_error(T.tsum(a, axis=0, keepdims=True), target)),
+        "cross_entropy": lambda: T.cross_entropy(T.mul(a, b), last[:, :1]),
+        "cross_entropy_two_labels": lambda: T.cross_entropy(T.mul(a, b), last),
     }
     return [a, b, v], cases
 
@@ -179,13 +187,13 @@ class TestForwardValues:
         np.testing.assert_allclose(out, e / e.sum(axis=-1, keepdims=True), atol=1e-12)
 
     def test_finite_check_toggles(self):
-        big = T.Tensor(np.array([700.0, 800.0]))
-        with pytest.raises(FloatingPointError), pytest.warns(RuntimeWarning, match="overflow"):
-            T.exp(big)
+        big = T.Tensor(np.array([1e200, 1e300]))
+        with pytest.raises(FloatingPointError, match="mul"), pytest.warns(RuntimeWarning, match="overflow"):
+            T.mul(big, big)
         prev = T.set_finite_checks(False)
         try:
             with pytest.warns(RuntimeWarning, match="overflow"):
-                out = T.exp(big)
+                out = T.mul(big, big)
             assert np.isinf(out.data).any()
         finally:
             T.set_finite_checks(prev)
@@ -346,6 +354,90 @@ class TestAttention:
             T.scaled_dot_product_attention(x, x, x, 3)
 
 
+class TestFusedLosses:
+    """cross_entropy and squared_error against the chains they replaced, kept
+    in loss_oracle: the loss and every input gradient agree bit for bit."""
+
+    @staticmethod
+    def assert_same(fused, chain, params) -> int:
+        """Compare fused() with chain(); returns fused()'s tape node count."""
+        assert same_array(fused().data, chain().data)
+        got, nodes = tape_grads(fused, params)
+        want, _ = tape_grads(chain, params)
+        for a, b in zip(got, want):
+            assert same_array(a, b)
+        return nodes
+
+    @pytest.mark.parametrize("n, c, k", [(1, 1, 1), (1, 16, 1), (7, 5, 1), (32, 3, 1), (6, 9, 2), (4, 4, 4)])
+    def test_cross_entropy_matches_the_chain(self, n, c, k):
+        r = rng()
+        x = T.Tensor(r.normal(size=(n, c)) * 10.0, requires_grad=True)
+        labels = np.stack([r.permutation(c)[:k] for _ in range(n)])
+        nodes = self.assert_same(lambda: T.cross_entropy(x, labels), lambda: loss_oracle.cross_entropy(x, labels), [x])
+        assert nodes == 1  # the chain's 8: sub, exp, sum, log, add, take_along_last, sub, mean
+
+    @pytest.mark.parametrize("b", [2, 3, 8])
+    def test_contrastive_cross_entropy_matches_the_chain(self, b):
+        # the pipeline's InfoNCE: b x b dot products over tau against the
+        # diagonal, two terms summed and weighted as lambda_cl weights them
+        r = rng()
+        za, z1, z2 = (T.Tensor(r.normal(size=(b, 6)), requires_grad=True) for _ in range(3))
+        diag = np.arange(b)[:, None]
+
+        def loss(ce):
+            terms = [ce(T.mul(T.matmul(za, T.transpose(z, (1, 0))), T.Tensor(1.0 / 0.07)), diag) for z in (z1, z2)]
+            return T.mul(T.add(*terms), T.Tensor(5e-4))
+
+        self.assert_same(lambda: loss(T.cross_entropy), lambda: loss(loss_oracle.cross_entropy), [za, z1, z2])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (5, 7)])
+    def test_mse_matches_the_chain(self, shape):
+        r = rng()
+        pred = T.Tensor(r.normal(size=shape) * 10.0, requires_grad=True)
+        target = r.normal(size=shape) * 10.0
+        nodes = self.assert_same(lambda: T.mse(pred, target), lambda: loss_oracle.mse(pred, target), [pred])
+        assert nodes == 2  # squared_error, mean
+
+    @pytest.mark.parametrize("pred_shape, target_shape", [((1, 4), (5, 4)), ((5, 4), (1, 4)), ((5, 1), (4,))])
+    def test_squared_error_broadcasts_as_the_chain_did(self, pred_shape, target_shape):
+        r = rng()
+        pred = T.Tensor(r.normal(size=pred_shape), requires_grad=True)
+        target = r.normal(size=target_shape)
+        up = T.Tensor(r.normal(size=np.broadcast_shapes(pred_shape, target_shape)))
+        self.assert_same(
+            lambda: T.tsum(T.mul(T.squared_error(pred, target), up)),
+            lambda: T.tsum(T.mul(square(sub(pred, T.Tensor(target))), up)),
+            [pred],
+        )
+
+    def test_mask_loss_term_matches_the_chain(self):
+        # pretrain.mask_loss's term: the masked token rows of a reconstruction
+        r = rng()
+        recon = T.Tensor(r.normal(size=(12, 10)), requires_grad=True)
+        target = r.normal(size=(12, 10))
+        rows = np.array([0, 3, 4, 7, 11])
+        nodes = self.assert_same(
+            lambda: T.tsum(T.squared_error(T.gather_rows(recon, rows), target[rows])),
+            lambda: T.tsum(square(sub(T.gather_rows(recon, rows), T.Tensor(target[rows])))),
+            [recon],
+        )
+        assert nodes == 3  # gather_rows, squared_error, sum
+
+    def test_cross_entropy_refuses_bad_labels(self):
+        x = T.Tensor(rng().normal(size=(3, 5)), requires_grad=True)
+        bad_labels = {
+            r"index must be \[3, k\]": ([[0], [1]], [0, 1, 2], [[[0]], [[1]], [[2]]]),  # too few rows, 1-D, 3-D
+            r"index outside \[0, 5\)": ([[5], [0], [1]], [[-1], [0], [1]]),  # past the end, negative
+            "repeated index within a row": ([[1, 1], [0, 2], [3, 4]],),
+        }
+        for says, labels in bad_labels.items():
+            for bad in labels:
+                with pytest.raises(ValueError, match=f"cross_entropy: {says}"):
+                    T.cross_entropy(x, bad)
+        with pytest.raises(ValueError, match="cross_entropy: expected a 2D tensor"):
+            T.cross_entropy(T.Tensor(np.zeros(5)), [[0]])
+
+
 class TestBackward:
     def test_linear_regression_hand_gradient(self):
         # loss = mean((Xw - y)^2); d/dw = 2 X^T (Xw - y) / n
@@ -354,8 +446,7 @@ class TestBackward:
         y = r.normal(size=(12, 1))
         w = T.Tensor(r.normal(size=(5, 1)), requires_grad=True)
         with T.Tape() as tape:
-            resid = T.sub(T.matmul(T.Tensor(X), w), T.Tensor(y))
-            loss = T.tmean(T.square(resid))
+            loss = T.mse(T.matmul(T.Tensor(X), w), y)
         T.backward(loss, tape)
         want = 2.0 * X.T @ (X @ w.data - y) / 12.0
         np.testing.assert_allclose(w.grad, want, atol=1e-12)
@@ -478,7 +569,7 @@ class TestBackward:
         bs = [T.Tensor(r.normal(size=2), requires_grad=True) for _ in range(3)]
         with T.Tape() as tape:
             out = T.grouped_linear(x, ws, bs, [0, 4, 4, 5])  # group 1 is empty
-            loss = T.tsum(T.square(out))
+            loss = T.tsum(square(out))
         nodes = len(tape.nodes)  # read before backward spends the tape
         T.backward(loss, tape)
         assert nodes == 3  # one node for every group
@@ -548,7 +639,7 @@ class TestBackward:
 class TestGradCheck:
     def test_exp_sum_below_1e7(self):
         w = T.Tensor(rng().normal(size=7), requires_grad=True)
-        err = grad_check(lambda: T.tsum(T.exp(w)), [w])
+        err = grad_check(lambda: T.tsum(exp(w)), [w])
         assert err < 1e-7
         # the analytic path itself must be exp(w)
         np.testing.assert_allclose(w.grad, np.exp(w.data), atol=1e-12)
@@ -563,7 +654,7 @@ class TestGradCheck:
         r = rng()
         a = T.Tensor(r.normal(size=(2, 3, 4)), requires_grad=True)
         b = T.Tensor(r.normal(size=(2, 4, 3)), requires_grad=True)
-        err = grad_check(lambda: T.tsum(T.square(T.matmul(a, b))), [a, b])
+        err = grad_check(lambda: T.tsum(square(T.matmul(a, b))), [a, b])
         assert err < 1e-7
 
     def test_gather_scatter_ops(self):
@@ -574,13 +665,13 @@ class TestGradCheck:
         sel = np.array([[0, 2], [3, 1], [2, 0], [1, 0], [0, 3], [2, 1]])
 
         def f_gather():
-            return T.tsum(T.square(T.gather_rows(x, idx)))
+            return T.tsum(square(T.gather_rows(x, idx)))
 
         def f_index_add():
-            return T.tsum(T.square(T.index_add(x, idx, vals)))
+            return T.tsum(square(T.index_add(x, idx, vals)))
 
         def f_take():
-            return T.tsum(T.square(T.take_along_last(x, sel)))
+            return T.tsum(square(T.take_along_last(x, sel)))
 
         for f in (f_gather, f_index_add, f_take):
             assert grad_check(f, [x, vals]) < 1e-7
@@ -589,7 +680,7 @@ class TestGradCheck:
         r = rng()
         x = T.Tensor(r.normal(size=(3, 8)), requires_grad=True)
         g = T.Tensor(np.ones(8), requires_grad=True)
-        err = grad_check(lambda: T.tsum(T.square(T.rmsnorm(x, g))), [x, g])
+        err = grad_check(lambda: T.tsum(square(T.rmsnorm(x, g))), [x, g])
         assert err < 1e-7
         w = T.Tensor(r.normal(size=(8, 2)), requires_grad=True)
         b = T.Tensor(np.zeros(2), requires_grad=True)
