@@ -15,10 +15,11 @@ Layout invariants:
 * Each block runs two dispatches, one per branch. The shared one routes
   every row over the shared pool. The specific one routes every segment
   over its own modality's pool at once: one grouped gate over the segments'
-  row blocks, and one expert chain over every present pool's experts, pool
+  row blocks, and one moe_ffn node over every present pool's experts, pool
   after pool, where a row's selected ids are offset by K times its
   segment's ordinal, so a token reaches only its own modality's experts.
-* Both expert branches re-enter the stream through their own RMSNorm gain:
+* Both expert branches re-enter the stream through their own RMSNorm gain,
+  one residual_rmsnorm node each:
   out = x + rmsnorm(y_shared) + rmsnorm(y_specific).
 """
 
@@ -83,8 +84,10 @@ class Linear:
 
 
 class MLP:
-    """Two-layer GELU MLP: fc2(gelu(fc1(x))). Experts, decoder FFNs and task
-    heads are all this module."""
+    """Two-layer GELU MLP: fc2(gelu(fc1(x))), the decoder FFNs and task
+    heads. An expert is this module too, for its parameters: the dispatch
+    runs a pool's experts over the same fc1 and fc2 tensors as one moe_ffn
+    node, not through this call."""
 
     def __init__(self, rng, n_in: int, hidden: int, n_out: int):
         self.fc1 = Linear(rng, n_in, hidden)
@@ -146,8 +149,8 @@ def _dispatch(
     belongs to pool part[t], and its selected ids, offset by K * part[t],
     name only that pool's experts. The (token, slot) pairs are stably sorted
     by that offset id, so each expert's rows form one block in token order
-    and each expert layer runs as one grouped node. That pair order is the
-    one table dispatch_rows and combine_rows take, and the combine sums every
+    and every expert's FFN runs in one moe_ffn node. That pair order is the
+    one table moe_ffn and combine_rows take, and the combine sums every
     token's outputs in it, which is expert order."""
     K = logits.shape[1]
     sel = _topk_indices(logits.data, k)
@@ -155,9 +158,8 @@ def _dispatch(
     ids = (sel + K * part[:, None]).reshape(-1)
     pairs = np.argsort(ids, kind="stable")
     offsets = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=len(experts)))])
-    xs = tt.dispatch_rows(x, pairs)
-    h = tt.gelu(tt.grouped_linear(xs, [e.fc1.w for e in experts], [e.fc1.b for e in experts], offsets))
-    out = tt.grouped_linear(h, [e.fc2.w for e in experts], [e.fc2.b for e in experts], offsets)
+    fc1, fc2 = [e.fc1 for e in experts], [e.fc2 for e in experts]
+    out = tt.moe_ffn(x, pairs, [f.w for f in fc1], [f.b for f in fc1], [f.w for f in fc2], [f.b for f in fc2], offsets)
     return tt.combine_rows(out, w, pairs), w, sel
 
 
@@ -244,9 +246,8 @@ def ss_dmoe_forward(
         [e for p in specific for e in p.experts],
         np.repeat(np.arange(len(segments)), np.diff(bounds)),
     )
-    out = tt.add(
-        tt.add(x, tt.rmsnorm(y_shared, block.g_shared, cfg.rms_eps)),
-        tt.rmsnorm(y_spec, block.g_specific, cfg.rms_eps),
+    out = tt.residual_rmsnorm(
+        tt.residual_rmsnorm(x, y_shared, block.g_shared, cfg.rms_eps), y_spec, block.g_specific, cfg.rms_eps
     )
     return out, [st_shared, st_spec]
 
@@ -254,7 +255,7 @@ def ss_dmoe_forward(
 def encoder_block(
     h: Tensor, segments: list[Segment], block: EncoderBlock, cfg: EncoderConfig, layer: int
 ) -> tuple[Tensor, list[PoolStats]]:
-    h1 = tt.add(h, tt.rmsnorm(attention(h, block.attn, cfg.n_heads), block.g_attn, cfg.rms_eps))
+    h1 = tt.residual_rmsnorm(h, attention(h, block.attn, cfg.n_heads), block.g_attn, cfg.rms_eps)
     ctx = pool_context(h1, segments)
     return ss_dmoe_forward(h1, segments, ctx, block, cfg, layer)
 

@@ -141,8 +141,8 @@ class DecoderBlock:
         self.g_ffn = Tensor(np.ones(d), requires_grad=True)
 
     def __call__(self, h: Tensor, eps: float) -> Tensor:
-        h = tt.add(h, tt.rmsnorm(attention(h, self.attn, self.n_heads), self.g_attn, eps))
-        return tt.add(h, tt.rmsnorm(self.ffn(h), self.g_ffn, eps))
+        h = tt.residual_rmsnorm(h, attention(h, self.attn, self.n_heads), self.g_attn, eps)
+        return tt.residual_rmsnorm(h, self.ffn(h), self.g_ffn, eps)
 
     def named(self, prefix: str):
         return (

@@ -7,7 +7,12 @@ order, accumulates into ``Tensor.grad`` and frees each node as it goes.
 Float64 is the default precision so that central differences, the oracle the
 tests check every gradient against, resolve errors below 1e-7. Each loss
 term is one node: ``cross_entropy`` and ``squared_error`` are primitives,
-and ``mse`` is the mean of the latter.
+and ``mse`` is the mean of the latter. So is each routed expert layer,
+``moe_ffn`` (fan-out, fc1, GELU, fc2, keeping only the pre-activation and
+its CDF), and each RMSNorm-gained residual branch, ``residual_rmsnorm``
+(keeping the branch and its rms, not the normalized branch): a step's
+traced peak is its forward, so what the forward keeps is what a step costs
+in memory.
 
 Also hosts the small binary tensor format used for datasets and checkpoints
 (magic ``MSTN``) and a thin complex-array wrapper for the signal-synthesis
@@ -271,17 +276,25 @@ def tile_rows(v: Tensor, n: int) -> Tensor:
     return _emit("tile_rows", np.tile(v.data, (n, 1)), [(v, vjp)])
 
 
+def _groups(offsets, params: Sequence[Sequence[Tensor]], n_rows: int, op: str) -> list[tuple[int, int, int]]:
+    """(e, lo, hi) for every non-empty row block e, rows offsets[e]:offsets[e + 1]
+    of n_rows, after checking that each list in params holds one tensor per
+    group and that the offsets rise from 0 to n_rows."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = len(params[0])
+    if not n or any(len(p) != n for p in params) or offsets.shape != (n + 1,):
+        raise ValueError(f"{op}: need one tensor of each kind per group and one offset more than groups")
+    if offsets[0] != 0 or offsets[-1] != n_rows or np.any(np.diff(offsets) < 0):
+        raise ValueError(f"{op}: offsets must rise from 0 to the row count")
+    bounds = offsets.tolist()
+    return [(e, lo, hi) for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+
+
 def grouped_linear(x: Tensor, ws: Sequence[Tensor], bs: Sequence[Tensor], offsets) -> Tensor:
     """Row block e of x, rows offsets[e]:offsets[e + 1], maps through
     x @ ws[e] + bs[e]; one node covers every group. An empty group records no
     vjp, so its weight and bias keep ``grad is None``."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if not ws or len(bs) != len(ws) or offsets.shape != (len(ws) + 1,):
-        raise ValueError("grouped_linear: need one bias per weight and len(ws) + 1 offsets")
-    if offsets[0] != 0 or offsets[-1] != x.data.shape[0] or np.any(np.diff(offsets) < 0):
-        raise ValueError("grouped_linear: offsets must rise from 0 to the row count")
-    bounds = offsets.tolist()
-    groups = [(e, lo, hi) for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+    groups = _groups(offsets, (ws, bs), x.data.shape[0], "grouped_linear")
     out = np.empty((x.data.shape[0], ws[0].data.shape[1]))
     for e, lo, hi in groups:
         np.matmul(x.data[lo:hi], ws[e].data, out=out[lo:hi])
@@ -330,20 +343,74 @@ def _sum_places(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return out
 
 
-def dispatch_rows(x: Tensor, pairs) -> Tensor:
-    """Fan every row of x out to its k places: place p of the result is row
-    pairs[p] // k of x. The gradient of row t sums its k places in order,
-    with no scatter."""
-    _, rows, pos = _places(pairs, x.data.shape[0], "dispatch_rows")
+def moe_ffn(x: Tensor, pairs, w1s: Sequence[Tensor], b1s: Sequence[Tensor], w2s: Sequence[Tensor],
+            b2s: Sequence[Tensor], offsets) -> Tensor:
+    """Every row of x fanned out to its k places (place p is row pairs[p] // k),
+    then the places' row block e, rows offsets[e]:offsets[e + 1], through
+    expert e's fc1 -> exact GELU -> fc2: gelu(. @ w1s[e] + b1s[e]) @ w2s[e] + b2s[e].
 
-    def vjp(g):
-        return _sum_places(g, pos)
+    One node, with the op order of the fan-out, grouped linear, gelu,
+    grouped linear chain forward and backward, that keeps only the
+    pre-activation a and its CDF. The vjps gather each group's rows from x
+    again, recompute the GELU output a * cdf with one multiply, and sum
+    each token's k place gradients in order. An empty group records no vjp,
+    so its expert's tensors keep ``grad is None``. Only the output is
+    finite-checked: a non-finite pre-activation always reaches it."""
+    xd = x.data
+    _, rows, pos = _places(pairs, xd.shape[0], "moe_ffn")
+    groups = _groups(offsets, (w1s, b1s, w2s, b2s), rows.size, "moe_ffn")
+    a = np.empty((rows.size, w1s[0].data.shape[1]))
+    for e, lo, hi in groups:
+        np.matmul(xd[rows[lo:hi]], w1s[e].data, out=a[lo:hi])
+        a[lo:hi] += b1s[e].data
+    cdf = _gelu_cdf(a)
+    h = a * cdf
+    out = np.empty((rows.size, w2s[0].data.shape[1]))
+    for e, lo, hi in groups:
+        np.matmul(h[lo:hi], w2s[e].data, out=out[lo:hi])
+        out[lo:hi] += b2s[e].data
 
-    return _emit("dispatch_rows", x.data[rows], [(x, vjp)])
+    held = []  # (g, the gradient of a), from x's vjp until the fc1 vjps take it
+
+    def grad_a(g):
+        if held and held[0] is g:
+            return held[1]
+        ga = _gelu_slope(a, cdf)
+        for e, lo, hi in groups:
+            ga[lo:hi] *= np.matmul(g[lo:hi], w2s[e].data.T)
+        held[:] = [g, ga]
+        return ga
+
+    def vjp_x(g):
+        ga = grad_a(g)
+        gx = np.empty((rows.size, xd.shape[1]))
+        for e, lo, hi in groups:
+            np.matmul(ga[lo:hi], w1s[e].data.T, out=gx[lo:hi])
+        return _sum_places(gx, pos)
+
+    def group_vjps(lo, hi):
+        def vjp_w1(g):
+            return np.matmul(xd[rows[lo:hi]].T, grad_a(g)[lo:hi])
+
+        def vjp_b1(g):
+            return grad_a(g)[lo:hi].sum(axis=0)
+
+        def vjp_w2(g):
+            return np.matmul((a[lo:hi] * cdf[lo:hi]).T, g[lo:hi])
+
+        def vjp_b2(g):
+            return g[lo:hi].sum(axis=0)
+
+        return vjp_w1, vjp_b1, vjp_w2, vjp_b2
+
+    vjps = [(x, vjp_x)]
+    for e, lo, hi in groups:
+        vjps += zip((w1s[e], b1s[e], w2s[e], b2s[e]), group_vjps(lo, hi))
+    return _emit("moe_ffn", out, vjps)
 
 
 def combine_rows(out: Tensor, w: Tensor, pairs) -> Tensor:
-    """Weighted fan-in, the inverse of dispatch_rows: row t of the result sums
+    """Weighted fan-in, the inverse of moe_ffn's fan-out: row t of the result sums
     out[p] * w.flat[pairs[p]] over token t's places p in order, where
     pairs[p] is the flat index into the [n, k] w (token * k + slot) of place p."""
     pairs, rows, pos = _places(pairs, w.data.shape[0], "combine_rows")
@@ -421,25 +488,37 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _emit("cross_entropy", d.mean(), [(logits, vjp)])
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), each step in one new buffer."""
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+    special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The GELU derivative cdf + x * pdf(x), each step in one new buffer."""
+    gx = np.multiply(-0.5, x, out=np.empty_like(x))
+    gx *= x
+    np.exp(gx, out=gx)
+    gx *= _INV_SQRT_2PI
+    gx *= x
+    gx += cdf
+    return gx
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU x * Phi(x) with the Gaussian CDF, not the tanh fit."""
     x = a.data
     # no input scan: a non-finite input gives a non-finite output (inf -> inf,
     # -inf and nan -> nan), which _emit catches while finite checks are on.
-    # each kernel writes into its own result buffer; the operations and their
-    # order are those of 0.5 * (1 + erf(x / sqrt 2)) and g * (cdf + x * pdf)
-    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
-    special.erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    # the operations and their order are those of 0.5 * (1 + erf(x / sqrt 2))
+    # and g * (cdf + x * pdf)
+    cdf = _gelu_cdf(x)
 
     def vjp(g):
-        gx = np.multiply(-0.5, x, out=np.empty_like(x))
-        gx *= x
-        np.exp(gx, out=gx)
-        gx *= _INV_SQRT_2PI
-        gx *= x
-        gx += cdf
+        gx = _gelu_slope(x, cdf)
         gx *= g
         return gx
 
@@ -513,31 +592,37 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) 
                  [(q, vjp_q), (k, vjp_k), (v, vjp_v)])
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """x / sqrt(mean(x^2, last axis) + eps) * gain, as one node."""
-    xd = x.data
-    rms = np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + eps)
-    xhat = xd / rms
+def residual_rmsnorm(h: Tensor, y: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
+    """h + y / sqrt(mean(y^2, last axis) + eps) * gain, the residual add of an
+    RMSNorm-gained branch y, as one node. It keeps y and the rms, not the
+    normalized y, which the gain's vjp recomputes with one divide."""
+    yd = y.data
+    if h.data.shape != yd.shape:
+        raise ValueError(f"residual_rmsnorm: h has shape {h.data.shape} but y has {yd.shape}")
+    rms = np.sqrt((yd * yd).mean(axis=-1, keepdims=True) + eps)
+    out = yd / rms
+    out *= gain.data
+    out += h.data
 
-    def vjp_x(g):
-        # the chain rule of the composite x / sqrt(mean(x * x) + eps) * gain,
+    def vjp_y(g):
+        # the chain rule of the composite y / sqrt(mean(y * y) + eps) * gain,
         # term by term in its order, so the gradient matches it bit for bit
-        gx = g * gain.data
-        t = gx * xd
+        gy = g * gain.data
+        t = gy * yd
         t /= rms * rms
         c = t.sum(axis=-1, keepdims=True)
         c *= -0.5
         c /= rms
-        c /= xd.shape[-1]
+        c /= yd.shape[-1]
         c *= 2.0
-        gx /= rms
-        gx += np.multiply(c, xd, out=t)
-        return gx
+        gy /= rms
+        gy += np.multiply(c, yd, out=t)
+        return gy
 
     def vjp_gain(g):
-        return _unbroadcast(g * xhat, gain.data.shape)
+        return _unbroadcast(g * (yd / rms), gain.data.shape)
 
-    return _emit("rmsnorm", xhat * gain.data, [(x, vjp_x), (gain, vjp_gain)])
+    return _emit("residual_rmsnorm", out, [(h, lambda g: g), (y, vjp_y), (gain, vjp_gain)])
 
 
 # ---------------------------------------------------------------------------

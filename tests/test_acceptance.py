@@ -195,7 +195,10 @@ def _primitive_checks(rng) -> dict[str, float]:
         lambda: ([q54, k54, v54], lambda: scalarize(tt.scaled_dot_product_attention(q54, k54, v54, 2))),
     )
     gain = p((5,))
-    check("rmsnorm", lambda: ([a35, gain], lambda: scalarize(tt.rmsnorm(a35, gain))))
+    check(
+        "residual_rmsnorm",
+        lambda: ([b35, a35, gain], lambda: scalarize(tt.residual_rmsnorm(b35, a35, gain))),
+    )
     w, b = p((5, 4)), p((4,))
     check("matmul_bias", lambda: ([a35, w, b], lambda: scalarize(tt.matmul(a35, w, bias=b))))
     ws, bs = [p((5, 4)) for _ in range(3)], [p((4,)) for _ in range(3)]
@@ -207,7 +210,17 @@ def _primitive_checks(rng) -> dict[str, float]:
     # three tokens at k = 2: pairs[place] is the place's flat (token * 2 +
     # slot) index, in the expert-sorted order encoder._dispatch builds
     pairs = np.array([0, 2, 3, 4, 1, 5])
-    check("dispatch_rows", lambda: ([a35], lambda: scalarize(tt.dispatch_rows(a35, pairs))))
+    # the six places over three experts, a four-row, an empty and a two-row
+    # group: fc1 is 5 -> 4 and fc2 4 -> 5
+    w1s, b1s = [p((5, 4)) for _ in range(3)], [p((4,)) for _ in range(3)]
+    w2s, b2s = [p((4, 5)) for _ in range(3)], [p((5,)) for _ in range(3)]
+    check(
+        "moe_ffn",
+        lambda: (
+            [a35, *w1s, *b1s, *w2s, *b2s],
+            lambda: scalarize(tt.moe_ffn(a35, pairs, w1s, b1s, w2s, b2s, np.array([0, 4, 4, 6]))),
+        ),
+    )
     out65 = p((6, 5))
     check(
         "combine_rows",

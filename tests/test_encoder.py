@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from grad_oracle import grad_check
 from grid_oracle import reshape
 from loss_oracle import square
+from moe_oracle import residual_branch
 from routing_replay import ReplayError, recorded, replayed
 from misac import encoder as enc, synth, tensor as tt, tokenizer as tok
 from misac.encoder import EncoderConfig, MultimodalEncoder
@@ -384,9 +385,9 @@ def per_segment_ss_dmoe(x, segments, ctx, block, cfg, layer, frozen=None):
         ym, w, sel = one_pool(pool.experts, xm, pool.gate(xm), cfg.top_k, frozen_for(seg.modality))
         y_parts.append(ym)
         routed.append((w, sel))
-    out = tt.add(
-        tt.add(x, tt.rmsnorm(y_shared, block.g_shared, cfg.rms_eps)),
-        tt.rmsnorm(tt.concat(y_parts, axis=0), block.g_specific, cfg.rms_eps),
+    out = residual_branch(
+        residual_branch(x, y_shared, block.g_shared, cfg.rms_eps),
+        tt.concat(y_parts, axis=0), block.g_specific, cfg.rms_eps,
     )
     return out, routed
 

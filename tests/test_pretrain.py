@@ -728,6 +728,37 @@ def small_samples():
     return samples
 
 
+@pytest.fixture(scope="module")
+def traced_desk_step() -> tuple[int, int]:
+    """The bytes tracemalloc holds at the end of the fixed desk step's
+    forward, and its peak during the backward."""
+    import tracemalloc
+
+    from misac.config import desk_config
+
+    desk = desk_config()
+    model = PretrainModel(
+        desk.model.encoder_config(),
+        desk.model.tokenizer_config(),
+        np.random.default_rng(0),
+        decoder_blocks=desk.model.decoder_blocks,
+    )
+    samples, _ = synth_dataset(desk.data.synth_config(desk.model), 8, seed=5)
+    cfg = desk.pretrain.settings()
+    inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        with tt.Tape() as tape:
+            loss = step_objective(model, inputs, cfg)
+        forward, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        tt.backward(loss.total, tape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return forward, peak
+
+
 def small_model(seed: int = 0) -> PretrainModel:
     tok = TokenizerConfig(
         d=16,
@@ -863,7 +894,10 @@ class TestTrainingLoop:
         # modality's loss (gather_rows, squared_error, sum over its token
         # rows), down from seven when each decode was folded back to its grid
         # and scored under a pixel mask, and four when squared_error was sub
-        # then square; one per contrastive cross_entropy, down from eight.
+        # then square; one per contrastive cross_entropy, down from eight;
+        # one moe_ffn per dispatch, down from four (dispatch_rows,
+        # grouped_linear, gelu, grouped_linear); and one residual_rmsnorm
+        # per RMSNorm-gained residual branch, down from two (rmsnorm, add).
         from misac.config import desk_config
 
         desk = desk_config()
@@ -880,13 +914,13 @@ class TestTrainingLoop:
             step_objective(model, inputs, cfg)
         ops = Counter(node.vjps[0][1].__qualname__.partition(".<locals>.")[0] for node in tape.nodes)
         assert dict(ops) == {
-            "add": 145, "combine_rows": 32, "concat": 27, "cross_entropy": 2, "dispatch_rows": 32,
-            "gather_rows": 79, "gelu": 51, "grouped_linear": 80, "index_add": 38,
-            "matmul": 246, "mul": 6, "rmsnorm": 86, "scaled_dot_product_attention": 35,
-            "softmax": 32, "squared_error": 19, "take_along_last": 32,
-            "tile_rows": 29, "tmean": 22, "transpose": 2, "tsum": 20,
+            "add": 59, "combine_rows": 32, "concat": 27, "cross_entropy": 2,
+            "gather_rows": 79, "gelu": 19, "grouped_linear": 16, "index_add": 38,
+            "matmul": 246, "moe_ffn": 32, "mul": 6, "residual_rmsnorm": 86,
+            "scaled_dot_product_attention": 35, "softmax": 32, "squared_error": 19,
+            "take_along_last": 32, "tile_rows": 29, "tmean": 22, "transpose": 2, "tsum": 20,
         }
-        assert len(tape.nodes) == 1015
+        assert len(tape.nodes) == 833
 
     def test_idle_experts_and_an_absent_pool_stay_untouched(self):
         # No cross-modal interference, at desk scale: with radar absent from
@@ -944,37 +978,22 @@ class TestTrainingLoop:
             assert opt.m[k].tobytes() == opt.v[k].tobytes() == zeros * opt.m[k].size, k
         assert params["block0.csi.expert0.fc1.w"].data.tobytes() != before["block0.csi.expert0.fc1.w"]
 
-    def test_fixed_seed_desk_step_backward_adds_no_memory(self):
+    def test_fixed_seed_desk_step_backward_adds_no_memory(self, traced_desk_step):
         # backward frees each node once its vjps have run, so the step's
         # traced peak is its forward (+0.3%). Keeping every node and every
         # intermediate gradient until the tape is dropped peaks 68% above
         # the memory the forward left. tracemalloc counts allocations, so
         # this does not depend on timing.
-        import tracemalloc
-
-        from misac.config import desk_config
-
-        desk = desk_config()
-        model = PretrainModel(
-            desk.model.encoder_config(),
-            desk.model.tokenizer_config(),
-            np.random.default_rng(0),
-            decoder_blocks=desk.model.decoder_blocks,
-        )
-        samples, _ = synth_dataset(desk.data.synth_config(desk.model), 8, seed=5)
-        cfg = desk.pretrain.settings()
-        inputs = prepare_step_inputs(samples, model, cfg, np.random.default_rng(1))
-        tracemalloc.start()
-        try:
-            with tt.Tape() as tape:
-                loss = step_objective(model, inputs, cfg)
-            forward, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            tt.backward(loss.total, tape)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        forward, peak = traced_desk_step
         assert peak < 1.05 * forward, (forward, peak)
+
+    def test_fixed_seed_desk_step_forward_keeps_at_most_95_mib(self, traced_desk_step):
+        # The forward retains 90.5 MiB: each moe_ffn keeps only the
+        # pre-activation and its CDF, and each residual_rmsnorm its branch
+        # and rms. The four-node expert chain and rmsnorm + add kept 123.0,
+        # so keeping the GELU output or the normalized branch again fails.
+        forward, _ = traced_desk_step
+        assert forward <= 95 * 2**20, forward / 2**20
 
     def test_every_desk_parameter_gets_a_live_gradient(self):
         # A parameter the loss cannot see (a softmax-cancelled key bias, a

@@ -17,6 +17,8 @@ from grad_oracle import grad_check
 from grid_oracle import reshape
 import loss_oracle
 from loss_oracle import exp, log, square, sub
+import moe_oracle
+from moe_oracle import dispatch_rows, rmsnorm
 from misac import tensor as T
 
 
@@ -44,7 +46,8 @@ def sqrt(a):
 
 # The composites that rmsnorm and a biased linear layer were before they
 # became one-node primitives: the oracles for their forward values and
-# gradients.
+# gradients (moe_oracle keeps the rmsnorm primitive, and residual_rmsnorm
+# fuses it with the residual add).
 def rmsnorm_composite(x, gain, eps=1e-6):
     ms = T.tmean(square(x), axis=-1, keepdims=True)
     return T.mul(div(x, sqrt(T.add(ms, T.Tensor(eps)))), gain)
@@ -83,6 +86,15 @@ def primitive_cases():
     pairs = np.array([0, 3, 4, 6, 9, 1, 7, 8, 10, 2, 5, 11])
     last = np.array([[0, 2], [1, 0], [2, 1], [0, 1]])  # distinct columns within each row
     target = r.normal(size=(4, 3))
+
+    def experts():
+        # three experts over the 12 places, the middle one idle: fc1 is
+        # 3 -> 5 and fc2 5 -> 3, each tensor built from the parameters
+        w1s = [v, T.mul(v, T.Tensor(0.5)), T.mul(v, v)]
+        b1s = [T.tsum(v, axis=0), T.tmean(v, axis=0), T.tsum(square(v), axis=0)]
+        w2s = [T.transpose(w, (1, 0)) for w in w1s]
+        return w1s, b1s, w2s, [T.tsum(a, axis=0), T.tmean(b, axis=0), T.tsum(b, axis=0)]
+
     cases = {
         "add": lambda: T.tsum(T.add(a, b)),
         "sub": lambda: T.tsum(square(sub(a, b))),
@@ -107,14 +119,19 @@ def primitive_cases():
         )),
         "mean_axis": lambda: T.tsum(square(T.tmean(a, axis=0, keepdims=True))),
         "sum_axis": lambda: T.tsum(square(T.tsum(a, axis=1))),
-        "rmsnorm": lambda: T.tsum(square(T.rmsnorm(sub(a, b), T.mul(a, b)))),
-        "rmsnorm_1d": lambda: T.tsum(square(T.rmsnorm(reshape(a, (12,)), reshape(b, (12,))))),
+        "rmsnorm": lambda: T.tsum(square(rmsnorm(sub(a, b), T.mul(a, b)))),
+        "rmsnorm_1d": lambda: T.tsum(square(rmsnorm(reshape(a, (12,)), reshape(b, (12,))))),
+        "residual_rmsnorm": lambda: T.tsum(square(T.residual_rmsnorm(T.mul(a, b), sub(a, b), T.tsum(a, axis=0)))),
+        "residual_rmsnorm_1d": lambda: T.tsum(square(T.residual_rmsnorm(
+            reshape(b, (12,)), reshape(a, (12,)), reshape(T.mul(a, b), (12,))
+        ))),
         "matmul_bias": lambda: T.tsum(square(T.matmul(a, v, bias=reshape(T.tsum(v, axis=0), (5,))))),
         "matmul_bias_3d": lambda: T.tsum(square(T.matmul(reshape(a, (2, 2, 3)), v, bias=T.Tensor(np.ones(5))))),
         "grouped_linear": lambda: T.tsum(square(T.grouped_linear(  # group 1 is empty
             a, [v, v, v], [T.tsum(v, axis=0), T.tmean(v, axis=0), T.tsum(square(v), axis=0)], [0, 1, 1, 4]
         ))),
-        "dispatch_rows": lambda: T.tsum(T.mul(T.dispatch_rows(a, pairs), T.concat([b, a, b], axis=0))),
+        "dispatch_rows": lambda: T.tsum(T.mul(dispatch_rows(a, pairs), T.concat([b, a, b], axis=0))),
+        "moe_ffn": lambda: T.tsum(square(T.moe_ffn(a, pairs, *experts(), [0, 5, 5, 12]))),
         "combine_rows": lambda: T.tsum(square(T.combine_rows(T.concat([a, b, a], axis=0), b, pairs))),
         "squared_error": lambda: T.tsum(T.squared_error(T.mul(a, b), target)),
         "squared_error_broadcast": lambda: T.tsum(T.squared_error(T.tsum(a, axis=0, keepdims=True), target)),
@@ -161,22 +178,23 @@ class TestForwardValues:
                 T.set_finite_checks(prev)
         assert not np.isfinite(out.data).any()
 
+    # residual_rmsnorm onto a zero residual is the RMSNorm of its branch
     def test_rmsnorm_frozen_pair(self):
-        out = T.rmsnorm(T.Tensor([3.0, 4.0]), T.Tensor(np.ones(2)), eps=0.0).data
+        out = T.residual_rmsnorm(T.Tensor(np.zeros(2)), T.Tensor([3.0, 4.0]), T.Tensor(np.ones(2)), eps=0.0).data
         np.testing.assert_allclose(out, [0.8485, 1.1314], atol=1e-4)
 
     def test_rmsnorm_unit_rms(self):
         x = rng().normal(size=(5, 8))
-        out = T.rmsnorm(T.Tensor(x), T.Tensor(np.ones(8)), eps=0.0).data
+        out = T.residual_rmsnorm(T.Tensor(np.zeros((5, 8))), T.Tensor(x), T.Tensor(np.ones(8)), eps=0.0).data
         np.testing.assert_allclose(np.sqrt((out**2).mean(axis=-1)), 1.0, atol=1e-12)
 
     @given(st.floats(min_value=0.1, max_value=100.0))
     @settings(max_examples=20, deadline=None)
     def test_rmsnorm_scale_invariant(self, alpha):
         x = rng().normal(size=6)
-        g = T.Tensor(np.ones(6))
-        a = T.rmsnorm(T.Tensor(x), g, eps=0.0).data
-        b = T.rmsnorm(T.Tensor(alpha * x), g, eps=0.0).data
+        h, g = T.Tensor(np.zeros(6)), T.Tensor(np.ones(6))
+        a = T.residual_rmsnorm(h, T.Tensor(x), g, eps=0.0).data
+        b = T.residual_rmsnorm(h, T.Tensor(alpha * x), g, eps=0.0).data
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_softmax_rows_sum_to_one(self):
@@ -264,13 +282,17 @@ class TestFusedKernels:
     def test_rmsnorm_is_one_node_equal_to_the_composite(self):
         r = rng()
         for shape in [(8,), (5, 8)]:
+            h = T.Tensor(r.normal(size=shape), requires_grad=True)
             x = T.Tensor(r.normal(size=shape), requires_grad=True)
             g = T.Tensor(r.normal(size=8), requires_grad=True)
             up = T.Tensor(r.normal(size=shape))
-            np.testing.assert_array_equal(T.rmsnorm(x, g).data, rmsnorm_composite(x, g).data)
-            got, nodes = tape_grads(lambda: T.tsum(T.mul(T.rmsnorm(x, g), up)), [x, g])
-            want, _ = tape_grads(lambda: T.tsum(T.mul(rmsnorm_composite(x, g), up)), [x, g])
-            assert nodes == 3  # rmsnorm, mul, sum
+            np.testing.assert_array_equal(rmsnorm(x, g).data, rmsnorm_composite(x, g).data)
+            np.testing.assert_array_equal(
+                T.residual_rmsnorm(h, x, g).data, T.add(h, rmsnorm_composite(x, g)).data
+            )
+            got, nodes = tape_grads(lambda: T.tsum(T.mul(T.residual_rmsnorm(h, x, g), up)), [h, x, g])
+            want, _ = tape_grads(lambda: T.tsum(T.mul(T.add(h, rmsnorm_composite(x, g)), up)), [h, x, g])
+            assert nodes == 3  # residual_rmsnorm, mul, sum
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
@@ -438,6 +460,106 @@ class TestFusedLosses:
             T.cross_entropy(T.Tensor(np.zeros(5)), [[0]])
 
 
+def expert_table(r, n, k):
+    """The encoder's pair table for n tokens at k places each over k + 3
+    experts: place 0 of token 0 is expert 0's one row, expert 1 is idle, and
+    every other place picks among experts 2 .. k + 2, k distinct per token.
+    Returns pairs and the k + 4 offsets."""
+    n_experts = k + 3
+    sel = np.stack([2 + r.permutation(k + 1)[:k] for _ in range(n)])
+    sel[0, 0] = 0
+    ids = sel.reshape(-1)
+    return np.argsort(ids, kind="stable"), np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=n_experts))])
+
+
+class TestFusedExpertLayer:
+    """moe_ffn and residual_rmsnorm against the chains they replaced, kept in
+    moe_oracle: the output and every input gradient agree bit for bit."""
+
+    @staticmethod
+    def experts(r, n_experts, d, hidden):
+        def t(*shape):
+            return T.Tensor(r.normal(size=shape), requires_grad=True)
+
+        return ([t(d, hidden) for _ in range(n_experts)], [t(hidden) for _ in range(n_experts)],
+                [t(hidden, d) for _ in range(n_experts)], [t(d) for _ in range(n_experts)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (6, 2), (3, 3), (9, 4)])
+    def test_moe_ffn_matches_the_chain(self, n, k, seed):
+        r = np.random.default_rng([n, k, seed])
+        d, hidden = int(r.integers(1, 9)), int(r.integers(1, 17))
+        x = T.Tensor(r.normal(size=(n, d)) * 2.0, requires_grad=True)
+        pairs, offsets = expert_table(r, n, k)
+        assert offsets[1] == 1 and offsets[2] == 1  # a one-row group, then an empty one
+        ffn = self.experts(r, k + 3, d, hidden)
+        params = [x] + [p for group in ffn for p in group]
+        up = T.Tensor(r.normal(size=(n * k, d)))
+
+        def loss(layer):
+            return T.tsum(T.mul(layer(x, pairs, *ffn, offsets), up))
+
+        assert same_array(T.moe_ffn(x, pairs, *ffn, offsets).data, moe_oracle.expert_chain(x, pairs, *ffn, offsets).data)
+        got, nodes = tape_grads(lambda: loss(T.moe_ffn), params)
+        want, _ = tape_grads(lambda: loss(moe_oracle.expert_chain), params)
+        assert nodes == 3  # moe_ffn, mul, sum; the chain's 6 have 4 for the layer
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            assert a is None or same_array(a, b)
+        assert all(w[1].grad is None for w in ffn)  # the idle expert records no vjp
+
+    def test_moe_ffn_rejects_bad_offsets(self):
+        x = T.Tensor(np.zeros((2, 3)))
+        ffn = self.experts(rng(), 2, 3, 4)
+        pairs = np.array([0, 2, 1, 3])
+        for offsets in ([0, 4], [1, 2, 4], [0, 3, 2], [0, 2, 5]):
+            with pytest.raises(ValueError, match="moe_ffn: "):
+                T.moe_ffn(x, pairs, *ffn, offsets)
+        with pytest.raises(ValueError, match="moe_ffn: need one tensor of each kind per group"):
+            T.moe_ffn(x, pairs, ffn[0], ffn[1], ffn[2], ffn[3][:1], [0, 2, 4])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_moe_ffn_finite_check_sees_a_bad_fc1_weight(self, bad):
+        # moe_ffn scans only its output: a non-finite pre-activation reaches
+        # it through the GELU (-inf * Phi(-inf) is nan) and fc2 (inf * w)
+        r = rng()
+        x = T.Tensor(r.normal(size=(4, 3)), requires_grad=True)
+        pairs, offsets = expert_table(r, 4, 2)
+        ffn = self.experts(r, 5, 3, 6)
+        ffn[0][0].data[1, 2] = bad  # expert 0 has a row in every table
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(FloatingPointError, match="moe_ffn"):
+                T.moe_ffn(x, pairs, *ffn, offsets)
+            prev = T.set_finite_checks(False)
+            try:
+                out = T.moe_ffn(x, pairs, *ffn, offsets)
+            finally:
+                T.set_finite_checks(prev)
+        assert not np.isfinite(out.data).all()
+
+    @pytest.mark.parametrize("shape", [(1,), (8,), (1, 1), (5, 8), (3, 4, 6)])
+    def test_residual_rmsnorm_matches_the_chain(self, shape):
+        r = np.random.default_rng(len(shape) * 100 + shape[-1])
+        h, y = (T.Tensor(r.normal(size=shape) * 10.0 ** r.integers(-3, 3, size=shape), requires_grad=True)
+                for _ in range(2))
+        gain = T.Tensor(r.normal(size=shape[-1]), requires_grad=True)
+        up = T.Tensor(r.normal(size=shape))
+
+        def loss(branch):
+            return T.tsum(T.mul(branch(h, y, gain, 1e-6), up))
+
+        assert same_array(T.residual_rmsnorm(h, y, gain).data, moe_oracle.residual_branch(h, y, gain).data)
+        got, nodes = tape_grads(lambda: loss(T.residual_rmsnorm), [h, y, gain])
+        want, _ = tape_grads(lambda: loss(moe_oracle.residual_branch), [h, y, gain])
+        assert nodes == 3  # residual_rmsnorm, mul, sum
+        for a, b in zip(got, want):
+            assert same_array(a, b)
+
+    def test_residual_rmsnorm_refuses_a_broadcast_residual(self):
+        with pytest.raises(ValueError, match=r"residual_rmsnorm: h has shape \(1, 4\) but y has \(3, 4\)"):
+            T.residual_rmsnorm(T.Tensor(np.zeros((1, 4))), T.Tensor(np.ones((3, 4))), T.Tensor(np.ones(4)))
+
+
 class TestBackward:
     def test_linear_regression_hand_gradient(self):
         # loss = mean((Xw - y)^2); d/dw = 2 X^T (Xw - y) / n
@@ -590,14 +712,19 @@ class TestBackward:
         x, w = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2)))
         out = T.Tensor(np.zeros((4, 3)))
         good_pairs = np.array([0, 2, 1, 3])
-        T.dispatch_rows(x, good_pairs)
+        ffn = ([T.Tensor(np.zeros((3, 5)))], [T.Tensor(np.zeros(5))], [T.Tensor(np.zeros((5, 3)))], [T.Tensor(np.zeros(3))])
+
+        def moe_ffn(pairs):
+            return T.moe_ffn(x, pairs, *ffn, [0, 4])
+
+        moe_ffn(good_pairs)
         T.combine_rows(out, w, good_pairs)
         for pairs in ([0, 2, 1], [0, 2, 2, 3], [0, 2, 1, 4], [0, -1, 2, 3], []):  # short, repeated, past the end, negative, none
-            with pytest.raises(ValueError, match="dispatch_rows: pairs"):
-                T.dispatch_rows(x, pairs)
+            with pytest.raises(ValueError, match="moe_ffn: pairs"):
+                moe_ffn(pairs)
             with pytest.raises(ValueError, match="combine_rows: pairs"):
                 T.combine_rows(out, w, pairs)
-        for op, call in (("dispatch_rows", lambda: T.dispatch_rows(x, [[0, 2], [1, 3]])),
+        for op, call in (("moe_ffn", lambda: moe_ffn([[0, 2], [1, 3]])),
                          ("combine_rows", lambda: T.combine_rows(out, w, [[0, 2], [1, 3]]))):
             with pytest.raises(ValueError, match=f"{op}: row index must be 1-D"):
                 call()
@@ -680,7 +807,8 @@ class TestGradCheck:
         r = rng()
         x = T.Tensor(r.normal(size=(3, 8)), requires_grad=True)
         g = T.Tensor(np.ones(8), requires_grad=True)
-        err = grad_check(lambda: T.tsum(square(T.rmsnorm(x, g))), [x, g])
+        h = T.Tensor(r.normal(size=(3, 8)), requires_grad=True)
+        err = grad_check(lambda: T.tsum(square(T.residual_rmsnorm(h, x, g))), [h, x, g])
         assert err < 1e-7
         w = T.Tensor(r.normal(size=(8, 2)), requires_grad=True)
         b = T.Tensor(np.zeros(2), requires_grad=True)
@@ -1017,5 +1145,6 @@ class TestTapeOpNames:
                 assert local and not op.startswith("_"), qualname
                 assert getattr(fn, "__module__", None) == T.__name__, qualname
                 ops[-1].add(op)
-        assert {"dispatch_rows", "combine_rows", "grouped_linear", "index_add"} <= ops[0]
-        assert not ops[1] & {"dispatch_rows", "combine_rows", "grouped_linear"}  # frozen encoder
+        encoder_ops = {"moe_ffn", "combine_rows", "grouped_linear", "residual_rmsnorm"}
+        assert encoder_ops | {"index_add"} <= ops[0]
+        assert not ops[1] & encoder_ops  # frozen encoder
